@@ -22,12 +22,6 @@ from .tower import (
     QQ,
     TowerElement,
     TowerField,
-    absolute_degree,
-    elem_arith,
-    elem_inv,
-    embed,
-    project_element,
-    refine_tower,
     tower_extend,
 )
 from .sqrt import adjoin_sqrt, rational_sqrt, sqrt_or_nonsquare, squarefree_reduce
@@ -37,7 +31,6 @@ from .quadforms import (
     QFSystem,
     QuadraticForm,
     diagonalize,
-    evaluate,
     isotropy_2ext,
     mix_forms,
     orthogonal_intersection,

@@ -17,6 +17,7 @@ from .serialize import (
     element_to_json,
     gram_from_json,
     gram_to_json,
+    int_from_json,
     tower_from_json,
     tower_to_json,
     vector_from_json,
@@ -74,8 +75,8 @@ def isotropy_certificate_from_doc(doc: dict) -> tuple[QFSystem, IsotropyCertific
     cert = IsotropyCertificate(
         tower=tower,
         witness=witness,
-        claimed_bound=int(doc["claimed_bound"]),
-        actual_degree=int(doc["actual_degree"]),
+        claimed_bound=int_from_json(doc["claimed_bound"]),
+        actual_degree=int_from_json(doc["actual_degree"]),
         base_levels=base_levels,
     )
     return QFSystem(forms), cert
@@ -145,8 +146,8 @@ def split_certificate_from_doc(doc: dict) -> SplitCertificate:
         tower=tower,
         two_tower=two_tower,
         witness=witness,
-        degree_over_F=int(doc["degree_over_F"]),
-        claimed_bound=int(doc["claimed_bound"]),
+        degree_over_F=int_from_json(doc["degree_over_F"]),
+        claimed_bound=int_from_json(doc["claimed_bound"]),
     )
 
 
@@ -178,7 +179,7 @@ def algebra_from_doc(doc: dict) -> StructureConstantAlgebra:
         if key not in doc:
             raise MalformedCertificate(f"algebra document missing {key!r}")
     tower = tower_from_json(doc["field"])
-    n = int(doc["dim"])
+    n = int_from_json(doc["dim"])
     constants = doc["constants"]
     if len(constants) != n:
         raise MalformedCertificate("constants array does not match dim")
@@ -213,7 +214,9 @@ def cyclic_from_doc(tower: TowerField, doc: dict) -> CyclicExtensionData:
         if key not in doc:
             raise MalformedCertificate(f"cyclic document missing {key!r}")
     rows = [[element_from_json(tower, x) for x in row] for row in doc["sigma"]]
-    return CyclicExtensionData.create(tower, int(doc["k_level"]), rows, int(doc["order"]))
+    return CyclicExtensionData.create(
+        tower, int_from_json(doc["k_level"]), rows, int_from_json(doc["order"])
+    )
 
 
 def cor_result_doc(cor: CorResult, source: StructureConstantAlgebra) -> dict:

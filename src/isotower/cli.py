@@ -27,12 +27,16 @@ from .serialize import canonical_dumps, canonical_loads
 from .splitting import split_over_2ext
 
 
-def _read_doc(path: str) -> dict:
+def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return canonical_loads(fh.read())
-    except OSError as exc:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise MalformedCertificate(f"cannot read {path}: {exc}") from exc
+
+
+def _read_doc(path: str) -> dict:
+    return canonical_loads(_read_text(path))
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -135,9 +139,7 @@ def _cmd_corestrict(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    with open(args.input, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [ln for ln in _read_text(args.input).splitlines() if ln.strip()]
     if not lines:
         raise MalformedCertificate("empty input")
     failures = 0
@@ -175,7 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, batch=False):
-        p.add_argument("--input", help="input JSON path")
+        # batch commands can generate their input instead of reading it
+        p.add_argument("--input", required=not batch, help="input JSON path")
         p.add_argument("--output", help="output path (default stdout)")
         if batch:
             p.add_argument("--seed", type=int, help="seed for randomized batches")

@@ -25,11 +25,16 @@ class ReducibilityWitness:
     factor: tuple
 
 
-class ReducibilityError(IsotowerError):
+class PreconditionError(IsotowerError):
+    """A documented operation precondition was violated (CLI exit code 3)."""
+
+
+class ReducibilityError(PreconditionError):
     """A tower level turned out to be a quotient by a reducible polynomial.
 
-    Carries a :class:`ReducibilityWitness`; callers doing dynamic evaluation
-    catch this, split the level by the factor, and retry.
+    Towers must be built from irreducible minimal polynomials; a violation
+    surfaces lazily, when an inversion hits a zero divisor.  Carries a
+    :class:`ReducibilityWitness` naming the level and the factor found.
     """
 
     def __init__(self, witness: ReducibilityWitness):
@@ -38,10 +43,6 @@ class ReducibilityError(IsotowerError):
             f"level {witness.level} minpoly has proper factor of degree "
             f"{len(witness.factor) - 1}"
         )
-
-
-class PreconditionError(IsotowerError):
-    """A documented operation precondition was violated (CLI exit code 3)."""
 
 
 class AllVanish(PreconditionError):

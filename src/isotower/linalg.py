@@ -3,8 +3,8 @@
 Matrices are tuples of row tuples of TowerElement, all at one level.
 Pivoting is always the first nonzero entry, so eliminations are
 deterministic and certificates are reproducible.  Pivot inversions go
-through the kernel, so a collapsing tower level surfaces here as a
-ReducibilityError (dynamic evaluation).
+through the kernel, so a reducible tower level surfaces here as the
+ReducibilityError precondition.
 """
 
 from __future__ import annotations

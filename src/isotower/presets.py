@@ -21,6 +21,7 @@ from .certjson import (
     isotropy_certificate_doc,
     split_certificate_doc,
 )
+from .errors import PreconditionError
 from .generate import random_qfsystem, random_quaternion
 from .quadforms import QFSystem, QuadraticForm, isotropy_2ext
 from .splitting import quadratic_slot_split, split_over_2ext, standard_quaternion
@@ -203,7 +204,7 @@ def _demo_cor(cyclic: CyclicExtensionData, title: str, division_pair=None):
         try:
             split_idempotent_witness(cor)
             checks["split idempotent"] = True
-        except Exception:
+        except PreconditionError:
             checks["split idempotent"] = False
     ok = all(checks.values())
     lines = [title, f"  F-dimension: {cor.algebra.dim}"]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import linalg
-from .errors import AllVanish, DimensionTooSmall, PreconditionError
+from .errors import AllVanish, DimensionTooSmall, PreconditionError, SingularMatrix
 from .sqrt import adjoin_sqrt
 from .tower import TowerElement, TowerField
 
@@ -102,10 +102,6 @@ class QuadraticForm:
             tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.gram, other.gram)
         )
         return QuadraticForm(self.tower, self.level, rows)
-
-
-def evaluate(form: QuadraticForm, v) -> TowerElement:
-    return form.evaluate(v)
 
 
 @dataclass(frozen=True)
@@ -474,7 +470,7 @@ class LinearFunctionalBasis:
         mat = tuple(zip(*cols))
         try:
             inv = linalg.invert(mat, tower, f_level)
-        except Exception as exc:
+        except SingularMatrix as exc:
             raise PreconditionError(f"basis is not F-linearly independent: {exc}") from exc
         return LinearFunctionalBasis(tower, f_level, k_level, elements, inv)
 
@@ -583,7 +579,6 @@ __all__ = [
     "QFSystem",
     "IsotropyCertificate",
     "LinearFunctionalBasis",
-    "evaluate",
     "diagonalize",
     "mix_forms",
     "orthogonal_intersection",

@@ -30,12 +30,21 @@ def fraction_from_json(node) -> Fraction:
         n, d = int(num), int(den)
     except ValueError as exc:
         raise MalformedCertificate(f"bad rational {node!r}") from exc
-    if d <= 0:
-        raise MalformedCertificate(f"denominator must be positive in {node!r}")
+    if d == 0:
+        raise MalformedCertificate(f"zero denominator in {node!r}")
     q = Fraction(n, d)
-    if q.numerator != n or q.denominator != d:
-        raise MalformedCertificate(f"rational {node!r} not in lowest terms")
+    # one spelling per rational (lowest terms, positive denominator, plain
+    # digits), so parse -> serialize reproduces the input bytes
+    if node != f"{q.numerator}/{q.denominator}":
+        raise MalformedCertificate(f"rational {node!r} is not in canonical form")
     return q
+
+
+def int_from_json(node) -> int:
+    """A JSON integer field; bools, floats and strings are malformed."""
+    if type(node) is not int:
+        raise MalformedCertificate(f"expected a JSON integer, got {node!r}")
+    return node
 
 
 def _data_to_json(data, lv):
@@ -145,6 +154,7 @@ def canonical_loads(text: str):
 __all__ = [
     "fraction_to_json",
     "fraction_from_json",
+    "int_from_json",
     "element_to_json",
     "element_from_json",
     "tower_to_json",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 from . import linalg
 from .errors import (
@@ -33,12 +33,13 @@ from .quadforms import (
     isotropy_2ext,
     transfer_system,
 )
-from .sqrt import adjoin_sqrt
+from .sqrt import _is_prime, _trial_factor, adjoin_sqrt
 from .tower import (
     KIND_SQRT,
     Poly,
     TowerElement,
     TowerField,
+    _embed_up,
     _neg,
     tower_extend,
 )
@@ -203,8 +204,6 @@ class _Pair:
         if self._gen_mirrored(j):
             # generator-for-generator: re-nest the shared-level coefficients
             # through the K levels, no field arithmetic needed
-            from .tower import _embed_up
-
             ctx = self.c_tower._ctx
 
             def restructure(data, jj):
@@ -271,9 +270,6 @@ class _Pair:
             pair = pair._mirror_one(TowerField(f_ext.levels[: idx + 1]))
         return pair
 
-    def added_count(self) -> int:
-        return self.f_tower.height - self.shared
-
 
 # ---------------------------------------------------------------------------
 # the explicit 3-slot witness of <1, alpha, g(alpha)>
@@ -306,7 +302,7 @@ def _slot_split(pair: _Pair, alpha_comp: TowerElement, g_coeffs) -> tuple[_Pair,
     coeffs = [c.in_tower(pair.f_tower).embed(top) for c in coeffs]
     if len(coeffs) == 1:
         pair, s = pair.adjoin_sqrt(-coeffs[0])
-        w = (lift_top(pair, s), _czero(pair), _cone(pair))
+        w = (lift_top(pair, s), pair.c_tower.zero(), pair.c_tower.one())
     elif len(coeffs) == 2:
         a = coeffs[1]
         b = coeffs[0] / a
@@ -316,7 +312,7 @@ def _slot_split(pair: _Pair, alpha_comp: TowerElement, g_coeffs) -> tuple[_Pair,
         else:
             pair, sb = pair.adjoin_sqrt(b)
         la = lift_top(pair, sa)
-        w = (la * lift_top(pair, sb), la, _cone(pair))
+        w = (la * lift_top(pair, sb), la, pair.c_tower.one())
     else:
         a = coeffs[2]
         b = coeffs[1] / a
@@ -333,16 +329,8 @@ def _slot_split(pair: _Pair, alpha_comp: TowerElement, g_coeffs) -> tuple[_Pair,
             pair, se = pair.adjoin_sqrt(e)
         la = lift_top(pair, sa)
         alpha_t = alpha_comp.in_tower(pair.c_tower).embed(pair.c_tower.height)
-        w = (la * (alpha_t + lift_top(pair, sc)), la * lift_top(pair, se), _cone(pair))
+        w = (la * (alpha_t + lift_top(pair, sc)), la * lift_top(pair, se), pair.c_tower.one())
     return pair, w
-
-
-def _czero(pair: _Pair) -> TowerElement:
-    return pair.c_tower.zero()
-
-
-def _cone(pair: _Pair) -> TowerElement:
-    return pair.c_tower.one()
 
 
 def quadratic_slot_split(alpha: TowerElement, g: Poly) -> SlotSplitResult:
@@ -372,10 +360,7 @@ def quadratic_slot_split(alpha: TowerElement, g: Poly) -> SlotSplitResult:
     # exactness of the constructed witness
     top = pair.c_tower.height
     a_t = alpha.in_tower(pair.c_tower).embed(top)
-    ge = pair.c_tower.zero(top)
-    for i, c in enumerate(g_f):
-        ge = ge + c.in_tower(pair.c_tower).embed(top) * a_t**i
-    val = w[0].square() + a_t * w[1].square() + ge * w[2].square()
+    val = w[0].square() + a_t * w[1].square() + g(a_t) * w[2].square()
     assert val.is_zero()
     return SlotSplitResult(pair.f_tower, pair.c_tower, w)
 
@@ -579,8 +564,9 @@ def _dependent_alpha_witness(pair: _Pair, t: int, alpha: TowerElement, coord_row
         w = (pair.lift(s), pair.c_tower.one(top), pair.c_tower.zero(top), pair.c_tower.zero(top))
         return pair, w
     # degree exactly 2: alpha^2 = e1 alpha + e0 over K0; the F-side gets the
-    # quartic minpoly of sqrt(-alpha), whose reducibility (if the declared
-    # 2-part was not maximal after all) is caught by dynamic evaluation
+    # quartic minpoly of sqrt(-alpha).  If the declared 2-part was not
+    # maximal after all, the quartic is reducible and a later inversion
+    # raises the ReducibilityError precondition
     sol = linalg.solve(
         tuple(zip(*coord_rows[:2])), coord_rows[2], pair.c_tower, t
     )
@@ -641,44 +627,21 @@ def _extract_quadratic_in_alpha(pair: _Pair, basis: LinearFunctionalBasis, value
 
 
 def _factor(n: int) -> dict[int, int]:
-    n = abs(n)
-    out: dict[int, int] = {}
-    for p in (2, 3, 5, 7, 11, 13):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    f = 17
-    while f * f <= n and f < 100000:
-        while n % f == 0:
-            out[f] = out.get(f, 0) + 1
-            n //= f
-        f += 2
-    if n > 1:
-        out.update(_factor_large(n, out))
-    return out
-
-
-def _factor_large(n: int, acc: dict[int, int]) -> dict[int, int]:
-    # Pollard rho for the residual cofactor
-    stack = [n]
-    out: dict[int, int] = {}
+    """Complete factorization of |n|: small primes by trial division, the
+    cofactor by Pollard rho."""
+    out, cofactor = _trial_factor(abs(n))
+    stack = [cofactor]
     while stack:
         m = stack.pop()
         if m == 1:
             continue
-        if _is_prime_int(m):
+        if _is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
         d = _pollard_rho(m)
         stack.append(d)
         stack.append(m // d)
     return out
-
-
-def _is_prime_int(n: int) -> bool:
-    from .sqrt import _is_prime
-
-    return _is_prime(n)
 
 
 def _pollard_rho(n: int) -> int:
@@ -753,47 +716,6 @@ def hilbert_symbol_Q(u, v) -> str:
     return "split" if all(s == 1 for s in symbols.values()) else "division"
 
 
-def rational_norm_zero_search(u, v, boxes=(48, 800)):
-    """Bounded integer search for a nonzero rational zero of <1,-u,-v,uv>.
-
-    Works on the squarefree parts a, b of u, v via X^2 = a Y^2 + b Z^2 and
-    unscales; small solutions exist for isotropic ternary forms, so the
-    escalating boxes cover the split cases in practice.  Returns a verified
-    4-vector of Fractions or None."""
-    from .sqrt import squarefree_reduce
-
-    u, v = Fraction(u), Fraction(v)
-    if u == 0 or v == 0:
-        raise PreconditionError("nonzero entries required")
-    a, ma = squarefree_reduce(u.numerator * u.denominator)
-    b, mb = squarefree_reduce(v.numerator * v.denominator)
-    # u = a * (ma / den_u)^2 and likewise for v
-    su = Fraction(ma, u.denominator)
-    sv = Fraction(mb, v.denominator)
-
-    def unscale(x, y, z):
-        w = (Fraction(x), Fraction(y) / su, Fraction(z) / sv, Fraction(0))
-        check = w[0] ** 2 - u * w[1] ** 2 - v * w[2] ** 2
-        assert check == 0
-        return w
-
-    if a == 1:
-        return unscale(1, 1, 0)
-    if b == 1:
-        return unscale(1, 0, 1)
-    for box in boxes:
-        for yz in range(1, 2 * box + 1):
-            for y in range(max(0, yz - box), min(yz, box) + 1):
-                z = yz - y
-                val = a * y * y + b * z * z
-                if val < 0:
-                    continue
-                x = isqrt(val)
-                if x * x == val:
-                    return unscale(x, y, z)
-    return None
-
-
 __all__ = [
     "QuaternionAlgebra",
     "standard_quaternion",
@@ -807,5 +729,4 @@ __all__ = [
     "SplitCertificate",
     "split_over_2ext",
     "hilbert_symbol_Q",
-    "rational_norm_zero_search",
 ]

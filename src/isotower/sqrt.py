@@ -9,8 +9,9 @@ Three tiers, dispatched on the level where the element lives:
    well-chosen prime, Hensel lift, rational reconstruction, exact
    verification).  When reconstruction fails at three independent primes
    and the precision cap, NonSquare is returned; the only failure mode is
-   a false NonSquare, which at worst adds a collapsing tower level that
-   dynamic evaluation detects later.
+   a false NonSquare.  It at worst adds a reducible tower level, which
+   surfaces lazily as the ReducibilityError precondition (CLI exit 3) when
+   an inversion hits a zero divisor; nothing refines the tower and retries.
 
 Every returned root is verified exactly (s*s == c) before it leaves this
 module, so Sqrt answers are unconditionally sound.  All modular choices are
@@ -70,18 +71,11 @@ def rational_sqrt(q: Fraction) -> Fraction | None:
     return Fraction(rn, rd)
 
 
-def squarefree_reduce(n: int) -> tuple[int, int]:
-    """Write n = d * m^2 with the square part found by small-prime division.
-
-    d keeps the sign of n.  Large square factors hiding behind primes above
-    the trial bound stay inside d; that only costs minpoly minimality, never
-    correctness.
-    """
-    if n == 0:
-        raise ValueError("zero has no squarefree decomposition")
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    d, m = 1, 1
+def _trial_factor(n: int) -> tuple[dict[int, int], int]:
+    """Split n >= 1 into the exponents of its primes below 10^4 and the
+    cofactor left over.  Division stops once p^2 exceeds what is left, so a
+    cofactor below 10^8 is 1 or a prime."""
+    exps: dict[int, int] = {}
     for p in _small_primes():
         if p * p > n:
             break
@@ -91,15 +85,31 @@ def squarefree_reduce(n: int) -> tuple[int, int]:
         while n % p == 0:
             n //= p
             e += 1
+        exps[p] = e
+    return exps, n
+
+
+def squarefree_reduce(n: int) -> tuple[int, int]:
+    """Write n = d * m^2 with the square part found by small-prime division.
+
+    d keeps the sign of n.  Large square factors hiding behind primes above
+    the trial bound stay inside d; that only costs minpoly minimality, never
+    correctness.
+    """
+    if n == 0:
+        raise ValueError("zero has no squarefree decomposition")
+    exps, rest = _trial_factor(abs(n))
+    d, m = 1, 1
+    for p, e in exps.items():
         m *= p ** (e // 2)
         if e % 2:
             d *= p
-    r = isqrt(n)
-    if r * r == n:
+    r = isqrt(rest)
+    if r * r == rest:
         m *= r
     else:
-        d *= n
-    return sign * d, m
+        d *= rest
+    return (-d if n < 0 else d), m
 
 
 # -- deterministic prime machinery -------------------------------------------
@@ -163,29 +173,21 @@ def _pmulmod(a, b, f, p):
         if x:
             for j, y in enumerate(b):
                 out[i + j] = (out[i + j] + x * y) % p
-    return _prem(out, f, p)
+    return _pdivmod_mod(out, f, p)[1]
 
 
-def _prem(a, f, p):
-    a = _ptrim_mod(a, p)
-    df = len(f) - 1
-    inv_lead = pow(f[-1], -1, p)
-    while len(a) - 1 >= df:
-        c = a[-1] * inv_lead % p
-        k = len(a) - 1 - df
-        for j in range(df):
-            a[k + j] = (a[k + j] - c * f[j]) % p
-        a.pop()
-        while a and a[-1] == 0:
-            a.pop()
-    return a
+def _horner_mod(coeffs, x, m):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % m
+    return acc
 
 
 def _pgcd_mod(a, b, p):
     a = _ptrim_mod(a, p)
     b = _ptrim_mod(b, p)
     while b:
-        a = _prem(a, b, p)
+        a = _pdivmod_mod(a, b, p)[1]
         a, b = b, a
     if a:
         inv = pow(a[-1], -1, p)
@@ -195,7 +197,7 @@ def _pgcd_mod(a, b, p):
 
 def _ppowmod(base, e, f, p):
     result = [1]
-    b = _prem(list(base), f, p)
+    b = _pdivmod_mod(base, f, p)[1]
     while e:
         if e & 1:
             result = _pmulmod(result, b, f, p)
@@ -302,10 +304,7 @@ def _find_points(levels, p, need_all: bool):
             results.append(point)
             return not need_all
         minpoly, deg = levels[depth]
-        try:
-            f = _minpoly_mod(minpoly, depth, point, p)
-        except _BadPrime:
-            raise
+        f = _minpoly_mod(minpoly, depth, point, p)
         roots = _poly_roots_mod_p(f, p)
         if roots is None:
             raise _BadPrime
@@ -313,10 +312,7 @@ def _find_points(levels, p, need_all: bool):
             raise _BadPrime
         fprime = [c * i % p for i, c in enumerate(f)][1:]
         for r in roots:
-            dv = 0
-            for c in reversed(fprime):
-                dv = (dv * r + c) % p
-            if dv == 0:
+            if _horner_mod(fprime, r, p) == 0:
                 if need_all:
                     raise _BadPrime
                 continue
@@ -340,15 +336,8 @@ def _lift_point(levels, point, p, k):
         for depth, (minpoly, _deg) in enumerate(levels):
             f = _minpoly_mod(minpoly, depth, tuple(cur), m)
             r = cur[depth]
-            fv = 0
-            for c in reversed(f):
-                fv = (fv * r + c) % m
             fp = [c * i % m for i, c in enumerate(f)][1:]
-            dv = 0
-            for c in reversed(fp):
-                dv = (dv * r + c) % m
-            r = (r - fv * pow(dv, -1, m)) % m
-            cur[depth] = r
+            cur[depth] = (r - _horner_mod(f, r, m) * pow(_horner_mod(fp, r, m), -1, m)) % m
     return tuple(cur)
 
 
@@ -549,9 +538,7 @@ def _pattern_search(ctx, lv, data, sqrts, vinv, m, dim):
 
 # -- tier 2 --------------------------------------------------------------------
 
-
-def _half(ctx, lv, a):
-    return _scale(ctx, lv, a, Fraction(1, 2))
+_HALF = Fraction(1, 2)
 
 
 def _sqrt_tier2(tower: TowerField, lv: int, data):
@@ -576,11 +563,11 @@ def _sqrt_tier2(tower: TowerField, lv: int, data):
     if s is None:
         return None
     for signed in (s, _neg(ctx, lo, s)):
-        half = _half(ctx, lo, _add(ctx, lo, a, signed))
+        half = _scale(ctx, lo, _add(ctx, lo, a, signed), _HALF)
         r = _sqrt_raw(tower, lo, half)
         if r is None or _is_zero(r, lo):
             continue
-        y = _mul(ctx, lo, _half(ctx, lo, b), _inv(ctx, lo, r))
+        y = _mul(ctx, lo, _scale(ctx, lo, b, _HALF), _inv(ctx, lo, r))
         cand = (r, y)
         if _sqr(ctx, lv, cand) == data:
             return cand
@@ -621,20 +608,13 @@ def sqrt_or_nonsquare(c: TowerElement) -> TowerElement | None:
     return root
 
 
-def adjoin_sqrt(
-    tower: TowerField,
-    c: TowerElement,
-    label: str | None = None,
-    assume_nonsquare: bool = False,
-) -> tuple[TowerField, TowerElement, bool]:
+def adjoin_sqrt(tower: TowerField, c: TowerElement) -> tuple[TowerField, TowerElement, bool]:
     """Return (tower', sqrt(c), level_added).
 
     When c is already a square the tower is unchanged and the existing root
     is returned (the level is "saved").  Rational constants are reduced by
     their square part first, so e.g. sqrt(-4) adjoins X^2 + 1 and returns
-    2*gen.  ``assume_nonsquare`` skips the (possibly expensive) tier-3 square
-    test when the caller has a proof of nonsquareness; rational values are
-    always tested since tier 1 is instant.
+    2*gen.
     """
     if c.is_zero():
         raise ValueError("cannot adjoin a square root of zero")
@@ -645,25 +625,19 @@ def adjoin_sqrt(
         r = rational_sqrt(q)
         if r is not None:
             return tower, tower.rational(r, top), False
-    if not assume_nonsquare:
-        # full tower-level test: a rational nonsquare can still be a square
-        # higher up the chain, and stacking it would collapse
-        s = sqrt_or_nonsquare(c.embed(top))
-        if s is not None:
-            return tower, s, False
+    # full tower-level test: a rational nonsquare can still be a square
+    # higher up the chain, and stacking it would collapse
+    s = sqrt_or_nonsquare(c.embed(top))
+    if s is not None:
+        return tower, s, False
     if q is not None:
         d, mfac = squarefree_reduce(q.numerator * q.denominator)
         new = tower_extend(tower, [tower.rational(-d), tower.rational(0), tower.rational(1)],
-                           kind=KIND_SQRT, label=label)
+                           kind=KIND_SQRT)
         root = new.gen() * Fraction(mfac, q.denominator)
         return new, root, True
     ce = c.embed(top)
-    new = tower_extend(
-        tower,
-        [-ce, tower.zero(top), tower.one(top)],
-        kind=KIND_SQRT,
-        label=label,
-    )
+    new = tower_extend(tower, [-ce, tower.zero(top), tower.one(top)], kind=KIND_SQRT)
     return new, new.gen(), True
 
 

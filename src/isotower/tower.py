@@ -6,11 +6,12 @@ dense coefficient tuples bottoming out at ``fractions.Fraction``, always
 reduced modulo every level's minimal polynomial and zero-padded to the full
 level degree, so equality is plain structural comparison.
 
-Irreducibility of adjoined polynomials is *not* decided eagerly (dynamic
-evaluation).  When an inversion exposes a proper factor of some level's
-minimal polynomial, a :class:`~isotower.errors.ReducibilityError` is raised
-carrying the factor; callers may split the level with :func:`refine_tower`
-and retry.
+Irreducibility of adjoined polynomials is *not* decided eagerly.  A
+reducible level surfaces lazily: when an inversion exposes a proper factor
+of some level's minimal polynomial, a
+:class:`~isotower.errors.ReducibilityError` carrying the factor is raised.
+It is a precondition error (CLI exit 3); there is no API that refines the
+tower by the factor and retries.
 
 All values are immutable after construction and all operations are pure, so
 towers and elements can be shared freely across threads and processes.
@@ -19,6 +20,7 @@ towers and elements can be shared freely across threads and processes.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, Sequence, Union
 
 from .errors import ReducibilityError, ReducibilityWitness, ZeroInverse
@@ -232,12 +234,14 @@ def _pmul(ctx, lv, a, b):
     return _ptrim(out, lv)
 
 
-def _psub(ctx, lv, a, b):
-    n = max(len(a), len(b))
+def _padd(ctx, lv, a, b):
     zero = _raw_zero(ctx, lv)
-    aa = list(a) + [zero] * (n - len(a))
-    bb = list(b) + [zero] * (n - len(b))
-    return _ptrim([_sub(ctx, lv, x, y) for x, y in zip(aa, bb)], lv)
+    return _ptrim([_add(ctx, lv, x, y) for x, y in zip_longest(a, b, fillvalue=zero)], lv)
+
+
+def _psub(ctx, lv, a, b):
+    zero = _raw_zero(ctx, lv)
+    return _ptrim([_sub(ctx, lv, x, y) for x, y in zip_longest(a, b, fillvalue=zero)], lv)
 
 
 def _pmonic(ctx, lv, a):
@@ -656,9 +660,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
     def __getitem__(self, i: int) -> TowerElement:
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
@@ -676,62 +677,39 @@ class Poly:
         return hash((self.level, tuple(c.data for c in self.coeffs)))
 
     def __add__(self, other):
-        other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.tower, self.level, [self[i] + other[i] for i in range(n)])
+        return self._wrap(_padd(self.tower._ctx, self.level, self._raw(), self._raw_of(other)))
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.tower, self.level, [self[i] - other[i] for i in range(n)])
+        return self._wrap(_psub(self.tower._ctx, self.level, self._raw(), self._raw_of(other)))
 
     def __neg__(self):
         return Poly(self.tower, self.level, [-c for c in self.coeffs])
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, TowerElement)):
-            s = other if isinstance(other, TowerElement) else self.tower.rational(other, self.level)
-            return Poly(self.tower, self.level, [c * s for c in self.coeffs])
-        other = self._coerce(other)
-        if self.is_zero() or other.is_zero():
-            return Poly(self.tower, self.level, [])
-        zero = self.tower.zero(self.level)
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(self.tower, self.level, out)
+        return self._wrap(_pmul(self.tower._ctx, self.level, self._raw(), self._raw_of(other)))
 
     __rmul__ = __mul__
 
-    def _coerce(self, other) -> "Poly":
-        if isinstance(other, Poly):
-            return other
-        return Poly(self.tower, self.level, [other])
-
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        ctx = self.tower._ctx
-        num = [c.data for c in self.coeffs]
-        den = [c.data for c in other.coeffs]
-        q, r = _pdivmod(ctx, self.level, num, den)
-        wrap = lambda cs: Poly(
-            self.tower, self.level, [TowerElement(self.tower, self.level, c) for c in cs]
-        )
-        return wrap(q), wrap(r)
+        q, r = _pdivmod(self.tower._ctx, self.level, self._raw(), self._raw_of(other))
+        return self._wrap(q), self._wrap(r)
+
+    def _raw(self) -> list:
+        return [c.data for c in self.coeffs]
+
+    def _raw_of(self, other) -> list:
+        """Raw coefficients of a polynomial or scalar, coerced to this level."""
+        return Poly(self.tower, self.level, other.coeffs if isinstance(other, Poly) else [other])._raw()
+
+    def _wrap(self, raw) -> "Poly":
+        return Poly(self.tower, self.level, [TowerElement(self.tower, self.level, c) for c in raw])
 
     def __call__(self, x: TowerElement) -> TowerElement:
         """Horner evaluation; x may live at a higher level or extension tower."""
-        if not self.coeffs:
-            return x.tower.zero(x.level)
         acc = x.tower.zero(x.level)
         for c in reversed(self.coeffs):
             acc = acc * x + c.in_tower(x.tower).embed(x.level)
         return acc
-
-    def raw_coeffs(self) -> tuple:
-        return tuple(c.data for c in self.coeffs)
 
     def __repr__(self):
         if not self.coeffs:
@@ -759,7 +737,7 @@ def tower_extend(
     """Adjoin a root of a monic polynomial of degree >= 2 over the current top.
 
     Irreducibility is not verified eagerly; a reducible minpoly surfaces later
-    as a :class:`ReducibilityError` during some inversion.
+    as the :class:`ReducibilityError` precondition during some inversion.
     """
     top = tower.height
     if isinstance(minpoly, Poly):
@@ -797,85 +775,6 @@ def tower_extend(
     return TowerField(tower.levels + (Level(label, raw, kind),))
 
 
-def absolute_degree(tower: TowerField, level: int | None = None) -> int:
-    return tower.absolute_degree(level)
-
-
-def embed(x: TowerElement, target_level: int) -> TowerElement:
-    return x.embed(target_level)
-
-
-def elem_arith(x: TowerElement, y: TowerElement, op: str) -> TowerElement:
-    """Named arithmetic entry point: op in {add, sub, mul}."""
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    raise ValueError(f"unknown op {op!r}")
-
-
-def elem_inv(x: TowerElement) -> TowerElement:
-    return x.inverse()
-
-
-def _project_raw(ctx, data, level, lv, factor):
-    """Reduce raw data at ``level`` modulo a factor of the level-``lv`` minpoly.
-
-    For a linear factor the witnessed level disappears (evaluation at the
-    root); otherwise coefficient vectors at that level shrink to deg(factor).
-    """
-    deg = len(factor) - 1
-    if level < lv:
-        return data
-    if level == lv:
-        if deg == 1:
-            root = _neg(ctx, lv - 1, factor[0])
-            acc = _raw_zero(ctx, lv - 1)
-            for c in reversed(data):
-                acc = _add(ctx, lv - 1, _mul(ctx, lv - 1, acc, root), c)
-            return acc
-        _, rem = _pdivmod(ctx, lv - 1, list(data), list(factor))
-        pad = _raw_zero(ctx, lv - 1)
-        rem = rem + [pad] * (deg - len(rem))
-        return tuple(rem[:deg])
-    return tuple(_project_raw(ctx, c, level - 1, lv, factor) for c in data)
-
-
-def refine_tower(tower: TowerField, witness: ReducibilityWitness) -> TowerField:
-    """Split a level by a discovered proper factor of its minimal polynomial.
-
-    Returns the tower where the witnessed level's minpoly is replaced by the
-    factor (the level is dropped entirely when the factor is linear); the
-    minimal polynomials of higher levels are reduced along.  Elements of the
-    old tower are carried over with :func:`project_element`.
-    """
-    lv = witness.level
-    factor = tuple(witness.factor)
-    deg = len(factor) - 1
-    ctx = tower._ctx
-    new_levels = list(tower.levels[: lv - 1])
-    old = tower.levels[lv - 1]
-    if deg >= 2:
-        kind = KIND_SQRT if (deg == 2 and _is_zero(factor[1], lv - 1)) else KIND_BASE
-        new_levels.append(Level(old.label, factor, kind))
-    for j in range(lv, tower.height):
-        higher = tower.levels[j]
-        minpoly = tuple(_project_raw(ctx, c, j, lv, factor) for c in higher.minpoly)
-        new_levels.append(Level(higher.label, minpoly, higher.kind))
-    return TowerField(new_levels)
-
-
-def project_element(x: TowerElement, witness: ReducibilityWitness, refined: TowerField) -> TowerElement:
-    """Carry an element into the refined tower (reduce modulo the factor)."""
-    lv = witness.level
-    factor = tuple(witness.factor)
-    deg = len(factor) - 1
-    new_level = x.level - 1 if deg == 1 and x.level >= lv else x.level
-    return TowerElement(refined, new_level, _project_raw(x.tower._ctx, x.data, x.level, lv, factor))
-
-
 QQ = TowerField(())
 
 __all__ = [
@@ -889,10 +788,4 @@ __all__ = [
     "Poly",
     "QQ",
     "tower_extend",
-    "absolute_degree",
-    "embed",
-    "elem_arith",
-    "elem_inv",
-    "refine_tower",
-    "project_element",
 ]

@@ -16,6 +16,7 @@ from .errors import MalformedCertificate
 from .serialize import (
     element_from_json,
     gram_from_json,
+    int_from_json,
     tower_from_json,
     vector_from_json,
 )
@@ -65,8 +66,8 @@ def verify_isotropy(doc: dict) -> tuple[bool, str]:
         tower = tower_from_json(doc["tower"])
         witness = vector_from_json(tower, doc["witness"])
         grams = [gram_from_json(tower, g) for g in doc["forms"]]
-        claimed = int(doc["claimed_bound"])
-        actual = int(doc["actual_degree"])
+        claimed = int_from_json(doc["claimed_bound"])
+        actual = int_from_json(doc["actual_degree"])
     except (KeyError, TypeError) as exc:
         raise MalformedCertificate(f"isotropy certificate missing field: {exc}") from exc
     if not grams or not witness:
@@ -126,8 +127,8 @@ def verify_split(doc: dict) -> tuple[bool, str]:
         tower = tower_from_json(doc["tower"])
         two_tower = tower_from_json(doc["two_tower"])
         witness = vector_from_json(tower, doc["witness"])
-        claimed = int(doc["claimed_bound"])
-        degree_f = int(doc["degree_over_F"])
+        claimed = int_from_json(doc["claimed_bound"])
+        degree_f = int_from_json(doc["degree_over_F"])
         pres = qdoc["presentation"]
         if pres == "standard":
             u = element_from_json(k_tower, qdoc["u"])
@@ -181,7 +182,7 @@ def verify_split(doc: dict) -> tuple[bool, str]:
 
 def _parse_algebra(doc: dict):
     tower = tower_from_json(doc["field"])
-    n = int(doc["dim"])
+    n = int_from_json(doc["dim"])
     constants = doc["constants"]
     level = 0
     parsed = []
@@ -224,8 +225,8 @@ def verify_cor(doc: dict) -> tuple[bool, str]:
         k_tower, a_level, a_dim, a_parsed, a_unit = _parse_algebra(adoc)
         _cor_tower, _cor_level, cor_dim, cor_parsed, cor_unit = _parse_algebra(doc)
         fixed_basis = [vector_from_json(k_tower, v) for v in doc["fixed_basis"]]
-        order = int(cdoc["order"])
-        k_level = int(cdoc["k_level"])
+        order = int_from_json(cdoc["order"])
+        k_level = int_from_json(cdoc["k_level"])
         sigma = [[element_from_json(k_tower, x) for x in row] for row in cdoc["sigma"]]
     except (KeyError, TypeError) as exc:
         raise MalformedCertificate(f"cor result missing field: {exc}") from exc

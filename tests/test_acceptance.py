@@ -9,6 +9,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from norm_oracle import rational_norm_zero_search
 
 from isotower import verify
 from isotower.certjson import (
@@ -38,7 +39,6 @@ from isotower.presets import (
 from isotower.quadforms import isotropy_2ext
 from isotower.splitting import (
     hilbert_symbol_Q,
-    rational_norm_zero_search,
     split_over_2ext,
     standard_quaternion,
 )

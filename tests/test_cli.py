@@ -1,3 +1,9 @@
+import importlib
+import pkgutil
+
+import pytest
+
+import isotower
 from isotower.cli import main
 from isotower.serialize import canonical_dumps, canonical_loads
 
@@ -78,6 +84,45 @@ def test_exit_code_precondition(tmp_path, capsys):
     assert "DimensionTooSmall" in err
 
 
+def test_exit_code_reducible_level(tmp_path, capsys):
+    # X^2 - 4 = (X - 2)(X + 2): inverting t - 2 during the isotropy run hits
+    # a zero divisor, which is a precondition violation, not malformed input
+    system = {
+        "forms": [[[["-2/1", "1/1"], ["0/1", "0/1"]], [["0/1", "0/1"], ["1/1", "0/1"]]]],
+        "tower": [{"label": "t", "minpoly": ["-4/1", "0/1", "1/1"]}],
+    }
+    inp = tmp_path / "sys.json"
+    inp.write_text(canonical_dumps(system))
+    assert run(["isotropy", "--input", str(inp)]) == 3
+    assert "[ReducibilityError]" in capsys.readouterr().err
+
+
+def test_exit_code_unreadable_or_missing_input(tmp_path, capsys):
+    assert run(["verify", "--input", str(tmp_path / "missing.json")]) == 2
+    assert "cannot read" in capsys.readouterr().err
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{")
+    for command in ("verify", "isotropy", "corestrict"):
+        assert run([command, "--input", str(binary)]) == 2
+    for command in ("verify", "corestrict"):
+        with pytest.raises(SystemExit) as exc:
+            run([command])
+        assert exc.value.code == 2
+
+
+def test_exit_code_non_integer_field(tmp_path, capsys):
+    system = {"forms": [[["1/1", "0/1"], ["0/1", "1/1"]]], "tower": []}
+    inp = tmp_path / "sys.json"
+    inp.write_text(canonical_dumps(system))
+    out = tmp_path / "cert.json"
+    assert run(["isotropy", "--input", str(inp), "--output", str(out)]) == 0
+    doc = canonical_loads(out.read_text())
+    doc["claimed_bound"] = "abc"
+    out.write_text(canonical_dumps(doc))
+    assert run(["verify", "--input", str(out)]) == 2
+    assert "malformed input" in capsys.readouterr().err
+
+
 def test_batch_determinism(tmp_path):
     out1 = tmp_path / "a.jsonl"
     out2 = tmp_path / "b.jsonl"
@@ -155,3 +200,14 @@ def test_verifier_module_boundary():
     for module in ("quadforms", "splitting", "csa", "certjson", "presets", "generate", "cli"):
         assert f"from .{module}" not in src
         assert f"isotower.{module}" not in src
+
+
+def test_public_names_resolve():
+    # a stale __all__ entry breaks "from isotower.<module> import *"
+    modules = [isotower] + [
+        importlib.import_module(f"isotower.{info.name}")
+        for info in pkgutil.iter_modules(isotower.__path__)
+    ]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.__all__ lists missing {name!r}"

@@ -95,7 +95,7 @@ def test_serialization_round_trip(x):
 
 
 def test_reducibility_factor_divides():
-    # dynamic evaluation on deliberately collapsing levels X^2 - a^2
+    # deliberately reducible levels X^2 - a^2 expose a linear factor
     for a in (2, 3, 5, 7):
         bad = tower_extend(QQ, [-a * a, 0, 1], label="t")
         t = bad.gen()

@@ -10,14 +10,19 @@ from isotower.certjson import (
     isotropy_certificate_from_doc,
     verify_isotropy_certificate,
 )
-from isotower.errors import AllVanish, DimensionTooSmall, PreconditionError
+from isotower.errors import (
+    AllVanish,
+    DimensionTooSmall,
+    MalformedCertificate,
+    PreconditionError,
+    ReducibilityError,
+)
 from isotower.generate import random_qfsystem
 from isotower.quadforms import (
     LinearFunctionalBasis,
     QFSystem,
     QuadraticForm,
     diagonalize,
-    evaluate,
     isotropy_2ext,
     mix_forms,
     orthogonal_intersection,
@@ -39,8 +44,8 @@ def vec(*xs):
 
 
 def test_evaluate_examples():
-    assert evaluate(diag(1, 1), vec(3, 4)) == 25
-    assert evaluate(diag(1, 2, 3), vec(1, 1, 1)) == 6
+    assert diag(1, 1).evaluate(vec(3, 4)) == 25
+    assert diag(1, 2, 3).evaluate(vec(1, 1, 1)) == 6
     q_s = tower_extend(QQ, [-2, 0, 1], label="s2")
     form = QuadraticForm.diagonal(q_s, 1, [1, -2])
     assert form.evaluate((q_s.gen(), q_s.one())).is_zero()
@@ -48,7 +53,7 @@ def test_evaluate_examples():
 
 def test_evaluate_dimension_mismatch():
     with pytest.raises(ValueError):
-        evaluate(diag(1, 1), vec(1, 2, 3))
+        diag(1, 1).evaluate(vec(1, 2, 3))
 
 
 def test_polarization_identity():
@@ -302,6 +307,18 @@ def element_zero_like(node):
     return "0/1"
 
 
+def test_non_integer_fields_are_malformed():
+    system = QFSystem((diag(1, 1, 1, 1), diag(1, 2, 3, 4)))
+    doc = isotropy_certificate_doc(system, isotropy_2ext(system))
+    for key in ("claimed_bound", "actual_degree"):
+        for value in ("abc", "4", 4.5, True, None):
+            bad = dict(doc, **{key: value})
+            with pytest.raises(MalformedCertificate):
+                verify.verify_any(bad)
+            with pytest.raises(MalformedCertificate):
+                isotropy_certificate_from_doc(bad)
+
+
 def test_degree1_certificates_accepted():
     # the verifier accepts degree-1 certificates outright (the reading over
     # quadratically closed fields, where no extension can ever be added)
@@ -362,3 +379,11 @@ def test_transfer_rejects_dependent_basis():
     a = cubic.gen()
     with pytest.raises(PreconditionError):
         LinearFunctionalBasis.from_elements(cubic, 0, 1, [cubic.one(), a, 2 * a])
+
+
+def test_basis_over_reducible_level_names_reducibility():
+    bad = tower_extend(QQ, [-4, 0, 1], label="t")  # X^2 - 4 = (X - 2)(X + 2)
+    top = tower_extend(bad, [bad.rational(-3), bad.rational(0), bad.rational(1)], label="s")
+    t = bad.gen().in_tower(top).embed(2)
+    with pytest.raises(ReducibilityError):
+        LinearFunctionalBasis.from_elements(top, 1, 2, [top.one(), (t - 2) * top.gen()])

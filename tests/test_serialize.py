@@ -37,6 +37,10 @@ def test_fraction_rejects_noncanonical():
         fraction_from_json("7")
     with pytest.raises(MalformedCertificate):
         fraction_from_json("a/b")
+    # int() accepts these spellings, but each re-serializes to other bytes
+    for node in ("1_0/1", " 3/1", "+3/1", "-0/1", "3/ 1"):
+        with pytest.raises(MalformedCertificate):
+            fraction_from_json(node)
 
 
 def test_element_round_trip_byte_identical(stacked):

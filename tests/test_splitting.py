@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from norm_oracle import rational_norm_zero_search
 
 from isotower.certjson import (
     quaternion_doc,
@@ -23,7 +24,6 @@ from isotower.splitting import (
     norm_value,
     pfister_descend,
     quadratic_slot_split,
-    rational_norm_zero_search,
     split_over_2ext,
     standard_quaternion,
 )
