@@ -43,12 +43,14 @@ def system_doc(system: QFSystem) -> dict:
 def system_from_doc(doc: dict) -> QFSystem:
     if not isinstance(doc, dict) or "forms" not in doc or "tower" not in doc:
         raise MalformedCertificate("a system document needs 'forms' and 'tower'")
+    if not isinstance(doc["forms"], list):
+        raise MalformedCertificate("'forms' must be a list of gram matrices")
     tower = tower_from_json(doc["tower"])
-    forms = tuple(
-        QuadraticForm.from_gram(tower, tower.height, gram_from_json(tower, g))
-        for g in doc["forms"]
-    )
-    return QFSystem(forms)
+    grams = [gram_from_json(tower, g) for g in doc["forms"]]
+    try:
+        return QFSystem(tuple(QuadraticForm.from_gram(tower, tower.height, g) for g in grams))
+    except ValueError as exc:  # not square, not symmetric, no forms, mixed shapes
+        raise MalformedCertificate(f"invalid system: {exc}") from exc
 
 
 def isotropy_certificate_doc(system: QFSystem, cert: IsotropyCertificate) -> dict:

@@ -1,17 +1,25 @@
 """Square testing and square-root adjunction over tower fields.
 
-Three tiers, dispatched on the level where the element lives:
+Above the rationals, :func:`sqrt_or_nonsquare` first looks for a Legendre
+witness (:func:`_nonsquare_witness`): an odd prime p below a fixed budget,
+a tower point mod p whose coordinates are simple roots of the reduced
+minimal polynomials, and a nonzero value of c there that is a quadratic
+nonresidue mod p.  Such a point is an unramified degree-1 prime, so a
+witness proves c a nonsquare and no square ever has one.  It settles
+nonsquares without the exact descent of tier 2.  When no witness turns up,
+three tiers run, dispatched on the level where the element lives:
 
 1. rational base: integer square detection on numerator and denominator;
 2. quadratic-sqrt levels K0(sqrt(d)): the complete denesting recursion,
    so the test is a decision procedure on chains of sqrt adjunctions;
-3. general levels: modular square-root lifting (square root modulo a
-   well-chosen prime, Hensel lift, rational reconstruction, exact
-   verification).  When reconstruction fails at three independent primes
-   and the precision cap, NonSquare is returned; the only failure mode is
-   a false NonSquare.  It at worst adds a reducible tower level, which
-   surfaces lazily as the ReducibilityError precondition (CLI exit 3) when
-   an inversion hits a zero divisor; nothing refines the tower and retries.
+3. general levels: (a) the same witness search, then (b) modular
+   square-root lifting (square root modulo a well-chosen prime, Hensel
+   lift, rational reconstruction, exact verification).  When
+   reconstruction fails at three independent primes and the precision
+   cap, NonSquare is returned unproved; the only failure mode is a false
+   NonSquare.  It at worst adds a reducible tower level, which surfaces
+   lazily as the ReducibilityError precondition (CLI exit 3) when an
+   inversion hits a zero divisor; nothing refines the tower and retries.
 
 Every returned root is verified exactly (s*s == c) before it leaves this
 module, so Sqrt answers are unconditionally sound.  All modular choices are
@@ -151,8 +159,29 @@ def _prime_stream(tag: bytes):
         counter += 1
 
 
+def _decimal(n: int) -> str:
+    """str(n), also past CPython's limit on int-to-str conversion length."""
+    if n < 0:
+        return "-" + _decimal(-n)
+    if n.bit_length() <= 10000:  # about 3000 digits, under the limit
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half the decimal digits
+    hi, lo = divmod(n, 10**k)
+    return _decimal(hi) + _decimal(lo).zfill(k)
+
+
+def _tag_repr(x) -> str:
+    """repr() of nested tuples of Fractions, spelled without the limit."""
+    if isinstance(x, tuple):
+        inner = ", ".join(_tag_repr(y) for y in x)
+        return f"({inner},)" if len(x) == 1 else f"({inner})"
+    if isinstance(x, Fraction):
+        return f"Fraction({_decimal(x.numerator)}, {_decimal(x.denominator)})"
+    return _decimal(x)
+
+
 def _stream_tag(minpolys, data) -> bytes:
-    return repr((minpolys, data)).encode()
+    return _tag_repr((minpolys, data)).encode()
 
 
 # -- polynomial arithmetic mod p ----------------------------------------------
@@ -305,7 +334,10 @@ def _find_points(levels, p, need_all: bool):
             return not need_all
         minpoly, deg = levels[depth]
         f = _minpoly_mod(minpoly, depth, point, p)
-        roots = _poly_roots_mod_p(f, p)
+        if deg == 2 and f[1] == 0:
+            roots = _sqrt_roots_mod(-f[0], p)  # X^2 - c: Euler and Tonelli
+        else:
+            roots = _poly_roots_mod_p(f, p)
         if roots is None:
             raise _BadPrime
         if need_all and len(roots) != deg:
@@ -367,6 +399,15 @@ def _tonelli(a: int, p: int) -> int | None:
     return r
 
 
+def _sqrt_roots_mod(c: int, p: int) -> list[int]:
+    """Distinct roots of X^2 - c mod an odd prime p, sorted as
+    _poly_roots_mod_p sorts them."""
+    t = _tonelli(c, p)
+    if t is None:
+        return []
+    return sorted({t, -t % p})
+
+
 def _rat_reconstruct(a: int, m: int) -> Fraction | None:
     a %= m
     bound = isqrt(m // 2)
@@ -384,9 +425,41 @@ def _rat_reconstruct(a: int, m: int) -> Fraction | None:
     return Fraction(num, den)
 
 
+# -- Legendre witnesses ---------------------------------------------------------
+
+# odd primes scanned for a witness: 3..311
+_WITNESS_PRIMES = 64
+
+
+def _nonsquare_witness(tower: TowerField, lv: int, data):
+    """A proof that data (raw, at level lv >= 1) is not a square, or None.
+
+    The proof is (p, point, residue): p an odd prime at which the minpolys
+    and data are p-integral, point a tower point mod p whose coordinates are
+    simple roots of the reduced minpolys, and residue = data(point), a
+    quadratic nonresidue mod p.  The point lifts to an embedding of the
+    tower into the p-adic integers (an unramified prime of degree 1), which
+    maps data to a unit with nonresidue reduction; so data has no square
+    root, and a square never gets a witness.  The odd primes are scanned in
+    increasing order, _WITNESS_PRIMES of them; None means none was found,
+    not that data is a square.
+    """
+    levels = _subtower_levels(tower, lv)
+    for p in _small_primes()[1 : _WITNESS_PRIMES + 1]:
+        pts = _find_points(levels, p, need_all=False)
+        if not pts:
+            continue
+        try:
+            residue = _eval_mod(data, lv, pts[0], p)
+        except _BadPrime:
+            continue
+        if residue and pow(residue, (p - 1) // 2, p) == p - 1:
+            return p, pts[0], residue
+    return None
+
+
 # -- tier 3 --------------------------------------------------------------------
 
-_CERT_TRIES = 18
 _MAX_PATTERN_DIM = 13
 _PRECISIONS = (2, 8)
 
@@ -434,31 +507,13 @@ def _mat_inv_mod(rows, p, m):
 
 
 def _sqrt_tier3(tower: TowerField, lv: int, data):
-    ctx = tower._ctx
-    levels = _subtower_levels(tower, lv)
-    tag = _stream_tag(tuple(l[0] for l in levels), data)
-    stream = _prime_stream(tag)
-
-    # (a) sound NonSquare certification: a single nonresidue value certifies
-    qr_passes = 0
-    seen = 0
-    while qr_passes < _CERT_TRIES and seen < 6 * _CERT_TRIES:
-        p = next(stream)
-        seen += 1
-        pts = _find_points(levels, p, need_all=False)
-        if not pts:
-            continue
-        try:
-            val = _eval_mod(data, lv, pts[0], p)
-        except _BadPrime:
-            continue
-        if val == 0:
-            continue
-        if pow(val, (p - 1) // 2, p) == p - 1:
-            return None
-        qr_passes += 1
+    # (a) sound NonSquare certification by a Legendre witness
+    if _nonsquare_witness(tower, lv, data) is not None:
+        return None
 
     # (b) recovery: completely split prime, lift, reconstruct, verify
+    ctx = tower._ctx
+    levels = _subtower_levels(tower, lv)
     dim = 1
     for _mp, deg in levels:
         dim *= deg
@@ -466,6 +521,7 @@ def _sqrt_tier3(tower: TowerField, lv: int, data):
         return None
     split_found = 0
     tried = 0
+    tag = _stream_tag(tuple(l[0] for l in levels), data)
     stream_b = _prime_stream(tag + b"/split")
     while split_found < 3 and tried < 400:
         p = next(stream_b)
@@ -600,6 +656,9 @@ def sqrt_or_nonsquare(c: TowerElement) -> TowerElement | None:
     """
     if c.is_zero():
         raise ValueError("sqrt_or_nonsquare requires c != 0")
+    # a Legendre witness settles nonsquares before any exact descent
+    if c.level and _nonsquare_witness(c.tower, c.level, c.data) is not None:
+        return None
     data = _sqrt_raw(c.tower, c.level, c.data)
     if data is None:
         return None

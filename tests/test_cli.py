@@ -68,6 +68,21 @@ def test_exit_code_malformed(tmp_path, capsys):
     assert run(["verify", "--input", str(bad)]) == 2
 
 
+@pytest.mark.parametrize(
+    "system",
+    [
+        {"forms": [[["1/1", "2/1"], ["0/1", "1/1"]]], "tower": []},  # not symmetric
+        {"forms": [], "tower": []},
+        {"forms": 5, "tower": []},
+    ],
+)
+def test_exit_code_malformed_system(tmp_path, capsys, system):
+    inp = tmp_path / "sys.json"
+    inp.write_text(canonical_dumps(system))
+    assert run(["isotropy", "--input", str(inp)]) == 2
+    assert "malformed input" in capsys.readouterr().err
+
+
 def test_exit_code_precondition(tmp_path, capsys):
     # r = 2 in 3 variables: DimensionTooSmall is named on stderr
     system = {

@@ -1,0 +1,77 @@
+"""Certificate bytes pinned by sha256 for fixed inputs.
+
+A speed-up of the constructors or of the square tests must leave these
+certificates byte-identical; a change that alters them on purpose changes
+the certificate format and says so.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from isotower.certjson import cor_result_doc, isotropy_certificate_doc, split_certificate_doc
+from isotower.csa import (
+    fixed_subalgebra,
+    g_action_matrix,
+    quaternion_structure_algebra,
+    tensor_power_over_K,
+)
+from isotower.generate import random_qfsystem, random_quaternion
+from isotower.presets import cyclic_sqrt, field_cubic, field_quintic
+from isotower.quadforms import isotropy_2ext
+from isotower.serialize import canonical_dumps
+from isotower.splitting import split_over_2ext, standard_quaternion
+
+SEED = 20260808  # the acceptance suite's seed
+
+
+def _isotropy(r):
+    rng = random.Random(SEED + r)
+    docs = []
+    for _ in range(2):
+        system = random_qfsystem(rng, r)
+        docs.append(isotropy_certificate_doc(system, isotropy_2ext(system)))
+    return docs
+
+
+def _split(field):
+    # the quaternion stream of acceptance criterion 3
+    rng = random.Random(SEED + field.absolute_degree())
+    return [split_certificate_doc(split_over_2ext(random_quaternion(rng, field)))
+            for _ in range(2)]
+
+
+def _cor():
+    cyc = cyclic_sqrt(2)
+    alg = quaternion_structure_algebra(
+        standard_quaternion(cyc.tower.rational(-1, 1), cyc.tower.rational(-1, 1))
+    )
+    ta = tensor_power_over_K(alg, cyc)
+    return [cor_result_doc(fixed_subalgebra(ta, g_action_matrix(ta, cyc)), alg)]
+
+
+CASES = {
+    "isotropy-r2": lambda: _isotropy(2),
+    "isotropy-r3": lambda: _isotropy(3),
+    "split-cubic": lambda: _split(field_cubic()),
+    "split-quintic": lambda: _split(field_quintic()),
+    "cor-sqrt2-quaternion": _cor,
+}
+
+GOLDEN = {
+    "isotropy-r2": "bb278178423735802bed17aa2e3527d502e8d99ca83c945ae30f405c2ac41f54",
+    "isotropy-r3": "76140a5c8ac004b937cdb92898d7ac4ccd4aef28bd610c38c9c4b12d9ec7b75e",
+    "split-cubic": "b905eeb2eccb949cf2ab875b89458d42a1f9d4e48e4cca710eb80dc8aed4b131",
+    "split-quintic": "ed54aa832631470e36ad9b1734149a3f0068ae5414768a6500cbfec3999644ba",
+    "cor-sqrt2-quaternion": "92f2d351514f17c707e4d20e7023ca10cdb914de8ffafa96e6faca8bd75f9bea",
+}
+
+
+def _digest(docs):
+    return hashlib.sha256("".join(canonical_dumps(d) for d in docs).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_certificate_bytes_pinned(name):
+    assert _digest(CASES[name]()) == GOLDEN[name]

@@ -1,8 +1,20 @@
+import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
-from isotower.sqrt import adjoin_sqrt, rational_sqrt, sqrt_or_nonsquare, squarefree_reduce
+from isotower.presets import field_septic
+from isotower.sqrt import (
+    _nonsquare_witness,
+    _poly_roots_mod_p,
+    _sqrt_roots_mod,
+    _stream_tag,
+    adjoin_sqrt,
+    rational_sqrt,
+    sqrt_or_nonsquare,
+    squarefree_reduce,
+)
 from isotower.tower import KIND_BASE, KIND_SQRT, QQ, tower_extend
 
 
@@ -141,8 +153,6 @@ def test_adjoin_sqrt_rejects_zero():
 
 
 def test_sqrt_soundness_random():
-    import random
-
     rng = random.Random(11)
     q_s = tower_extend(QQ, [-2, 0, 1], label="s2")
     for _ in range(50):
@@ -155,3 +165,114 @@ def test_sqrt_soundness_random():
         root = sqrt_or_nonsquare(c)
         assert root is not None and root * root == c
         assert root in (x, -x)
+
+
+# -- Legendre witnesses -------------------------------------------------------
+
+
+def _reduce(raw, lv, point, p):
+    """Raw tower data at a point mod p, evaluated without the sqrt module."""
+    if lv == 0:
+        assert raw.denominator % p, "p divides a denominator"
+        return raw.numerator * pow(raw.denominator, -1, p) % p
+    return sum(_reduce(c, lv - 1, point, p) * pow(point[lv - 1], i, p)
+               for i, c in enumerate(raw)) % p
+
+
+def _recheck_witness(tower, lv, data, witness):
+    p, point, residue = witness
+    assert p > 2 and all(p % q for q in range(2, isqrt(p) + 1))
+    assert len(point) == lv
+    for i in range(lv):
+        f = [_reduce(c, i, point, p) for c in tower.levels[i].minpoly]
+        r = point[i]
+        assert sum(c * pow(r, k, p) for k, c in enumerate(f)) % p == 0
+        assert sum(k * c * pow(r, k - 1, p) for k, c in enumerate(f) if k) % p != 0
+    assert residue != 0 and _reduce(data, lv, point, p) == residue
+    assert pow(residue, (p - 1) // 2, p) == p - 1
+
+
+def _witness_towers():
+    chain = QQ
+    for d in (2, 3, 5):
+        chain = tower_extend(chain, [-d, 0, 1])
+    cubic = tower_extend(QQ, [-1, -2, 1, 1], label="a")
+    septic = field_septic()
+    a7 = septic.gen()
+    septic_sqrt = tower_extend(septic, [-(1 + a7), 0, 1], label="s")
+    return [chain, cubic, septic_sqrt]
+
+
+def _random_element(rng, tower):
+    def build(lv):
+        if lv == 0:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        return tuple(build(lv - 1) for _ in range(tower.levels[lv - 1].degree))
+
+    return tower.element(tower.height, build(tower.height))
+
+
+def test_witness_never_for_squares():
+    rng = random.Random(5)
+    for tower in _witness_towers():
+        for _ in range(12):
+            x = _random_element(rng, tower)
+            if x.is_zero():
+                continue
+            assert _nonsquare_witness(tower, tower.height, (x * x).data) is None
+
+
+def test_witnesses_pass_independent_recheck():
+    rng = random.Random(6)
+    for tower in _witness_towers():
+        found = 0
+        for _ in range(12):
+            x = _random_element(rng, tower)
+            if x.is_zero():
+                continue
+            w = _nonsquare_witness(tower, tower.height, x.data)
+            if w is not None:
+                _recheck_witness(tower, tower.height, x.data, w)
+                assert sqrt_or_nonsquare(x) is None
+                found += 1
+        assert found >= 6
+
+
+def test_witness_skips_primes_dividing_denominators():
+    # mod 3, X^2 - 7 has the simple roots 1, 2 and 2 is a nonresidue there
+    s7 = tower_extend(QQ, [-7, 0, 1], label="s7")
+    two = s7.rational(2).data
+    assert _nonsquare_witness(s7, 1, two)[0] == 3
+    # the same square class with a 3 in a denominator: of the data, then of a minpoly
+    for tower, data in (
+        (s7, s7.rational(Fraction(2, 9)).data),
+        (tower_extend(QQ, [Fraction(-7, 9), 0, 1]), two),
+    ):
+        w = _nonsquare_witness(tower, 1, data)
+        assert w is not None and w[0] != 3
+        _recheck_witness(tower, 1, data, w)
+
+
+def test_sqrt_level_roots_match_generic_root_finder():
+    for p in (3, 5, 13, 17, 41):
+        for c in range(p):
+            assert _sqrt_roots_mod(c, p) == _poly_roots_mod_p([-c, 0, 1], p)
+
+
+def test_stream_tag_past_int_str_limit():
+    rng = random.Random(7)
+    for _ in range(20):
+        minpolys = ((Fraction(rng.randint(-10**9, 10**9)), Fraction(0), Fraction(1)),)
+        data = tuple(Fraction(rng.randint(-10**40, 10**40), rng.randint(1, 10**30))
+                     for _ in range(rng.randint(1, 3)))
+        assert _stream_tag(minpolys, data) == repr((minpolys, data)).encode()
+    huge = 10**4400 + 3
+    assert _stream_tag((), (Fraction(-huge, 7),)) == b"((), (Fraction(-" + (
+        b"1" + b"0" * 4399 + b"3, 7),))"
+    )
+    # a cubic over Q(sqrt(huge)): tier 3 hashes the 4401-digit minpoly constant
+    big = tower_extend(QQ, [-huge, 0, 1], label="s")
+    cubic = tower_extend(big, [-1, -2, 1, 1], label="a")
+    x = 1 + cubic.gen()
+    root = sqrt_or_nonsquare(x * x)
+    assert root in (x, -x)
