@@ -138,21 +138,6 @@ def split_certificate_doc(cert: SplitCertificate) -> dict:
     }
 
 
-def split_certificate_from_doc(doc: dict) -> SplitCertificate:
-    q = quaternion_from_doc(doc["quaternion"])
-    tower = tower_from_json(doc["tower"])
-    two_tower = tower_from_json(doc["two_tower"])
-    witness = vector_from_json(tower, doc["witness"])
-    return SplitCertificate(
-        quaternion=q,
-        tower=tower,
-        two_tower=two_tower,
-        witness=witness,
-        degree_over_F=int_from_json(doc["degree_over_F"]),
-        claimed_bound=int_from_json(doc["claimed_bound"]),
-    )
-
-
 def verify_split_certificate(q: QuaternionAlgebra, cert: SplitCertificate) -> bool:
     if quaternion_doc(q) != quaternion_doc(cert.quaternion):
         return False
@@ -245,7 +230,6 @@ __all__ = [
     "quaternion_doc",
     "quaternion_from_doc",
     "split_certificate_doc",
-    "split_certificate_from_doc",
     "verify_split_certificate",
     "algebra_doc",
     "algebra_from_doc",

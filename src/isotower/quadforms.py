@@ -150,12 +150,9 @@ class IsotropyCertificate:
 # ---------------------------------------------------------------------------
 
 
-def diagonalize(form: QuadraticForm, scale_first_to_one: bool = False):
+def diagonalize(form: QuadraticForm):
     """Congruence diagonalization: returns (diag entries, basechange P) with
     P^T G P diagonal.  Zero diagonal entries are kept (they expose isotropy).
-
-    With ``scale_first_to_one`` the first column is rescaled so the leading
-    entry becomes 1, when some entry is an exact square.
     """
     tower, level, n = form.tower, form.level, form.dim
     g = [list(row) for row in form.gram]
@@ -206,26 +203,6 @@ def diagonalize(form: QuadraticForm, scale_first_to_one: bool = False):
                 add_col(j, k, -(inv * g[k][j]))
 
     diag = [g[i][i] for i in range(n)]
-    if scale_first_to_one and diag and diag[0] != 1:
-        from .sqrt import sqrt_or_nonsquare
-
-        idx = None
-        root = None
-        for i, d in enumerate(diag):
-            if not d:
-                continue
-            s = sqrt_or_nonsquare(d)
-            if s is not None:
-                idx, root = i, s
-                break
-        if idx is None:
-            raise PreconditionError("no diagonal entry is a square; cannot scale to 1")
-        swap_cols(0, idx)
-        diag[0], diag[idx] = diag[idx], diag[0]
-        inv = root.inverse()
-        for i in range(n):
-            p[i][0] = p[i][0] * inv
-        diag[0] = tower.one(level)
     return tuple(diag), tuple(tuple(row) for row in p)
 
 
@@ -289,14 +266,10 @@ def orthogonal_intersection(system: QFSystem, v: Sequence[TowerElement]):
     else:
         w_basis = [tuple(tower.one(level) if k == i else tower.zero(level) for k in range(n))
                    for i in range(n)]
-    # extend v to a basis of W by first-nonzero-pivot Gaussian elimination
-    chosen = [tuple(v)]
-    complement = []
-    for cand in w_basis:
-        trial = chosen + [cand]
-        if linalg.rank(trial) == len(trial):
-            chosen.append(cand)
-            complement.append(cand)
+    # extend v != 0 to a basis of W: the pivot columns of [v | w_1 | ...]
+    # past the first are the candidates that raise the rank, in order
+    _, pivots = linalg.rref(tuple(zip(v, *w_basis)))
+    complement = [w_basis[c - 1] for c in pivots[1:]]
     return tuple([tuple(v)] + complement), tuple(complement)
 
 

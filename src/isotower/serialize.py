@@ -13,7 +13,7 @@ import json
 from fractions import Fraction
 
 from .errors import MalformedCertificate
-from .tower import KIND_BASE, KIND_SQRT, Level, TowerElement, TowerField, _is_zero
+from .tower import Level, TowerElement, TowerField, _level_kind
 
 
 def fraction_to_json(q: Fraction) -> str:
@@ -111,10 +111,9 @@ def tower_from_json(node) -> TowerField:
         if not isinstance(coeffs, list) or len(coeffs) < 3:
             raise MalformedCertificate("minpoly must have degree >= 2")
         raw = tuple(_data_from_json(c, i, partial) for c in coeffs)
-        if _is_zero(raw[-1], i) or raw[-1] != partial.one(i).data:
+        if raw[-1] != partial.one(i).data:
             raise MalformedCertificate("minpoly must be monic")
-        kind = KIND_SQRT if (len(raw) == 3 and _is_zero(raw[1], i)) else KIND_BASE
-        levels.append(Level(str(entry["label"]), raw, kind))
+        levels.append(Level(str(entry["label"]), raw, _level_kind(raw, i)))
         partial = TowerField(levels)
     return partial
 

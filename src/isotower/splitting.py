@@ -33,7 +33,7 @@ from .quadforms import (
     isotropy_2ext,
     transfer_system,
 )
-from .sqrt import _is_prime, _trial_factor, adjoin_sqrt
+from .sqrt import _trial_factor, adjoin_sqrt
 from .tower import (
     KIND_SQRT,
     Poly,
@@ -245,11 +245,7 @@ class _Pair:
         if self.guaranteed:
             # K/K0 has no quadratic subextension, hence K0-2-extensions stay
             # linearly disjoint: the mirrored level cannot collapse
-            c2 = tower_extend(
-                self.c_tower,
-                [-c_comp, self.c_tower.zero(), self.c_tower.one()],
-                kind=KIND_SQRT,
-            )
+            c2 = tower_extend(self.c_tower, [-c_comp, self.c_tower.zero(), self.c_tower.one()])
             img: TowerElement = c2.gen()
             collapsed = self.collapsed
         else:
@@ -495,21 +491,16 @@ def _split_large(nf: PfisterForm2, pair: _Pair, t: int, k_height: int, r: int):
     one_k = k_tower.one(k_height)
     pows = [one_k, alpha, alpha * alpha]
     coord_rows = [flatten_between(x, t) for x in pows]
-    if linalg.rank(coord_rows) < 3:
+    # the pivot columns of [1 | alpha | alpha^2 | e_0 | ... | e_{m-1}] say
+    # whether the powers are independent and which standard vectors, taken
+    # in order, complete them to a K0-basis
+    m = len(coord_rows[0])
+    unit = linalg.identity(k_tower, t, m)
+    _, pivots = linalg.rref(tuple(col + row for col, row in zip(zip(*coord_rows), unit)))
+    if pivots[:3] != (0, 1, 2):
         pair, w_diag = _dependent_alpha_witness(pair, t, alpha, coord_rows)
     else:
-        # complete (1, alpha, alpha^2) to a K0-basis with standard vectors
-        chosen = list(pows)
-        rows = list(coord_rows)
-        m = len(coord_rows[0])
-        for idx in range(m):
-            if len(chosen) == m:
-                break
-            cand = _basis_element(k_tower, t, k_height, idx)
-            trial = rows + [flatten_between(cand, t)]
-            if linalg.rank(trial) == len(trial):
-                chosen.append(cand)
-                rows = trial
+        chosen = pows + [_basis_element(k_tower, t, k_height, c - 3) for c in pivots[3:]]
         basis = LinearFunctionalBasis.from_elements(k_tower, t, k_height, chosen)
         rest = QuadraticForm.diagonal(k_tower, k_height, [d3, d4])
         system = transfer_system(rest, basis, indices=range(3, r))
@@ -624,6 +615,30 @@ def _extract_quadratic_in_alpha(pair: _Pair, basis: LinearFunctionalBasis, value
 # ---------------------------------------------------------------------------
 # rational Hilbert symbol oracle
 # ---------------------------------------------------------------------------
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % p == 0:
+            return n == p
+    d = n - 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _factor(n: int) -> dict[int, int]:

@@ -1,36 +1,38 @@
 """Square testing and square-root adjunction over tower fields.
 
-Above the rationals, :func:`sqrt_or_nonsquare` first looks for a Legendre
-witness (:func:`_nonsquare_witness`): an odd prime p below a fixed budget,
-a tower point mod p whose coordinates are simple roots of the reduced
+:func:`sqrt_or_nonsquare` dispatches on the level where the element lives.
+On the rationals (tier 1) it detects integer squares in numerator and
+denominator.  Above them, every level the test reaches, including each
+level the tier-2 descent recurses into, first looks for a Legendre witness
+(:func:`_nonsquare_witness`): one of the first _WITNESS_PRIMES odd primes
+p, a tower point mod p whose coordinates are simple roots of the reduced
 minimal polynomials, and a nonzero value of c there that is a quadratic
 nonresidue mod p.  Such a point is an unramified degree-1 prime, so a
-witness proves c a nonsquare and no square ever has one.  It settles
-nonsquares without the exact descent of tier 2.  When no witness turns up,
-three tiers run, dispatched on the level where the element lives:
+witness proves c a nonsquare and no square ever has one.  Without a
+witness the level's tier decides:
 
-1. rational base: integer square detection on numerator and denominator;
 2. quadratic-sqrt levels K0(sqrt(d)): the complete denesting recursion,
    so the test is a decision procedure on chains of sqrt adjunctions;
-3. general levels: (a) the same witness search, then (b) modular
-   square-root lifting (square root modulo a well-chosen prime, Hensel
-   lift, rational reconstruction, exact verification).  When
-   reconstruction fails at three independent primes and the precision
-   cap, NonSquare is returned unproved; the only failure mode is a false
-   NonSquare.  It at worst adds a reducible tower level, which surfaces
-   lazily as the ReducibilityError precondition (CLI exit 3) when an
-   inversion hits a zero divisor; nothing refines the tower and retries.
+3. general levels: a root of a constant from the level below embeds
+   upward; otherwise modular square-root lifting at the completely split
+   odd primes below 10^4, in increasing order (square roots at every
+   point, Hensel lift to a modulus of at least 2^80, then 2^320, rational
+   reconstruction, exact verification).  When reconstruction fails at
+   three such primes, NonSquare is returned unproved; the only failure
+   mode is a false NonSquare.  It at worst adds a reducible tower level,
+   which surfaces lazily as the ReducibilityError precondition (CLI exit
+   3) when an inversion hits a zero divisor; nothing refines the tower and
+   retries.
 
 Every returned root is verified exactly (s*s == c) before it leaves this
-module, so Sqrt answers are unconditionally sound.  All modular choices are
-derived deterministically from the input data.
+module, so Sqrt answers are unconditionally sound.  Primes are always
+scanned in increasing order, so every answer is deterministic.
 """
 
 from __future__ import annotations
 
-import hashlib
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from .tower import (
     KIND_SQRT,
@@ -120,70 +122,6 @@ def squarefree_reduce(n: int) -> tuple[int, int]:
     return (-d if n < 0 else d), m
 
 
-# -- deterministic prime machinery -------------------------------------------
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _prime_stream(tag: bytes):
-    """Deterministic stream of ~40-bit primes derived from the input data."""
-    counter = 0
-    while True:
-        h = hashlib.sha256(tag + counter.to_bytes(8, "big")).digest()
-        cand = (int.from_bytes(h[:8], "big") % (1 << 39)) | (1 << 39) | 1
-        while not _is_prime(cand):
-            cand += 2
-        yield cand
-        counter += 1
-
-
-def _decimal(n: int) -> str:
-    """str(n), also past CPython's limit on int-to-str conversion length."""
-    if n < 0:
-        return "-" + _decimal(-n)
-    if n.bit_length() <= 10000:  # about 3000 digits, under the limit
-        return str(n)
-    k = n.bit_length() * 3 // 20  # about half the decimal digits
-    hi, lo = divmod(n, 10**k)
-    return _decimal(hi) + _decimal(lo).zfill(k)
-
-
-def _tag_repr(x) -> str:
-    """repr() of nested tuples of Fractions, spelled without the limit."""
-    if isinstance(x, tuple):
-        inner = ", ".join(_tag_repr(y) for y in x)
-        return f"({inner},)" if len(x) == 1 else f"({inner})"
-    if isinstance(x, Fraction):
-        return f"Fraction({_decimal(x.numerator)}, {_decimal(x.denominator)})"
-    return _decimal(x)
-
-
-def _stream_tag(minpolys, data) -> bytes:
-    return _tag_repr((minpolys, data)).encode()
-
-
 # -- polynomial arithmetic mod p ----------------------------------------------
 
 
@@ -235,15 +173,11 @@ def _ppowmod(base, e, f, p):
     return result
 
 
-def _poly_roots_mod_p(coeffs: list[int], p: int) -> list[int] | None:
-    """Distinct roots mod p of an integer polynomial; None if it vanishes mod p."""
+def _poly_roots_mod_p(coeffs: list[int], p: int) -> list[int]:
+    """Distinct roots mod p of a monic integer polynomial, sorted."""
     c = _ptrim_mod(coeffs, p)
-    if not c:
-        return None
     if len(c) == 1:
         return []
-    inv = pow(c[-1], -1, p)
-    c = [x * inv % p for x in c]
     xp = _ppowmod([0, 1], p, c, p)
     xp_minus_x = list(xp)
     while len(xp_minus_x) < 2:
@@ -302,7 +236,8 @@ class _BadPrime(Exception):
 
 
 def _eval_mod(data, lv, point, m):
-    """Evaluate raw tower data at a modular point; ValueError on bad denominators."""
+    """Evaluate raw tower data at a modular point; _BadPrime on a denominator
+    not prime to m."""
     if lv == 0:
         num, den = data.numerator, data.denominator
         if den % m == 0 or gcd(den, m) != 1:
@@ -319,52 +254,39 @@ def _minpoly_mod(minpoly, lv_below, point, m):
     return [_eval_mod(c, lv_below, point, m) for c in minpoly]
 
 
-def _find_points(levels, p, need_all: bool):
-    """Points of the tower over F_p with simple coordinates at every level.
+def _points(levels, p):
+    """Points of the tower over F_p whose coordinates are simple roots of the
+    reduced minpolys, depth first in increasing root order.
 
-    ``levels`` is a list of (minpoly raw data, degree).  Returns a list of
-    complete points (all of them if need_all, else the first found), or None
-    when p is unusable (bad reduction, multiple or missing roots).
+    ``levels`` is a list of (minpoly raw data, degree).  A minpoly that is
+    not p-integral raises _BadPrime before the first point is yielded, since
+    every point passes through every level.
     """
-    results: list[tuple[int, ...]] = []
-
-    def rec(depth: int, point: tuple[int, ...]) -> bool:
+    def rec(depth: int, point: tuple[int, ...]):
         if depth == len(levels):
-            results.append(point)
-            return not need_all
+            yield point
+            return
         minpoly, deg = levels[depth]
         f = _minpoly_mod(minpoly, depth, point, p)
         if deg == 2 and f[1] == 0:
             roots = _sqrt_roots_mod(-f[0], p)  # X^2 - c: Euler and Tonelli
         else:
             roots = _poly_roots_mod_p(f, p)
-        if roots is None:
-            raise _BadPrime
-        if need_all and len(roots) != deg:
-            raise _BadPrime
         fprime = [c * i % p for i, c in enumerate(f)][1:]
         for r in roots:
-            if _horner_mod(fprime, r, p) == 0:
-                if need_all:
-                    raise _BadPrime
-                continue
-            if rec(depth + 1, point + (r,)):
-                return True
-        return False
+            if _horner_mod(fprime, r, p):
+                yield from rec(depth + 1, point + (r,))
 
-    try:
-        rec(0, ())
-    except _BadPrime:
-        return None
-    return results if need_all else results[:1]
+    return rec(0, ())
 
 
-def _lift_point(levels, point, p, k):
-    """Hensel-lift a mod-p point to mod p^k (coordinates stay simple roots)."""
+def _lift_point(levels, point, p, modulus):
+    """Hensel-lift a mod-p point to mod ``modulus``, a power of p
+    (coordinates stay simple roots)."""
     m = p
     cur = list(point)
-    while m < p**k:
-        m = min(m * m, p**k)
+    while m < modulus:
+        m = min(m * m, modulus)
         for depth, (minpoly, _deg) in enumerate(levels):
             f = _minpoly_mod(minpoly, depth, tuple(cur), m)
             r = cur[depth]
@@ -441,27 +363,25 @@ def _nonsquare_witness(tower: TowerField, lv: int, data):
     tower into the p-adic integers (an unramified prime of degree 1), which
     maps data to a unit with nonresidue reduction; so data has no square
     root, and a square never gets a witness.  The odd primes are scanned in
-    increasing order, _WITNESS_PRIMES of them; None means none was found,
-    not that data is a square.
+    increasing order, _WITNESS_PRIMES of them, each through all its points;
+    None means none was found, not that data is a square.
     """
     levels = _subtower_levels(tower, lv)
     for p in _small_primes()[1 : _WITNESS_PRIMES + 1]:
-        pts = _find_points(levels, p, need_all=False)
-        if not pts:
-            continue
         try:
-            residue = _eval_mod(data, lv, pts[0], p)
+            for point in _points(levels, p):
+                residue = _eval_mod(data, lv, point, p)
+                if residue and pow(residue, (p - 1) // 2, p) == p - 1:
+                    return p, point, residue
         except _BadPrime:
             continue
-        if residue and pow(residue, (p - 1) // 2, p) == p - 1:
-            return p, pts[0], residue
     return None
 
 
 # -- tier 3 --------------------------------------------------------------------
 
 _MAX_PATTERN_DIM = 13
-_PRECISIONS = (2, 8)
+_PRECISION_BITS = (80, 320)  # reconstruct mod p^k >= 2^80, then >= 2^320
 
 
 def _subtower_levels(tower: TowerField, lv: int):
@@ -507,46 +427,39 @@ def _mat_inv_mod(rows, p, m):
 
 
 def _sqrt_tier3(tower: TowerField, lv: int, data):
-    # (a) sound NonSquare certification by a Legendre witness
-    if _nonsquare_witness(tower, lv, data) is not None:
-        return None
-
-    # (b) recovery: completely split prime, lift, reconstruct, verify
     ctx = tower._ctx
+    # a root of a constant below embeds upward (the converse fails, e.g. at
+    # even-degree base-root levels, so no early NonSquare here)
+    if all(_is_zero(c, lv - 1) for c in data[1:]):
+        r = _sqrt_raw(tower, lv - 1, data[0])
+        if r is not None:
+            return _embed_up(ctx, lv - 1, r, lv)
+
+    # recovery: completely split prime, lift, reconstruct, verify
     levels = _subtower_levels(tower, lv)
-    dim = 1
-    for _mp, deg in levels:
-        dim *= deg
+    dim = prod(deg for _mp, deg in levels)
     if dim > _MAX_PATTERN_DIM:
         return None
     split_found = 0
-    tried = 0
-    tag = _stream_tag(tuple(l[0] for l in levels), data)
-    stream_b = _prime_stream(tag + b"/split")
-    while split_found < 3 and tried < 400:
-        p = next(stream_b)
-        tried += 1
-        points = _find_points(levels, p, need_all=True)
-        if points is None or len(points) != dim:
-            continue
+    for p in _small_primes()[1:]:
         try:
+            points = list(_points(levels, p))
+            if len(points) != dim:
+                continue
             vals_p = [_eval_mod(data, lv, pt, p) for pt in points]
         except _BadPrime:
             continue
-        if any(v == 0 for v in vals_p):
+        if not all(vals_p):
             continue
-        legendres = [pow(v, (p - 1) // 2, p) for v in vals_p]
-        if any(s == p - 1 for s in legendres):
+        if any(pow(v, (p - 1) // 2, p) == p - 1 for v in vals_p):
             return None  # certified nonsquare after all
-        split_found += 1
         roots_p = [_tonelli(v, p) for v in vals_p]
-        for prec in _PRECISIONS:
-            m = p**prec
-            lifted = [_lift_point(levels, pt, p, prec) for pt in points]
-            try:
-                vals = [_eval_mod(data, lv, pt, m) for pt in lifted]
-            except _BadPrime:
-                break
+        for bits in _PRECISION_BITS:
+            m = p
+            while m.bit_length() <= bits:
+                m *= p
+            lifted = [_lift_point(levels, pt, p, m) for pt in points]
+            vals = [_eval_mod(data, lv, pt, m) for pt in lifted]
             sqrts = []
             for t0, v in zip(roots_p, vals):
                 t = t0
@@ -562,6 +475,9 @@ def _sqrt_tier3(tower: TowerField, lv: int, data):
             found = _pattern_search(ctx, lv, data, sqrts, vinv, m, dim)
             if found is not None:
                 return found
+        split_found += 1
+        if split_found == 3:
+            break
     return None
 
 
@@ -636,12 +552,9 @@ def _sqrt_tier2(tower: TowerField, lv: int, data):
 def _sqrt_raw(tower: TowerField, lv: int, data):
     if lv == 0:
         return rational_sqrt(data)
-    # cheap first try for constants: a root below embeds upward (the converse
-    # fails, e.g. at even-degree base-root levels, so no early NonSquare here)
-    if all(_is_zero(c, lv - 1) for c in data[1:]):
-        r = _sqrt_raw(tower, lv - 1, data[0])
-        if r is not None:
-            return _embed_up(tower._ctx, lv - 1, r, lv)
+    # a Legendre witness settles nonsquares before any exact descent
+    if _nonsquare_witness(tower, lv, data) is not None:
+        return None
     if tower.levels[lv - 1].kind == KIND_SQRT:
         return _sqrt_tier2(tower, lv, data)
     return _sqrt_tier3(tower, lv, data)
@@ -656,9 +569,6 @@ def sqrt_or_nonsquare(c: TowerElement) -> TowerElement | None:
     """
     if c.is_zero():
         raise ValueError("sqrt_or_nonsquare requires c != 0")
-    # a Legendre witness settles nonsquares before any exact descent
-    if c.level and _nonsquare_witness(c.tower, c.level, c.data) is not None:
-        return None
     data = _sqrt_raw(c.tower, c.level, c.data)
     if data is None:
         return None
@@ -691,12 +601,11 @@ def adjoin_sqrt(tower: TowerField, c: TowerElement) -> tuple[TowerField, TowerEl
         return tower, s, False
     if q is not None:
         d, mfac = squarefree_reduce(q.numerator * q.denominator)
-        new = tower_extend(tower, [tower.rational(-d), tower.rational(0), tower.rational(1)],
-                           kind=KIND_SQRT)
+        new = tower_extend(tower, [tower.rational(-d), tower.rational(0), tower.rational(1)])
         root = new.gen() * Fraction(mfac, q.denominator)
         return new, root, True
     ce = c.embed(top)
-    new = tower_extend(tower, [-ce, tower.zero(top), tower.one(top)], kind=KIND_SQRT)
+    new = tower_extend(tower, [-ce, tower.zero(top), tower.one(top)])
     return new, new.gen(), True
 
 

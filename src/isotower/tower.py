@@ -335,7 +335,7 @@ class Level:
 class TowerField:
     """A chain of extensions of Q, each a quotient by a monic polynomial.
 
-    Immutable; :meth:`extend` returns a new tower sharing this one as a
+    Immutable; :func:`tower_extend` returns a new tower sharing this one as a
     prefix, so elements of the old tower remain valid in the new one.
     """
 
@@ -728,41 +728,35 @@ class Poly:
 # ---------------------------------------------------------------------------
 
 
+def _level_kind(minpoly, lv: int) -> str:
+    """KIND_SQRT for a raw minpoly X^2 - c over level lv, else KIND_BASE."""
+    return KIND_SQRT if len(minpoly) == 3 and _is_zero(minpoly[1], lv) else KIND_BASE
+
+
 def tower_extend(
     tower: TowerField,
-    minpoly: Poly | Sequence,
-    kind: str | None = None,
+    minpoly: Sequence,
     label: str | None = None,
 ) -> TowerField:
     """Adjoin a root of a monic polynomial of degree >= 2 over the current top.
 
-    Irreducibility is not verified eagerly; a reducible minpoly surfaces later
-    as the :class:`ReducibilityError` precondition during some inversion.
+    The coefficients are rationals or elements of the tower, lowest degree
+    first.  Irreducibility is not verified eagerly; a reducible minpoly
+    surfaces later as the :class:`ReducibilityError` precondition during
+    some inversion.
     """
     top = tower.height
-    if isinstance(minpoly, Poly):
-        if minpoly.level != top:
-            raise ValueError("minpoly coefficients must live at the current top level")
-        coeffs = list(minpoly.coeffs)
-    else:
-        coeffs = [
-            c.in_tower(tower).embed(top) if isinstance(c, TowerElement) else tower.rational(c, top)
-            for c in minpoly
-        ]
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
+    coeffs = [
+        c.in_tower(tower).embed(top) if isinstance(c, TowerElement) else tower.rational(c, top)
+        for c in minpoly
+    ]
+    while coeffs and coeffs[-1].is_zero():
+        coeffs.pop()
     deg = len(coeffs) - 1
     if deg < 2:
         raise ValueError("minimal polynomial must have degree >= 2")
     if coeffs[-1] != 1:
         raise ValueError("minimal polynomial must be monic")
-    is_sqrt_shape = deg == 2 and coeffs[1].is_zero()
-    if kind is None:
-        kind = KIND_SQRT if is_sqrt_shape else KIND_BASE
-    if kind == KIND_SQRT and not is_sqrt_shape:
-        raise ValueError("quadratic-sqrt levels require shape X^2 - c")
-    if kind not in (KIND_SQRT, KIND_BASE):
-        raise ValueError(f"unknown level kind {kind!r}")
     taken = {level.label for level in tower.levels}
     if label is None:
         n = top + 1
@@ -772,7 +766,7 @@ def tower_extend(
     if label in taken:
         raise ValueError(f"duplicate level label {label!r}")
     raw = tuple(c.data for c in coeffs)
-    return TowerField(tower.levels + (Level(label, raw, kind),))
+    return TowerField(tower.levels + (Level(label, raw, _level_kind(raw, top)),))
 
 
 QQ = TowerField(())

@@ -61,7 +61,8 @@ def _recheck_added_levels(tower: TowerField, base_levels: int):
 def verify_isotropy(doc: dict) -> tuple[bool, str]:
     """witness != 0, every form vanishes exactly at the witness over the
     certificate tower, the added chain is genuinely quadratic, and the
-    recomputed degree matches actual_degree <= claimed_bound."""
+    recomputed degree matches actual_degree <= claimed_bound, where
+    claimed_bound is the theorem's 2^r for r forms in dim >= r(r+1)/2 + 1."""
     try:
         tower = tower_from_json(doc["tower"])
         witness = vector_from_json(tower, doc["witness"])
@@ -74,6 +75,11 @@ def verify_isotropy(doc: dict) -> tuple[bool, str]:
         return False, "certificate has no forms or empty witness"
     if not any(witness):
         return False, "witness = 0"
+    r, dim = len(grams), len(witness)
+    if claimed != 2**r:
+        return False, f"claimed_bound {claimed} != 2^r = {2**r} for {r} forms"
+    if dim < r * (r + 1) // 2 + 1:
+        return False, f"dim {dim} < r(r+1)/2 + 1 = {r * (r + 1) // 2 + 1} for {r} forms"
     for idx, gram in enumerate(grams):
         if len(gram) != len(witness) or any(len(r) != len(witness) for r in gram):
             return False, f"form {idx + 1} dimension does not match the witness"

@@ -103,15 +103,6 @@ def test_diagonalize_rank_deficient():
     assert sum(1 for x in d if not x) == 1  # kernel vector exposed
 
 
-def test_diagonalize_scale_first_to_one():
-    form = diag(4, 3)
-    d, p = diagonalize(form, scale_first_to_one=True)
-    assert d[0] == 1
-    check_congruence(form, d, p)
-    with pytest.raises(PreconditionError):
-        diagonalize(diag(2, 3), scale_first_to_one=True)  # no square entry
-
-
 def test_diagonalize_random_congruence():
     rng = random.Random(9)
     for _ in range(10):
@@ -290,6 +281,20 @@ def test_tampered_witness_fails():
     bad["witness"] = [bump(doc["witness"][0])] + list(doc["witness"][1:])
     ok, _ = verify.verify_isotropy(bad)
     assert not ok
+
+
+def test_isotropy_bound_forgeries_fail():
+    system = random_qfsystem(random.Random(3), 2)
+    doc = isotropy_certificate_doc(system, isotropy_2ext(system))
+    assert verify.verify_isotropy(doc)[0]
+    # a bound the certificate declares for itself
+    ok, reason = verify.verify_isotropy(dict(doc, claimed_bound=1000000))
+    assert not ok and "claimed_bound" in reason
+    # a repeated form still vanishes at the witness, but r = 3 forms need
+    # dim >= 7 and the witness has 4 coordinates
+    forged = dict(doc, forms=doc["forms"] + doc["forms"][:1], claimed_bound=8)
+    ok, reason = verify.verify_isotropy(forged)
+    assert not ok and "dim 4" in reason
 
 
 def test_zero_witness_fails():

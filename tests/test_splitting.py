@@ -27,7 +27,7 @@ from isotower.splitting import (
     split_over_2ext,
     standard_quaternion,
 )
-from isotower.tower import KIND_BASE, QQ, Poly, tower_extend
+from isotower.tower import QQ, Poly, tower_extend
 from isotower import verify
 
 
@@ -278,7 +278,7 @@ def test_mirror_records_collapse():
 def test_split_quartic_alpha_branch():
     # degree 8 field Q[x]/(x^8 - 3) with alpha = -u = sqrt3 of degree 2 over Q:
     # the dependent branch adjoins the quartic minpoly of sqrt(-alpha)
-    t = tower_extend(QQ, [-3] + [0] * 7 + [1], label="e8", kind=KIND_BASE)
+    t = tower_extend(QQ, [-3] + [0] * 7 + [1], label="e8")
     x4 = t.gen() ** 4  # a square root of 3
     q = standard_quaternion(-x4, t.rational(5))
     cert = split_over_2ext(q, two_part_levels=0)

@@ -4,18 +4,20 @@ from math import isqrt
 
 import pytest
 
+from isotower.generate import random_quaternion
 from isotower.presets import field_septic
+from isotower.splitting import split_over_2ext
 from isotower.sqrt import (
     _nonsquare_witness,
+    _points,
     _poly_roots_mod_p,
     _sqrt_roots_mod,
-    _stream_tag,
     adjoin_sqrt,
     rational_sqrt,
     sqrt_or_nonsquare,
     squarefree_reduce,
 )
-from isotower.tower import KIND_BASE, KIND_SQRT, QQ, tower_extend
+from isotower.tower import KIND_SQRT, QQ, TowerField, tower_extend
 
 
 def test_rational_sqrt():
@@ -100,7 +102,7 @@ def test_tier3_certifies_nonsquares(cubic):
 
 def test_tier3_on_even_degree_base_root_level():
     # 3 = (t^2)^2 in Q[t]/(t^4 - 3): the root lives above the rationals
-    quartic = tower_extend(QQ, [-3, 0, 0, 0, 1], label="t", kind=KIND_BASE)
+    quartic = tower_extend(QQ, [-3, 0, 0, 0, 1], label="t")
     root = sqrt_or_nonsquare(quartic.rational(3))
     assert root is not None and root * root == 3
     assert sqrt_or_nonsquare(quartic.rational(5)) is None
@@ -259,20 +261,61 @@ def test_sqrt_level_roots_match_generic_root_finder():
             assert _sqrt_roots_mod(c, p) == _poly_roots_mod_p([-c, 0, 1], p)
 
 
-def test_stream_tag_past_int_str_limit():
-    rng = random.Random(7)
-    for _ in range(20):
-        minpolys = ((Fraction(rng.randint(-10**9, 10**9)), Fraction(0), Fraction(1)),)
-        data = tuple(Fraction(rng.randint(-10**40, 10**40), rng.randint(1, 10**30))
-                     for _ in range(rng.randint(1, 3)))
-        assert _stream_tag(minpolys, data) == repr((minpolys, data)).encode()
+def test_tier3_square_over_huge_constant():
+    # a cubic over Q(sqrt(huge)), with a 4401-digit minpoly constant
     huge = 10**4400 + 3
-    assert _stream_tag((), (Fraction(-huge, 7),)) == b"((), (Fraction(-" + (
-        b"1" + b"0" * 4399 + b"3, 7),))"
-    )
-    # a cubic over Q(sqrt(huge)): tier 3 hashes the 4401-digit minpoly constant
     big = tower_extend(QQ, [-huge, 0, 1], label="s")
     cubic = tower_extend(big, [-1, -2, 1, 1], label="a")
     x = 1 + cubic.gen()
     root = sqrt_or_nonsquare(x * x)
     assert root in (x, -x)
+
+
+def _simple_points(tower, p):
+    """Every tower point mod p with simple-root coordinates, by trying each
+    residue at each level, in lexicographic order."""
+    points = [()]
+    for i, level in enumerate(tower.levels):
+        longer = []
+        for point in points:
+            f = [_reduce(c, i, point, p) for c in level.minpoly]
+            for r in range(p):
+                value = sum(c * pow(r, k, p) for k, c in enumerate(f)) % p
+                slope = sum(k * c * pow(r, k - 1, p) for k, c in enumerate(f) if k) % p
+                if value == 0 and slope:
+                    longer.append(point + (r,))
+        points = longer
+    return points
+
+
+def test_points_are_the_simple_points():
+    s2 = tower_extend(QQ, [-2, 0, 1], label="s2")
+    towers = [
+        tower_extend(s2, [s2.rational(-3), s2.rational(0), s2.rational(1)], label="s3"),
+        tower_extend(QQ, [-1, -2, 1, 1], label="a"),
+        tower_extend(s2, [s2.rational(-1), s2.rational(-2), s2.rational(1), s2.rational(1)]),
+        tower_extend(QQ, [-3, 0, 0, 0, 1], label="t"),
+    ]
+    for tower in towers:
+        levels = [(level.minpoly, level.degree) for level in tower.levels]
+        dim = tower.absolute_degree()
+        split = 0
+        for p in (3, 5, 7, 11, 13, 17, 23, 29, 41, 43, 47, 71, 73, 97, 113):
+            points = list(_points(levels, p))
+            assert points == _simple_points(tower, p)
+            # the complete split set: every level has all its roots, all simple
+            split += len(points) == dim
+        assert split
+
+
+def test_witness_found_on_former_misses():
+    # level 6 of these split-septic two-towers found no witness while only
+    # the first point of each prime was tried
+    for seed, index in ((1, 0), (1, 3), (7, 5)):
+        q = random_quaternion(random.Random(seed * 1000003 + index), field_septic())
+        two_tower = split_over_2ext(q).two_tower
+        below = TowerField(two_tower.levels[:6])
+        c = (-below.element(6, two_tower.levels[6].minpoly[0])).data
+        w = _nonsquare_witness(below, 6, c)
+        assert w is not None
+        _recheck_witness(below, 6, c, w)
