@@ -167,22 +167,15 @@ def algebra_from_doc(doc: dict) -> StructureConstantAlgebra:
             raise MalformedCertificate(f"algebra document missing {key!r}")
     tower = tower_from_json(doc["field"])
     n = int_from_json(doc["dim"])
-    constants = doc["constants"]
-    if len(constants) != n:
-        raise MalformedCertificate("constants array does not match dim")
-    level = None
-    parsed = []
-    for plane in constants:
-        rows = []
-        for row in plane:
-            entries = [element_from_json(tower, c) for c in row]
-            for e in entries:
-                level = e.level if level is None else max(level, e.level)
-            rows.append(entries)
-        parsed.append(rows)
-    if level is None:
-        raise MalformedCertificate("empty constants")
+    if not isinstance(doc["constants"], list):
+        raise MalformedCertificate("constants must be a list of planes")
+    parsed = [gram_from_json(tower, plane) for plane in doc["constants"]]
+    if n < 1 or len(parsed) != n or any(len(p) != n or any(len(r) != n for r in p) for p in parsed):
+        raise MalformedCertificate("constants must be dim x dim x dim with dim >= 1")
+    level = max(e.level for plane in parsed for row in plane for e in row)
     unit = vector_from_json(tower, doc["unit"])
+    if len(unit) != n:
+        raise MalformedCertificate("unit length does not match dim")
     return StructureConstantAlgebra.from_dense(
         tower, level, parsed, unit, bool(doc.get("matrix_units", False))
     )
@@ -200,10 +193,11 @@ def cyclic_from_doc(tower: TowerField, doc: dict) -> CyclicExtensionData:
     for key in ("k_level", "order", "sigma"):
         if key not in doc:
             raise MalformedCertificate(f"cyclic document missing {key!r}")
-    rows = [[element_from_json(tower, x) for x in row] for row in doc["sigma"]]
-    return CyclicExtensionData.create(
-        tower, int_from_json(doc["k_level"]), rows, int_from_json(doc["order"])
-    )
+    k_level = int_from_json(doc["k_level"])
+    if k_level > tower.height:
+        raise MalformedCertificate(f"k_level {k_level} is above the field's tower")
+    rows = gram_from_json(tower, doc["sigma"])
+    return CyclicExtensionData.create(tower, k_level, rows, int_from_json(doc["order"]))
 
 
 def cor_result_doc(cor: CorResult, source: StructureConstantAlgebra) -> dict:

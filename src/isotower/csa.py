@@ -8,11 +8,20 @@ field automorphism, so the fixed space is spanned, orbit by orbit, by
 vectors whose representative coordinate runs over the subfield fixed by
 the orbit-length power of the generator.  Every basis vector is re-checked
 against the action and the resulting dimension against the degree formula.
+The same orbit solver is the one way into the fixed basis
+(``CorResult.coordinates``): it gives the structure constants, the split
+idempotent's coordinates and the columns of the base-change embedding, and
+rejects any vector the action does not fix.
+
+The center test keeps the rows of the stacked commutator maps
+x -> e_i x - x e_i in reduced echelon form, adding one generator's rows per
+elimination, and stops once the rank reaches dim - 1 (the scalars are
+always central).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product as iproduct
 
 from . import linalg
@@ -422,14 +431,20 @@ class CorResult:
     """The corestriction: an F-algebra with its basis embedded in the tensor
     power (dense K-coordinate vectors, every one fixed by the action).
 
-    ``tensor``, ``base_dim`` and ``cyclic`` together describe the source:
-    the tensor power of a dim-``base_dim`` K-algebra along K/F."""
+    ``tensor`` and ``cyclic`` describe the source: the tensor power over K
+    and the extension K/F it descends along."""
 
     algebra: StructureConstantAlgebra
     fixed_basis: tuple[tuple[TowerElement, ...], ...]
     tensor: StructureConstantAlgebra
-    base_dim: int
     cyclic: CyclicExtensionData
+    _solver: "_OrbitSolver" = field(repr=False, compare=False)
+
+    def coordinates(self, z: dict) -> tuple[TowerElement, ...]:
+        """F-coordinates in the fixed basis of a sparse tensor vector
+        ({flat index: K-element}); raises PreconditionError when the vector
+        is not action-fixed."""
+        return self._solver.coordinates(z)
 
 
 def _orbits(perm):
@@ -520,11 +535,7 @@ def fixed_subalgebra(ta: TensorPowerAlgebra, action: GAction) -> CorResult:
         tower, f_level, n_k, tuple(rows), tuple(unit_coeffs), alg.matrix_units
     )
     return CorResult(
-        algebra=cor,
-        fixed_basis=tuple(dense_basis),
-        tensor=alg,
-        base_dim=ta.base_dim,
-        cyclic=cyclic,
+        algebra=cor, fixed_basis=tuple(dense_basis), tensor=alg, cyclic=cyclic, _solver=solver
     )
 
 
@@ -574,7 +585,7 @@ class _OrbitSolver:
         for leftover in touched.values():
             if leftover:
                 raise PreconditionError("vector is not action-fixed")
-        return out
+        return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -588,35 +599,24 @@ def central_simple_check(a: StructureConstantAlgebra) -> bool:
     if not a.check_unit():
         return False
     n = a.dim
-    tower, level = a.tower, a.level
-    zero = tower.zero(level)
+    zero = a.tower.zero(a.level)
 
-    # center: iteratively intersect kernels of the commutator maps
-    basis_cols = None  # None stands for the identity
-    width = n
+    # center: the kernel of the stacked commutator maps x -> e_i x - x e_i,
+    # whose rows are kept in reduced echelon form one generator at a time;
+    # check_unit put the scalars in the center, so rank n - 1 settles it
+    echelon = ()
     for i in range(n):
-        lm = [[zero] * n for _ in range(n)]
-        rm = [[zero] * n for _ in range(n)]
+        comm = [[zero] * n for _ in range(n)]
         for j in range(n):
             for k, c in a.row(i, j):
-                lm[k][j] = c
+                comm[k][j] = c
             for k, c in a.row(j, i):
-                rm[k][j] = c
-        comm = tuple(
-            tuple(lm[x][y] - rm[x][y] for y in range(n)) for x in range(n)
-        )
-        reduced = comm if basis_cols is None else linalg.matmul(comm, basis_cols)
-        null = linalg.nullspace(reduced, tower, level, width)
-        if len(null) == width:
-            continue
-        if not null:
-            return False
-        coeff_cols = tuple(zip(*null))
-        basis_cols = coeff_cols if basis_cols is None else linalg.matmul(basis_cols, coeff_cols)
-        width = len(null)
-        if width == 1:
+                comm[k][j] = comm[k][j] - c
+        red, pivots = linalg.rref(echelon + tuple(tuple(r) for r in comm if any(r)))
+        echelon = red[: len(pivots)]
+        if len(echelon) == n - 1:
             break
-    if width != 1:
+    if len(echelon) != n - 1:
         return False
 
     # trace form nondegeneracy (semisimplicity in characteristic 0)
@@ -648,39 +648,15 @@ def split_idempotent_witness(cor: CorResult):
     if not cor.tensor.matrix_units:
         raise PreconditionError("input algebra is not in the matrix-unit basis")
     alg = cor.tensor
-    tower, k_level = alg.tower, cor.cyclic.k_level
-    n = alg.dim
-    e = {0: tower.one(k_level)}
-    sq = alg.mul_sparse(e, e)
-    if sq != {0: tower.one(k_level)}:
+    one, zero = alg.tower.one(cor.cyclic.k_level), alg.tower.zero(cor.cyclic.k_level)
+    e = {0: one}
+    if alg.mul_sparse(e, e) != e:
         raise PreconditionError("E11 tensor power is not idempotent (bad basis)")
-    dense = tuple(
-        tower.one(k_level) if i == 0 else tower.zero(k_level) for i in range(n)
-    )
-    action = g_action_matrix(
-        TensorPowerAlgebra(alg, base_dim=cor.base_dim, r=cor.cyclic.order), cor.cyclic
-    )
-    assert action.apply(dense) == dense, "matrix-unit idempotent must be fixed"
+    dense = (one,) + (zero,) * (alg.dim - 1)
     if dense == alg.unit:
         raise PreconditionError("idempotent equals the identity")
     # exact coordinates in the fixed basis certify membership in the corestriction
-    coords = _coords_in_basis(cor, dense)
-    return dense, coords
-
-
-def _coords_in_basis(cor: CorResult, dense):
-    tower = cor.cyclic.tower
-    f = cor.cyclic.f_level
-    cols = [
-        [c for x in vec for c in x.coeffs()]
-        for vec in cor.fixed_basis
-    ]
-    mat = tuple(zip(*cols))
-    target = [c for x in dense for c in x.coeffs()]
-    sol = linalg.solve(mat, tuple(target), tower, f)
-    if sol is None:
-        raise PreconditionError("element is not in the corestriction")
-    return sol
+    return dense, cor.coordinates(e)
 
 
 def fixed_basis_spans(cor: CorResult) -> bool:
@@ -753,50 +729,34 @@ def base_change_embedding_check(
         n = cor1.algebra.dim
         if cor2.algebra.dim != n:
             return False
-        # cor2 basis as L-columns of the flattened tensor coordinates
-        cols2 = [
-            [c for x in vec for c in x.coeffs()] for vec in cor2.fixed_basis
-        ]
-        mat2 = tuple(zip(*cols2))
-        phi_cols = []
-        for vec in cor1.fixed_basis:
-            embedded = [embed_elem(x) for x in vec]
-            target = [c for x in embedded for c in x.coeffs()]
-            sol = linalg.solve(mat2, tuple(target), t2, 1)
-            if sol is None:
-                return False
-            phi_cols.append(sol)
+        try:
+            phi_cols = [
+                cor2.coordinates({q: embed_elem(x) for q, x in enumerate(vec) if x})
+                for vec in cor1.fixed_basis
+            ]
+        except PreconditionError:
+            return False  # an image outside the fixed space of the KL tensor power
         if linalg.rank(tuple(phi_cols)) != n:
             return False
+
+        def image(sparse):
+            """phi of the cor(A) element with sparse coordinates (k, c)."""
+            out = [t2.zero(1)] * n
+            for k, c in sparse:
+                scalar = t2.rational(c.rational_value(), 1)
+                out = [acc + scalar * x for acc, x in zip(out, phi_cols[k])]
+            return tuple(out)
+
         # unit and multiplicativity on all basis pairs
-        unit1 = [c.rational_value() for c in cor1.algebra.unit]
-        img_unit = _combine(phi_cols, unit1, t2)
-        if tuple(img_unit) != tuple(cor2.algebra.unit):
+        if image((k, c) for k, c in enumerate(cor1.algebra.unit) if c) != cor2.algebra.unit:
             return False
-        for i in range(n):
-            for j in range(n):
-                lhs_coords = [t2.zero(1)] * n
-                for k, c in cor1.algebra.row(i, j):
-                    lhs_coords = [
-                        acc + t2.rational(c.rational_value(), 1) * pc
-                        for acc, pc in zip(lhs_coords, phi_cols[k])
-                    ]
-                rhs = cor2.algebra.mul(phi_cols[i], phi_cols[j])
-                if tuple(lhs_coords) != tuple(rhs):
-                    return False
-        return True
+        return all(
+            image(cor1.algebra.row(i, j)) == cor2.algebra.mul(phi_cols[i], phi_cols[j])
+            for i in range(n)
+            for j in range(n)
+        )
     except (ReducibilityError, SingularMatrix):
         return False
-
-
-def _combine(phi_cols, scalars, t2):
-    n = len(phi_cols[0])
-    out = [t2.zero(1)] * n
-    for c, col in zip(scalars, phi_cols):
-        if not c:
-            continue
-        out = [acc + t2.rational(c, 1) * x for acc, x in zip(out, col)]
-    return out
 
 
 __all__ = [

@@ -201,8 +201,10 @@ def _parse_algebra(doc: dict):
             prow.append(entries)
         parsed.append(prow)
     unit = vector_from_json(tower, doc["unit"])
-    if len(parsed) != n or any(len(p) != n for p in parsed):
+    if len(parsed) != n or any(len(p) != n or any(len(r) != n for r in p) for p in parsed):
         raise MalformedCertificate("constants shape does not match dim")
+    if len(unit) != n:
+        raise MalformedCertificate("unit length does not match dim")
     return tower, level, n, parsed, unit
 
 
@@ -219,11 +221,36 @@ def _sparse_rows(tower, level, n, parsed):
     return rows
 
 
+def _independent(vectors) -> bool:
+    """True when the sparse vectors (tuples of (position, nonzero value), all
+    over one field) are linearly independent.  Each vector is reduced by the
+    stored pivot vectors in the order they were stored, then stored scaled
+    to 1 at its first remaining position; a vector that reduces to 0 is
+    dependent."""
+    pivots = []
+    for vec in vectors:
+        row = dict(vec)
+        for pos, prow in pivots:
+            f = row.get(pos)
+            if f:
+                for q, v in prow.items():
+                    cur = row.get(q)
+                    row[q] = -(f * v) if cur is None else cur - f * v
+        row = {q: v for q, v in row.items() if v}
+        if not row:
+            return False
+        pos = min(row)
+        inv = row[pos].inverse()
+        pivots.append((pos, {q: v * inv for q, v in row.items()}))
+    return True
+
+
 def verify_cor(doc: dict) -> tuple[bool, str]:
-    """Re-check a corestriction result from its source data: the fixed basis
-    really is action-fixed, multiplies according to the claimed structure
-    constants inside the rebuilt tensor power, combines to the tensor unit,
-    and satisfies the degree formula."""
+    """Re-check a corestriction result from its source data: sigma generates
+    Gal(K/F), the fixed basis really is action-fixed and independent over K,
+    multiplies according to the claimed structure constants inside the
+    rebuilt tensor power, combines to the tensor unit, and satisfies the
+    degree formula."""
     try:
         source = doc["source"]
         adoc = source["algebra"]
@@ -236,10 +263,19 @@ def verify_cor(doc: dict) -> tuple[bool, str]:
         sigma = [[element_from_json(k_tower, x) for x in row] for row in cdoc["sigma"]]
     except (KeyError, TypeError) as exc:
         raise MalformedCertificate(f"cor result missing field: {exc}") from exc
+    if not 1 <= k_level <= k_tower.height:
+        raise MalformedCertificate(f"k_level {k_level} is not a level above the base field")
+    if len(sigma) != order or any(len(row) != order for row in sigma):
+        raise MalformedCertificate(f"sigma is not a {order} x {order} matrix")
     if a_level > k_level:
         return False, "source algebra constants live above the K level"
+    k_degree = k_tower.levels[k_level - 1].degree
+    if order != k_degree:
+        return False, f"order {order} != [K:F] = {k_degree}"
 
     f_level = k_level - 1
+    if any(x.level > f_level for row in sigma for x in row):
+        return False, "sigma has entries outside F"
     zero_f = k_tower.zero(f_level)
     gen = k_tower.gen(k_level)
 
@@ -258,6 +294,26 @@ def verify_cor(doc: dict) -> tuple[bool, str]:
         for c in reversed(coords):
             out = out * gen + c.embed(k_level)
         return out
+
+    # sigma is the F-automorphism gen -> sigma(gen) of K, of order exactly [K:F]
+    sg = sigma_apply(gen, 1)
+    power, image = k_tower.one(k_level), k_tower.one(k_level)
+    for j in range(order):
+        if sigma_apply(power, 1) != image:
+            return False, f"sigma(gen^{j}) != sigma(gen)^{j}"
+        power, image = power * gen, image * sg
+    root = k_tower.zero(k_level)
+    for c in reversed(k_tower.levels[k_level - 1].minpoly):
+        root = root * sg + TowerElement(k_tower, f_level, c).embed(k_level)
+    if not root.is_zero():
+        return False, "sigma(gen) is not a root of the minimal polynomial of K"
+    x = gen
+    for j in range(1, order):
+        x = sigma_apply(x, 1)
+        if x == gen:
+            return False, f"sigma has order {j} < [K:F] = {order}"
+    if sigma_apply(x, 1) != gen:
+        return False, f"sigma^{order} is not the identity"
 
     a_rows = _sparse_rows(k_tower, k_level, a_dim, a_parsed)
     d = a_dim
@@ -301,6 +357,8 @@ def verify_cor(doc: dict) -> tuple[bool, str]:
             if sigma_apply(emb[perm[q]], order - 1) != emb[q]:
                 return False, f"fixed basis vector {bi} is not fixed by the action"
         sparse_fb.append(tuple((pos, x) for pos, x in enumerate(emb) if x))
+    if not _independent(sparse_fb):
+        return False, "fixed basis is not linearly independent over K"
 
     # claimed unit coordinates must combine to the tensor unit 1 x ... x 1
     unit_target: dict[int, TowerElement] = {}
@@ -360,7 +418,10 @@ def verify_cor(doc: dict) -> tuple[bool, str]:
             expect = {p: v for p, v in expect.items() if v}
             if prod != expect:
                 return False, f"product f_{i} f_{j} does not match the claimed constants"
-    return True, f"cor dimension {cor_dim} = (dim_K A)^r, basis fixed, products exact"
+    return True, (
+        f"cor dimension {cor_dim} = (dim_K A)^r, sigma of order [K:F], "
+        "basis fixed and independent, products exact"
+    )
 
 
 def _digits(q: int, d: int, r: int):

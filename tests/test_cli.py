@@ -12,6 +12,16 @@ def run(args):
     return main(args)
 
 
+def m2_sqrt2_input():
+    """The corestrict input scripts/make_demo_inputs.py writes as m2_sqrt2.json."""
+    from isotower.certjson import algebra_doc, cyclic_doc
+    from isotower.csa import matrix_algebra
+    from isotower.presets import cyclic_sqrt
+
+    cyc = cyclic_sqrt(2)
+    return {"algebra": algebra_doc(matrix_algebra(cyc.tower, 1)), "cyclic": cyclic_doc(cyc)}
+
+
 def test_isotropy_file_flow(tmp_path, capsys):
     system = {
         "forms": [
@@ -80,6 +90,36 @@ def test_exit_code_malformed_system(tmp_path, capsys, system):
     inp = tmp_path / "sys.json"
     inp.write_text(canonical_dumps(system))
     assert run(["isotropy", "--input", str(inp)]) == 2
+    assert "malformed input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, path, edit",
+    [
+        ("corestrict", ("algebra", "constants", 0), lambda rows: rows[:3]),
+        ("corestrict", ("algebra", "unit"), lambda unit: unit[:2]),
+        ("corestrict", ("cyclic", "k_level"), lambda _: 5),
+        ("corestrict", ("algebra", "constants"), lambda _: 5),
+        ("corestrict", ("cyclic", "sigma"), lambda _: 5),
+        ("verify", ("constants", 1, 2), lambda row: row[:3]),
+        ("verify", ("source", "cyclic", "k_level"), lambda _: 3),
+        ("verify", ("source", "cyclic", "sigma"), lambda _: [["1/1"]]),
+    ],
+)
+def test_exit_code_malformed_cor(tmp_path, capsys, command, path, edit):
+    doc = m2_sqrt2_input()
+    if command == "verify":
+        inp = tmp_path / "alg.json"
+        inp.write_text(canonical_dumps(doc))
+        assert run(["corestrict", "--input", str(inp), "--output", str(tmp_path / "cor.json")]) == 0
+        doc = canonical_loads((tmp_path / "cor.json").read_text())
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = edit(parent[path[-1]])
+    bad = tmp_path / "bad.json"
+    bad.write_text(canonical_dumps(doc))
+    assert run([command, "--input", str(bad), "--output", str(tmp_path / "out.json")]) == 2
     assert "malformed input" in capsys.readouterr().err
 
 
@@ -169,17 +209,8 @@ def test_split_batch_verify(tmp_path, capsys):
 
 
 def test_corestrict_flow(tmp_path, capsys):
-    from isotower.certjson import algebra_doc, cyclic_doc
-    from isotower.csa import matrix_algebra
-    from isotower.presets import cyclic_sqrt
-
-    cyc = cyclic_sqrt(2)
-    doc = {
-        "algebra": algebra_doc(matrix_algebra(cyc.tower, 1)),
-        "cyclic": cyclic_doc(cyc),
-    }
     inp = tmp_path / "alg.json"
-    inp.write_text(canonical_dumps(doc))
+    inp.write_text(canonical_dumps(m2_sqrt2_input()))
     out = tmp_path / "cor.json"
     assert run(["corestrict", "--input", str(inp), "--output", str(out)]) == 0
     result = canonical_loads(out.read_text())

@@ -21,6 +21,7 @@ from isotower.csa import (
 )
 from isotower.errors import MemoryGuardExceeded, PreconditionError
 from isotower.presets import cyclic_cubic, cyclic_gaussian, cyclic_sqrt
+from isotower.serialize import vector_to_json
 from isotower.splitting import bracket_quaternion, standard_quaternion
 from isotower.tower import QQ, tower_extend
 from isotower import verify
@@ -277,6 +278,19 @@ def test_idempotent_witness_m2():
         assert tuple(coords) != tuple(cor.algebra.unit)
 
 
+def test_coordinates_of_fixed_basis():
+    for cyc in (cyclic_sqrt(2), cyclic_cubic()):
+        cor = run_cor(cyc, matrix_algebra(cyc.tower, 1))
+        n = cor.algebra.dim
+        one, zero = cyc.tower.one(cyc.f_level), cyc.tower.zero(cyc.f_level)
+        for i, vec in enumerate(cor.fixed_basis):
+            coords = cor.coordinates({q: x for q, x in enumerate(vec) if x})
+            assert coords == tuple(one if k == i else zero for k in range(n))
+        # E_12 (x) E_11 (x) ... is moved by the leg shift, so it is not fixed
+        with pytest.raises(PreconditionError):
+            cor.coordinates({4 ** (cyc.order - 1): cyc.tower.one(cyc.k_level)})
+
+
 def test_idempotent_rejected_for_division_input():
     cyc = cyclic_sqrt(2)
     alg = quaternion_structure_algebra(
@@ -293,6 +307,16 @@ def test_central_simple_counterexample():
     qxq = StructureConstantAlgebra(QQ, 0, 2, rows, (one, one))
     assert not central_simple_check(qxq)  # center has dimension 2
     assert central_simple_check(matrix_algebra(QQ, 0))
+
+
+def test_central_simple_rejects_upper_triangular():
+    # E11, E12, E22: the center is the scalars, so the center step stops
+    # early, but E12 lies in the radical and the trace form is degenerate
+    one = QQ.one(0)
+    rows = (((0, one),), ((1, one),), (), (), (), ((1, one),), (), (), ((2, one),))
+    upper = StructureConstantAlgebra(QQ, 0, 3, rows, (one, QQ.zero(0), one))
+    assert upper.check_unit()
+    assert not central_simple_check(upper)
 
 
 def test_cor_dimension_shadow_tensor_product():
@@ -330,6 +354,56 @@ def test_cor_tampered_constant_fails():
     bad["constants"] = constants
     ok, _ = verify.verify_cor(bad)
     assert not ok
+
+
+def honest_m2_sqrt2():
+    cyc = cyclic_sqrt(2)
+    alg = matrix_algebra(cyc.tower, 1)
+    cor = run_cor(cyc, alg)
+    return cor, cor_result_doc(cor, alg)
+
+
+def test_cor_forgery_dependent_basis_fails():
+    # 16 copies of the tensor unit multiply by the claimed e_i e_j = e_0 and
+    # combine to the unit e_0, but span only the scalars over K
+    cor, doc = honest_m2_sqrt2()
+    n = cor.algebra.dim
+    e0 = ["1/1"] + ["0/1"] * (n - 1)
+    doc["fixed_basis"] = [vector_to_json(cor.tensor.unit)] * n
+    doc["constants"] = [[e0] * n for _ in range(n)]
+    doc["unit"] = e0
+    ok, reason = verify.verify_cor(doc)
+    assert not ok and "independent" in reason
+
+
+def test_cor_forgery_trivial_sigma_fails():
+    # A passed off as its own corestriction along an order-1 "extension"
+    _cor, doc = honest_m2_sqrt2()
+    src = doc["source"]["algebra"]
+    forged = dict(src)
+    forged["fixed_basis"] = [["1/1" if q == i else "0/1" for q in range(4)] for i in range(4)]
+    forged["source"] = {
+        "algebra": src,
+        "cyclic": {"k_level": 1, "order": 1, "sigma": [["1/1"]]},
+    }
+    ok, reason = verify.verify_cor(forged)
+    assert not ok and "[K:F]" in reason
+
+
+@pytest.mark.parametrize(
+    "entry, value, why",
+    [
+        ((0, 0), "5/1", "sigma(gen^0)"),  # sigma(1) = 5: not multiplicative
+        ((1, 1), "2/1", "not a root"),  # sigma(sqrt2) = 2 sqrt2
+        ((1, 1), "1/1", "order 1"),  # the identity
+    ],
+)
+def test_cor_forged_sigma_fails(entry, value, why):
+    _cor, doc = honest_m2_sqrt2()
+    i, j = entry
+    doc["source"]["cyclic"]["sigma"][i][j] = value
+    ok, reason = verify.verify_cor(doc)
+    assert not ok and why in reason
 
 
 # -- base change --------------------------------------------------------------------------
