@@ -18,7 +18,6 @@ from .errors import (
     ZeroInverse,
 )
 from .tower import (
-    Poly,
     QQ,
     TowerElement,
     TowerField,
@@ -63,7 +62,6 @@ from .csa import (
     tensor_power_over_K,
 )
 from .certjson import (
-    verify_cor_result,
     verify_isotropy_certificate,
     verify_split_certificate,
 )

@@ -210,11 +210,6 @@ def cor_result_doc(cor: CorResult, source: StructureConstantAlgebra) -> dict:
     return doc
 
 
-def verify_cor_result(doc: dict) -> bool:
-    ok, _reason = _verify.verify_cor(doc)
-    return ok
-
-
 __all__ = [
     "system_doc",
     "system_from_doc",
@@ -230,5 +225,4 @@ __all__ = [
     "cyclic_doc",
     "cyclic_from_doc",
     "cor_result_doc",
-    "verify_cor_result",
 ]

@@ -183,23 +183,9 @@ class StructureConstantAlgebra:
                     out[i][j][k] = c
         return out
 
-    def mul(self, x, y):
-        """Product of two dense coordinate vectors."""
-        zero = self.tower.zero(self.level)
-        out = [zero] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            base = i * self.dim
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                f = xi * yj
-                for k, c in self.rows[base + j]:
-                    out[k] = out[k] + f * c
-        return tuple(out)
-
     def mul_sparse(self, x: dict, y: dict) -> dict:
+        """Product of sparse coordinate vectors ({basis index: coefficient});
+        zero coordinates are left out of the result."""
         out: dict[int, TowerElement] = {}
         for i, xi in x.items():
             base = i * self.dim
@@ -212,31 +198,19 @@ class StructureConstantAlgebra:
         return {k: v for k, v in out.items() if v}
 
     def check_unit(self) -> bool:
-        n = self.dim
-        for i in range(n):
-            e = tuple(
-                self.tower.one(self.level) if j == i else self.tower.zero(self.level)
-                for j in range(n)
-            )
-            if self.mul(self.unit, e) != e or self.mul(e, self.unit) != e:
+        one = self.tower.one(self.level)
+        unit = {k: c for k, c in enumerate(self.unit) if c}
+        for i in range(self.dim):
+            e = {i: one}
+            if self.mul_sparse(unit, e) != e or self.mul_sparse(e, unit) != e:
                 return False
         return True
 
     def associative_on(self, i: int, j: int, k: int) -> bool:
-        n = self.dim
-        zero = self.tower.zero(self.level)
-
-        def vec(sparse):
-            out = [zero] * n
-            for idx, c in sparse:
-                out[idx] = c
-            return tuple(out)
-
-        eij = vec(self.row(i, j))
-        ejk = vec(self.row(j, k))
-        ek = tuple(self.tower.one(self.level) if t == k else zero for t in range(n))
-        ei = tuple(self.tower.one(self.level) if t == i else zero for t in range(n))
-        return self.mul(eij, ek) == self.mul(ei, ejk)
+        one = self.tower.one(self.level)
+        return self.mul_sparse(dict(self.row(i, j)), {k: one}) == self.mul_sparse(
+            {i: one}, dict(self.row(j, k))
+        )
 
 
 def matrix_algebra(tower: TowerField, level: int, n: int = 2) -> StructureConstantAlgebra:
@@ -738,20 +712,24 @@ def base_change_embedding_check(
             return False  # an image outside the fixed space of the KL tensor power
         if linalg.rank(tuple(phi_cols)) != n:
             return False
+        phi = [{q: x for q, x in enumerate(col) if x} for col in phi_cols]
 
         def image(sparse):
             """phi of the cor(A) element with sparse coordinates (k, c)."""
-            out = [t2.zero(1)] * n
+            out: dict[int, TowerElement] = {}
             for k, c in sparse:
                 scalar = t2.rational(c.rational_value(), 1)
-                out = [acc + scalar * x for acc, x in zip(out, phi_cols[k])]
-            return tuple(out)
+                for q, x in phi[k].items():
+                    t = scalar * x
+                    out[q] = out[q] + t if q in out else t
+            return {q: v for q, v in out.items() if v}
 
         # unit and multiplicativity on all basis pairs
-        if image((k, c) for k, c in enumerate(cor1.algebra.unit) if c) != cor2.algebra.unit:
+        unit1 = ((k, c) for k, c in enumerate(cor1.algebra.unit) if c)
+        if image(unit1) != {q: c for q, c in enumerate(cor2.algebra.unit) if c}:
             return False
         return all(
-            image(cor1.algebra.row(i, j)) == cor2.algebra.mul(phi_cols[i], phi_cols[j])
+            image(cor1.algebra.row(i, j)) == cor2.algebra.mul_sparse(phi[i], phi[j])
             for i in range(n)
             for j in range(n)
         )

@@ -30,10 +30,6 @@ def matmul(a, b):
     return tuple(tuple(_dot(row, col) for col in bt) for row in a)
 
 
-def transpose(m):
-    return tuple(zip(*m))
-
-
 def identity(tower: TowerField, level: int, n: int):
     one, zero = tower.one(level), tower.zero(level)
     return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
@@ -114,7 +110,6 @@ def invert(rows, tower: TowerField, level: int):
 __all__ = [
     "matvec",
     "matmul",
-    "transpose",
     "identity",
     "rref",
     "rank",

@@ -25,7 +25,7 @@ from .errors import PreconditionError
 from .generate import random_qfsystem, random_quaternion
 from .quadforms import QFSystem, QuadraticForm, isotropy_2ext
 from .splitting import quadratic_slot_split, split_over_2ext, standard_quaternion
-from .tower import QQ, Poly, TowerField, tower_extend
+from .tower import QQ, TowerField, tower_extend
 from . import verify
 
 
@@ -164,8 +164,7 @@ def demo_thm32_septic():
 def demo_lemma24_quad():
     tower = field_cubic()
     alpha = tower.gen()
-    g = Poly(QQ, 0, [Fraction(1), Fraction(0), Fraction(1)])  # X^2 + 1
-    res = quadratic_slot_split(alpha, g)
+    res = quadratic_slot_split(alpha, (1, 0, 1))  # X^2 + 1
     top = res.comp_tower.height
     a_t = alpha.in_tower(res.comp_tower).embed(top)
     w = res.witness

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import Sequence
 
 from . import linalg
 from .errors import (
@@ -36,7 +37,6 @@ from .quadforms import (
 from .sqrt import _trial_factor, adjoin_sqrt
 from .tower import (
     KIND_SQRT,
-    Poly,
     TowerElement,
     TowerField,
     _embed_up,
@@ -329,35 +329,36 @@ def _slot_split(pair: _Pair, alpha_comp: TowerElement, g_coeffs) -> tuple[_Pair,
     return pair, w
 
 
-def quadratic_slot_split(alpha: TowerElement, g: Poly) -> SlotSplitResult:
+def quadratic_slot_split(alpha: TowerElement, g: Sequence) -> SlotSplitResult:
     """Constructive isotropy of <1, alpha, g(alpha)> over K F' with F' a
-    2-extension of the field g lives over ([F':F] <= 2^(deg g + 1)).
+    2-extension of F ([F':F] <= 2^(deg g + 1)).
 
-    alpha lives at the top of K's tower; g's coefficients live at a lower
-    level F of that same tower; g(alpha) must be nonzero.
+    alpha is taken at the top of K's tower.  g is at most three
+    coefficients, lowest degree first, each a rational or an element of
+    alpha's tower; F is the highest level among them (Q when all are
+    rational).  g(alpha) must be nonzero.
     """
     k_tower = alpha.tower
-    if alpha.level != k_tower.height:
-        alpha = alpha.embed(k_tower.height)
-    f_level = g.level
-    if g.tower != k_tower and not g.tower.is_prefix_of(k_tower):
-        raise ValueError("g must live inside alpha's tower")
-    if g.is_zero() or g.degree > 2:
-        raise PreconditionError("g must be nonzero of degree <= 2")
-    if g(alpha).is_zero():
+    alpha = alpha.embed(k_tower.height)
+    coeffs = [
+        c.in_tower(k_tower) if isinstance(c, TowerElement) else k_tower.rational(c, 0) for c in g
+    ]
+    f_level = max((c.level for c in coeffs), default=0)
+
+    def g_at(x: TowerElement) -> TowerElement:
+        acc = x.tower.zero(x.level)
+        for c in reversed(coeffs):
+            acc = acc * x + c
+        return acc
+
+    if g_at(alpha).is_zero():
         raise PreconditionError("g(alpha) = 0: the direct witness (0, ..., v) applies")
     f_tower = TowerField(k_tower.levels[:f_level])
     pair = _Pair(f_tower, k_tower, shared=f_level, comp_base=k_tower.height, images=(), guaranteed=False)
-    g_f = [c.in_tower(f_tower) if c.level <= f_level else c for c in g.coeffs]
-    for c in g_f:
-        if c.level > f_level:
-            raise ValueError("g coefficients must live at the declared F level")
-    pair, w = _slot_split(pair, alpha.in_tower(pair.c_tower), g_f)
+    pair, w = _slot_split(pair, alpha, coeffs)
     # exactness of the constructed witness
-    top = pair.c_tower.height
-    a_t = alpha.in_tower(pair.c_tower).embed(top)
-    val = w[0].square() + a_t * w[1].square() + g(a_t) * w[2].square()
-    assert val.is_zero()
+    a_t = alpha.in_tower(pair.c_tower).embed(pair.c_tower.height)
+    assert (w[0].square() + a_t * w[1].square() + g_at(a_t) * w[2].square()).is_zero()
     return SlotSplitResult(pair.f_tower, pair.c_tower, w)
 
 
@@ -464,18 +465,20 @@ def _split_small(nf: PfisterForm2, pair: _Pair, t: int, k_height: int, r: int):
     system = transfer_system(nf.form, basis)
     cert = isotropy_2ext(_retag_system(system, pair.f_tower, t))
     pair = pair.mirror_to(cert.tower)
-    top = pair.c_tower.height
-    basis_comp = [b.in_tower(pair.c_tower).embed(top) for b in basis.elements]
-    witness = []
-    for i in range(4):
-        acc = pair.c_tower.zero(top)
-        for j in range(r):
-            w = cert.witness[i * r + j]
-            if w.is_zero():
-                continue
-            acc = acc + pair.lift(w) * basis_comp[j]
-        witness.append(acc)
-    return pair, tuple(witness)
+    witness = tuple(
+        _lifted_sum(pair, cert.witness[i * r : (i + 1) * r], basis.elements) for i in range(4)
+    )
+    return pair, witness
+
+
+def _lifted_sum(pair: _Pair, coords, basis) -> TowerElement:
+    """sum_j lift(coords[j]) * basis[j] at the compositum top: F-side
+    coordinates in a K0-basis of K, read as one compositum element."""
+    acc = pair.c_tower.zero(pair.c_tower.height)
+    for w, b in zip(coords, basis):
+        if w:
+            acc = acc + pair.lift(w) * b
+    return acc
 
 
 def _split_large(nf: PfisterForm2, pair: _Pair, t: int, k_height: int, r: int):
@@ -507,16 +510,8 @@ def _split_large(nf: PfisterForm2, pair: _Pair, t: int, k_height: int, r: int):
         cert = isotropy_2ext(_retag_system(system, pair.f_tower, t))
         pair = pair.mirror_to(cert.tower)
         top = pair.c_tower.height
-        basis_comp = [b.in_tower(pair.c_tower).embed(top) for b in basis.elements]
-        v3 = pair.c_tower.zero(top)
-        v4 = pair.c_tower.zero(top)
-        for j in range(r):
-            wj = cert.witness[j]
-            if wj:
-                v3 = v3 + pair.lift(wj) * basis_comp[j]
-            wj = cert.witness[r + j]
-            if wj:
-                v4 = v4 + pair.lift(wj) * basis_comp[j]
+        v3 = _lifted_sum(pair, cert.witness[:r], basis.elements)
+        v4 = _lifted_sum(pair, cert.witness[r:], basis.elements)
         d3t = d3.in_tower(pair.c_tower).embed(top)
         d4t = d4.in_tower(pair.c_tower).embed(top)
         value = d3t * v3.square() + d4t * v4.square()

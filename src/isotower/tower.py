@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import ReducibilityError, ReducibilityWitness, ZeroInverse
 
@@ -232,11 +232,6 @@ def _pmul(ctx, lv, a, b):
         for j, y in enumerate(b):
             out[i + j] = _add(ctx, lv, out[i + j], _mul(ctx, lv, x, y))
     return _ptrim(out, lv)
-
-
-def _padd(ctx, lv, a, b):
-    zero = _raw_zero(ctx, lv)
-    return _ptrim([_add(ctx, lv, x, y) for x, y in zip_longest(a, b, fillvalue=zero)], lv)
 
 
 def _psub(ctx, lv, a, b):
@@ -627,103 +622,6 @@ def _render(tower, lv, data):
 
 
 # ---------------------------------------------------------------------------
-# dense univariate polynomials over a tower level
-# ---------------------------------------------------------------------------
-
-
-class Poly:
-    """Dense univariate polynomial with coefficients at one tower level.
-
-    Coefficients are lowest degree first; the leading coefficient of a
-    nonzero polynomial is nonzero.
-    """
-
-    __slots__ = ("tower", "level", "coeffs")
-
-    def __init__(self, tower: TowerField, level: int, coeffs: Iterable):
-        norm = []
-        for c in coeffs:
-            if isinstance(c, TowerElement):
-                norm.append(c.in_tower(tower).embed(level))
-            else:
-                norm.append(tower.rational(c, level))
-        while norm and norm[-1].is_zero():
-            norm.pop()
-        self.tower = tower
-        self.level = level
-        self.coeffs = tuple(norm)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __getitem__(self, i: int) -> TowerElement:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return self.tower.zero(self.level)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Poly)
-            and self.level == other.level
-            and len(self.coeffs) == len(other.coeffs)
-            and all(a == b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __hash__(self):
-        return hash((self.level, tuple(c.data for c in self.coeffs)))
-
-    def __add__(self, other):
-        return self._wrap(_padd(self.tower._ctx, self.level, self._raw(), self._raw_of(other)))
-
-    def __sub__(self, other):
-        return self._wrap(_psub(self.tower._ctx, self.level, self._raw(), self._raw_of(other)))
-
-    def __neg__(self):
-        return Poly(self.tower, self.level, [-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        return self._wrap(_pmul(self.tower._ctx, self.level, self._raw(), self._raw_of(other)))
-
-    __rmul__ = __mul__
-
-    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        q, r = _pdivmod(self.tower._ctx, self.level, self._raw(), self._raw_of(other))
-        return self._wrap(q), self._wrap(r)
-
-    def _raw(self) -> list:
-        return [c.data for c in self.coeffs]
-
-    def _raw_of(self, other) -> list:
-        """Raw coefficients of a polynomial or scalar, coerced to this level."""
-        return Poly(self.tower, self.level, other.coeffs if isinstance(other, Poly) else [other])._raw()
-
-    def _wrap(self, raw) -> "Poly":
-        return Poly(self.tower, self.level, [TowerElement(self.tower, self.level, c) for c in raw])
-
-    def __call__(self, x: TowerElement) -> TowerElement:
-        """Horner evaluation; x may live at a higher level or extension tower."""
-        acc = x.tower.zero(x.level)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c.in_tower(x.tower).embed(x.level)
-        return acc
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "Poly(0)"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            mono = "1" if i == 0 else ("X" if i == 1 else f"X^{i}")
-            terms.append(f"({c})*{mono}" if i else f"{c}")
-        return "Poly(" + " + ".join(terms) + ")"
-
-
-# ---------------------------------------------------------------------------
 # tower construction operations
 # ---------------------------------------------------------------------------
 
@@ -779,7 +677,6 @@ __all__ = [
     "Level",
     "TowerField",
     "TowerElement",
-    "Poly",
     "QQ",
     "tower_extend",
 ]

@@ -246,7 +246,8 @@ def _independent(vectors) -> bool:
 
 
 def verify_cor(doc: dict) -> tuple[bool, str]:
-    """Re-check a corestriction result from its source data: sigma generates
+    """Re-check a corestriction result from its source data: it lives over
+    the source algebra's field with constants and unit in F, sigma generates
     Gal(K/F), the fixed basis really is action-fixed and independent over K,
     multiplies according to the claimed structure constants inside the
     rebuilt tensor power, combines to the tensor unit, and satisfies the
@@ -256,7 +257,7 @@ def verify_cor(doc: dict) -> tuple[bool, str]:
         adoc = source["algebra"]
         cdoc = source["cyclic"]
         k_tower, a_level, a_dim, a_parsed, a_unit = _parse_algebra(adoc)
-        _cor_tower, _cor_level, cor_dim, cor_parsed, cor_unit = _parse_algebra(doc)
+        cor_tower, cor_level, cor_dim, cor_parsed, cor_unit = _parse_algebra(doc)
         fixed_basis = [vector_from_json(k_tower, v) for v in doc["fixed_basis"]]
         order = int_from_json(cdoc["order"])
         k_level = int_from_json(cdoc["k_level"])
@@ -267,8 +268,12 @@ def verify_cor(doc: dict) -> tuple[bool, str]:
         raise MalformedCertificate(f"k_level {k_level} is not a level above the base field")
     if len(sigma) != order or any(len(row) != order for row in sigma):
         raise MalformedCertificate(f"sigma is not a {order} x {order} matrix")
-    if a_level > k_level:
-        return False, "source algebra constants live above the K level"
+    if cor_tower != k_tower:
+        return False, "cor field is not the source algebra's field"
+    if cor_level > k_level or any(x.level > k_level for v in [cor_unit, *fixed_basis] for x in v):
+        raise MalformedCertificate("cor constants, unit or fixed basis entries lie above the K level")
+    if a_level > k_level or any(c.level > k_level for c in a_unit):
+        return False, "source algebra entries live above the K level"
     k_degree = k_tower.levels[k_level - 1].degree
     if order != k_degree:
         return False, f"order {order} != [K:F] = {k_degree}"
@@ -276,6 +281,8 @@ def verify_cor(doc: dict) -> tuple[bool, str]:
     f_level = k_level - 1
     if any(x.level > f_level for row in sigma for x in row):
         return False, "sigma has entries outside F"
+    if cor_level > f_level or any(c.level > f_level for c in cor_unit):
+        return False, "cor constants or unit have entries outside F"
     zero_f = k_tower.zero(f_level)
     gen = k_tower.gen(k_level)
 
@@ -360,6 +367,17 @@ def verify_cor(doc: dict) -> tuple[bool, str]:
     if not _independent(sparse_fb):
         return False, "fixed basis is not linearly independent over K"
 
+    def combine(coeffs) -> dict:
+        """sum_k coeffs[k] * (fixed basis vector k), zero entries dropped."""
+        out: dict[int, TowerElement] = {}
+        for kk, c in enumerate(coeffs):
+            if c:
+                ck = c.in_tower(k_tower).embed(k_level)
+                for pos, val in sparse_fb[kk]:
+                    t = ck * val
+                    out[pos] = out[pos] + t if pos in out else t
+        return {p: v for p, v in out.items() if v}
+
     # claimed unit coordinates must combine to the tensor unit 1 x ... x 1
     unit_target: dict[int, TowerElement] = {}
     unit_sparse = [(idx, c.embed(k_level)) for idx, c in enumerate(a_unit) if c]
@@ -373,16 +391,8 @@ def verify_cor(doc: dict) -> tuple[bool, str]:
     for flat, coeff in stack:
         if coeff:
             unit_target[flat] = unit_target.get(flat, k_tower.zero(k_level)) + coeff
-    combo: dict[int, TowerElement] = {}
-    for kk, c in enumerate(cor_unit):
-        if not c:
-            continue
-        ck = c.in_tower(k_tower).embed(k_level)
-        for pos, val in sparse_fb[kk]:
-            combo[pos] = combo.get(pos, k_tower.zero(k_level)) + ck * val
-    combo = {p: v for p, v in combo.items() if v}
     unit_target = {p: v for p, v in unit_target.items() if v}
-    if combo != unit_target:
+    if combine(cor_unit) != unit_target:
         return False, "claimed unit does not combine to the tensor identity"
 
     # claimed structure constants hold inside the tensor power
@@ -404,19 +414,8 @@ def verify_cor(doc: dict) -> tuple[bool, str]:
                         cur = prod.get(kk)
                         t = f * c
                         prod[kk] = t if cur is None else cur + t
-            expect: dict[int, TowerElement] = {}
-            for kk in range(cor_dim):
-                c = cor_parsed[i][j][kk]
-                if not c:
-                    continue
-                ck = c.in_tower(k_tower).embed(k_level)
-                for pos, val in sparse_fb[kk]:
-                    cur = expect.get(pos)
-                    t = ck * val
-                    expect[pos] = t if cur is None else cur + t
             prod = {p: v for p, v in prod.items() if v}
-            expect = {p: v for p, v in expect.items() if v}
-            if prod != expect:
+            if prod != combine(cor_parsed[i][j]):
                 return False, f"product f_{i} f_{j} does not match the claimed constants"
     return True, (
         f"cor dimension {cor_dim} = (dim_K A)^r, sigma of order [K:F], "

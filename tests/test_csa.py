@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from isotower.certjson import algebra_doc, algebra_from_doc, cor_result_doc
+from isotower.cli import main
 from isotower.csa import (
     CyclicExtensionData,
     StructureConstantAlgebra,
@@ -20,8 +21,8 @@ from isotower.csa import (
     tensor_power_over_K,
 )
 from isotower.errors import MemoryGuardExceeded, PreconditionError
-from isotower.presets import cyclic_cubic, cyclic_gaussian, cyclic_sqrt
-from isotower.serialize import vector_to_json
+from isotower.presets import cyclic_cubic, cyclic_gaussian, cyclic_sqrt, field_sqrt
+from isotower.serialize import canonical_dumps, element_to_json, tower_to_json, vector_to_json
 from isotower.splitting import bracket_quaternion, standard_quaternion
 from isotower.tower import QQ, tower_extend
 from isotower import verify
@@ -219,6 +220,14 @@ def test_action_order_r():
             assert act.apply(vec, cyc.order) == vec
 
 
+def as_sparse(vec):
+    return {q: x for q, x in enumerate(vec) if x}
+
+
+def as_dense(vec, n, zero):
+    return tuple(vec.get(q, zero) for q in range(n))
+
+
 def test_action_multiplicative():
     cyc = cyclic_cubic()
     alg = quaternion_structure_algebra(
@@ -235,8 +244,8 @@ def test_action_multiplicative():
         for _ in range(3):
             x[rng.randrange(n)] = cyc.tower.rational(rng.randint(-3, 3), 1) + cyc.tower.gen() * rng.randint(0, 2)
             y[rng.randrange(n)] = cyc.tower.rational(rng.randint(-3, 3), 1)
-        lhs = act.apply(ta.algebra.mul(tuple(x), tuple(y)))
-        rhs = ta.algebra.mul(act.apply(tuple(x)), act.apply(tuple(y)))
+        lhs = act.apply(as_dense(ta.algebra.mul_sparse(as_sparse(x), as_sparse(y)), n, zero))
+        rhs = as_dense(ta.algebra.mul_sparse(as_sparse(act.apply(x)), as_sparse(act.apply(y))), n, zero)
         assert lhs == rhs
 
 
@@ -273,8 +282,8 @@ def test_idempotent_witness_m2():
         cor = run_cor(cyc, matrix_algebra(cyc.tower, 1))
         dense, coords = split_idempotent_witness(cor)
         assert any(coords)
-        sq = cor.algebra.mul(coords, coords)
-        assert tuple(sq) == tuple(coords)  # idempotent inside the corestriction
+        # idempotent inside the corestriction
+        assert cor.algebra.mul_sparse(as_sparse(coords), as_sparse(coords)) == as_sparse(coords)
         assert tuple(coords) != tuple(cor.algebra.unit)
 
 
@@ -388,6 +397,44 @@ def test_cor_forgery_trivial_sigma_fails():
     }
     ok, reason = verify.verify_cor(forged)
     assert not ok and "[K:F]" in reason
+
+
+def m2_sqrt2_below_top():
+    """M2 corestricted along Q(sqrt2)/Q inside the tower Q(sqrt2, sqrt3), so
+    that K is level 1 and not the top of the field's tower."""
+    tower = tower_extend(cyclic_sqrt(2).tower, [-3, 0, 1], label="sqrt3")
+    cyc = CyclicExtensionData.create(tower, 1, [[1, 0], [0, -1]], 2)
+    alg = matrix_algebra(tower, 1)
+    cor = run_cor(cyc, alg)
+    return tower, cor_result_doc(cor, alg)
+
+
+def test_cor_forgery_swapped_field_fails():
+    tower, doc = m2_sqrt2_below_top()
+    assert verify.verify_cor(doc)[0]
+    doc["field"] = tower_to_json(field_sqrt(5))
+    ok, reason = verify.verify_cor(doc)
+    assert not ok and "field" in reason
+
+
+@pytest.mark.parametrize("path", [("fixed_basis", 0, 0), ("constants", 0, 0, 0), ("unit", 0)])
+def test_cor_entry_above_k_level_exits_malformed(tmp_path, capsys, path):
+    tower, doc = m2_sqrt2_below_top()
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = element_to_json(tower.gen(2))
+    bad = tmp_path / "bad.json"
+    bad.write_text(canonical_dumps(doc))
+    assert main(["verify", "--input", str(bad)]) == 2
+    assert "malformed input" in capsys.readouterr().err
+
+
+def test_cor_forgery_constant_outside_f_fails():
+    tower, doc = m2_sqrt2_below_top()
+    doc["unit"][0] = element_to_json(tower.gen(1))
+    ok, reason = verify.verify_cor(doc)
+    assert not ok and "outside F" in reason
 
 
 @pytest.mark.parametrize(

@@ -71,7 +71,7 @@ def test_polarization_identity():
 
 
 def check_congruence(form, diag_entries, p):
-    got = linalg.matmul(linalg.transpose(p), linalg.matmul(form.gram, p))
+    got = linalg.matmul(tuple(zip(*p)), linalg.matmul(form.gram, p))
     n = form.dim
     for i in range(n):
         for j in range(n):

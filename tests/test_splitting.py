@@ -27,7 +27,7 @@ from isotower.splitting import (
     split_over_2ext,
     standard_quaternion,
 )
-from isotower.tower import QQ, Poly, tower_extend
+from isotower.tower import QQ, tower_extend
 from isotower import verify
 
 
@@ -114,7 +114,7 @@ def cubic():
 
 def test_slot_split_constant(cubic):
     alpha = cubic.gen()
-    res = quadratic_slot_split(alpha, Poly(QQ, 0, [1]))
+    res = quadratic_slot_split(alpha, (1,))
     assert res.two_tower.absolute_degree() == 2
     assert res.two_tower.levels[0].minpoly == (Fraction(1), Fraction(0), Fraction(1))
     w = res.witness
@@ -123,14 +123,14 @@ def test_slot_split_constant(cubic):
 
 def test_slot_split_linear_zero_shift(cubic):
     alpha = cubic.gen()
-    res = quadratic_slot_split(alpha, Poly(QQ, 0, [0, 1]))  # g = X
+    res = quadratic_slot_split(alpha, (0, 1))  # g = X
     assert res.two_tower.absolute_degree() == 2  # sqrt(0) level skipped
     assert res.witness[0].is_zero()
 
 
 def test_slot_split_quadratic_example(cubic):
     alpha = cubic.gen()
-    res = quadratic_slot_split(alpha, Poly(QQ, 0, [1, 0, 1]))  # X^2 + 1
+    res = quadratic_slot_split(alpha, (1, 0, 1))  # X^2 + 1
     # sqrt(c) = sqrt(1) is rational: only sqrt(-1) and sqrt(-2) are adjoined
     assert res.two_tower.absolute_degree() == 4
     mins = [lev.minpoly for lev in res.two_tower.levels]
@@ -145,22 +145,38 @@ def test_slot_split_bound(cubic):
     alpha = cubic.gen()
     for _ in range(5):
         coeffs = [Fraction(rng.randint(-9, 9)) for _ in range(3)]
-        coeffs[2] = coeffs[2] or Fraction(1)
-        g = Poly(QQ, 0, coeffs)
-        if g(alpha).is_zero():
+        coeffs[2] = coeffs[2] or Fraction(1)  # deg g = 2
+        if ((coeffs[2] * alpha + coeffs[1]) * alpha + coeffs[0]).is_zero():
             continue
-        res = quadratic_slot_split(alpha, g)
-        assert res.two_tower.absolute_degree() <= 2 ** (g.degree + 1) <= 8
+        res = quadratic_slot_split(alpha, coeffs)
+        assert res.two_tower.absolute_degree() <= 2 ** (2 + 1)
 
 
 def test_slot_split_rejects_gzero(cubic):
     alpha = cubic.gen()
     with pytest.raises(PreconditionError):
-        quadratic_slot_split(alpha, Poly(QQ, 0, []))  # the zero polynomial
+        quadratic_slot_split(alpha, ())  # the zero polynomial
     # a genuine g(alpha) = 0: alpha = sqrt2 with g = X^2 - 2
     q_s = tower_extend(QQ, [-2, 0, 1], label="s2")
     with pytest.raises(PreconditionError):
-        quadratic_slot_split(q_s.gen(), Poly(QQ, 0, [-2, 0, 1]))
+        quadratic_slot_split(q_s.gen(), (-2, 0, 1))
+
+
+def test_slot_split_over_a_level_above_q():
+    # alpha = 2^(1/6) generates a cubic over F = Q(sqrt2); g = X^2 + sqrt2
+    f_tower = tower_extend(QQ, [-2, 0, 1], label="s2")
+    s = f_tower.gen()
+    k_tower = tower_extend(f_tower, [-s, 0, 0, 1], label="a")
+    alpha = k_tower.gen()
+    res = quadratic_slot_split(alpha, (s, 0, 1))
+    assert res.two_tower.levels[:1] == k_tower.levels[:1]
+    degree_over_f = res.two_tower.absolute_degree() // f_tower.absolute_degree()
+    assert degree_over_f <= 2 ** (2 + 1)
+    top = res.comp_tower.height
+    a_t = alpha.in_tower(res.comp_tower).embed(top)
+    w = res.witness
+    assert any(w)
+    assert (w[0] * w[0] + a_t * w[1] * w[1] + (a_t * a_t + s) * w[2] * w[2]).is_zero()
 
 
 # -- the pipeline --------------------------------------------------------------------
