@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 verification failure, 2 malformed input,
 3 precondition violation (the violated precondition is named on stderr).
 Identical invocations (including --seed) produce byte-identical artifacts;
-batch items may run in parallel (--jobs) with output ordered by input index.
+batch items may run in parallel (--jobs) with output ordered by input index,
+and an item that raises a library error becomes one error line in its place.
 """
 
 from __future__ import annotations
@@ -67,11 +68,27 @@ def _split_batch_item(args) -> str:
     return canonical_dumps(certjson.split_certificate_doc(cert))
 
 
-def _run_batch(worker, items, jobs: int):
+def _guarded(task) -> tuple[str, int]:
+    """(line, exit code) of one batch item: a library error becomes one
+    canonical error line instead of ending the batch."""
+    worker, item, index = task
+    try:
+        return worker(item), 0
+    except IsotowerError as exc:
+        code = 3 if isinstance(exc, PreconditionError) else 2
+        return canonical_dumps({"error": str(exc), "exit": code, "index": index}), code
+
+
+def _run_batch(worker, items, jobs: int) -> tuple[str, int]:
+    """The batch's output text, and its exit code: the largest of the items',
+    so 3 if an item violated a precondition, else 2 if one failed, else 0."""
+    tasks = [(worker, item, i) for i, item in enumerate(items)]
     if jobs > 1:
         with Pool(jobs) as pool:
-            return pool.map(worker, items)
-    return [worker(item) for item in items]
+            results = pool.map(_guarded, tasks)
+    else:
+        results = [_guarded(task) for task in tasks]
+    return "".join(line for line, _ in results), max((code for _, code in results), default=0)
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -87,9 +104,9 @@ def _cmd_isotropy(args) -> int:
         raise MalformedCertificate("isotropy needs --input, or --seed with --count")
     r = int((args.preset or "r2").lstrip("r"))
     items = [(args.seed, i, r, args.dim) for i in range(args.count)]
-    lines = _run_batch(_isotropy_batch_item, items, args.jobs)
-    _write_text(args.output, "".join(lines))
-    return 0
+    text, code = _run_batch(_isotropy_batch_item, items, args.jobs)
+    _write_text(args.output, text)
+    return code
 
 
 def _cmd_split(args) -> int:
@@ -106,9 +123,9 @@ def _cmd_split(args) -> int:
             f"unknown field preset {preset!r}; choose from {sorted(SPLIT_FIELDS)}"
         )
     items = [(args.seed, i, preset) for i in range(args.count)]
-    lines = _run_batch(_split_batch_item, items, args.jobs)
-    _write_text(args.output, "".join(lines))
-    return 0
+    text, code = _run_batch(_split_batch_item, items, args.jobs)
+    _write_text(args.output, text)
+    return code
 
 
 def _cmd_corestrict(args) -> int:
@@ -142,15 +159,21 @@ def _cmd_verify(args) -> int:
     lines = [ln for ln in _read_text(args.input).splitlines() if ln.strip()]
     if not lines:
         raise MalformedCertificate("empty input")
-    failures = 0
+    failures = malformed = 0
     for idx, line in enumerate(lines):
-        doc = canonical_loads(line)
-        kind, ok, reason = verify.verify_any(doc)
         tag = f"[{idx}] " if len(lines) > 1 else ""
+        try:
+            kind, ok, reason = verify.verify_any(canonical_loads(line))
+        except MalformedCertificate as exc:
+            if not tag:
+                raise  # a single document: exit 2 with the reason on stderr
+            print(f"{tag}MALFORMED: {exc}")
+            malformed += 1
+            continue
         print(f"{tag}{'PASS' if ok else 'FAIL'} ({kind}): {reason}")
         if not ok:
             failures += 1
-    return 1 if failures else 0
+    return 1 if failures else 2 if malformed else 0
 
 
 def _cmd_demo(args) -> int:

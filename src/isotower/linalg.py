@@ -10,24 +10,16 @@ ReducibilityError precondition.
 from __future__ import annotations
 
 from .errors import SingularMatrix
-from .tower import TowerField
+from .tower import TowerField, dot
 
 
 def matvec(m, v):
-    return tuple(_dot(row, v) for row in m)
-
-
-def _dot(row, v):
-    acc = None
-    for a, b in zip(row, v):
-        t = a * b
-        acc = t if acc is None else acc + t
-    return acc
+    return tuple(dot(row, v) for row in m)
 
 
 def matmul(a, b):
     bt = tuple(zip(*b))
-    return tuple(tuple(_dot(row, col) for col in bt) for row in a)
+    return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
 def identity(tower: TowerField, level: int, n: int):
@@ -53,7 +45,7 @@ def rref(rows):
         for i in range(len(m)):
             if i != r and m[i][c]:
                 f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+                m[i] = [x - f * y if y else x for x, y in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
         if r == len(m):

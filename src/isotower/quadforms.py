@@ -18,7 +18,7 @@ from typing import Sequence
 from . import linalg
 from .errors import AllVanish, DimensionTooSmall, PreconditionError, SingularMatrix
 from .sqrt import adjoin_sqrt
-from .tower import TowerElement, TowerField
+from .tower import TowerElement, TowerField, dot
 
 
 def _as_elem(tower: TowerField, level: int, x) -> TowerElement:
@@ -69,28 +69,11 @@ class QuadraticForm:
         if len(v) != self.dim:
             raise ValueError(f"vector length {len(v)} != form dimension {self.dim}")
         vv = [x if isinstance(x, TowerElement) else self.tower.rational(x, self.level) for x in v]
-        acc = None
-        for i, row in enumerate(self.gram):
-            rowsum = None
-            for j, g in enumerate(row):
-                if not g:
-                    continue
-                t = g * vv[j]
-                rowsum = t if rowsum is None else rowsum + t
-            if rowsum is None:
-                continue
-            t = vv[i] * rowsum
-            acc = t if acc is None else acc + t
-        return acc if acc is not None else vv[0].tower.zero(vv[0].level)
+        return dot(vv, linalg.matvec(self.gram, vv))
 
     def bilinear(self, x, y) -> TowerElement:
         """b(x, y) = phi(x+y) - phi(x) - phi(y) = 2 x^T G y."""
-        gx = linalg.matvec(self.gram, tuple(y))
-        acc = None
-        for a, b in zip(x, gx):
-            t = a * b
-            acc = t if acc is None else acc + t
-        return acc + acc
+        return 2 * dot(x, linalg.matvec(self.gram, tuple(y)))
 
     def scaled(self, c: TowerElement) -> "QuadraticForm":
         return QuadraticForm(
@@ -331,9 +314,7 @@ def _solve_system(system: QFSystem):
 
     # lift the recursive witness back to V-coordinates
     cols = tuple(zip(*complement))
-    w_v = tuple(
-        _dot_mixed(row, w_small, t2) for row in cols
-    )
+    w_v = tuple(dot(row, w_small) for row in cols)
     last = mixed.forms[-1]
     a = last.evaluate(v)                      # nonzero by the choice of v
     top = t2.height
@@ -347,16 +328,6 @@ def _solve_system(system: QFSystem):
         for vi, wi in zip(v, w_v)
     )
     return t3, wit
-
-
-def _dot_mixed(row, vec, tower):
-    top = tower.height
-    acc = tower.zero(top)
-    for a, b in zip(row, vec):
-        if not a:
-            continue
-        acc = acc + a.in_tower(tower).embed(top) * b.in_tower(tower).embed(top)
-    return acc
 
 
 def clear_denominators(witness):
@@ -396,12 +367,8 @@ def isotropy_2ext(system: QFSystem) -> IsotropyCertificate:
     t2, witness = _solve_system(system)
     witness = clear_denominators(witness)
     assert any(witness), "constructed witness is zero"
-    top = t2.height
     for f in system.forms:
-        val = QuadraticForm(
-            t2, top, tuple(tuple(g.in_tower(t2).embed(top) for g in row) for row in f.gram)
-        ).evaluate(witness)
-        assert val.is_zero(), "constructed witness does not annihilate the system"
+        assert f.evaluate(witness).is_zero(), "constructed witness does not annihilate the system"
     actual = t2.absolute_degree() // base.absolute_degree()
     assert actual <= 2**r
     return IsotropyCertificate(

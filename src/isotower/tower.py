@@ -182,6 +182,66 @@ def _sqr(ctx, lv, a):
     return _mul(ctx, lv, a, a)
 
 
+def _dot(ctx, lv, pairs):
+    """Sum of a*b over raw (a, b) pairs at level lv, reduced once per level:
+    an X^2 - c level multiplies by c once, a generic level folds X^d once.
+    _mul stays the one-pair product; routed through here it pays more in
+    call overhead on small elements than the shared reduction saves."""
+    if lv == 0:
+        acc = F0
+        for a, b in pairs:
+            acc += a * b
+        return acc
+    lo = lv - 1
+    lc = ctx[lo]
+    if lc.sqrt_const is not None:
+        # full pairs go through Karatsuba; a pair with a zero upper half
+        # contributes a0*b0 and at most one cross term, computed directly
+        full, direct, cross = [], [], []
+        for a, b in pairs:
+            a0, a1 = a
+            b0, b1 = b
+            if _is_zero(a1, lo):
+                direct.append((a0, b0))
+                if not _is_zero(b1, lo):
+                    cross.append((a0, b1))
+            elif _is_zero(b1, lo):
+                direct.append((a0, b0))
+                cross.append((a1, b0))
+            else:
+                full.append((a, b))
+        c0 = _dot(ctx, lo, direct) if direct else lc.zero
+        if not full:
+            return (c0, _dot(ctx, lo, cross) if cross else lc.zero)
+        p00 = _dot(ctx, lo, [(a[0], b[0]) for a, b in full])
+        p11 = _dot(ctx, lo, [(a[1], b[1]) for a, b in full])
+        cross += [(_add(ctx, lo, a0, a1), _add(ctx, lo, b0, b1)) for (a0, a1), (b0, b1) in full]
+        c1 = _sub(ctx, lo, _dot(ctx, lo, cross), _add(ctx, lo, p00, p11))
+        if lc.sqrt_const_rat is not None:
+            p11 = _scale(ctx, lo, p11, lc.sqrt_const_rat)
+        else:
+            p11 = _mul(ctx, lo, p11, lc.sqrt_const)
+        return (_add(ctx, lo, _add(ctx, lo, c0, p00), p11), c1)
+    # generic level: bucket the coefficient products by degree, then fold
+    # X^d = -tail once
+    d = lc.degree
+    buckets = [[] for _ in range(2 * d - 1)]
+    for a, b in pairs:
+        nzb = [(j, y) for j, y in enumerate(b) if not _is_zero(y, lo)]
+        for i, x in enumerate(a):
+            if not _is_zero(x, lo):
+                for j, y in nzb:
+                    buckets[i + j].append((x, y))
+    prod = [_dot(ctx, lo, bk) if bk else lc.zero for bk in buckets]
+    for i in range(2 * d - 2, d - 1, -1):
+        top = prod[i]
+        if _is_zero(top, lo):
+            continue
+        for j, mc in lc.red_tail:
+            prod[i - d + j] = _sub(ctx, lo, prod[i - d + j], _mul(ctx, lo, top, mc))
+    return tuple(prod[:d])
+
+
 def _embed_up(ctx, lv_from, a, lv_to):
     """View a level lv_from value at level lv_to >= lv_from."""
     for lv in range(lv_from, lv_to):
@@ -604,6 +664,31 @@ class TowerElement:
         return _render(self.tower, self.level, self.data)
 
 
+def dot(xs: Sequence[TowerElement], ys: Sequence[TowerElement]) -> TowerElement:
+    """Sum of x*y over paired elements, reduced once per level.
+
+    The towers must be prefixes of one another, as for ``x * y``; the result
+    lies in the longest one, at the highest level among the inputs (the
+    rational zero when there are no pairs).
+    """
+    tower, lv = QQ, 0
+    for x in (*xs, *ys):
+        t = x.tower
+        if t is not tower and t != tower:
+            if tower.is_prefix_of(t):
+                tower = t
+            elif not t.is_prefix_of(tower):
+                raise ValueError("elements of incompatible towers")
+        lv = max(lv, x.level)
+    ctx = tower._ctx
+    pairs = [
+        (_embed_up(ctx, x.level, x.data, lv), _embed_up(ctx, y.level, y.data, lv))
+        for x, y in zip(xs, ys)
+        if not (_is_zero(x.data, x.level) or _is_zero(y.data, y.level))
+    ]
+    return TowerElement(tower, lv, _dot(ctx, lv, pairs) if pairs else _raw_zero(ctx, lv))
+
+
 def _render(tower, lv, data):
     if lv == 0:
         return str(data)
@@ -679,4 +764,5 @@ __all__ = [
     "TowerElement",
     "QQ",
     "tower_extend",
+    "dot",
 ]

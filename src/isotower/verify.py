@@ -21,22 +21,7 @@ from .serialize import (
     vector_from_json,
 )
 from .sqrt import sqrt_or_nonsquare
-from .tower import KIND_SQRT, TowerElement, TowerField
-
-
-def _form_value(gram, witness):
-    """x^T G x with everything embedded to the witness's tower top."""
-    tower = witness[0].tower
-    top = tower.height
-    w = [x.in_tower(tower).embed(top) for x in witness]
-    acc = tower.zero(top)
-    for i, row in enumerate(gram):
-        rowsum = tower.zero(top)
-        for j, g in enumerate(row):
-            if g:
-                rowsum = rowsum + g.in_tower(tower).embed(top) * w[j]
-        acc = acc + w[i] * rowsum
-    return acc
+from .tower import KIND_SQRT, TowerElement, TowerField, dot
 
 
 def _recheck_added_levels(tower: TowerField, base_levels: int):
@@ -83,7 +68,7 @@ def verify_isotropy(doc: dict) -> tuple[bool, str]:
     for idx, gram in enumerate(grams):
         if len(gram) != len(witness) or any(len(r) != len(witness) for r in gram):
             return False, f"form {idx + 1} dimension does not match the witness"
-        val = _form_value(gram, witness)
+        val = dot(witness, [dot(row, witness) for row in gram])  # w^T G w
         if not val.is_zero():
             return False, f"form {idx + 1} at witness = {val} != 0"
     base_levels = grams[0][0][0].level
@@ -163,10 +148,10 @@ def verify_split(doc: dict) -> tuple[bool, str]:
     ve = v.in_tower(tower).embed(top)
     w = [x.embed(top) for x in witness]
     val = (
-        w[0] * w[0]
-        - ue * (w[1] * w[1])
-        - ve * (w[2] * w[2])
-        + (ue * ve) * (w[3] * w[3])
+        w[0].square()
+        - ue * w[1].square()
+        - ve * w[2].square()
+        + (ue * ve) * w[3].square()
     )
     if not val.is_zero():
         return False, f"N_Q(witness) = {val} != 0"

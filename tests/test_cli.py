@@ -197,6 +197,38 @@ def test_batch_parallel_matches_serial(tmp_path):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
+def test_batch_error_lines(tmp_path):
+    # r = 3 needs dim >= 7: every item violates the precondition, the batch
+    # still writes one canonical error line per item, in index order
+    base = ["isotropy", "--seed", "1", "--count", "3", "--preset", "r3", "--dim", "4"]
+    serial = tmp_path / "serial.jsonl"
+    parallel = tmp_path / "par.jsonl"
+    assert run(base + ["--jobs", "1", "--output", str(serial)]) == 3
+    assert run(base + ["--jobs", "2", "--output", str(parallel)]) == 3
+    assert serial.read_bytes() == parallel.read_bytes()
+    docs = [canonical_loads(line) for line in serial.read_text().splitlines()]
+    assert [d["index"] for d in docs] == [0, 1, 2]
+    assert all(d["exit"] == 3 and "r(r+1)/2 + 1" in d["error"] for d in docs)
+
+
+def test_verify_reports_malformed_line_and_goes_on(tmp_path, capsys):
+    certs = tmp_path / "certs.jsonl"
+    assert run(["isotropy", "--seed", "2", "--count", "1", "--preset", "r1",
+                "--output", str(certs)]) == 0
+    mixed = tmp_path / "mixed.jsonl"
+    mixed.write_text(certs.read_text() + "{not json\n")
+    capsys.readouterr()
+    assert run(["verify", "--input", str(mixed)]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("[0] PASS (isotropy)")
+    assert out[1].startswith("[1] MALFORMED: invalid JSON")
+    # a FAIL outranks a malformed line
+    doc = canonical_loads(certs.read_text())
+    doc["forms"][0][0][0] = "5/1"
+    mixed.write_text(canonical_dumps(doc) + "{not json\n")
+    assert run(["verify", "--input", str(mixed)]) == 1
+
+
 def test_split_batch_verify(tmp_path, capsys):
     out = tmp_path / "certs.jsonl"
     assert run([

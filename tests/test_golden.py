@@ -18,7 +18,7 @@ from isotower.csa import (
     tensor_power_over_K,
 )
 from isotower.generate import random_qfsystem, random_quaternion
-from isotower.presets import cyclic_sqrt, field_cubic, field_quintic
+from isotower.presets import cyclic_sqrt, field_cubic, field_quintic, field_septic
 from isotower.quadforms import isotropy_2ext
 from isotower.serialize import canonical_dumps
 from isotower.splitting import split_over_2ext, standard_quaternion
@@ -54,8 +54,10 @@ def _cor():
 CASES = {
     "isotropy-r2": lambda: _isotropy(2),
     "isotropy-r3": lambda: _isotropy(3),
+    "isotropy-r4": lambda: _isotropy(4),
     "split-cubic": lambda: _split(field_cubic()),
     "split-quintic": lambda: _split(field_quintic()),
+    "split-septic": lambda: _split(field_septic()),
     "cor-sqrt2-quaternion": _cor,
 }
 
@@ -65,6 +67,10 @@ GOLDEN = {
     "split-cubic": "b905eeb2eccb949cf2ab875b89458d42a1f9d4e48e4cca710eb80dc8aed4b131",
     "split-quintic": "ed54aa832631470e36ad9b1734149a3f0068ae5414768a6500cbfec3999644ba",
     "cor-sqrt2-quaternion": "92f2d351514f17c707e4d20e7023ca10cdb914de8ffafa96e6faca8bd75f9bea",
+    # pinned before the lazy-reduction dot product: a 4-level sqrt chain and
+    # the septic base-root level, which no case above reaches
+    "isotropy-r4": "e5c6c27d096880d1bc467a4034685e7231924c93a893766bab3368d0702ad710",
+    "split-septic": "dd3dc40f8607e0909d81d31fd75acb731fbf80c83605cc7d1b5f3c40f8773c6e",
 }
 
 

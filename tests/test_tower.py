@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from isotower.errors import ReducibilityError, ZeroInverse
-from isotower.tower import QQ, _pdivmod, tower_extend
+from isotower.tower import QQ, _pdivmod, dot, tower_extend
 
 
 @pytest.fixture
@@ -135,3 +135,68 @@ def test_degree_multiplicativity_random():
         tower = tower_extend(tower, coeffs)
         expected *= deg
         assert tower.absolute_degree() == expected
+
+
+def _random_element(rng, tower, level):
+    """A random element with about a third of its coefficients zero at each
+    level, so dot meets zero halves as well as full pairs."""
+    if level == 0:
+        return tower.rational(Fraction(rng.randint(-9, 9), rng.randint(1, 4)), 0)
+    coeffs = [
+        tower.zero(level - 1) if rng.random() < 0.3 else _random_element(rng, tower, level - 1)
+        for _ in range(tower.degree_of_level(level))
+    ]
+    return tower.from_coeffs(level, coeffs)
+
+
+def _dot_towers():
+    """Each case is a chain of towers, every one a prefix of the next."""
+    s2 = tower_extend(QQ, [-2, 0, 1], label="s2")
+    s3 = tower_extend(s2, [-3, 0, 1], label="s3")
+    t = tower_extend(s3, [-(1 + s3.gen(1)), 0, 1], label="t")   # X^2 - (1 + s2)
+    u = tower_extend(t, [-(t.gen(3) + s3.gen(2)), 0, 1], label="u")
+    cubic = tower_extend(QQ, [-1, -2, 1, 1], label="a")
+    over_cubic = tower_extend(cubic, [-(cubic.gen(1) + 1), 0, 1], label="b")
+    septic = tower_extend(QQ, [-2, 0, 0, 0, 0, 0, 0, 1], label="r")
+    over_septic = tower_extend(septic, [-5, 0, 1], label="s")
+    return {
+        "sqrt-chain-rational": [s2, s3],
+        "sqrt-chain": [s2, s3, t, u],
+        "cubic": [cubic],
+        "septic": [septic],
+        "sqrt-over-cubic": [cubic, over_cubic],
+        "sqrt-over-septic": [septic, over_septic],
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_dot_towers()))
+def test_dot_matches_sum_of_products(case):
+    import random
+
+    chain = _dot_towers()[case]
+    rng = random.Random(case)
+    for trial in range(12):
+        n = rng.randint(1, 6)
+        xs, ys = [], []
+        for _ in range(n):
+            for out in (xs, ys):
+                tower = rng.choice(chain)
+                # mostly top-level factors, so full pairs reach every level
+                level = tower.height if rng.random() < 0.6 else rng.randint(0, tower.height)
+                x = _random_element(rng, tower, level)
+                out.append(tower.zero(level) if rng.random() < 0.15 else x)
+        expected = xs[0] * ys[0]
+        for x, y in zip(xs[1:], ys[1:]):
+            expected = expected + x * y
+        got = dot(xs, ys)
+        assert got == expected
+        assert got.level == max(x.level for x in xs + ys)
+        assert got.tower == max((x.tower for x in xs + ys), key=lambda t: t.height)
+    zeros = [chain[-1].zero(1)] * 3
+    assert dot(zeros, [_random_element(rng, chain[-1], 1)] * 3).is_zero()
+
+
+def test_dot_rejects_incompatible_towers(q_i, q_sqrt2):
+    with pytest.raises(ValueError):
+        dot([q_i.gen()], [q_sqrt2.gen()])
+    assert dot([], []) == 0
