@@ -175,7 +175,7 @@ def test_dot_matches_sum_of_products(case):
 
     chain = _dot_towers()[case]
     rng = random.Random(case)
-    for trial in range(12):
+    for _ in range(12):
         n = rng.randint(1, 6)
         xs, ys = [], []
         for _ in range(n):
@@ -183,8 +183,8 @@ def test_dot_matches_sum_of_products(case):
                 tower = rng.choice(chain)
                 # mostly top-level factors, so full pairs reach every level
                 level = tower.height if rng.random() < 0.6 else rng.randint(0, tower.height)
-                x = _random_element(rng, tower, level)
-                out.append(tower.zero(level) if rng.random() < 0.15 else x)
+                zero = rng.random() < 0.15
+                out.append(tower.zero(level) if zero else _random_element(rng, tower, level))
         expected = xs[0] * ys[0]
         for x, y in zip(xs[1:], ys[1:]):
             expected = expected + x * y
