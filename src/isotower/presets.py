@@ -205,9 +205,11 @@ def _demo_cor(cyclic: CyclicExtensionData, title: str, division_pair=None):
             checks["split idempotent"] = True
         except PreconditionError:
             checks["split idempotent"] = False
-    ok = all(checks.values())
+    verified, reason = verify.verify_cor(doc)
+    ok = all(checks.values()) and verified
     lines = [title, f"  F-dimension: {cor.algebra.dim}"]
     lines += [f"  {name}: {'PASS' if good else 'FAIL'}" for name, good in checks.items()]
+    lines.append(f"  verify: {'PASS' if verified else 'FAIL'} ({reason})")
     return lines, doc, ok
 
 

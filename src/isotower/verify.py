@@ -86,10 +86,14 @@ def _two_tower_degree(two_tower: TowerField):
     """Exact degree of an F-side recipe over the rationals.
 
     Quadratic levels are re-tested for irreducibility (X^2 - c via the square
-    tiers, general quadratics via their discriminant); levels of degree >= 3
-    count nominally, their collapse being detectable only dynamically."""
+    tiers, general quadratics via their discriminant).  A 2-extension has no
+    level of odd degree > 1, so a level whose degree is not a power of 2
+    fails; the others count nominally, their collapse being detectable only
+    dynamically."""
     degree = 1
     for idx, level in enumerate(two_tower.levels):
+        if level.degree & (level.degree - 1):
+            return None, f"two-tower level {idx + 1} has degree {level.degree}, not a power of 2"
         if level.degree == 2:
             below = TowerField(two_tower.levels[:idx])
             if level.kind == KIND_SQRT:
@@ -172,62 +176,66 @@ def verify_split(doc: dict) -> tuple[bool, str]:
 
 
 def _parse_algebra(doc: dict):
+    """(tower, highest level of a constant, dim, sparse constant rows, unit),
+    where row i*dim + j holds the pairs (k, c_ijk) with c_ijk != 0."""
     tower = tower_from_json(doc["field"])
     n = int_from_json(doc["dim"])
     constants = doc["constants"]
-    level = 0
-    parsed = []
-    for plane in constants:
-        prow = []
-        for row in plane:
-            entries = [element_from_json(tower, c) for c in row]
-            for e in entries:
-                level = max(level, e.level)
-            prow.append(entries)
-        parsed.append(prow)
-    unit = vector_from_json(tower, doc["unit"])
-    if len(parsed) != n or any(len(p) != n or any(len(r) != n for r in p) for p in parsed):
+    if len(constants) != n or any(len(p) != n or any(len(r) != n for r in p) for p in constants):
         raise MalformedCertificate("constants shape does not match dim")
+    level = 0
+    rows = []
+    for plane in constants:
+        for row in plane:
+            entry = []
+            for k, node in enumerate(row):
+                if node != "0/1":  # the common zero needs no parse
+                    c = element_from_json(tower, node)
+                    level = max(level, c.level)
+                    if c:
+                        entry.append((k, c))
+            rows.append(tuple(entry))
+    unit = vector_from_json(tower, doc["unit"])
     if len(unit) != n:
         raise MalformedCertificate("unit length does not match dim")
-    return tower, level, n, parsed, unit
+    return tower, level, n, rows, unit
 
 
-def _sparse_rows(tower, level, n, parsed):
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            entry = []
-            for k in range(n):
-                c = parsed[i][j][k].in_tower(tower).embed(level)
-                if c:
-                    entry.append((k, c))
-            rows.append(tuple(entry))
-    return rows
+def _embed_rows(tower, level, rows):
+    return [tuple((k, c.in_tower(tower).embed(level)) for k, c in row) for row in rows]
+
+
+def _echelon_reduce(pivots, vec) -> dict:
+    """The sparse vector ``vec`` (a dict or pairs of position and nonzero
+    value) reduced by the pivot rows in the order they were stored, with
+    zero entries dropped; empty exactly when vec lies in their span."""
+    row = dict(vec)
+    for pos, prow in pivots:
+        f = row.get(pos)
+        if f:
+            for q, v in prow.items():
+                cur = row.get(q)
+                row[q] = -(f * v) if cur is None else cur - f * v
+    return {q: v for q, v in row.items() if v}
+
+
+def _echelon_add(pivots, vec) -> bool:
+    """Store vec's remainder scaled to 1 at its first position and return
+    True, or return False when vec lies in the span of the pivot rows."""
+    row = _echelon_reduce(pivots, vec)
+    if not row:
+        return False
+    pos = min(row)
+    inv = row[pos].inverse()
+    pivots.append((pos, {q: v * inv for q, v in row.items()}))
+    return True
 
 
 def _independent(vectors) -> bool:
-    """True when the sparse vectors (tuples of (position, nonzero value), all
-    over one field) are linearly independent.  Each vector is reduced by the
-    stored pivot vectors in the order they were stored, then stored scaled
-    to 1 at its first remaining position; a vector that reduces to 0 is
-    dependent."""
-    pivots = []
-    for vec in vectors:
-        row = dict(vec)
-        for pos, prow in pivots:
-            f = row.get(pos)
-            if f:
-                for q, v in prow.items():
-                    cur = row.get(q)
-                    row[q] = -(f * v) if cur is None else cur - f * v
-        row = {q: v for q, v in row.items() if v}
-        if not row:
-            return False
-        pos = min(row)
-        inv = row[pos].inverse()
-        pivots.append((pos, {q: v * inv for q, v in row.items()}))
-    return True
+    """True when the sparse vectors, all over one field, are linearly
+    independent: one running echelon form takes each in turn."""
+    pivots: list = []
+    return all(_echelon_add(pivots, vec) for vec in vectors)
 
 
 def verify_cor(doc: dict) -> tuple[bool, str]:
@@ -236,13 +244,29 @@ def verify_cor(doc: dict) -> tuple[bool, str]:
     Gal(K/F), the fixed basis really is action-fixed and independent over K,
     multiplies according to the claimed structure constants inside the
     rebuilt tensor power, combines to the tensor unit, and satisfies the
-    degree formula."""
+    degree formula.
+
+    Products are rebuilt in the tensor power only for f_s with s in a set S
+    of generators (meat-axe spinning).  Write phi(y) = sum_k y_k (fixed
+    basis vector k) for y in F^n, L_x for left multiplication by x on the
+    claimed constants, L_s = L_{f_s} and b_s = phi(f_s).  Checked:
+    (a) L_u f_k = f_k for the claimed unit u and every k; (b) vectors
+    z_0 = u, z_m = L_{s_m} z_{p(m)} with s_m in S and p(m) < m span F^n;
+    (c) L_{z_m} f_k = L_{s_m}(L_{z_p(m)} f_k) for m >= 1 and every k;
+    (d) phi(f_s) phi(f_j) = phi(L_s f_j) for s in S and every j; and
+    phi(u) = 1.  By (d) and linearity, phi(L_s y) = b_s phi(y) for every y.
+    Let b_w be the product of the b_s along the word that built z_m and P_w
+    the matching composition of the L_s.  Induction on m gives
+    phi(z_m) = b_w phi(u) = b_w and phi(P_w y) = b_w phi(y); (a) and (c)
+    give L_{z_m} = P_w.  So phi(z_m) phi(y) = phi(L_{z_m} y) for every y.
+    Both sides are F-bilinear and the z_m span F^n, so
+    phi(f_i) phi(f_j) = phi(f_i f_j) for all i, j."""
     try:
         source = doc["source"]
         adoc = source["algebra"]
         cdoc = source["cyclic"]
-        k_tower, a_level, a_dim, a_parsed, a_unit = _parse_algebra(adoc)
-        cor_tower, cor_level, cor_dim, cor_parsed, cor_unit = _parse_algebra(doc)
+        k_tower, a_level, a_dim, a_rows, a_unit = _parse_algebra(adoc)
+        cor_tower, cor_level, cor_dim, c_rows, cor_unit = _parse_algebra(doc)
         fixed_basis = [vector_from_json(k_tower, v) for v in doc["fixed_basis"]]
         order = int_from_json(cdoc["order"])
         k_level = int_from_json(cdoc["k_level"])
@@ -282,10 +306,7 @@ def verify_cor(doc: dict) -> tuple[bool, str]:
                         acc = acc + sigma[i][j] * coords[j]
                 nxt.append(acc)
             coords = nxt
-        out = k_tower.zero(k_level)
-        for c in reversed(coords):
-            out = out * gen + c.embed(k_level)
-        return out
+        return k_tower.from_coeffs(k_level, coords)
 
     # sigma is the F-automorphism gen -> sigma(gen) of K, of order exactly [K:F]
     sg = sigma_apply(gen, 1)
@@ -307,7 +328,7 @@ def verify_cor(doc: dict) -> tuple[bool, str]:
     if sigma_apply(x, 1) != gen:
         return False, f"sigma^{order} is not the identity"
 
-    a_rows = _sparse_rows(k_tower, k_level, a_dim, a_parsed)
+    a_rows = _embed_rows(k_tower, k_level, a_rows)
     d = a_dim
     n = d**order
     if len(fixed_basis) != cor_dim:
@@ -346,16 +367,19 @@ def verify_cor(doc: dict) -> tuple[bool, str]:
             return False, f"fixed basis vector {bi} has wrong length"
         emb = [x.embed(k_level) for x in vec]
         for q in range(n):
-            if sigma_apply(emb[perm[q]], order - 1) != emb[q]:
+            src = emb[perm[q]]
+            image = sigma_apply(src, order - 1) if src else src  # sigma is F-linear
+            if image != emb[q]:
                 return False, f"fixed basis vector {bi} is not fixed by the action"
         sparse_fb.append(tuple((pos, x) for pos, x in enumerate(emb) if x))
     if not _independent(sparse_fb):
         return False, "fixed basis is not linearly independent over K"
 
-    def combine(coeffs) -> dict:
-        """sum_k coeffs[k] * (fixed basis vector k), zero entries dropped."""
+    def combine(pairs) -> dict:
+        """sum of c * (fixed basis vector k) over the pairs (k, c), zero
+        entries dropped."""
         out: dict[int, TowerElement] = {}
-        for kk, c in enumerate(coeffs):
+        for kk, c in pairs:
             if c:
                 ck = c.in_tower(k_tower).embed(k_level)
                 for pos, val in sparse_fb[kk]:
@@ -377,12 +401,64 @@ def verify_cor(doc: dict) -> tuple[bool, str]:
         if coeff:
             unit_target[flat] = unit_target.get(flat, k_tower.zero(k_level)) + coeff
     unit_target = {p: v for p, v in unit_target.items() if v}
-    if combine(cor_unit) != unit_target:
+    if combine(enumerate(cor_unit)) != unit_target:
         return False, "claimed unit does not combine to the tensor identity"
 
-    # claimed structure constants hold inside the tensor power
+    c_rows = _embed_rows(k_tower, f_level, c_rows)
+
+    def lin(terms) -> dict:
+        """sum of f * (constants row ij) over the terms (f, ij), zeros dropped."""
+        out: dict[int, TowerElement] = {}
+        for f, ij in terms:
+            for kk, c in c_rows[ij]:
+                cur = out.get(kk)
+                out[kk] = f * c if cur is None else cur + f * c
+        return {p: v for p, v in out.items() if v}
+
+    def times_basis(x: dict, k: int) -> dict:  # L_x f_k, x over F
+        return lin((xi, i * n + k) for i, xi in x.items())
+
+    def basis_times(s: int, y: dict) -> dict:  # L_s y, y over F
+        return lin((yj, s * n + j) for j, yj in y.items())
+
+    # (a) the claimed unit is a left identity
+    one_f = k_tower.one(f_level)
+    basis = [{kk: one_f} for kk in range(n)]
+    unit = {i: c.in_tower(k_tower).embed(f_level) for i, c in enumerate(cor_unit) if c}
+    if any(times_basis(unit, k) != basis[k] for k in range(n)):
+        return False, "claimed unit is not a left identity for the claimed constants"
+
+    # (b) spin the unit to a basis z_m = L_{s_m} z_{p(m)} under generators S
+    zs, steps, gens, pivots = [unit], [None], [], []
+    _echelon_add(pivots, unit)
+    for s in range(n):
+        if not _echelon_reduce(pivots, basis[s]):
+            continue
+        gens.append(s)
+        todo = [(s, p) for p in range(len(zs))]
+        for g, p in todo:  # grows while it is walked: each new z meets all of S
+            z = basis_times(g, zs[p])
+            if _echelon_add(pivots, z):
+                todo += [(h, len(zs)) for h in gens]
+                zs.append(z)
+                steps.append((g, p))
+                if len(zs) == n:
+                    break
+    if len(zs) < n:
+        return False, f"the unit spins to only {len(zs)} of {n} dimensions"
+
+    # (c) L_{z_m} = L_{s_m} L_{z_p(m)} on every basis vector
+    left_z = [basis]
+    for m in range(1, n):
+        g, p = steps[m]
+        row = [times_basis(zs[m], kk) for kk in range(n)]
+        if any(row[kk] != basis_times(g, left_z[p][kk]) for kk in range(n)):
+            return False, f"claimed constants are not associative at spin step {m}"
+        left_z.append(row)
+
+    # (d) claimed structure constants hold inside the tensor power on S x basis
     row_cache: dict[tuple[int, int], tuple] = {}
-    for i in range(cor_dim):
+    for i in gens:
         for j in range(cor_dim):
             prod: dict[int, TowerElement] = {}
             for pi, xi in sparse_fb[i]:
@@ -400,11 +476,11 @@ def verify_cor(doc: dict) -> tuple[bool, str]:
                         t = f * c
                         prod[kk] = t if cur is None else cur + t
             prod = {p: v for p, v in prod.items() if v}
-            if prod != combine(cor_parsed[i][j]):
+            if prod != combine(c_rows[i * n + j]):
                 return False, f"product f_{i} f_{j} does not match the claimed constants"
     return True, (
         f"cor dimension {cor_dim} = (dim_K A)^r, sigma of order [K:F], "
-        "basis fixed and independent, products exact"
+        f"basis fixed and independent, products exact on {len(gens)} generators"
     )
 
 

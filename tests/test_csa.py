@@ -20,7 +20,7 @@ from isotower.csa import (
     split_idempotent_witness,
     tensor_power_over_K,
 )
-from isotower.errors import MemoryGuardExceeded, PreconditionError
+from isotower.errors import MalformedCertificate, MemoryGuardExceeded, PreconditionError
 from isotower.presets import cyclic_cubic, cyclic_gaussian, cyclic_sqrt, field_sqrt
 from isotower.serialize import canonical_dumps, element_to_json, tower_to_json, vector_to_json
 from isotower.splitting import bracket_quaternion, standard_quaternion
@@ -451,6 +451,68 @@ def test_cor_forged_sigma_fails(entry, value, why):
     doc["source"]["cyclic"]["sigma"][i][j] = value
     ok, reason = verify.verify_cor(doc)
     assert not ok and why in reason
+
+
+def honest_division_sqrt2():
+    cyc = cyclic_sqrt(2)
+    alg = quaternion_structure_algebra(
+        standard_quaternion(cyc.tower.rational(-1), cyc.tower.rational(-1))
+    )
+    return cor_result_doc(run_cor(cyc, alg), alg)
+
+
+def test_cor_forged_product_outside_generators_fails():
+    # products are rebuilt in the tensor power only for the generators
+    # S = {0, 1, 2, 3, 4, 7, 12} of honest M2; f_14 lies outside S and outside
+    # the unit's support {0, 5, 15}, so only the spin-step identities see a
+    # forged f_14 f_3 (the last index, 15, is a unit component)
+    _cor, doc = honest_m2_sqrt2()
+    assert verify.verify_cor(doc)[1].endswith("products exact on 7 generators")
+    doc["constants"][14][3][0] = "9/1"
+    ok, reason = verify.verify_cor(doc)
+    assert not ok and "associative at spin step" in reason
+
+
+def test_cor_unit_not_left_identity_fails():
+    # the unit of honest (-1, -1) is f_0; claim f_0 f_1 = f_1 + f_2
+    doc = honest_division_sqrt2()
+    assert doc["unit"] == ["1/1"] + ["0/1"] * 15
+    doc["constants"][0][1][2] = "1/1"
+    ok, reason = verify.verify_cor(doc)
+    assert not ok and "not a left identity" in reason
+
+
+def test_cor_constants_that_do_not_spin_fail():
+    # f_0 f_j = f_j and every other product is claimed 0: the unit f_0
+    # combines to the tensor unit and is a left identity, but no generator
+    # moves it
+    doc = honest_division_sqrt2()
+    n = doc["dim"]
+    e = [["1/1" if q == k else "0/1" for q in range(n)] for k in range(n)]
+    doc["constants"] = [e] + [[["0/1"] * n] * n] * (n - 1)
+    ok, reason = verify.verify_cor(doc)
+    assert not ok and reason == "the unit spins to only 1 of 16 dimensions"
+
+
+@pytest.mark.parametrize("which", ["m2", "division"])
+def test_cor_constant_mutations_fail(which):
+    # every nonzero structure constant raised by 1, and every 200th zero set to 1
+    doc = honest_m2_sqrt2()[1] if which == "m2" else honest_division_sqrt2()
+    assert verify.verify_cor(doc)[0]
+    planes = doc["constants"]
+    cells = list(product(range(doc["dim"]), repeat=3))
+    nonzero = [c for c in cells if planes[c[0]][c[1]][c[2]] != "0/1"]
+    zeros = [c for c in cells if planes[c[0]][c[1]][c[2]] == "0/1"][::200]
+    for i, j, k in nonzero + zeros:
+        old = planes[i][j][k]
+        q = Fraction(old) + 1
+        planes[i][j][k] = f"{q.numerator}/{q.denominator}"
+        try:
+            ok, _reason = verify.verify_cor(doc)
+        except MalformedCertificate:
+            ok = False
+        planes[i][j][k] = old
+        assert not ok, (i, j, k)
 
 
 # -- base change --------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from isotower.splitting import (
     split_over_2ext,
     standard_quaternion,
 )
+from isotower.serialize import tower_to_json
 from isotower.tower import QQ, tower_extend
 from isotower import verify
 
@@ -378,3 +379,15 @@ def test_lowered_bound_fails(cubic):
     doc["claimed_bound"] = cert.degree_over_F // 2
     ok, _ = verify.verify_split(doc)
     assert not ok
+
+
+def test_cubic_two_tower_level_fails():
+    # a 2-extension has no cubic level: appending X^3 - 2 to an honest
+    # F-side and tripling degree_over_F (2 -> 6 <= 8) must not PASS
+    cert = split_over_2ext(random_quaternion(random.Random(34), field_cubic()))
+    doc = split_certificate_doc(cert)
+    assert doc["degree_over_F"] == 2 and verify.verify_split(doc)[0]
+    doc["two_tower"] = tower_to_json(tower_extend(cert.two_tower, [-2, 0, 0, 1], label="c"))
+    doc["degree_over_F"] = 6
+    ok, reason = verify.verify_split(doc)
+    assert not ok and "not a power of 2" in reason
