@@ -453,6 +453,17 @@ def test_cor_forged_sigma_fails(entry, value, why):
     assert not ok and why in reason
 
 
+def test_cor_fixed_basis_entry_with_zero_source_fails():
+    # the action swaps positions 1 = (0, 1) and 4 = (1, 0); entry 4 of fixed
+    # basis vector 0 is zero, so its entry 1 must be zero too
+    _cor, doc = honest_m2_sqrt2()
+    vec = doc["fixed_basis"][0]
+    assert vec[1] == vec[4] == ["0/1", "0/1"]
+    vec[1] = ["1/1", "0/1"]
+    ok, reason = verify.verify_cor(doc)
+    assert not ok and reason == "fixed basis vector 0 is not fixed by the action"
+
+
 def honest_division_sqrt2():
     cyc = cyclic_sqrt(2)
     alg = quaternion_structure_algebra(
