@@ -444,9 +444,12 @@ def _fixed_basis_sparse(action: GAction):
     cyclic = action.cyclic
     out = []
     orbit_meta = []
+    sub_bases = {}
     for orbit in sorted(_orbits(action.perm)):
         ell = len(orbit)
-        sub_basis = cyclic.fixed_subfield_basis(ell)
+        sub_basis = sub_bases.get(ell)
+        if sub_basis is None:
+            sub_basis = sub_bases[ell] = cyclic.fixed_subfield_basis(ell)
         if len(sub_basis) != ell:
             raise PreconditionError(
                 f"fixed subfield of sigma^{ell} has dimension {len(sub_basis)}, expected {ell}"
@@ -515,18 +518,30 @@ def fixed_subalgebra(ta: TensorPowerAlgebra, action: GAction) -> CorResult:
 
 class _OrbitSolver:
     """Expresses action-fixed vectors in the orbit basis and verifies the
-    expansion exactly (a failed residual means the vector left the span)."""
+    expansion exactly (a failed residual means the vector left the span).
+
+    The sub-basis of an orbit depends only on the orbit length ell, so the
+    order x ell system is eliminated once per distinct ell: the rref of
+    [mat | I] is [I_ell * ; 0 *] with an invertible right block E, and
+    mat x = b exactly when E b is zero past ell, with x its first ell
+    entries."""
 
     def __init__(self, cyclic: CyclicExtensionData, orbit_meta):
         self.cyclic = cyclic
         self.meta = []
         tower, f = cyclic.tower, cyclic.f_level
+        transforms = {}
         offset = 0
         for positions, sub_basis in orbit_meta:
-            cols = [x.coeffs() for x in sub_basis]
-            mat = tuple(zip(*cols))  # order x ell over F
-            self.meta.append((positions, sub_basis, mat, offset))
-            offset += len(sub_basis)
+            ell = len(sub_basis)
+            if ell not in transforms:
+                cols = [x.coeffs() for x in sub_basis]
+                mat = tuple(zip(*cols))  # order x ell over F
+                ident = linalg.identity(tower, f, len(mat))
+                red, _ = linalg.rref([row + e for row, e in zip(mat, ident)])
+                transforms[ell] = tuple(row[ell:] for row in red)
+            self.meta.append((positions, transforms[ell], offset))
+            offset += ell
         self.total = offset
         self.tower = tower
         self.f_level = f
@@ -536,18 +551,17 @@ class _OrbitSolver:
         zero = tower.zero(f)
         out = [zero] * self.total
         touched = dict(z)
-        for positions, sub_basis, mat, offset in self.meta:
+        for positions, transform, offset in self.meta:
             rep = positions[0]
             val = touched.pop(rep, None)
             if val is None:
                 # representative zero forces the whole orbit block to zero
                 continue
-            b = val.coeffs()
-            sol = linalg.solve(mat, b, tower, f)
-            if sol is None:
+            ell = len(positions)
+            sol = linalg.matvec(transform, val.coeffs())
+            if any(sol[ell:]):
                 raise PreconditionError("vector is not in the fixed-basis span")
-            for t, c in enumerate(sol):
-                out[offset + t] = c
+            out[offset : offset + ell] = sol[:ell]
             # consume and verify the non-representative positions
             for j, pos in enumerate(positions[1:], start=1):
                 expect = self.cyclic.apply(val, j)

@@ -83,7 +83,11 @@ def _raw_one(ctx, lv):
 def _is_zero(a, lv):
     if lv == 0:
         return not a
-    return all(_is_zero(x, lv - 1) for x in a)
+    lo = lv - 1
+    for x in a:
+        if not _is_zero(x, lo):
+            return False
+    return True
 
 
 def _add(ctx, lv, a, b):
@@ -182,9 +186,12 @@ def _sqr(ctx, lv, a):
     return _mul(ctx, lv, a, a)
 
 
-def _dot(ctx, lv, pairs):
-    """Sum of a*b over raw (a, b) pairs at level lv, reduced once per level:
-    an X^2 - c level multiplies by c once, a generic level folds X^d once.
+def _dot(ctx, lv, pairs, low=()):
+    """Sum of a*b over raw (a, b) pairs at level lv and (a, la, b) triples
+    whose a sits at a level la < lv while b is at lv, reduced once per
+    level: an X^2 - c level multiplies by c once, a generic level folds X^d
+    once.  A triple is never embedded: a*b_j goes straight to the place of
+    b_j, so a rational times a level-k value costs one product per leaf.
     _mul stays the one-pair product; routed through here it pays more in
     call overhead on small elements than the shared reduction saves."""
     if lv == 0:
@@ -195,9 +202,10 @@ def _dot(ctx, lv, pairs):
     lo = lv - 1
     lc = ctx[lo]
     if lc.sqrt_const is not None:
-        # full pairs go through Karatsuba; a pair with a zero upper half
-        # contributes a0*b0 and at most one cross term, computed directly
-        full, direct, cross = [], [], []
+        # full pairs go through Karatsuba; a pair with a zero upper half, or
+        # a triple, contributes a0*b0 and at most one cross term, computed
+        # directly
+        full, direct, cross, low_direct, low_cross = [], [], [], [], []
         for a, b in pairs:
             a0, a1 = a
             b0, b1 = b
@@ -210,29 +218,51 @@ def _dot(ctx, lv, pairs):
                 cross.append((a1, b0))
             else:
                 full.append((a, b))
-        c0 = _dot(ctx, lo, direct) if direct else lc.zero
+        for a, la, b in low:
+            b0, b1 = b
+            b1z = _is_zero(b1, lo)
+            if la == lo:
+                direct.append((a, b0))
+                if not b1z:
+                    cross.append((a, b1))
+            else:
+                low_direct.append((a, la, b0))
+                if not b1z:
+                    low_cross.append((a, la, b1))
+        c0 = _dot(ctx, lo, direct, low_direct) if direct or low_direct else lc.zero
         if not full:
-            return (c0, _dot(ctx, lo, cross) if cross else lc.zero)
+            return (c0, _dot(ctx, lo, cross, low_cross) if cross or low_cross else lc.zero)
         p00 = _dot(ctx, lo, [(a[0], b[0]) for a, b in full])
         p11 = _dot(ctx, lo, [(a[1], b[1]) for a, b in full])
         cross += [(_add(ctx, lo, a0, a1), _add(ctx, lo, b0, b1)) for (a0, a1), (b0, b1) in full]
-        c1 = _sub(ctx, lo, _dot(ctx, lo, cross), _add(ctx, lo, p00, p11))
+        c1 = _sub(ctx, lo, _dot(ctx, lo, cross, low_cross), _add(ctx, lo, p00, p11))
         if lc.sqrt_const_rat is not None:
             p11 = _scale(ctx, lo, p11, lc.sqrt_const_rat)
         else:
             p11 = _mul(ctx, lo, p11, lc.sqrt_const)
         return (_add(ctx, lo, _add(ctx, lo, c0, p00), p11), c1)
     # generic level: bucket the coefficient products by degree, then fold
-    # X^d = -tail once
+    # X^d = -tail once; a triple only fills the buckets below X^d
     d = lc.degree
     buckets = [[] for _ in range(2 * d - 1)]
+    low_buckets = [[] for _ in range(d)]
     for a, b in pairs:
         nzb = [(j, y) for j, y in enumerate(b) if not _is_zero(y, lo)]
         for i, x in enumerate(a):
             if not _is_zero(x, lo):
                 for j, y in nzb:
                     buckets[i + j].append((x, y))
-    prod = [_dot(ctx, lo, bk) if bk else lc.zero for bk in buckets]
+    for a, la, b in low:
+        for j, y in enumerate(b):
+            if not _is_zero(y, lo):
+                if la == lo:
+                    buckets[j].append((a, y))
+                else:
+                    low_buckets[j].append((a, la, y))
+    prod = [
+        _dot(ctx, lo, bk, lbk) if bk or lbk else lc.zero
+        for bk, lbk in zip_longest(buckets, low_buckets, fillvalue=())
+    ]
     for i in range(2 * d - 2, d - 1, -1):
         top = prod[i]
         if _is_zero(top, lo):
@@ -309,7 +339,12 @@ def _pmonic(ctx, lv, a):
 
 def _inv(ctx, lv, a):
     """Exact inverse; raises ZeroInverse on 0 and ReducibilityError on a
-    zero divisor exposing a proper minpoly factor."""
+    zero divisor exposing a proper minpoly factor.
+
+    An X^2 - c level inverts by the conjugate, (a0 - a1 X)/(a0^2 - c a1^2),
+    one inverse one level down; a zero norm with a1 != 0 means a0/a1 squares
+    to c, and X + a0/a1 is the factor.  Generic levels run extended Euclid
+    against the minimal polynomial."""
     if lv == 0:
         if not a:
             raise ZeroInverse("inverse of zero")
@@ -318,6 +353,21 @@ def _inv(ctx, lv, a):
         raise ZeroInverse("inverse of zero")
     lo = lv - 1
     lc = ctx[lv - 1]
+    if lc.sqrt_const is not None:
+        a0, a1 = a
+        if _is_zero(a1, lo):
+            return (_inv(ctx, lo, a0), lc.zero)
+        c_a1_sq = _sqr(ctx, lo, a1)
+        if lc.sqrt_const_rat is not None:
+            c_a1_sq = _scale(ctx, lo, c_a1_sq, lc.sqrt_const_rat)
+        else:
+            c_a1_sq = _mul(ctx, lo, c_a1_sq, lc.sqrt_const)
+        norm = _sub(ctx, lo, _sqr(ctx, lo, a0), c_a1_sq)
+        if _is_zero(norm, lo):
+            factor = (_mul(ctx, lo, a0, _inv(ctx, lo, a1)), lc.one)
+            raise ReducibilityError(ReducibilityWitness(level=lv, factor=factor))
+        inv_n = _inv(ctx, lo, norm)
+        return (_mul(ctx, lo, a0, inv_n), _neg(ctx, lo, _mul(ctx, lo, a1, inv_n)))
     acoeffs = _ptrim(a, lo)
     if len(acoeffs) == 1:
         inv0 = _inv(ctx, lo, acoeffs[0])
@@ -655,7 +705,17 @@ class TowerElement:
         return a.level == b.level and a.data == b.data
 
     def __hash__(self):
-        return hash((self.level, self.data))
+        # equal values embedded at different levels must hash alike: hash at
+        # the lowest level that holds the value, so a rational hashes as its
+        # Fraction
+        lv, data = self.level, self.data
+        while lv:
+            lo = lv - 1
+            for x in data[1:]:
+                if not _is_zero(x, lo):
+                    return hash((lv, data))
+            lv, data = lo, data[0]
+        return hash(data)
 
     def __repr__(self):
         return f"TowerElement(level={self.level}, {self})"
@@ -669,7 +729,10 @@ def dot(xs: Sequence[TowerElement], ys: Sequence[TowerElement]) -> TowerElement:
 
     The towers must be prefixes of one another, as for ``x * y``; the result
     lies in the longest one, at the highest level among the inputs (the
-    rational zero when there are no pairs).
+    rational zero when there are no pairs).  Pairs with a zero factor are
+    skipped.  The lower factor of a pair is never embedded: a rational
+    entry times a top-level vector entry costs one Fraction product per
+    leaf.  Only the higher factor is lifted, when it too sits below the top.
     """
     tower, lv = QQ, 0
     for x in (*xs, *ys):
@@ -681,12 +744,21 @@ def dot(xs: Sequence[TowerElement], ys: Sequence[TowerElement]) -> TowerElement:
                 raise ValueError("elements of incompatible towers")
         lv = max(lv, x.level)
     ctx = tower._ctx
-    pairs = [
-        (_embed_up(ctx, x.level, x.data, lv), _embed_up(ctx, y.level, y.data, lv))
-        for x, y in zip(xs, ys)
-        if not (_is_zero(x.data, x.level) or _is_zero(y.data, y.level))
-    ]
-    return TowerElement(tower, lv, _dot(ctx, lv, pairs) if pairs else _raw_zero(ctx, lv))
+    pairs, low = [], []
+    for x, y in zip(xs, ys):
+        if x.level > y.level:
+            x, y = y, x
+        a, la, b = x.data, x.level, y.data
+        if _is_zero(a, la) or _is_zero(b, y.level):
+            continue
+        b = _embed_up(ctx, y.level, b, lv)
+        if la == lv:
+            pairs.append((a, b))
+        else:
+            low.append((a, la, b))
+    if not (pairs or low):
+        return TowerElement(tower, lv, _raw_zero(ctx, lv))
+    return TowerElement(tower, lv, _dot(ctx, lv, pairs, low))
 
 
 def _render(tower, lv, data):

@@ -298,6 +298,9 @@ def test_coordinates_of_fixed_basis():
         # E_12 (x) E_11 (x) ... is moved by the leg shift, so it is not fixed
         with pytest.raises(PreconditionError):
             cor.coordinates({4 ** (cyc.order - 1): cyc.tower.one(cyc.k_level)})
+        # E_11 (x) ... (x) E_11 is a one-point orbit, fixed only by F-multiples
+        with pytest.raises(PreconditionError, match="fixed-basis span"):
+            cor.coordinates({0: cyc.tower.gen(cyc.k_level)})
 
 
 def test_idempotent_rejected_for_division_input():

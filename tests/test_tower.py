@@ -100,11 +100,22 @@ def test_auto_embedding_mixed_levels(q_sqrt2):
     assert (r * s).level == 1
 
 
-def test_element_equality_and_hash(q_i):
+def test_element_equality_and_hash(q_i, q_sqrt2):
     i = q_i.gen()
     assert i + 1 == 1 + i
     assert hash(i + 1) == hash(1 + i)
     assert i != 1
+    # equal values at different levels hash alike; a rational as its Fraction
+    x = QQ.rational(3)
+    y = x.in_tower(q_sqrt2).embed(1)
+    assert x == y and y == 3
+    assert hash(x) == hash(y) == hash(3) == hash(Fraction(3))
+    assert len({x, y, 3}) == 1
+    stacked = tower_extend(q_sqrt2, [-3, 0, 1], label="s3")
+    s = q_sqrt2.gen()
+    lifted = (s + 1).in_tower(stacked).embed(2)
+    assert lifted == s + 1 and hash(lifted) == hash(s + 1)
+    assert len({s + 1, lifted, stacked.gen() + s}) == 2
 
 
 def test_values_are_immutable_structures(q_i):
@@ -159,6 +170,8 @@ def _dot_towers():
     over_cubic = tower_extend(cubic, [-(cubic.gen(1) + 1), 0, 1], label="b")
     septic = tower_extend(QQ, [-2, 0, 0, 0, 0, 0, 0, 1], label="r")
     over_septic = tower_extend(septic, [-5, 0, 1], label="s")
+    # X^3 - (1 + s2): 1 + s2 is a unit of Q(s2) that is not a cube
+    cubic_over_sqrt = tower_extend(s2, [-(1 + s2.gen(1)), 0, 0, 1], label="c")
     return {
         "sqrt-chain-rational": [s2, s3],
         "sqrt-chain": [s2, s3, t, u],
@@ -166,6 +179,7 @@ def _dot_towers():
         "septic": [septic],
         "sqrt-over-cubic": [cubic, over_cubic],
         "sqrt-over-septic": [septic, over_septic],
+        "cubic-over-sqrt": [s2, cubic_over_sqrt],
     }
 
 
@@ -194,6 +208,40 @@ def test_dot_matches_sum_of_products(case):
         assert got.tower == max((x.tower for x in xs + ys), key=lambda t: t.height)
     zeros = [chain[-1].zero(1)] * 3
     assert dot(zeros, [_random_element(rng, chain[-1], 1)] * 3).is_zero()
+
+
+@pytest.mark.parametrize("case", sorted(_dot_towers()))
+def test_inverse_matches_product(case):
+    import random
+
+    chain = _dot_towers()[case]
+    rng = random.Random(case)
+    tower = chain[-1]
+    for _ in range(12):
+        level = rng.randint(1, tower.height)
+        x = _random_element(rng, tower, level)
+        if rng.random() < 0.3:
+            # a zero upper half: the value of the level below
+            x = tower.from_coeffs(level, [x.coeffs()[0]])
+        if x.is_zero():
+            continue
+        assert x * x.inverse() == 1
+        assert x.inverse().level == level
+
+
+def test_conjugate_inverse_exposes_factor():
+    s2 = tower_extend(QQ, [-2, 0, 1], label="s2")
+    r = s2.gen()
+    c = 3 + 2 * r  # (1 + s2)^2, so X^2 - c splits over Q(s2)
+    bad = tower_extend(s2, [-c, 0, 1], label="g")
+    with pytest.raises(ReducibilityError) as err:
+        (bad.gen() - (1 + r)).inverse()
+    witness = err.value.witness
+    assert witness.level == 2
+    assert len(witness.factor) == 2
+    minpoly = list(bad.levels[1].minpoly)
+    _, rem = _pdivmod(bad._ctx, 1, minpoly, list(witness.factor))
+    assert rem == []
 
 
 def test_dot_rejects_incompatible_towers(q_i, q_sqrt2):
