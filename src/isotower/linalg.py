@@ -1,25 +1,27 @@
 """Exact dense linear algebra over a tower level.
 
 Matrices are tuples of row tuples of TowerElement, all at one level.
-Pivoting is always the first nonzero entry, so eliminations are
-deterministic and certificates are reproducible.  Pivot inversions go
-through the kernel, so a reducible tower level surfaces here as the
-ReducibilityError precondition.
+``matvec`` and ``matmul`` are one call to the kernel's
+:func:`~isotower.tower.dot_matrix`, which scans each row and each column
+once and reduces each entry's sum of products once per level.  Pivoting is
+always the first nonzero entry, so eliminations are deterministic and
+certificates are reproducible.  Pivot inversions go through the kernel, so
+a reducible tower level surfaces here as the ReducibilityError
+precondition.
 """
 
 from __future__ import annotations
 
 from .errors import SingularMatrix
-from .tower import TowerField, dot
+from .tower import TowerField, dot_matrix
 
 
 def matvec(m, v):
-    return tuple(dot(row, v) for row in m)
+    return tuple(row[0] for row in dot_matrix(m, (v,)))
 
 
 def matmul(a, b):
-    bt = tuple(zip(*b))
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
+    return dot_matrix(a, tuple(zip(*b)))
 
 
 def identity(tower: TowerField, level: int, n: int):

@@ -314,7 +314,7 @@ def _solve_system(system: QFSystem):
 
     # lift the recursive witness back to V-coordinates
     cols = tuple(zip(*complement))
-    w_v = tuple(dot(row, w_small) for row in cols)
+    w_v = linalg.matvec(cols, w_small)
     last = mixed.forms[-1]
     a = last.evaluate(v)                      # nonzero by the choice of v
     top = t2.height

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
+from math import gcd
 from typing import Sequence, Union
 
 from .errors import ReducibilityError, ReducibilityWitness, ZeroInverse
@@ -192,13 +193,24 @@ def _dot(ctx, lv, pairs, low=()):
     level: an X^2 - c level multiplies by c once, a generic level folds X^d
     once.  A triple is never embedded: a*b_j goes straight to the place of
     b_j, so a rational times a level-k value costs one product per leaf.
+    Every level ends in rational sums, and each of those is normalised
+    once: the integer products of the numerators accumulate over a running
+    common denominator (the lcm of the pair denominators), and one Fraction
+    is built at the end, the canonical 0/1 when the sum cancels.
     _mul stays the one-pair product; routed through here it pays more in
     call overhead on small elements than the shared reduction saves."""
     if lv == 0:
-        acc = F0
+        num, den = 0, 1
         for a, b in pairs:
-            acc += a * b
-        return acc
+            n = a.numerator * b.numerator
+            d = a.denominator * b.denominator
+            if d == den:
+                num += n
+            else:
+                g = gcd(den, d)
+                num = num * (d // g) + n * (den // g)
+                den = den // g * d
+        return Fraction(num, den)
     lo = lv - 1
     lc = ctx[lo]
     if lc.sqrt_const is not None:
@@ -621,16 +633,12 @@ class TowerElement:
 
     def _coerce(self, other):
         if isinstance(other, TowerElement):
-            if other.tower is self.tower or other.tower == self.tower:
-                pass
-            elif self.tower.is_prefix_of(other.tower):
-                return self.in_tower(other.tower)._coerce(other)
-            elif other.tower.is_prefix_of(self.tower):
-                other = other.in_tower(self.tower)
-            else:
-                raise ValueError("elements of incompatible towers")
-            lv = max(self.level, other.level)
-            return self.embed(lv), other.embed(lv)
+            a, b = self, other
+            if b.tower is not a.tower:
+                tower = _join(a.tower, b.tower)
+                a, b = a.in_tower(tower), b.in_tower(tower)
+            lv = max(a.level, b.level)
+            return a.embed(lv), b.embed(lv)
         if isinstance(other, (int, Fraction)):
             return self, self.tower.rational(other, self.level)
         return self, NotImplemented
@@ -733,32 +741,72 @@ def dot(xs: Sequence[TowerElement], ys: Sequence[TowerElement]) -> TowerElement:
     skipped.  The lower factor of a pair is never embedded: a rational
     entry times a top-level vector entry costs one Fraction product per
     leaf.  Only the higher factor is lifted, when it too sits below the top.
+    Each rational sum at the bottom is normalised once.  This is the
+    one-row, one-column case of :func:`dot_matrix`.
     """
-    tower, lv = QQ, 0
-    for x in (*xs, *ys):
-        t = x.tower
-        if t is not tower and t != tower:
-            if tower.is_prefix_of(t):
-                tower = t
-            elif not t.is_prefix_of(tower):
-                raise ValueError("elements of incompatible towers")
-        lv = max(lv, x.level)
-    ctx = tower._ctx
-    pairs, low = [], []
-    for x, y in zip(xs, ys):
-        if x.level > y.level:
-            x, y = y, x
-        a, la, b = x.data, x.level, y.data
-        if _is_zero(a, la) or _is_zero(b, y.level):
-            continue
-        b = _embed_up(ctx, y.level, b, lv)
-        if la == lv:
-            pairs.append((a, b))
-        else:
-            low.append((a, la, b))
-    if not (pairs or low):
-        return TowerElement(tower, lv, _raw_zero(ctx, lv))
-    return TowerElement(tower, lv, _dot(ctx, lv, pairs, low))
+    return dot_matrix((xs,), (ys,))[0][0]
+
+
+def _scan(xs):
+    """(tower, level, entries) of one row or column: the longest tower and
+    the highest level among its elements, and (level, data) per element
+    with None for a zero."""
+    tower, lv, entries = QQ, 0, []
+    for x in xs:
+        t, la, a = x.tower, x.level, x.data
+        if t is not tower:
+            tower = _join(tower, t)
+        if la > lv:
+            lv = la
+        entries.append(None if _is_zero(a, la) else (la, a))
+    return tower, lv, entries
+
+
+def _join(s, t):
+    """The longer of two towers that are prefixes of one another."""
+    if s.is_prefix_of(t):
+        return t
+    if t.is_prefix_of(s):
+        return s
+    raise ValueError("elements of incompatible towers")
+
+
+def dot_matrix(rows, cols) -> tuple:
+    """The matrix of ``dot(row, col)`` for every row against every column.
+
+    Entry (i, j) has the value, level and tower that ``dot(rows[i],
+    cols[j])`` gives: the highest level and longest tower in that row and
+    that column.  Towers are checked, levels found and zero entries
+    dropped once per row and once per column rather than once per entry,
+    and the pairs of each entry go to one :func:`_dot`.
+    """
+    row_scans = [_scan(r) for r in rows]
+    col_scans = [_scan(c) for c in cols]
+    out = []
+    for rt, rl, rs in row_scans:
+        out_row = []
+        for ct, cl, cs in col_scans:
+            tower = rt if rt is ct else _join(rt, ct)
+            lv = rl if rl >= cl else cl
+            ctx = tower._ctx
+            pairs, low = [], []
+            for x, y in zip(rs, cs):
+                if x is None or y is None:
+                    continue
+                la, a = x
+                lb, b = y
+                if la > lb:
+                    la, a, lb, b = lb, b, la, a
+                if lb < lv:
+                    b = _embed_up(ctx, lb, b, lv)
+                if la == lv:
+                    pairs.append((a, b))
+                else:
+                    low.append((a, la, b))
+            data = _dot(ctx, lv, pairs, low) if pairs or low else _raw_zero(ctx, lv)
+            out_row.append(TowerElement(tower, lv, data))
+        out.append(tuple(out_row))
+    return tuple(out)
 
 
 def _render(tower, lv, data):
@@ -837,4 +885,5 @@ __all__ = [
     "QQ",
     "tower_extend",
     "dot",
+    "dot_matrix",
 ]

@@ -21,7 +21,7 @@ from .serialize import (
     vector_from_json,
 )
 from .sqrt import sqrt_or_nonsquare
-from .tower import KIND_SQRT, TowerElement, TowerField, dot
+from .tower import KIND_SQRT, TowerElement, TowerField, dot, dot_matrix
 
 
 def _recheck_added_levels(tower: TowerField, base_levels: int):
@@ -68,7 +68,8 @@ def verify_isotropy(doc: dict) -> tuple[bool, str]:
     for idx, gram in enumerate(grams):
         if len(gram) != len(witness) or any(len(r) != len(witness) for r in gram):
             return False, f"form {idx + 1} dimension does not match the witness"
-        val = dot(witness, [dot(row, witness) for row in gram])  # w^T G w
+        gw = [e for (e,) in dot_matrix(gram, (witness,))]
+        val = dot(witness, gw)  # w^T G w
         if not val.is_zero():
             return False, f"form {idx + 1} at witness = {val} != 0"
     base_levels = grams[0][0][0].level

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from isotower.errors import ReducibilityError
 from isotower.serialize import canonical_dumps, element_from_json, element_to_json
 from isotower.sqrt import sqrt_or_nonsquare
-from isotower.tower import QQ, tower_extend
+from isotower.tower import QQ, dot, tower_extend
 
 TOWERS = {
     "gauss": tower_extend(QQ, [1, 0, 1], label="i"),
@@ -147,3 +147,24 @@ def test_transfer_matches_coordinates(seed):
     value = form.evaluate(v_k)
     got = [f.evaluate(tuple(QQ.rational(c) for c in x)) for f in system.forms]
     assert [g.rational_value() for g in got] == list(value.data)
+
+
+@st.composite
+def rational_pairs(draw):
+    """Pairs of rationals whose denominators are all 1, share factors, or
+    are pairwise coprime, with numerators up to 40 digits."""
+    dens = draw(st.sampled_from([(1,), (4, 6, 12, 18), (1, 7, 11, 13, 10**20 + 39)]))
+
+    def leaf():
+        return Fraction(draw(st.integers(-(10**40), 10**40)), draw(st.sampled_from(dens)))
+
+    return [(leaf(), leaf()) for _ in range(draw(st.integers(0, 8)))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_pairs())
+def test_rational_dot_is_the_exact_sum(pairs):
+    got = dot([QQ.rational(a) for a, _ in pairs], [QQ.rational(b) for _, b in pairs])
+    assert got.level == 0
+    assert type(got.data) is Fraction
+    assert got.data == sum((a * b for a, b in pairs), Fraction(0))

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from isotower.errors import ReducibilityError, ZeroInverse
-from isotower.tower import QQ, _pdivmod, dot, tower_extend
+from isotower.serialize import element_to_json
+from isotower.tower import QQ, _pdivmod, dot, dot_matrix, tower_extend
 
 
 @pytest.fixture
@@ -248,3 +249,71 @@ def test_dot_rejects_incompatible_towers(q_i, q_sqrt2):
     with pytest.raises(ValueError):
         dot([q_i.gen()], [q_sqrt2.gen()])
     assert dot([], []) == 0
+
+
+@pytest.mark.parametrize("case", sorted(_dot_towers()))
+def test_dot_matrix_matches_dot(case):
+    import random
+
+    # QQ is a prefix of every chain, so rationals from it mix in as well
+    chain = [QQ] + _dot_towers()[case]
+    rng = random.Random(case + "-matrix")
+
+    def vector(n, zero):
+        out = []
+        for _ in range(n):
+            tower = rng.choice(chain)
+            level = rng.randint(0, tower.height)
+            if zero or rng.random() < 0.15:
+                out.append(tower.zero(level))
+            else:
+                out.append(_random_element(rng, tower, level))
+        return out
+
+    for trial in range(6):
+        n = rng.randint(1, 5)
+        # row 1 and column 0 are all zero, at mixed levels
+        rows = [vector(n, zero=i == 1) for i in range(rng.randint(2, 4))]
+        cols = [vector(n, zero=j == 0) for j in range(rng.randint(2, 4))]
+        m = dot_matrix(rows, cols)
+        assert len(m) == len(rows)
+        for row, out in zip(rows, m):
+            assert len(out) == len(cols)
+            for col, got in zip(cols, out):
+                want = dot(row, col)
+                assert got == want
+                assert got.data == want.data
+                assert got.level == want.level == max(x.level for x in row + col)
+                assert got.tower == want.tower
+                assert got.tower == max((x.tower for x in row + col), key=lambda t: t.height)
+        assert all(e.is_zero() for e in m[1])
+        assert all(out[0].is_zero() for out in m)
+    assert dot_matrix([], cols) == ()
+    assert dot_matrix(rows, []) == ((),) * len(rows)
+
+
+def test_dot_matrix_rejects_incompatible_towers(q_i, q_sqrt2):
+    with pytest.raises(ValueError):
+        dot_matrix([[q_i.gen()]], [[q_sqrt2.gen()]])
+    # a row mixing towers fails even against a rational column
+    with pytest.raises(ValueError):
+        dot_matrix([[q_i.gen(), q_sqrt2.gen()]], [[QQ.one(), QQ.one()]])
+    # a rational row pairs with a column of either tower
+    m = dot_matrix([[QQ.one()]], [[q_i.gen()], [q_sqrt2.gen()]])
+    assert m[0][0] == q_i.gen() and m[0][1] == q_sqrt2.gen()
+
+
+def test_dot_cancelling_to_zero_is_canonical():
+    # 1/6 - 1/6 over the common denominator 30
+    xs = [QQ.rational(Fraction(1, 2)), QQ.rational(Fraction(1, 5))]
+    ys = [QQ.rational(Fraction(1, 3)), QQ.rational(Fraction(-5, 6))]
+    z = dot(xs, ys)
+    assert type(z.data) is Fraction
+    assert z.data == Fraction(0) and z.data.denominator == 1
+    assert element_to_json(z) == "0/1"
+    assert hash(z) == hash(QQ.rational(0))
+    # a cancelling rational leaf inside a level-1 sum: sqrt2 * sqrt2 - 2
+    s2 = tower_extend(QQ, [-2, 0, 1], label="s2")
+    w = dot([s2.gen(), s2.rational(Fraction(1, 3))], [s2.gen(), s2.rational(-6)])
+    assert w.is_zero()
+    assert element_to_json(w) == ["0/1", "0/1"]
