@@ -270,7 +270,7 @@ def test_dot_matrix_matches_dot(case):
                 out.append(_random_element(rng, tower, level))
         return out
 
-    for trial in range(6):
+    for _ in range(6):
         n = rng.randint(1, 5)
         # row 1 and column 0 are all zero, at mixed levels
         rows = [vector(n, zero=i == 1) for i in range(rng.randint(2, 4))]
