@@ -8,7 +8,7 @@ import pathlib
 import sys
 
 from isotower.certjson import algebra_doc, cyclic_doc, quaternion_doc, system_doc
-from isotower.csa import matrix_algebra
+from isotower.csa import matrix_algebra, quaternion_structure_algebra
 from isotower.presets import cyclic_sqrt, field_cubic
 from isotower.quadforms import QFSystem, QuadraticForm
 from isotower.serialize import canonical_dumps
@@ -39,9 +39,15 @@ def main():
     }
     (outdir / "m2_sqrt2.json").write_text(canonical_dumps(cor_input))
 
+    minus_one = cyc.tower.rational(-1, 1)
+    division = quaternion_structure_algebra(standard_quaternion(minus_one, minus_one))
+    cor_input = {"algebra": algebra_doc(division), "cyclic": cyclic_doc(cyc)}
+    (outdir / "quat_sqrt2.json").write_text(canonical_dumps(cor_input))
+
     print(f"wrote {outdir}/system_r2.json   (isotropy --input)")
     print(f"wrote {outdir}/cubic_quat.json  (split-quaternion --input)")
     print(f"wrote {outdir}/m2_sqrt2.json    (corestrict --input)")
+    print(f"wrote {outdir}/quat_sqrt2.json  (corestrict --input, a division algebra)")
 
 
 if __name__ == "__main__":

@@ -149,12 +149,18 @@ def verify_split_certificate(q: QuaternionAlgebra, cert: SplitCertificate) -> bo
 
 
 def algebra_doc(a: StructureConstantAlgebra) -> dict:
-    dense = a.dense_constants()
+    """The dense dim x dim x dim constants table, filled from the sparse rows;
+    every zero cell holds one shared zero leaf."""
+    n = a.dim
+    zero = element_to_json(a.tower.zero(a.level))
+    constants = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    for i, plane in enumerate(constants):
+        for j, cell in enumerate(plane):
+            for k, c in a.row(i, j):
+                cell[k] = element_to_json(c)
     return {
-        "dim": a.dim,
-        "constants": [
-            [[element_to_json(c) for c in row] for row in plane] for plane in dense
-        ],
+        "dim": n,
+        "constants": constants,
         "unit": vector_to_json(a.unit),
         "field": tower_to_json(a.tower),
         "matrix_units": a.matrix_units,
@@ -172,10 +178,10 @@ def algebra_from_doc(doc: dict) -> StructureConstantAlgebra:
     parsed = [gram_from_json(tower, plane) for plane in doc["constants"]]
     if n < 1 or len(parsed) != n or any(len(p) != n or any(len(r) != n for r in p) for p in parsed):
         raise MalformedCertificate("constants must be dim x dim x dim with dim >= 1")
-    level = max(e.level for plane in parsed for row in plane for e in row)
     unit = vector_from_json(tower, doc["unit"])
     if len(unit) != n:
         raise MalformedCertificate("unit length does not match dim")
+    level = max(e.level for e in (*unit, *(e for plane in parsed for row in plane for e in row)))
     return StructureConstantAlgebra.from_dense(
         tower, level, parsed, unit, bool(doc.get("matrix_units", False))
     )

@@ -17,11 +17,22 @@ The center test keeps the rows of the stacked commutator maps
 x -> e_i x - x e_i in reduced echelon form, adding one generator's rows per
 elimination, and stops once the rank reaches dim - 1 (the scalars are
 always central).
+
+Products, the orbit solver and the center test compute on the kernel's raw
+nested data at one level, and wrap results as ``TowerElement`` only where
+they leave the module.  A ``StructureConstantAlgebra`` keeps a private raw
+view of its rows and unit, lifted once to its level; ``CyclicExtensionData``
+caches the matrices of sigma^j once.  The tensor power does not build its
+(dim A)^(2r) product rows: ``row(i, j)`` is computed from the legs' raw rows
+on first use and memoised, so the dimension guard bounds what the fixed
+subalgebra builds, its n^2 products in the n-dimensional tensor power.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product as iproduct
 
 from . import linalg
@@ -32,9 +43,28 @@ from .errors import (
     SingularMatrix,
 )
 from .sqrt import sqrt_or_nonsquare
-from .tower import KIND_SQRT, TowerElement, TowerField, tower_extend
+from .tower import (
+    KIND_SQRT,
+    TowerElement,
+    TowerField,
+    _add,
+    _dot,
+    _is_zero,
+    _mul,
+    _raw_one,
+    _raw_zero,
+    _sub,
+    tower_extend,
+)
 
 _TENSOR_DIM_GUARD = 4096
+
+
+def _raw_at(tower: TowerField, level: int, x):
+    """Raw data of x, a TowerElement or a rational, at ``level`` of ``tower``."""
+    if isinstance(x, TowerElement):
+        return x.in_tower(tower).embed(level).data
+    return tower.rational(x, level).data
 
 
 # ---------------------------------------------------------------------------
@@ -77,14 +107,40 @@ class CyclicExtensionData:
         data.validate()
         return data
 
+    @cached_property
+    def _powers(self):
+        """The matrices of sigma^0, ..., sigma^(order-1) over F."""
+        mats = [linalg.identity(self.tower, self.f_level, self.order)]
+        for _ in range(self.order - 1):
+            mats.append(linalg.matmul(self.sigma, mats[-1]))
+        return tuple(mats)
+
+    @cached_property
+    def _raw_powers(self):
+        """:attr:`_powers` as raw rows of nonzero (column, entry) pairs."""
+        return tuple(
+            tuple(tuple((j, x.data) for j, x in enumerate(row) if x) for row in m)
+            for m in self._powers
+        )
+
     def apply(self, x: TowerElement, power: int = 1) -> TowerElement:
         """sigma^power applied to an element of K."""
         power %= self.order
         x = x.in_tower(self.tower).embed(self.k_level)
-        coords = x.coeffs()
-        for _ in range(power):
-            coords = linalg.matvec(self.sigma, coords)
-        return self.tower.from_coeffs(self.k_level, coords)
+        if not power:
+            return x
+        return self.tower.from_coeffs(self.k_level, linalg.matvec(self._powers[power], x.coeffs()))
+
+    def _apply_raw(self, data, power: int):
+        """:meth:`apply` on the raw data of an element of K."""
+        power %= self.order
+        if not power:
+            return data
+        ctx, f = self.tower._ctx, self.f_level
+        return tuple(
+            _dot(ctx, f, [(m, data[j]) for j, m in row]) if row else _raw_zero(ctx, f)
+            for row in self._raw_powers[power]
+        )
 
     def validate(self) -> None:
         """sigma is an F-algebra automorphism of order exactly [K:F] and
@@ -140,7 +196,11 @@ class CyclicExtensionData:
 @dataclass(frozen=True)
 class StructureConstantAlgebra:
     """Finite-dimensional associative algebra with basis products stored as
-    sparse rows: rows[i*dim + j] lists (k, c) with e_i e_j = sum c e_k."""
+    sparse rows: rows[i*dim + j] lists (k, c) with e_i e_j = sum c e_k.
+
+    ``rows`` is a tuple, or for a tensor power a lazy sequence of the same
+    rows.  Products run on a private raw view of the rows and the unit at
+    the algebra's level; a constant above that level is an error."""
 
     tower: TowerField
     level: int
@@ -174,42 +234,67 @@ class StructureConstantAlgebra:
     def row(self, i: int, j: int):
         return self.rows[i * self.dim + j]
 
-    def dense_constants(self):
-        zero = self.tower.zero(self.level)
-        out = [[[zero] * self.dim for _ in range(self.dim)] for _ in range(self.dim)]
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k, c in self.row(i, j):
-                    out[i][j][k] = c
-        return out
+    @cached_property
+    def _raw_row(self):
+        """Row index -> the row's (k, raw constant) pairs at the level."""
+        if isinstance(self.rows, _TensorRows):
+            return self.rows.raw
+        tower, lv = self.tower, self.level
+        return tuple(tuple((k, _raw_at(tower, lv, c)) for k, c in row) for row in self.rows).__getitem__
+
+    @cached_property
+    def _raw_unit(self) -> dict:
+        raw = (_raw_at(self.tower, self.level, c) for c in self.unit)
+        return {k: c for k, c in enumerate(raw) if not _is_zero(c, self.level)}
+
+    def _raw_vector(self, x: dict) -> dict:
+        return {i: _raw_at(self.tower, self.level, c) for i, c in x.items()}
 
     def mul_sparse(self, x: dict, y: dict) -> dict:
         """Product of sparse coordinate vectors ({basis index: coefficient});
-        zero coordinates are left out of the result."""
-        out: dict[int, TowerElement] = {}
+        zero coordinates are left out of the result, which lies at the
+        algebra's level."""
+        out = self._mul_raw(self._raw_vector(x), self._raw_vector(y))
+        return {k: TowerElement(self.tower, self.level, v) for k, v in out.items()}
+
+    def _mul_raw(self, x: dict, y: dict) -> dict:
+        """:meth:`mul_sparse` on raw coordinates at the level: each output
+        coordinate is one sum of products, reduced once."""
+        ctx, lv, dim, raw_row = self.tower._ctx, self.level, self.dim, self._raw_row
+        terms: dict[int, list] = {}
         for i, xi in x.items():
-            base = i * self.dim
+            base = i * dim
             for j, yj in y.items():
-                f = xi * yj
-                for k, c in self.rows[base + j]:
-                    cur = out.get(k)
-                    t = f * c
-                    out[k] = t if cur is None else cur + t
-        return {k: v for k, v in out.items() if v}
+                row = raw_row(base + j)
+                if row:
+                    f = _mul(ctx, lv, xi, yj)
+                    for k, c in row:
+                        t = terms.get(k)
+                        if t is None:
+                            terms[k] = [(f, c)]
+                        else:
+                            t.append((f, c))
+        out = {}
+        for k, pairs in terms.items():
+            v = _mul(ctx, lv, *pairs[0]) if len(pairs) == 1 else _dot(ctx, lv, pairs)
+            if not _is_zero(v, lv):
+                out[k] = v
+        return out
 
     def check_unit(self) -> bool:
-        one = self.tower.one(self.level)
-        unit = {k: c for k, c in enumerate(self.unit) if c}
+        one = _raw_one(self.tower._ctx, self.level)
+        unit = self._raw_unit
         for i in range(self.dim):
             e = {i: one}
-            if self.mul_sparse(unit, e) != e or self.mul_sparse(e, unit) != e:
+            if self._mul_raw(unit, e) != e or self._mul_raw(e, unit) != e:
                 return False
         return True
 
     def associative_on(self, i: int, j: int, k: int) -> bool:
-        one = self.tower.one(self.level)
-        return self.mul_sparse(dict(self.row(i, j)), {k: one}) == self.mul_sparse(
-            {i: one}, dict(self.row(j, k))
+        one = _raw_one(self.tower._ctx, self.level)
+        dim, raw_row = self.dim, self._raw_row
+        return self._mul_raw(dict(raw_row(i * dim + j)), {k: one}) == self._mul_raw(
+            {i: one}, dict(raw_row(j * dim + k))
         )
 
 
@@ -282,13 +367,14 @@ def conjugate_algebra(
     a: StructureConstantAlgebra, cyclic: CyclicExtensionData, sigma_power: int
 ) -> StructureConstantAlgebra:
     """Same ring with K-scalars twisted through sigma^power: the structure
-    constants get sigma^(-power) entrywise."""
+    constants get sigma^(-power) entrywise.  The result lies at K's level,
+    also when A lies below it."""
     j = (-sigma_power) % cyclic.order
     rows = tuple(
         tuple((k, cyclic.apply(c, j)) for k, c in row) for row in a.rows
     )
     unit = tuple(cyclic.apply(c, j) for c in a.unit)
-    return StructureConstantAlgebra(a.tower, a.level, a.dim, rows, unit, a.matrix_units)
+    return StructureConstantAlgebra(a.tower, cyclic.k_level, a.dim, rows, unit, a.matrix_units)
 
 
 @dataclass(frozen=True)
@@ -302,35 +388,66 @@ class TensorPowerAlgebra:
     r: int
 
 
+class _TensorRows(Sequence):
+    """The product rows of a tensor power, each computed from the legs' raw
+    rows on first use and memoised: entry i*n + j lists (k, c) with
+    e_i e_j = sum c e_k."""
+
+    def __init__(self, tower: TowerField, level: int, legs, d: int):
+        self._tower, self._level, self._d = tower, level, d
+        self._n = d ** len(legs)
+        self._legs = [leg._raw_row for leg in legs]
+        self._memo: dict[int, tuple] = {}
+
+    def __len__(self) -> int:
+        return self._n * self._n
+
+    def __getitem__(self, idx: int):
+        if not 0 <= idx < len(self):
+            raise IndexError("tensor row index out of range")
+        tower, lv = self._tower, self._level
+        return tuple((k, TowerElement(tower, lv, c)) for k, c in self.raw(idx))
+
+    def raw(self, idx: int) -> tuple:
+        """Row idx as (k, raw constant) pairs at the tensor power's level."""
+        row = self._memo.get(idx)
+        if row is None:
+            row = self._memo[idx] = self._build(idx)
+        return row
+
+    def _build(self, idx: int) -> tuple:
+        d, ctx, lv = self._d, self._tower._ctx, self._level
+        i, j = divmod(idx, self._n)
+        leg_rows = []
+        for leg in reversed(self._legs):  # the last leg is least significant
+            i, a = divmod(i, d)
+            j, b = divmod(j, d)
+            leg_rows.append(leg(a * d + b))
+        if not all(leg_rows):
+            return ()
+        leg_rows.reverse()
+        stack = list(leg_rows[0])
+        for leg_row in leg_rows[1:]:
+            stack = [
+                (flat * d + k, _mul(ctx, lv, coeff, c)) for flat, coeff in stack for k, c in leg_row
+            ]
+        return tuple((flat, c) for flat, c in stack if not _is_zero(c, lv))
+
+
 def tensor_power_over_K(
     a: StructureConstantAlgebra, cyclic: CyclicExtensionData
 ) -> TensorPowerAlgebra:
+    """A (x) sigma(A) (x) ... over K at K's level, its product rows computed
+    on demand; raises MemoryGuardExceeded past the dimension guard."""
     r = cyclic.order
     n = a.dim**r
     if n > _TENSOR_DIM_GUARD:
         raise MemoryGuardExceeded(f"tensor dimension {n} exceeds the {_TENSOR_DIM_GUARD} guard")
     legs = [conjugate_algebra(a, cyclic, t) for t in range(r)]
-    d = a.dim
-    rows: list[tuple] = []
-    for i_multi in iproduct(range(d), repeat=r):
-        for j_multi in iproduct(range(d), repeat=r):
-            leg_rows = [legs[t].row(i_multi[t], j_multi[t]) for t in range(r)]
-            if any(not lr for lr in leg_rows):
-                rows.append(())
-                continue
-            entry = []
-            for combo in iproduct(*leg_rows):
-                flat = 0
-                coeff = None
-                for k_t, c_t in combo:
-                    flat = flat * d + k_t
-                    coeff = c_t if coeff is None else coeff * c_t
-                if coeff:
-                    entry.append((flat, coeff))
-            rows.append(tuple(entry))
+    rows = _TensorRows(a.tower, cyclic.k_level, legs, a.dim)
     unit = _tensor_unit(a, legs, r)
     alg = StructureConstantAlgebra(
-        a.tower, a.level, n, tuple(rows), unit, matrix_units=a.matrix_units
+        a.tower, cyclic.k_level, n, rows, unit, matrix_units=a.matrix_units
     )
     return TensorPowerAlgebra(algebra=alg, base_dim=a.dim, r=r)
 
@@ -338,7 +455,7 @@ def tensor_power_over_K(
 def _tensor_unit(a, legs, r):
     d = a.dim
     n = d**r
-    zero = a.tower.zero(a.level)
+    zero = a.tower.zero(legs[0].level)
     out = [zero] * n
     for multi in iproduct(range(d), repeat=r):
         coeff = None
@@ -489,6 +606,19 @@ def fixed_subalgebra(ta: TensorPowerAlgebra, action: GAction) -> CorResult:
         raise PreconditionError(
             f"fixed space has F-dimension {len(sparse_basis)}, expected {n_k}"
         )
+    raw_basis = [alg._raw_vector(vec) for vec in sparse_basis]
+    # T(x)[q] = sigma^(-1)(x[perm[q]]) = x[q] holds trivially (0 = 0) unless
+    # q is in x's support or its preimage under perm
+    raw_zero = _raw_zero(tower._ctx, alg.level)
+    preimage = [0] * n_k
+    for q, p in enumerate(action.perm):
+        preimage[p] = q
+    for vec in raw_basis:
+        for q in set(vec).union(preimage[p] for p in vec):
+            src = vec.get(action.perm[q])
+            image = raw_zero if src is None else cyclic._apply_raw(src, action.r - 1)
+            if image != vec.get(q, raw_zero):
+                raise PreconditionError("constructed basis vector is not action-fixed")
     zero_k = tower.zero(cyclic.k_level)
     dense_basis = []
     for vec in sparse_basis:
@@ -496,16 +626,19 @@ def fixed_subalgebra(ta: TensorPowerAlgebra, action: GAction) -> CorResult:
         for pos, val in vec.items():
             dense[pos] = val
         dense_basis.append(tuple(dense))
-        if action.apply(dense) != tuple(dense):
-            raise PreconditionError("constructed basis vector is not action-fixed")
     solver = _OrbitSolver(cyclic, orbit_meta)
 
     rows = []
-    for x in sparse_basis:
-        for y in sparse_basis:
-            z = alg.mul_sparse(x, y)
-            coeffs = solver.coordinates(z)
-            rows.append(tuple((k, c) for k, c in enumerate(coeffs) if c))
+    for x in raw_basis:
+        for y in raw_basis:
+            coeffs = solver._coordinates_raw(alg._mul_raw(x, y))
+            rows.append(
+                tuple(
+                    (k, TowerElement(tower, f_level, c))
+                    for k, c in enumerate(coeffs)
+                    if not _is_zero(c, f_level)
+                )
+            )
     unit_sparse = {i: c for i, c in enumerate(alg.unit) if c}
     unit_coeffs = solver.coordinates(unit_sparse)
     cor = StructureConstantAlgebra(
@@ -524,56 +657,66 @@ class _OrbitSolver:
     order x ell system is eliminated once per distinct ell: the rref of
     [mat | I] is [I_ell * ; 0 *] with an invertible right block E, and
     mat x = b exactly when E b is zero past ell, with x its first ell
-    entries."""
+    entries.  The work runs on raw data: K-entries at K's level, the
+    coordinates over F."""
 
     def __init__(self, cyclic: CyclicExtensionData, orbit_meta):
         self.cyclic = cyclic
+        tower, k, f = cyclic.tower, cyclic.k_level, cyclic.f_level
+        ctx = tower._ctx
+        one, zero = _raw_one(ctx, f), _raw_zero(ctx, f)
         self.meta = []
-        tower, f = cyclic.tower, cyclic.f_level
         transforms = {}
         offset = 0
         for positions, sub_basis in orbit_meta:
             ell = len(sub_basis)
             if ell not in transforms:
-                cols = [x.coeffs() for x in sub_basis]
-                mat = tuple(zip(*cols))  # order x ell over F
-                ident = linalg.identity(tower, f, len(mat))
-                red, _ = linalg.rref([row + e for row, e in zip(mat, ident)])
-                transforms[ell] = tuple(row[ell:] for row in red)
+                cols = [_raw_at(tower, k, x) for x in sub_basis]
+                aug = [
+                    list(row) + [one if i == j else zero for j in range(cyclic.order)]
+                    for i, row in enumerate(zip(*cols))  # order x ell over F, then I
+                ]
+                red, _ = linalg._rref_raw(ctx, f, aug)
+                transforms[ell] = tuple(
+                    tuple((j, x) for j, x in enumerate(row[ell:]) if not _is_zero(x, f))
+                    for row in red
+                )
             self.meta.append((positions, transforms[ell], offset))
             offset += ell
         self.total = offset
-        self.tower = tower
-        self.f_level = f
+        self.tower, self.ctx, self.k_level, self.f_level = tower, ctx, k, f
+        self.zero_f, self.zero_k = zero, _raw_zero(ctx, k)
 
     def coordinates(self, z: dict):
-        tower, f = self.tower, self.f_level
-        zero = tower.zero(f)
-        out = [zero] * self.total
+        tower, k, f = self.tower, self.k_level, self.f_level
+        coords = self._coordinates_raw({pos: _raw_at(tower, k, x) for pos, x in z.items()})
+        return tuple(TowerElement(tower, f, c) for c in coords)
+
+    def _coordinates_raw(self, z: dict) -> list:
+        ctx, f, cyclic = self.ctx, self.f_level, self.cyclic
+        out = [self.zero_f] * self.total
         touched = dict(z)
         for positions, transform, offset in self.meta:
-            rep = positions[0]
-            val = touched.pop(rep, None)
+            val = touched.pop(positions[0], None)
             if val is None:
                 # representative zero forces the whole orbit block to zero
                 continue
             ell = len(positions)
-            sol = linalg.matvec(transform, val.coeffs())
-            if any(sol[ell:]):
+            sol = [
+                _dot(ctx, f, [(t, val[j]) for j, t in row]) if row else self.zero_f
+                for row in transform
+            ]
+            if any(not _is_zero(x, f) for x in sol[ell:]):
                 raise PreconditionError("vector is not in the fixed-basis span")
             out[offset : offset + ell] = sol[:ell]
             # consume and verify the non-representative positions
             for j, pos in enumerate(positions[1:], start=1):
-                expect = self.cyclic.apply(val, j)
-                got = touched.pop(pos, None)
-                if got is None:
-                    got = tower.zero(self.cyclic.k_level)
-                if got != expect:
+                if touched.pop(pos, self.zero_k) != cyclic._apply_raw(val, j):
                     raise PreconditionError("vector is not action-fixed")
         for leftover in touched.values():
-            if leftover:
+            if not _is_zero(leftover, self.k_level):
                 raise PreconditionError("vector is not action-fixed")
-        return tuple(out)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -586,21 +729,22 @@ def central_simple_check(a: StructureConstantAlgebra) -> bool:
     this is exactly central simplicity."""
     if not a.check_unit():
         return False
-    n = a.dim
-    zero = a.tower.zero(a.level)
+    n, ctx, lv, raw_row = a.dim, a.tower._ctx, a.level, a._raw_row
+    zero = _raw_zero(ctx, lv)
 
     # center: the kernel of the stacked commutator maps x -> e_i x - x e_i,
     # whose rows are kept in reduced echelon form one generator at a time;
     # check_unit put the scalars in the center, so rank n - 1 settles it
-    echelon = ()
+    echelon: list = []
     for i in range(n):
         comm = [[zero] * n for _ in range(n)]
         for j in range(n):
-            for k, c in a.row(i, j):
+            for k, c in raw_row(i * n + j):
                 comm[k][j] = c
-            for k, c in a.row(j, i):
-                comm[k][j] = comm[k][j] - c
-        red, pivots = linalg.rref(echelon + tuple(tuple(r) for r in comm if any(r)))
+            for k, c in raw_row(j * n + i):
+                comm[k][j] = _sub(ctx, lv, comm[k][j], c)
+        nonzero = [r for r in comm if any(not _is_zero(x, lv) for x in r)]
+        red, pivots = linalg._rref_raw(ctx, lv, echelon + nonzero)
         echelon = red[: len(pivots)]
         if len(echelon) == n - 1:
             break
@@ -608,25 +752,23 @@ def central_simple_check(a: StructureConstantAlgebra) -> bool:
         return False
 
     # trace form nondegeneracy (semisimplicity in characteristic 0)
-    tr = [zero] * n
+    tr = []
     for k in range(n):
         acc = zero
         for m in range(n):
-            for idx, c in a.row(k, m):
+            for idx, c in raw_row(k * n + m):
                 if idx == m:
-                    acc = acc + c
-        tr[k] = acc
+                    acc = _add(ctx, lv, acc, c)
+        tr.append(acc)
     tmat = []
     for i in range(n):
         row = []
         for j in range(n):
-            acc = zero
-            for k, c in a.row(i, j):
-                if tr[k]:
-                    acc = acc + c * tr[k]
-            row.append(acc)
-        tmat.append(tuple(row))
-    return linalg.rank(tuple(tmat)) == n
+            pairs = [(c, tr[k]) for k, c in raw_row(i * n + j) if not _is_zero(tr[k], lv)]
+            row.append(_dot(ctx, lv, pairs) if pairs else zero)
+        tmat.append(row)
+    _, pivots = linalg._rref_raw(ctx, lv, tmat)
+    return len(pivots) == n
 
 
 def split_idempotent_witness(cor: CorResult):

@@ -3,8 +3,12 @@
 Matrices are tuples of row tuples of TowerElement, all at one level.
 ``matvec`` and ``matmul`` are one call to the kernel's
 :func:`~isotower.tower.dot_matrix`, which scans each row and each column
-once and reduces each entry's sum of products once per level.  Pivoting is
-always the first nonzero entry, so eliminations are deterministic and
+once and reduces each entry's sum of products once per level.  ``rref``,
+and through it ``rank``, ``nullspace``, ``solve`` and ``invert``, lifts its
+rows once to their highest level and longest tower, eliminates on the
+kernel's raw data at that one level (:func:`_rref_raw`, which callers that
+already hold raw rows use directly), and wraps the result once.  Pivoting
+is always the first nonzero entry, so eliminations are deterministic and
 certificates are reproducible.  Pivot inversions go through the kernel, so
 a reducible tower level surfaces here as the ReducibilityError
 precondition.
@@ -13,7 +17,20 @@ precondition.
 from __future__ import annotations
 
 from .errors import SingularMatrix
-from .tower import TowerField, dot_matrix
+from .tower import (
+    QQ,
+    TowerElement,
+    TowerField,
+    _embed_up,
+    _inv,
+    _is_zero,
+    _join,
+    _mul,
+    _raw_zero,
+    _scan,
+    _sub,
+    dot_matrix,
+)
 
 
 def matvec(m, v):
@@ -30,29 +47,54 @@ def identity(tower: TowerField, level: int, n: int):
 
 
 def rref(rows):
-    """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
+    """Reduced row echelon form; returns (rref_rows, pivot_columns).
+
+    Every entry of the result lies in the longest tower and at the highest
+    level among the input's entries, also when the input mixes levels."""
+    if not rows:
+        return (), ()
+    tower, lv, scans = QQ, 0, []
+    for row in rows:
+        t, la, entries = _scan(row)
+        tower = tower if t is tower else _join(tower, t)
+        lv = max(lv, la)
+        scans.append(entries)
+    ctx = tower._ctx
+    zero = _raw_zero(ctx, lv)
+    red, pivots = _rref_raw(
+        ctx, lv, [[zero if e is None else _embed_up(ctx, e[0], e[1], lv) for e in s] for s in scans]
+    )
+    return tuple(tuple(TowerElement(tower, lv, x) for x in row) for row in red), pivots
+
+
+def _rref_raw(ctx, lv, rows):
+    """:func:`rref` on rows of raw level-lv data: returns (rows as lists,
+    pivot_columns).  Zero tests, products, differences and the pivot
+    inverses run in the kernel at that one level."""
     m = [list(r) for r in rows]
     if not m:
-        return (), ()
+        return m, ()
     ncols = len(m[0])
     pivots = []
     r = 0
     for c in range(ncols):
-        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        pr = next((i for i in range(r, len(m)) if not _is_zero(m[i][c], lv)), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = m[r][c].inverse()
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y if y else x for x, y in zip(m[i], m[r])]
+        inv = _inv(ctx, lv, m[r][c])
+        m[r] = [x if _is_zero(x, lv) else _mul(ctx, lv, x, inv) for x in m[r]]
+        nonzero = [(k, y) for k, y in enumerate(m[r]) if not _is_zero(y, lv)]
+        for i, row in enumerate(m):
+            f = row[c]
+            if i != r and not _is_zero(f, lv):
+                for k, y in nonzero:
+                    row[k] = _sub(ctx, lv, row[k], _mul(ctx, lv, f, y))
         pivots.append(c)
         r += 1
         if r == len(m):
             break
-    return tuple(tuple(row) for row in m), tuple(pivots)
+    return m, tuple(pivots)
 
 
 def rank(rows) -> int:

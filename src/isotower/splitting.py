@@ -41,6 +41,7 @@ from .tower import (
     TowerField,
     _embed_up,
     _neg,
+    dot,
     tower_extend,
 )
 
@@ -121,12 +122,12 @@ def norm_form(q: QuaternionAlgebra) -> PfisterForm2:
 
 
 def norm_value(q: QuaternionAlgebra, witness, tower: TowerField) -> TowerElement:
-    """N_Q at a vector over an extension tower of q's field."""
-    u, v = q.standard_pair()
-    top = tower.height
-    ue, ve = u.in_tower(tower).embed(top), v.in_tower(tower).embed(top)
-    w = [x.in_tower(tower).embed(top) for x in witness]
-    return w[0].square() - ue * w[1].square() - ve * w[2].square() + (ue * ve) * w[3].square()
+    """N_Q at a vector over an extension tower of q's field: the squares of
+    the coordinates combined with (1, -u, -v, uv) in one sum of products,
+    with u, v and uv kept at q's level."""
+    u, v = (x.in_tower(tower) for x in q.standard_pair())
+    squares = [x.in_tower(tower).square() for x in witness]
+    return dot((tower.one(0), -u, -v, u * v), squares)
 
 
 # ---------------------------------------------------------------------------

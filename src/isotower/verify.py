@@ -148,16 +148,9 @@ def verify_split(doc: dict) -> tuple[bool, str]:
     for idx in range(k_tower.height, tower.height):
         if tower.levels[idx].degree != 2:
             return False, f"compositum level {idx + 1} is not quadratic"
-    top = tower.height
-    ue = u.in_tower(tower).embed(top)
-    ve = v.in_tower(tower).embed(top)
-    w = [x.embed(top) for x in witness]
-    val = (
-        w[0].square()
-        - ue * w[1].square()
-        - ve * w[2].square()
-        + (ue * ve) * w[3].square()
-    )
+    # u, v and uv stay at K's level: one sum of products over the squares
+    ue, ve = u.in_tower(tower), v.in_tower(tower)
+    val = dot((tower.one(0), -ue, -ve, ue * ve), [x.square() for x in witness])
     if not val.is_zero():
         return False, f"N_Q(witness) = {val} != 0"
     recomputed, reason = _two_tower_degree(two_tower)

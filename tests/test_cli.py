@@ -251,6 +251,21 @@ def test_corestrict_flow(tmp_path, capsys):
     assert run(["verify", "--input", str(out)]) == 0
 
 
+def test_corestrict_unit_above_constants(tmp_path, capsys):
+    # rational constants with the unit at K's level: the algebra's level is
+    # taken over the constants and the unit together
+    doc = m2_sqrt2_input()
+    alg = doc["algebra"]
+    alg["constants"] = [[[cell[0] for cell in row] for row in plane] for plane in alg["constants"]]
+    assert alg["unit"][0] == ["1/1", "0/1"]
+    inp = tmp_path / "alg.json"
+    inp.write_text(canonical_dumps(doc))
+    out = tmp_path / "cor.json"
+    assert run(["corestrict", "--input", str(inp), "--output", str(out)]) == 0
+    assert run(["verify", "--input", str(out)]) == 0
+    assert "PASS (cor)" in capsys.readouterr().out
+
+
 def test_demo_runs(capsys):
     assert run(["demo", "thm21-r1"]) == 0
     out = capsys.readouterr().out

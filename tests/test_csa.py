@@ -71,6 +71,26 @@ def test_sigma_preserves_minpoly():
     assert acc.is_zero()
 
 
+@pytest.mark.parametrize("make", [lambda: cyclic_sqrt(2), cyclic_cubic], ids=["sqrt2", "cubic"])
+def test_apply_power_is_repeated_application(make):
+    # sigma^p through the cached matrix of sigma^(p mod r) agrees with p
+    # single applications, and the raw form with the wrapped one
+    cyc = make()
+    x = cyc.tower.from_coeffs(cyc.k_level, [Fraction(3), Fraction(-1, 2), Fraction(5)][: cyc.order])
+    for p in range(-cyc.order, 2 * cyc.order):
+        y = cyc.apply(x, p)
+        assert cyc._apply_raw(x.data, p) == y.data
+        if p >= 0:
+            z = x
+            for _ in range(p):
+                z = cyc.apply(z)
+            assert y == z
+        else:
+            for _ in range(-p):
+                y = cyc.apply(y)
+            assert y == x
+
+
 # -- structure constants ----------------------------------------------------------------
 
 
@@ -264,6 +284,20 @@ def test_fixed_m2_sqrt2():
     assert cor.algebra.check_unit()
     assert fixed_basis_spans(cor)
     assert central_simple_check(cor.algebra)
+
+
+def test_cor_of_algebra_below_k_level():
+    # M2 built over Q and corestricted along Q(sqrt2): the tensor power lifts
+    # it to K's level once, and the corestriction is that of M2 over K
+    cyc = cyclic_sqrt(2)
+    low = matrix_algebra(cyc.tower, 0)
+    cor = run_cor(cyc, low)
+    want = run_cor(cyc, matrix_algebra(cyc.tower, 1))
+    assert cor.algebra.rows == want.algebra.rows
+    assert cor.algebra.unit == want.algebra.unit
+    assert cor.fixed_basis == want.fixed_basis
+    ok, reason = verify.verify_cor(cor_result_doc(cor, low))
+    assert ok, reason
 
 
 def test_fixed_quaternion_cubic():

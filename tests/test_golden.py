@@ -14,11 +14,12 @@ from isotower.certjson import cor_result_doc, isotropy_certificate_doc, split_ce
 from isotower.csa import (
     fixed_subalgebra,
     g_action_matrix,
+    matrix_algebra,
     quaternion_structure_algebra,
     tensor_power_over_K,
 )
 from isotower.generate import random_qfsystem, random_quaternion
-from isotower.presets import cyclic_sqrt, field_cubic, field_quintic, field_septic
+from isotower.presets import cyclic_cubic, cyclic_sqrt, field_cubic, field_quintic, field_septic
 from isotower.quadforms import isotropy_2ext
 from isotower.serialize import canonical_dumps
 from isotower.splitting import split_over_2ext, standard_quaternion
@@ -42,13 +43,23 @@ def _split(field):
             for _ in range(2)]
 
 
-def _cor():
+def _cor(cyc, alg):
+    ta = tensor_power_over_K(alg, cyc)
+    return [cor_result_doc(fixed_subalgebra(ta, g_action_matrix(ta, cyc)), alg)]
+
+
+def _cor_quaternion_sqrt2():
     cyc = cyclic_sqrt(2)
     alg = quaternion_structure_algebra(
         standard_quaternion(cyc.tower.rational(-1, 1), cyc.tower.rational(-1, 1))
     )
-    ta = tensor_power_over_K(alg, cyc)
-    return [cor_result_doc(fixed_subalgebra(ta, g_action_matrix(ta, cyc)), alg)]
+    return _cor(cyc, alg)
+
+
+def _cor_m2_cubic():
+    # n = 64 over a generic (non X^2 - c) level, orbits of lengths 1 and 3
+    cyc = cyclic_cubic()
+    return _cor(cyc, matrix_algebra(cyc.tower, 1))
 
 
 CASES = {
@@ -58,7 +69,8 @@ CASES = {
     "split-cubic": lambda: _split(field_cubic()),
     "split-quintic": lambda: _split(field_quintic()),
     "split-septic": lambda: _split(field_septic()),
-    "cor-sqrt2-quaternion": _cor,
+    "cor-sqrt2-quaternion": _cor_quaternion_sqrt2,
+    "cor-m2-cubic": _cor_m2_cubic,
 }
 
 GOLDEN = {
@@ -71,6 +83,8 @@ GOLDEN = {
     # the septic base-root level, which no case above reaches
     "isotropy-r4": "e5c6c27d096880d1bc467a4034685e7231924c93a893766bab3368d0702ad710",
     "split-septic": "dd3dc40f8607e0909d81d31fd75acb731fbf80c83605cc7d1b5f3c40f8773c6e",
+    # pinned before corestriction moved to raw rows
+    "cor-m2-cubic": "eb8f3daf6d36a0bef321b2f8b989a0e8f6be8e0b7c903e5268fa691b36dbe70d",
 }
 
 

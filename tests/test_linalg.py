@@ -125,3 +125,23 @@ def test_invert_rejects_singular(field):
     a[2] = tuple(c * x for x in a[0])
     with pytest.raises(SingularMatrix):
         linalg.invert(tuple(a), tower, top)
+
+
+def test_rref_levels(field):
+    name, tower = field
+    rng = random.Random(name + "-rref")
+    top = tower.height
+    # one level and one tower in, the same level and tower out
+    red, pivots = linalg.rref(_matrix(rng, tower, 3, 4))
+    assert all(e.level == top and e.tower is tower for row in red for e in row)
+    # mixed levels: every entry comes out at the highest level among the
+    # inputs, with the values of an elimination at that level
+    ints = tuple(tuple(tower.rational(i * j + 1, 0) for j in range(4)) for i in range(2))
+    mixed = ints + _matrix(rng, tower, 1, 4)
+    lifted = tuple(tuple(e.embed(top) for e in row) for row in mixed)
+    red, pivots = linalg.rref(mixed)
+    assert all(e.level == top and e.tower is tower for row in red for e in row)
+    assert (red, pivots) == linalg.rref(lifted)
+    # an all-rational input stays rational
+    red, _ = linalg.rref(ints)
+    assert all(e.level == 0 for row in red for e in row)
