@@ -392,6 +392,18 @@ def split_over_2ext(q: QuaternionAlgebra, two_part_levels: int | None = None) ->
     declare its maximal 2-subextension as the first ``two_part_levels``
     levels of the tower (a chain of quadratic levels); odd-degree K needs no
     declaration since no quadratic subextension can exist.
+
+    The witness is a zero of N_Q by construction; ``verify_split`` evaluates
+    the norm, so it is not evaluated here.  ``_Pair.lift`` is a ring
+    homomorphism F' -> K F' fixing K0: every F-side level goes to a root of
+    its lifted minimal polynomial, collapsed or not.  Small r: the identity
+    N(sum_j x_j b_j) = sum_t phi_t(x) b_t over K0 makes the lifted isotropy
+    witness a zero.  Large r: d3 v3^2 + d4 v4^2 = sum_{t<3} lift(phi_t(w))
+    alpha^t, read off the compositum monomials, which are the lifted F-side
+    ones since each uncollapsed image is its level's generator; a collapse
+    or a coordinate above alpha^2 raises ``DisjointnessViolation``.  Then
+    ``_slot_split`` kills <1, alpha, g(alpha)> (``_dependent_alpha_witness``
+    kills <1, alpha>), and P^T G P = diag(1, alpha, d3, d4).
     """
     k_tower = q.field
     k_height = k_tower.height
@@ -427,12 +439,6 @@ def split_over_2ext(q: QuaternionAlgebra, two_part_levels: int | None = None) ->
         pair, witness = _split_large(nf, pair, t, k_height, r)
     witness = clear_denominators(witness)
     assert any(witness), "split witness is zero"
-    val = norm_value(q, witness, pair.c_tower)
-    if not val.is_zero():
-        raise DisjointnessViolation(
-            "constructed vector does not annihilate the norm form; "
-            "the declared 2-part was not maximal"
-        )
     degree_over_f = pair.f_tower.absolute_degree()
     claimed = 2**d
     assert degree_over_f <= claimed

@@ -169,6 +169,8 @@ def test_criterion_4_rational_oracle_agreement():
         verdict = hilbert_symbol_Q(u, v)
         q = standard_quaternion(QQ.rational(u), QQ.rational(v))
         cert = split_over_2ext(q)
+        ok, reason = verify.verify_split(split_certificate_doc(cert))
+        assert ok, reason
         if verdict == "division":
             assert cert.degree_over_F == 2
             divisions += 1

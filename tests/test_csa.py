@@ -277,13 +277,20 @@ def run_cor(cyc, alg):
     return fixed_subalgebra(ta, g_action_matrix(ta, cyc))
 
 
+def assert_verifies(cor, alg):
+    ok, reason = verify.verify_cor(cor_result_doc(cor, alg))
+    assert ok, reason
+
+
 def test_fixed_m2_sqrt2():
     cyc = cyclic_sqrt(2)
-    cor = run_cor(cyc, matrix_algebra(cyc.tower, 1))
+    alg = matrix_algebra(cyc.tower, 1)
+    cor = run_cor(cyc, alg)
     assert cor.algebra.dim == 16  # (deg 2)^(2*2)
     assert cor.algebra.check_unit()
     assert fixed_basis_spans(cor)
     assert central_simple_check(cor.algebra)
+    assert_verifies(cor, alg)
 
 
 def test_cor_of_algebra_below_k_level():
@@ -309,11 +316,14 @@ def test_fixed_quaternion_cubic():
     assert cor.algebra.dim == 64  # (deg 2)^(2*3)
     assert central_simple_check(cor.algebra)
     assert fixed_basis_spans(cor)
+    assert_verifies(cor, alg)
 
 
 def test_idempotent_witness_m2():
     for cyc in (cyclic_sqrt(2), cyclic_cubic()):
-        cor = run_cor(cyc, matrix_algebra(cyc.tower, 1))
+        alg = matrix_algebra(cyc.tower, 1)
+        cor = run_cor(cyc, alg)
+        assert_verifies(cor, alg)
         dense, coords = split_idempotent_witness(cor)
         assert any(coords)
         # idempotent inside the corestriction
@@ -323,7 +333,9 @@ def test_idempotent_witness_m2():
 
 def test_coordinates_of_fixed_basis():
     for cyc in (cyclic_sqrt(2), cyclic_cubic()):
-        cor = run_cor(cyc, matrix_algebra(cyc.tower, 1))
+        alg = matrix_algebra(cyc.tower, 1)
+        cor = run_cor(cyc, alg)
+        assert_verifies(cor, alg)
         n = cor.algebra.dim
         one, zero = cyc.tower.one(cyc.f_level), cyc.tower.zero(cyc.f_level)
         for i, vec in enumerate(cor.fixed_basis):
@@ -343,6 +355,7 @@ def test_idempotent_rejected_for_division_input():
         standard_quaternion(cyc.tower.rational(-1), cyc.tower.rational(-1))
     )
     cor = run_cor(cyc, alg)
+    assert_verifies(cor, alg)
     with pytest.raises(PreconditionError):
         split_idempotent_witness(cor)
 
@@ -367,17 +380,19 @@ def test_central_simple_rejects_upper_triangular():
 
 def test_cor_dimension_shadow_tensor_product():
     # dim cor(A (x) B) = dim cor(A) * dim cor(B), through the orbit count
-    from isotower.csa import _fixed_dimension, TensorPowerAlgebra
+    from isotower.csa import _orbits, TensorPowerAlgebra
 
     cyc = cyclic_sqrt(2)
     a = quaternion_structure_algebra(
         standard_quaternion(cyc.tower.gen(), cyc.tower.rational(-1))
     )
     cor_a = run_cor(cyc, a)
+    assert_verifies(cor_a, a)
     dim_a = cor_a.algebra.dim
-    # A (x)_K B for B = A has K-dimension 16: its cor has dimension 16^2
+    # A (x)_K B for B = A has K-dimension 16: its cor has dimension 16^2, one
+    # fixed vector per orbit position
     act = g_action_matrix(TensorPowerAlgebra(None, base_dim=16, r=2), cyc)
-    assert _fixed_dimension(act) == dim_a * dim_a
+    assert sum(len(o) for o in _orbits(act.perm)) == dim_a * dim_a
 
 
 def test_cor_result_verifies():

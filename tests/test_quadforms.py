@@ -236,6 +236,7 @@ def test_isotropy_zero_system_immediate_witness():
     cert = isotropy_2ext(system)
     assert cert.actual_degree == 1
     assert any(cert.witness)
+    assert verify_isotropy_certificate(system, cert)
 
 
 def test_isotropy_over_extension_field():
@@ -264,6 +265,8 @@ def test_certificate_doc_round_trip():
     doc = isotropy_certificate_doc(system, cert)
     system2, cert2 = isotropy_certificate_from_doc(doc)
     assert isotropy_certificate_doc(system2, cert2) == doc
+    ok, reason = verify.verify_isotropy(doc)
+    assert ok, reason
 
 
 def test_tampered_witness_fails():

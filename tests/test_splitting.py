@@ -12,12 +12,16 @@ from isotower.certjson import (
 )
 from isotower.errors import (
     DegreeTooLarge,
+    DisjointnessViolation,
     Missing2PartDeclaration,
     PreconditionError,
 )
 from isotower.generate import random_quaternion
 from isotower.presets import field_cubic, field_quintic, field_septic
+from isotower.quadforms import LinearFunctionalBasis
 from isotower.splitting import (
+    _Pair,
+    _extract_quadratic_in_alpha,
     bracket_quaternion,
     hilbert_symbol_Q,
     norm_form,
@@ -28,7 +32,7 @@ from isotower.splitting import (
     standard_quaternion,
 )
 from isotower.serialize import tower_to_json
-from isotower.tower import QQ, tower_extend
+from isotower.tower import QQ, TowerField, tower_extend
 from isotower import verify
 
 
@@ -268,12 +272,9 @@ def test_split_degree_too_large():
         split_over_2ext(q)
 
 
-def test_mirror_records_collapse():
+def _collapsed_pair():
     # a dishonestly declared 2-part: sqrt(3) already lives in the compositum,
     # so mirroring sqrt(3) collapses and is recorded rather than stacked
-    from isotower.splitting import _Pair
-    from isotower.tower import TowerField
-
     t2 = tower_extend(QQ, [-2, 0, 1], label="s2")
     comp = tower_extend(t2, [t2.rational(-3), t2.rational(0), t2.rational(1)], label="s3")
     pair = _Pair(
@@ -285,11 +286,25 @@ def test_mirror_records_collapse():
         guaranteed=False,
     )
     pair2, root = pair.adjoin_sqrt(pair.f_tower.rational(3))
+    return comp, pair2, root
+
+
+def test_mirror_records_collapse():
+    comp, pair2, root = _collapsed_pair()
     assert pair2.collapsed
     assert pair2.c_tower is comp or pair2.c_tower == comp  # no level stacked
     assert pair2.f_tower.absolute_degree() == 4  # F-side still counts it
     lifted = pair2.lift(root)
     assert lifted * lifted == 3
+
+
+def test_collapsed_pair_refuses_pull_back():
+    # after a collapse the compositum monomials are not the lifts of the
+    # F-side ones, so g(alpha) cannot be read off them
+    comp, pair2, root = _collapsed_pair()
+    basis = LinearFunctionalBasis.standard(comp, 1, comp.height)
+    with pytest.raises(DisjointnessViolation, match="collapsed"):
+        _extract_quadratic_in_alpha(pair2, basis, pair2.lift(root), comp.height)
 
 
 def test_split_quartic_alpha_branch():
@@ -334,7 +349,9 @@ def test_oracle_agreement_sample():
         u = Fraction(rng.randint(-20, 20) or 1, rng.randint(1, 9))
         v = Fraction(rng.randint(-20, 20) or 1, rng.randint(1, 9))
         verdict = hilbert_symbol_Q(u, v)
-        cert = split_over_2ext(standard_quaternion(QQ.rational(u), QQ.rational(v)))
+        q = standard_quaternion(QQ.rational(u), QQ.rational(v))
+        cert = split_over_2ext(q)
+        assert verify_split_certificate(q, cert)
         if verdict == "division":
             assert cert.degree_over_F == 2
         else:

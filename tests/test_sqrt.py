@@ -4,6 +4,7 @@ from math import isqrt
 
 import pytest
 
+from isotower.certjson import split_certificate_doc
 from isotower.generate import random_quaternion
 from isotower.presets import field_septic
 from isotower.splitting import split_over_2ext
@@ -18,6 +19,7 @@ from isotower.sqrt import (
     squarefree_reduce,
 )
 from isotower.tower import KIND_SQRT, QQ, TowerField, tower_extend
+from isotower.verify import verify_split
 
 
 def test_rational_sqrt():
@@ -313,7 +315,10 @@ def test_witness_found_on_former_misses():
     # the first point of each prime was tried
     for seed, index in ((1, 0), (1, 3), (7, 5)):
         q = random_quaternion(random.Random(seed * 1000003 + index), field_septic())
-        two_tower = split_over_2ext(q).two_tower
+        cert = split_over_2ext(q)
+        ok, reason = verify_split(split_certificate_doc(cert))
+        assert ok, reason
+        two_tower = cert.two_tower
         below = TowerField(two_tower.levels[:6])
         c = (-below.element(6, two_tower.levels[6].minpoly[0])).data
         w = _nonsquare_witness(below, 6, c)
