@@ -8,12 +8,12 @@ import pathlib
 import sys
 
 from isotower.certjson import algebra_doc, cyclic_doc, quaternion_doc, system_doc
-from isotower.csa import matrix_algebra, quaternion_structure_algebra
+from isotower.csa import CyclicExtensionData, matrix_algebra, quaternion_structure_algebra
 from isotower.presets import cyclic_sqrt, field_cubic
 from isotower.quadforms import QFSystem, QuadraticForm
 from isotower.serialize import canonical_dumps
 from isotower.splitting import standard_quaternion
-from isotower.tower import QQ
+from isotower.tower import QQ, tower_extend
 
 
 def main():
@@ -44,10 +44,20 @@ def main():
     cor_input = {"algebra": algebra_doc(division), "cyclic": cyclic_doc(cyc)}
     (outdir / "quat_sqrt2.json").write_text(canonical_dumps(cor_input))
 
+    # K = Q(sqrt2, sqrt3) over F = Q(sqrt2): a corestriction whose F is not Q
+    k_tower = tower_extend(cyc.tower, [-3, 0, 1], label="sqrt3")
+    cyc_k = CyclicExtensionData.create(k_tower, 2, [[1, 0], [0, -1]], 2)
+    cor_input = {
+        "algebra": algebra_doc(matrix_algebra(k_tower, 2)),
+        "cyclic": cyclic_doc(cyc_k),
+    }
+    (outdir / "m2_sqrt2_sqrt3.json").write_text(canonical_dumps(cor_input))
+
     print(f"wrote {outdir}/system_r2.json   (isotropy --input)")
     print(f"wrote {outdir}/cubic_quat.json  (split-quaternion --input)")
     print(f"wrote {outdir}/m2_sqrt2.json    (corestrict --input)")
     print(f"wrote {outdir}/quat_sqrt2.json  (corestrict --input, a division algebra)")
+    print(f"wrote {outdir}/m2_sqrt2_sqrt3.json  (corestrict --input, K/F = Q(sqrt2, sqrt3)/Q(sqrt2))")
 
 
 if __name__ == "__main__":

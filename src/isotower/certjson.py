@@ -69,7 +69,7 @@ def isotropy_certificate_from_doc(doc: dict) -> tuple[QFSystem, IsotropyCertific
     if not grams:
         raise MalformedCertificate("certificate carries no forms")
     base_levels = grams[0][0][0].level if grams[0] else 0
-    base = TowerField(tower.levels[:base_levels])
+    base = tower.prefix(base_levels)
     forms = tuple(
         QuadraticForm.from_gram(base, base_levels, [[e.in_tower(base) for e in row] for row in g])
         for g in grams

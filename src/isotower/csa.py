@@ -9,9 +9,11 @@ vectors whose representative coordinate runs over the subfield fixed by
 the orbit-length power of the generator.  Every basis vector is fixed by
 construction and is not re-checked here; ``verify_cor`` checks each one
 against the action.  The same orbit solver is the one way into the fixed
-basis (``CorResult.coordinates``): it gives the structure constants, the split
-idempotent's coordinates and the columns of the base-change embedding, and
-rejects any vector the action does not fix.
+basis: it gives the structure constants, the split idempotent's coordinates
+and the columns of the base-change embedding.  A product of fixed vectors
+is fixed, so the structure constants are read from the orbit
+representatives alone; ``CorResult.coordinates`` runs the same solve and
+then rejects any vector the action does not fix.
 
 The center test keeps the rows of the stacked commutator maps
 x -> e_i x - x e_i in reduced echelon form, adding one generator's rows per
@@ -613,7 +615,9 @@ def fixed_subalgebra(ta: TensorPowerAlgebra, action: GAction) -> CorResult:
     rows = []
     for x in raw_basis:
         for y in raw_basis:
-            coeffs = solver._coordinates_raw(alg._mul_raw(x, y))
+            # a product of fixed vectors is fixed (the action is an algebra
+            # automorphism), so its representative positions determine it
+            coeffs = solver._solve_raw(alg._mul_raw(x, y))
             rows.append(
                 tuple(
                     (k, TowerElement(tower, f_level, c))
@@ -674,23 +678,36 @@ class _OrbitSolver:
         coords = self._coordinates_raw({pos: _raw_at(tower, k, x) for pos, x in z.items()})
         return tuple(TowerElement(tower, f, c) for c in coords)
 
-    def _coordinates_raw(self, z: dict) -> list:
-        ctx, f, cyclic = self.ctx, self.f_level, self.cyclic
+    def _solve_raw(self, z: dict) -> list:
+        """F-coordinates of an action-fixed vector z from its representative
+        positions alone, unchecked: a fixed vector is determined by them."""
+        ctx, f = self.ctx, self.f_level
         out = [self.zero_f] * self.total
-        touched = dict(z)
         for positions, transform, offset in self.meta:
-            val = touched.pop(positions[0], None)
+            val = z.get(positions[0])
             if val is None:
                 # representative zero forces the whole orbit block to zero
                 continue
-            ell = len(positions)
-            sol = [
+            out[offset : offset + len(positions)] = [
                 _dot(ctx, f, [(t, val[j]) for j, t in row]) if row else self.zero_f
-                for row in transform
+                for row in transform[: len(positions)]
             ]
-            if any(not _is_zero(x, f) for x in sol[ell:]):
-                raise PreconditionError("vector is not in the fixed-basis span")
-            out[offset : offset + ell] = sol[:ell]
+        return out
+
+    def _coordinates_raw(self, z: dict) -> list:
+        """:meth:`_solve_raw`, then the checks that z really is fixed and in
+        the span: the residual rows vanish at each representative, and every
+        other position is the representative's conjugate or zero."""
+        out = self._solve_raw(z)
+        ctx, f, cyclic = self.ctx, self.f_level, self.cyclic
+        touched = dict(z)
+        for positions, transform, _offset in self.meta:
+            val = touched.pop(positions[0], None)
+            if val is None:
+                continue
+            for row in transform[len(positions) :]:
+                if row and not _is_zero(_dot(ctx, f, [(t, val[j]) for j, t in row]), f):
+                    raise PreconditionError("vector is not in the fixed-basis span")
             # consume and verify the non-representative positions
             for j, pos in enumerate(positions[1:], start=1):
                 if touched.pop(pos, self.zero_k) != cyclic._apply_raw(val, j):

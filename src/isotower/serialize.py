@@ -107,7 +107,6 @@ def tower_to_json(tower: TowerField):
 def tower_from_json(node) -> TowerField:
     if not isinstance(node, list):
         raise MalformedCertificate("tower must be a list of levels")
-    levels: list[Level] = []
     partial = TowerField(())
     for i, entry in enumerate(node):
         if not isinstance(entry, dict) or set(entry) != {"label", "minpoly"}:
@@ -118,8 +117,7 @@ def tower_from_json(node) -> TowerField:
         raw = tuple(_data_from_json(c, i, partial) for c in coeffs)
         if raw[-1] != partial.one(i).data:
             raise MalformedCertificate("minpoly must be monic")
-        levels.append(Level(str(entry["label"]), raw, _level_kind(raw, i)))
-        partial = TowerField(levels)
+        partial = partial._extended(Level(str(entry["label"]), raw, _level_kind(raw, i)))
     return partial
 
 

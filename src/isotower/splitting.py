@@ -264,7 +264,7 @@ class _Pair:
             level = f_ext.levels[idx]
             if level.kind != KIND_SQRT:
                 raise PreconditionError("only sqrt levels can be mirrored")
-            pair = pair._mirror_one(TowerField(f_ext.levels[: idx + 1]))
+            pair = pair._mirror_one(f_ext.prefix(idx + 1))
         return pair
 
 
@@ -354,7 +354,7 @@ def quadratic_slot_split(alpha: TowerElement, g: Sequence) -> SlotSplitResult:
 
     if g_at(alpha).is_zero():
         raise PreconditionError("g(alpha) = 0: the direct witness (0, ..., v) applies")
-    f_tower = TowerField(k_tower.levels[:f_level])
+    f_tower = k_tower.prefix(f_level)
     pair = _Pair(f_tower, k_tower, shared=f_level, comp_base=k_tower.height, images=(), guaranteed=False)
     pair, w = _slot_split(pair, alpha, coeffs)
     # exactness of the constructed witness
@@ -425,7 +425,7 @@ def split_over_2ext(q: QuaternionAlgebra, two_part_levels: int | None = None) ->
     for i in range(t, k_height):
         r *= k_tower.levels[i].degree
     pair = _Pair(
-        f_tower=TowerField(k_tower.levels[:t]),
+        f_tower=k_tower.prefix(t),
         c_tower=k_tower,
         shared=t,
         comp_base=k_height,

@@ -423,6 +423,28 @@ def _pow(ctx, lv, a, n):
 # ---------------------------------------------------------------------------
 
 
+def _level_ctx(ctx, level) -> _LevelCtx:
+    """The context of ``level`` on top of levels whose contexts are ``ctx``."""
+    lv_below = len(ctx)  # element level of the coefficients
+    d = level.degree
+    red = tuple((j, c) for j, c in enumerate(level.minpoly[:d]) if not _is_zero(c, lv_below))
+    sqrt_const = None
+    sqrt_rat = None
+    if level.kind == KIND_SQRT:
+        sqrt_const = _neg(ctx, lv_below, level.minpoly[0])
+        sqrt_rat = _rational_value_raw(sqrt_const, lv_below)
+    return _LevelCtx(
+        d,
+        level.kind,
+        _raw_zero(ctx, lv_below),
+        _raw_one(ctx, lv_below),
+        level.minpoly,
+        red,
+        sqrt_const,
+        sqrt_rat,
+    )
+
+
 class Level:
     """One tower level: a monic minimal polynomial over the level below."""
 
@@ -453,7 +475,9 @@ class TowerField:
     """A chain of extensions of Q, each a quotient by a monic polynomial.
 
     Immutable; :func:`tower_extend` returns a new tower sharing this one as a
-    prefix, so elements of the old tower remain valid in the new one.
+    prefix, so elements of the old tower remain valid in the new one.  A
+    level's context depends only on the levels below it, so extending a
+    tower or cutting a prefix reuses the contexts already built.
     """
 
     __slots__ = ("levels", "_ctx", "_hash")
@@ -461,23 +485,25 @@ class TowerField:
     def __init__(self, levels: Sequence[Level] = ()):
         self.levels = tuple(levels)
         ctx: list = []
-        for i, level in enumerate(self.levels):
-            lv_below = i  # element level of the coefficients
-            zero = _raw_zero(ctx, lv_below)
-            one = _raw_one(ctx, lv_below)
-            d = level.degree
-            tail = level.minpoly[:d]
-            red = tuple((j, c) for j, c in enumerate(tail) if not _is_zero(c, lv_below))
-            sqrt_const = None
-            sqrt_rat = None
-            if level.kind == KIND_SQRT:
-                sqrt_const = _neg(ctx, lv_below, level.minpoly[0])
-                sqrt_rat = _rational_value_raw(sqrt_const, lv_below)
-            ctx.append(
-                _LevelCtx(d, level.kind, zero, one, level.minpoly, red, sqrt_const, sqrt_rat)
-            )
+        for level in self.levels:
+            ctx.append(_level_ctx(ctx, level))
         self._ctx = tuple(ctx)
-        self._hash = hash(self.levels)
+        self._hash = None
+
+    @classmethod
+    def _from_ctx(cls, levels: tuple, ctx: tuple) -> "TowerField":
+        tower = cls.__new__(cls)
+        tower.levels, tower._ctx, tower._hash = levels, ctx, None
+        return tower
+
+    def _extended(self, level: Level) -> "TowerField":
+        """This tower with ``level`` on top, its contexts reused."""
+        ctx = self._ctx + (_level_ctx(self._ctx, level),)
+        return TowerField._from_ctx(self.levels + (level,), ctx)
+
+    def prefix(self, height: int) -> "TowerField":
+        """The tower of the first ``height`` levels, sharing their contexts."""
+        return TowerField._from_ctx(self.levels[:height], self._ctx[:height])
 
     # -- structure ----------------------------------------------------------
 
@@ -504,7 +530,11 @@ class TowerField:
         return isinstance(other, TowerField) and self.levels == other.levels
 
     def __hash__(self):
-        return self._hash
+        # hashing hashes every minpoly's Fractions: done on first use only
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(self.levels)
+        return h
 
     def __repr__(self):
         chain = " < ".join(["Q"] + [f"{lev.label}(deg {lev.degree})" for lev in self.levels])
@@ -869,7 +899,7 @@ def tower_extend(
     if label in taken:
         raise ValueError(f"duplicate level label {label!r}")
     raw = tuple(c.data for c in coeffs)
-    return TowerField(tower.levels + (Level(label, raw, _level_kind(raw, top)),))
+    return tower._extended(Level(label, raw, _level_kind(raw, top)))
 
 
 QQ = TowerField(())

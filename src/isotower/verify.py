@@ -6,6 +6,14 @@ serialization).  No constructor code path is shared: form evaluation, norm
 evaluation, tensor reconstruction, and degree accounting are reimplemented
 on parsed data.
 
+After parsing, the corestriction checks run on the kernel's raw nested
+data, not on ``TowerElement`` wrappers: ``tower._mul`` for one product,
+``tower._dot`` for each output coordinate as one sum of products (at F = Q
+one integer-accumulated Fraction), ``tower._is_zero`` and
+``tower._raw_one`` for zero tests and units.  Raw data is always reduced and
+zero-padded, so ``==`` on it is value equality.  These primitives are the
+whole ring interface the checks use.
+
 Each verifier returns ``(ok, reason)`` where ``reason`` names the first
 failing equation when ok is False.
 """
@@ -15,13 +23,24 @@ from __future__ import annotations
 from .errors import MalformedCertificate
 from .serialize import (
     element_from_json,
+    element_to_json,
     gram_from_json,
     int_from_json,
     tower_from_json,
     vector_from_json,
 )
 from .sqrt import sqrt_or_nonsquare
-from .tower import KIND_SQRT, TowerElement, TowerField, dot, dot_matrix
+from .tower import (
+    KIND_SQRT,
+    TowerElement,
+    TowerField,
+    _dot,
+    _is_zero,
+    _mul,
+    _raw_one,
+    dot,
+    dot_matrix,
+)
 
 
 def _recheck_added_levels(tower: TowerField, base_levels: int):
@@ -96,7 +115,7 @@ def _two_tower_degree(two_tower: TowerField):
         if level.degree & (level.degree - 1):
             return None, f"two-tower level {idx + 1} has degree {level.degree}, not a power of 2"
         if level.degree == 2:
-            below = TowerField(two_tower.levels[:idx])
+            below = two_tower.prefix(idx)
             if level.kind == KIND_SQRT:
                 c = -TowerElement(below, idx, level.minpoly[0])
                 if c.is_zero():
@@ -177,17 +196,23 @@ def _parse_algebra(doc: dict):
     constants = doc["constants"]
     if len(constants) != n or any(len(p) != n or any(len(r) != n for r in p) for p in constants):
         raise MalformedCertificate("constants shape does not match dim")
+    # the canonical zero of a level needs no parse: only its level counts
+    zeros = [element_to_json(tower.zero(lv)) for lv in range(tower.height + 1)]
     level = 0
     rows = []
     for plane in constants:
         for row in plane:
             entry = []
             for k, node in enumerate(row):
-                if node != "0/1":  # the common zero needs no parse
-                    c = element_from_json(tower, node)
-                    level = max(level, c.level)
-                    if c:
-                        entry.append((k, c))
+                if node == "0/1":
+                    continue
+                if node in zeros:
+                    level = max(level, zeros.index(node))
+                    continue
+                c = element_from_json(tower, node)
+                level = max(level, c.level)
+                if c:
+                    entry.append((k, c))
             rows.append(tuple(entry))
     unit = vector_from_json(tower, doc["unit"])
     if len(unit) != n:
@@ -195,8 +220,26 @@ def _parse_algebra(doc: dict):
     return tower, level, n, rows, unit
 
 
-def _embed_rows(tower, level, rows):
-    return [tuple((k, c.in_tower(tower).embed(level)) for k, c in row) for row in rows]
+def _raw_rows(rows, level):
+    """Sparse rows of elements as rows of (k, raw data at ``level``)."""
+    return [tuple((k, c.embed(level).data) for k, c in row) for row in rows]
+
+
+def _wrap(tower, level, pairs) -> dict:
+    """Pairs of position and raw data at ``level`` as a sparse vector of
+    elements, for the echelon form."""
+    return {pos: TowerElement(tower, level, x) for pos, x in pairs}
+
+
+def _sums(ctx, level, terms: dict) -> dict:
+    """Position -> one sum of products over the position's raw pairs at
+    ``level``, zero sums dropped."""
+    out = {}
+    for pos, pairs in terms.items():
+        v = _dot(ctx, level, pairs)
+        if not _is_zero(v, level):
+            out[pos] = v
+    return out
 
 
 def _echelon_reduce(pivots, vec) -> dict:
@@ -254,7 +297,16 @@ def verify_cor(doc: dict) -> tuple[bool, str]:
     phi(z_m) = b_w phi(u) = b_w and phi(P_w y) = b_w phi(y); (a) and (c)
     give L_{z_m} = P_w.  So phi(z_m) phi(y) = phi(L_{z_m} y) for every y.
     Both sides are F-bilinear and the z_m span F^n, so
-    phi(f_i) phi(f_j) = phi(f_i f_j) for all i, j."""
+    phi(f_i) phi(f_j) = phi(f_i f_j) for all i, j.
+
+    After parsing, every check runs on raw data: over F (the constants,
+    unit, basis vectors and the z_m as {index: raw} dicts) and over K
+    (sigma applied by rows of ``_dot``, the conjugate and tensor rows, the
+    fixed basis, the unit target, ``combine`` and step (d)) through
+    ``_mul``/``_dot``, compared structurally.  Only the sanity checks on
+    sigma keep the wrapper form, and the echelon form for independence
+    (fixed basis over K, spun vectors over F) takes each vector wrapped
+    once."""
     try:
         source = doc["source"]
         adoc = source["algebra"]
@@ -286,21 +338,19 @@ def verify_cor(doc: dict) -> tuple[bool, str]:
         return False, "sigma has entries outside F"
     if cor_level > f_level or any(c.level > f_level for c in cor_unit):
         return False, "cor constants or unit have entries outside F"
-    zero_f = k_tower.zero(f_level)
+    ctx = k_tower._ctx
     gen = k_tower.gen(k_level)
+    sigma_rows = [[(j, x.embed(f_level).data) for j, x in enumerate(row) if x] for row in sigma]
+
+    def sigma_raw(x, power: int):
+        """sigma^power of the raw value x of K: each coordinate over F is
+        one sum of products with a row of sigma."""
+        for _ in range(power % order):
+            x = tuple(_dot(ctx, f_level, [(m, x[j]) for j, m in row]) for row in sigma_rows)
+        return x
 
     def sigma_apply(x: TowerElement, power: int) -> TowerElement:
-        coords = list(x.embed(k_level).coeffs())
-        for _ in range(power % order):
-            nxt = []
-            for i in range(order):
-                acc = zero_f
-                for j in range(order):
-                    if coords[j]:
-                        acc = acc + sigma[i][j] * coords[j]
-                nxt.append(acc)
-            coords = nxt
-        return k_tower.from_coeffs(k_level, coords)
+        return TowerElement(k_tower, k_level, sigma_raw(x.embed(k_level).data, power))
 
     # sigma is the F-automorphism gen -> sigma(gen) of K, of order exactly [K:F]
     sg = sigma_apply(gen, 1)
@@ -322,7 +372,9 @@ def verify_cor(doc: dict) -> tuple[bool, str]:
     if sigma_apply(x, 1) != gen:
         return False, f"sigma^{order} is not the identity"
 
-    a_rows = _embed_rows(k_tower, k_level, a_rows)
+    # from here on every value is raw data, at K's level or at F's; raw data
+    # is reduced and zero-padded, so == compares values
+    a_rows = _raw_rows(a_rows, k_level)
     d = a_dim
     n = d**order
     if len(fixed_basis) != cor_dim:
@@ -332,8 +384,9 @@ def verify_cor(doc: dict) -> tuple[bool, str]:
     conj_rows = [a_rows]
     for t in range(1, order):
         conj_rows.append(
-            [tuple((k, sigma_apply(c, order - t)) for k, c in row) for row in a_rows]
+            [tuple((k, sigma_raw(c, order - t)) for k, c in row) for row in a_rows]
         )
+    one_k = _raw_one(ctx, k_level)
 
     def tensor_row(i: int, j: int):
         idig = _digits(i, d, order)
@@ -341,10 +394,14 @@ def verify_cor(doc: dict) -> tuple[bool, str]:
         legs = [conj_rows[t][idig[t] * d + jdig[t]] for t in range(order)]
         if any(not leg for leg in legs):
             return ()
-        stack = [(0, k_tower.one(k_level))]
+        stack = [(0, one_k)]
         for leg in legs:
-            stack = [(flat * d + k_t, coeff * c_t) for flat, coeff in stack for k_t, c_t in leg]
-        return tuple((flat, coeff) for flat, coeff in stack if coeff)
+            stack = [
+                (flat * d + k_t, _mul(ctx, k_level, coeff, c_t))
+                for flat, coeff in stack
+                for k_t, c_t in leg
+            ]
+        return tuple((flat, coeff) for flat, coeff in stack if not _is_zero(coeff, k_level))
 
     perm = []
     for q in range(n):
@@ -359,55 +416,55 @@ def verify_cor(doc: dict) -> tuple[bool, str]:
     for bi, vec in enumerate(fixed_basis):
         if len(vec) != n:
             return False, f"fixed basis vector {bi} has wrong length"
-        emb = [x.embed(k_level) for x in vec]
+        emb = [x.embed(k_level).data for x in vec]
         for q in range(n):
             src = emb[perm[q]]
-            image = sigma_apply(src, order - 1) if src else src  # sigma is F-linear
+            if _is_zero(src, k_level):  # sigma is F-linear
+                image = src
+            else:
+                image = sigma_raw(src, order - 1)
             if image != emb[q]:
                 return False, f"fixed basis vector {bi} is not fixed by the action"
-        sparse_fb.append(tuple((pos, x) for pos, x in enumerate(emb) if x))
-    if not _independent(sparse_fb):
+        sparse_fb.append(tuple((pos, x) for pos, x in enumerate(emb) if not _is_zero(x, k_level)))
+    if not _independent(_wrap(k_tower, k_level, vec) for vec in sparse_fb):
         return False, "fixed basis is not linearly independent over K"
 
     def combine(pairs) -> dict:
-        """sum of c * (fixed basis vector k) over the pairs (k, c), zero
-        entries dropped."""
-        out: dict[int, TowerElement] = {}
+        """sum of c * (fixed basis vector k) over the pairs (k, c) with c
+        over F: one sum of products per position, zero entries dropped."""
+        low: dict[int, list] = {}
         for kk, c in pairs:
-            if c:
-                ck = c.in_tower(k_tower).embed(k_level)
+            if not _is_zero(c, f_level):
                 for pos, val in sparse_fb[kk]:
-                    t = ck * val
-                    out[pos] = out[pos] + t if pos in out else t
-        return {p: v for p, v in out.items() if v}
+                    low.setdefault(pos, []).append((c, f_level, val))
+        out = {pos: _dot(ctx, k_level, (), triples) for pos, triples in low.items()}
+        return {pos: v for pos, v in out.items() if not _is_zero(v, k_level)}
 
     # claimed unit coordinates must combine to the tensor unit 1 x ... x 1
-    unit_target: dict[int, TowerElement] = {}
-    unit_sparse = [(idx, c.embed(k_level)) for idx, c in enumerate(a_unit) if c]
-    stack = [(0, k_tower.one(k_level))]
+    unit_sparse = [(idx, c.embed(k_level).data) for idx, c in enumerate(a_unit) if c]
+    stack = [(0, one_k)]
     for t in range(order):
         stack = [
-            (flat * d + idx, coeff * sigma_apply(c, order - t if t else 0))
+            (flat * d + idx, _mul(ctx, k_level, coeff, sigma_raw(c, order - t if t else 0)))
             for flat, coeff in stack
             for idx, c in unit_sparse
         ]
-    for flat, coeff in stack:
-        if coeff:
-            unit_target[flat] = unit_target.get(flat, k_tower.zero(k_level)) + coeff
-    unit_target = {p: v for p, v in unit_target.items() if v}
+    # each flat index names one choice of leg indices, so it occurs once
+    unit_target = {flat: coeff for flat, coeff in stack if not _is_zero(coeff, k_level)}
+    cor_unit = [c.embed(f_level).data for c in cor_unit]
     if combine(enumerate(cor_unit)) != unit_target:
         return False, "claimed unit does not combine to the tensor identity"
 
-    c_rows = _embed_rows(k_tower, f_level, c_rows)
+    c_rows = _raw_rows(c_rows, f_level)
 
     def lin(terms) -> dict:
-        """sum of f * (constants row ij) over the terms (f, ij), zeros dropped."""
-        out: dict[int, TowerElement] = {}
+        """sum of f * (constants row ij) over the terms (f, ij), zeros
+        dropped: one sum of products per coordinate."""
+        out: dict[int, list] = {}
         for f, ij in terms:
             for kk, c in c_rows[ij]:
-                cur = out.get(kk)
-                out[kk] = f * c if cur is None else cur + f * c
-        return {p: v for p, v in out.items() if v}
+                out.setdefault(kk, []).append((f, c))
+        return _sums(ctx, f_level, out)
 
     def times_basis(x: dict, k: int) -> dict:  # L_x f_k, x over F
         return lin((xi, i * n + k) for i, xi in x.items())
@@ -416,23 +473,24 @@ def verify_cor(doc: dict) -> tuple[bool, str]:
         return lin((yj, s * n + j) for j, yj in y.items())
 
     # (a) the claimed unit is a left identity
-    one_f = k_tower.one(f_level)
+    one_f = _raw_one(ctx, f_level)
     basis = [{kk: one_f} for kk in range(n)]
-    unit = {i: c.in_tower(k_tower).embed(f_level) for i, c in enumerate(cor_unit) if c}
+    unit = {i: c for i, c in enumerate(cor_unit) if not _is_zero(c, f_level)}
     if any(times_basis(unit, k) != basis[k] for k in range(n)):
         return False, "claimed unit is not a left identity for the claimed constants"
 
-    # (b) spin the unit to a basis z_m = L_{s_m} z_{p(m)} under generators S
+    # (b) spin the unit to a basis z_m = L_{s_m} z_{p(m)} under generators S;
+    # the echelon form takes each vector wrapped once
     zs, steps, gens, pivots = [unit], [None], [], []
-    _echelon_add(pivots, unit)
+    _echelon_add(pivots, _wrap(k_tower, f_level, unit.items()))
     for s in range(n):
-        if not _echelon_reduce(pivots, basis[s]):
+        if not _echelon_reduce(pivots, _wrap(k_tower, f_level, basis[s].items())):
             continue
         gens.append(s)
         todo = [(s, p) for p in range(len(zs))]
         for g, p in todo:  # grows while it is walked: each new z meets all of S
             z = basis_times(g, zs[p])
-            if _echelon_add(pivots, z):
+            if _echelon_add(pivots, _wrap(k_tower, f_level, z.items())):
                 todo += [(h, len(zs)) for h in gens]
                 zs.append(z)
                 steps.append((g, p))
@@ -454,7 +512,7 @@ def verify_cor(doc: dict) -> tuple[bool, str]:
     row_cache: dict[tuple[int, int], tuple] = {}
     for i in gens:
         for j in range(cor_dim):
-            prod: dict[int, TowerElement] = {}
+            terms: dict[int, list] = {}
             for pi, xi in sparse_fb[i]:
                 for pj, yj in sparse_fb[j]:
                     key = (pi, pj)
@@ -464,13 +522,10 @@ def verify_cor(doc: dict) -> tuple[bool, str]:
                         row_cache[key] = row
                     if not row:
                         continue
-                    f = xi * yj
+                    f = _mul(ctx, k_level, xi, yj)
                     for kk, c in row:
-                        cur = prod.get(kk)
-                        t = f * c
-                        prod[kk] = t if cur is None else cur + t
-            prod = {p: v for p, v in prod.items() if v}
-            if prod != combine(c_rows[i * n + j]):
+                        terms.setdefault(kk, []).append((f, c))
+            if _sums(ctx, k_level, terms) != combine(c_rows[i * n + j]):
                 return False, f"product f_{i} f_{j} does not match the claimed constants"
     return True, (
         f"cor dimension {cor_dim} = (dim_K A)^r, sigma of order [K:F], "

@@ -1,3 +1,5 @@
+import functools
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -379,8 +381,10 @@ def test_central_simple_rejects_upper_triangular():
 
 
 def test_cor_dimension_shadow_tensor_product():
-    # dim cor(A (x) B) = dim cor(A) * dim cor(B), through the orbit count
-    from isotower.csa import _orbits, TensorPowerAlgebra
+    # dim cor(A (x) B) = dim cor(A) * dim cor(B): for B = A, the action on the
+    # 256-dimensional A (x)_K A (x) sigma(A (x)_K A) fixes dim_a^2 vectors that
+    # the orbit solve produces, each one fixed and all of them independent
+    from isotower.csa import _fixed_basis_sparse, TensorPowerAlgebra
 
     cyc = cyclic_sqrt(2)
     a = quaternion_structure_algebra(
@@ -389,10 +393,14 @@ def test_cor_dimension_shadow_tensor_product():
     cor_a = run_cor(cyc, a)
     assert_verifies(cor_a, a)
     dim_a = cor_a.algebra.dim
-    # A (x)_K B for B = A has K-dimension 16: its cor has dimension 16^2, one
-    # fixed vector per orbit position
-    act = g_action_matrix(TensorPowerAlgebra(None, base_dim=16, r=2), cyc)
-    assert sum(len(o) for o in _orbits(act.perm)) == dim_a * dim_a
+    act = g_action_matrix(TensorPowerAlgebra(None, base_dim=dim_a, r=2), cyc)
+    vectors, _meta = _fixed_basis_sparse(act)
+    assert len(vectors) == dim_a * dim_a
+    for vec in vectors:
+        # T(x)[q] = sigma^(-1)(x[perm[q]]), read at the support of x and of T(x)
+        image = {q: cyc.apply(vec[p], -1) for q, p in enumerate(act.perm) if p in vec}
+        assert image == vec
+    assert verify._independent(vec.items() for vec in vectors)
 
 
 def test_cor_result_verifies():
@@ -576,6 +584,94 @@ def test_cor_constant_mutations_fail(which):
             ok = False
         planes[i][j][k] = old
         assert not ok, (i, j, k)
+
+
+# -- corestriction along K/F with F above the rationals --------------------------------------
+
+
+@functools.cache
+def _level2_cor_text(which):
+    """Canonical text of a corestriction along K = Q(sqrt2, sqrt3) over
+    F = Q(sqrt2), so that k_level is 2: M2, or the quaternion algebra
+    (sqrt2, -1) over K."""
+    tower = tower_extend(cyclic_sqrt(2).tower, [-3, 0, 1], label="sqrt3")
+    cyc = CyclicExtensionData.create(tower, 2, [[1, 0], [0, -1]], 2)
+    if which == "m2":
+        alg = matrix_algebra(tower, 2)
+    else:
+        alg = quaternion_structure_algebra(
+            standard_quaternion(tower.gen(1).embed(2), tower.rational(-1, 2))
+        )
+    return canonical_dumps(cor_result_doc(run_cor(cyc, alg), alg))
+
+
+def level2_cor_doc(which):
+    return json.loads(_level2_cor_text(which))
+
+
+def bumped(leaf):
+    q = Fraction(leaf) + 1
+    return f"{q.numerator}/{q.denominator}"
+
+
+@pytest.mark.parametrize("which", ["m2", "quat"])
+def test_cor_over_level1_field_verifies(which):
+    doc = level2_cor_doc(which)
+    assert doc["source"]["cyclic"]["k_level"] == 2
+    ok, reason = verify.verify_cor(doc)
+    assert ok, reason
+
+
+@pytest.mark.parametrize("which", ["m2", "quat"])
+def test_cor_over_level1_field_constant_mutations_fail(which):
+    # every nonzero structure constant, an element a + b sqrt2 of F, with a
+    # or b raised by 1
+    doc = level2_cor_doc(which)
+    planes = doc["constants"]
+    zero = ["0/1", "0/1"]
+    cells = [c for c in product(range(doc["dim"]), repeat=3) if planes[c[0]][c[1]][c[2]] != zero]
+    assert cells
+    for i, j, k in cells:
+        entry = planes[i][j][k]
+        for coord in range(2):
+            old = entry[coord]
+            entry[coord] = bumped(old)
+            ok, _reason = verify.verify_cor(doc)
+            entry[coord] = old
+            assert not ok, (i, j, k, coord)
+    assert verify.verify_cor(doc)[0]
+
+
+@pytest.mark.parametrize("which", ["m2", "quat"])
+def test_cor_over_level1_field_bumped_fixed_basis_fails(which):
+    # the first nonzero leaf of each fixed basis vector raised by 1
+    doc = level2_cor_doc(which)
+    for bi, vec in enumerate(doc["fixed_basis"]):
+        pos = next(p for p, x in enumerate(vec) if x != [["0/1", "0/1"], ["0/1", "0/1"]])
+        entry = vec[pos]
+        a, b = next((a, b) for a in range(2) for b in range(2) if entry[a][b] != "0/1")
+        old = entry[a][b]
+        entry[a][b] = bumped(old)
+        ok, reason = verify.verify_cor(doc)
+        entry[a][b] = old
+        assert not ok, (bi, reason)
+
+
+@pytest.mark.parametrize(
+    "entry, value, why",
+    [
+        ((0, 0), ["0/1", "1/1"], "sigma(gen^0)"),  # sigma(1) = sqrt2
+        ((1, 1), ["0/1", "1/1"], "not a root"),  # sigma(sqrt3) = sqrt2 sqrt3
+        ((1, 1), ["1/1", "0/1"], "order 1"),  # the identity
+    ],
+)
+@pytest.mark.parametrize("which", ["m2", "quat"])
+def test_cor_over_level1_field_forged_sigma_fails(which, entry, value, why):
+    doc = level2_cor_doc(which)
+    i, j = entry
+    doc["source"]["cyclic"]["sigma"][i][j] = value
+    ok, reason = verify.verify_cor(doc)
+    assert not ok and why in reason
 
 
 # -- base change --------------------------------------------------------------------------

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from isotower.errors import ReducibilityError, ZeroInverse
-from isotower.serialize import element_to_json
-from isotower.tower import QQ, _pdivmod, dot, dot_matrix, tower_extend
+from isotower.serialize import element_to_json, tower_from_json, tower_to_json
+from isotower.tower import QQ, TowerField, _pdivmod, dot, dot_matrix, tower_extend
 
 
 @pytest.fixture
@@ -39,6 +39,28 @@ def test_extend_degrees(q_i, q_sqrt2):
     assert stacked.absolute_degree() == 4
     c = tower_extend(QQ, [-1, -2, 1, 1])
     assert c.absolute_degree() == 3
+
+
+def test_extend_and_prefix_reuse_level_contexts(cubic):
+    # a level's context depends only on the levels below it: extending a
+    # tower, cutting a prefix and parsing one reuse the contexts built
+    top = tower_extend(tower_extend(cubic, [-2, 0, 1], label="s"), [-3, 0, 1], label="t")
+    for height in range(top.height + 1):
+        cut = top.prefix(height)
+        fresh = TowerField(top.levels[:height])
+        assert cut == fresh and hash(cut) == hash(fresh)
+        assert len(cut._ctx) == height and all(c is d for c, d in zip(cut._ctx, top._ctx))
+        assert [vars_of(c) for c in cut._ctx] == [vars_of(c) for c in fresh._ctx]
+    below = top.prefix(2)
+    again = tower_extend(below, [-3, 0, 1], label="t")
+    assert again == top and all(c is d for c, d in zip(again._ctx, below._ctx))
+    parsed = tower_from_json(tower_to_json(top))
+    assert parsed == top and {parsed: 1}[top] == 1
+    assert [vars_of(c) for c in parsed._ctx] == [vars_of(c) for c in top._ctx]
+
+
+def vars_of(ctx):
+    return tuple(getattr(ctx, name) for name in type(ctx).__slots__)
 
 
 def test_extend_rejects_bad_minpolys():
