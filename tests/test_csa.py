@@ -381,9 +381,9 @@ def test_central_simple_rejects_upper_triangular():
 
 
 def test_cor_dimension_shadow_tensor_product():
-    # dim cor(A (x) B) = dim cor(A) * dim cor(B): for B = A, the action on the
-    # 256-dimensional A (x)_K A (x) sigma(A (x)_K A) fixes dim_a^2 vectors that
-    # the orbit solve produces, each one fixed and all of them independent
+    # dim cor(A (x) B) = dim cor(A) * dim cor(B), for B = A: the orbit solve
+    # gives dim_a^2 vectors for the action on the tensor square of A (x)_K A,
+    # each one fixed and all of them independent
     from isotower.csa import _fixed_basis_sparse, TensorPowerAlgebra
 
     cyc = cyclic_sqrt(2)
@@ -393,7 +393,8 @@ def test_cor_dimension_shadow_tensor_product():
     cor_a = run_cor(cyc, a)
     assert_verifies(cor_a, a)
     dim_a = cor_a.algebra.dim
-    act = g_action_matrix(TensorPowerAlgebra(None, base_dim=dim_a, r=2), cyc)
+    # A (x)_K A has K-dimension 16, so the action is on 16^2 = 256 positions
+    act = g_action_matrix(TensorPowerAlgebra(None, base_dim=16, r=2), cyc)
     vectors, _meta = _fixed_basis_sparse(act)
     assert len(vectors) == dim_a * dim_a
     for vec in vectors:
