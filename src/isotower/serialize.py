@@ -11,21 +11,19 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import MalformedCertificate
-from .tower import Level, TowerElement, TowerField, _level_kind
+from .tower import F0, Level, TowerElement, TowerField, _level_kind, _raw_zero
 
 
 def fraction_to_json(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-_ZERO = Fraction(0)
-
-
 def fraction_from_json(node) -> Fraction:
     if node == "0/1":  # most leaves: canonical, so skip the parse
-        return _ZERO
+        return F0
     if not isinstance(node, str):
         raise MalformedCertificate(f"expected 'num/den' string, got {node!r}")
     num, sep, den = node.partition("/")
@@ -58,9 +56,28 @@ def _data_to_json(data, lv):
     return [_data_to_json(c, lv - 1) for c in data]
 
 
-def _data_from_json(node, lv, tower):
+@lru_cache(maxsize=32)
+def _zero_json(degrees: tuple) -> tuple:
+    """The JSON of the zero at each level of a tower with these level
+    degrees, lowest first; shared, so never to be mutated."""
+    out = ["0/1"]
+    for d in degrees:
+        out.append([out[-1]] * d)
+    return tuple(out)
+
+
+def _zeros_of(tower: TowerField) -> tuple:
+    return _zero_json(tuple([level.degree for level in tower.levels]))
+
+
+def _data_from_json(node, lv, tower, zeros):
+    """Raw data of ``node`` at level ``lv``; a node equal to its level's zero
+    JSON (``zeros`` is ``_zeros_of(tower)``) is the tower's shared zero,
+    its leaves unread."""
     if lv == 0:
         return fraction_from_json(node)
+    if node == zeros[lv]:
+        return _raw_zero(tower._ctx, lv)
     if not isinstance(node, list):
         raise MalformedCertificate("element nesting shallower than its level")
     if len(node) != tower.degree_of_level(lv):
@@ -68,7 +85,7 @@ def _data_from_json(node, lv, tower):
             f"level-{lv} coefficient list has length {len(node)}, "
             f"expected {tower.degree_of_level(lv)}"
         )
-    return tuple(_data_from_json(c, lv - 1, tower) for c in node)
+    return tuple([_data_from_json(c, lv - 1, tower, zeros) for c in node])
 
 
 def _json_depth(node) -> int:
@@ -86,10 +103,14 @@ def element_to_json(x: TowerElement):
 
 
 def element_from_json(tower: TowerField, node) -> TowerElement:
+    return _element_from_json(tower, node, _zeros_of(tower))
+
+
+def _element_from_json(tower, node, zeros) -> TowerElement:
     lv = _json_depth(node)
     if lv > tower.height:
         raise MalformedCertificate("element deeper than the tower")
-    return TowerElement(tower, lv, _data_from_json(node, lv, tower))
+    return TowerElement(tower, lv, _data_from_json(node, lv, tower, zeros))
 
 
 def tower_to_json(tower: TowerField):
@@ -114,7 +135,8 @@ def tower_from_json(node) -> TowerField:
         coeffs = entry["minpoly"]
         if not isinstance(coeffs, list) or len(coeffs) < 3:
             raise MalformedCertificate("minpoly must have degree >= 2")
-        raw = tuple(_data_from_json(c, i, partial) for c in coeffs)
+        zeros = _zeros_of(partial)
+        raw = tuple(_data_from_json(c, i, partial, zeros) for c in coeffs)
         if raw[-1] != partial.one(i).data:
             raise MalformedCertificate("minpoly must be monic")
         partial = partial._extended(Level(str(entry["label"]), raw, _level_kind(raw, i)))
@@ -128,7 +150,8 @@ def vector_to_json(v) -> list:
 def vector_from_json(tower: TowerField, node) -> tuple[TowerElement, ...]:
     if not isinstance(node, list):
         raise MalformedCertificate("vector must be a list")
-    return tuple(element_from_json(tower, x) for x in node)
+    zeros = _zeros_of(tower)
+    return tuple(_element_from_json(tower, x, zeros) for x in node)
 
 
 def gram_to_json(gram) -> list:
@@ -138,7 +161,8 @@ def gram_to_json(gram) -> list:
 def gram_from_json(tower: TowerField, node):
     if not isinstance(node, list) or any(not isinstance(r, list) for r in node):
         raise MalformedCertificate("gram matrix must be a list of rows")
-    return tuple(tuple(element_from_json(tower, x) for x in row) for row in node)
+    zeros = _zeros_of(tower)
+    return tuple(tuple(_element_from_json(tower, x, zeros) for x in row) for row in node)
 
 
 def canonical_dumps(doc) -> str:

@@ -240,6 +240,8 @@ def _eval_mod(data, lv, point, m):
     not prime to m."""
     if lv == 0:
         num, den = data.numerator, data.denominator
+        if not num:
+            return 0
         if den % m == 0 or gcd(den, m) != 1:
             raise _BadPrime
         return num % m * pow(den, -1, m) % m

@@ -6,6 +6,12 @@ dense coefficient tuples bottoming out at ``fractions.Fraction``, always
 reduced modulo every level's minimal polynomial and zero-padded to the full
 level degree, so equality is plain structural comparison.
 
+Each level has one shared zero object, and every kernel result at level
+>= 1 that is zero is that object, so the arithmetic skips zero operands
+and coefficients by identity instead of walking them.  Identity is only a
+fast path: a zero built elsewhere is an ordinary value to the kernel, and
+``_is_zero`` stays the structural test (see the raw arithmetic section).
+
 Irreducibility of adjoined polynomials is *not* decided eagerly.  A
 reducible level surfaces lazily: when an inversion exposes a proper factor
 of some level's minimal polynomial, a
@@ -41,6 +47,18 @@ RationalLike = Union[int, Fraction]
 # exactly deg_k raw values at level k-1.  The per-level context carries the
 # zero/one constants and the reduction data for the level's minimal
 # polynomial, precomputed once per tower.
+#
+# Shared zeros.  Each level k >= 1 of a tower has one zero object,
+# ``ctx[k-1].own_zero``, built from the shared zero below it; a level-0 zero
+# is any Fraction equal to 0.  Every kernel result at level >= 1 that is
+# zero is that object, and the pads of ``_embed_up``, ``_raw_zero`` and
+# ``TowerField.zero`` are too.  The kernel therefore tests a coefficient at
+# level lo with ``x is zero or not x``: ``not x`` is the Fraction test, and
+# is never true of a tuple.  Identity is only a fast path.  A zero built
+# outside the kernel (a parsed, pickled or hand-built tuple, or one from a
+# separately built tower) is an ordinary value to these tests: it costs time,
+# never correctness.  ``_is_zero`` stays the structural test wherever a zero
+# decides an answer.
 # ---------------------------------------------------------------------------
 
 
@@ -50,6 +68,7 @@ class _LevelCtx:
         "kind",
         "zero",
         "one",
+        "own_zero",
         "minpoly",
         "red_tail",
         "sqrt_const",
@@ -59,8 +78,9 @@ class _LevelCtx:
     def __init__(self, degree, kind, zero, one, minpoly, red_tail, sqrt_const, sqrt_const_rat):
         self.degree = degree
         self.kind = kind
-        self.zero = zero          # zero of the level *below*
+        self.zero = zero          # the shared zero of the level *below*
         self.one = one            # one of the level below
+        self.own_zero = (zero,) * degree  # the shared zero of this level
         self.minpoly = minpoly    # raw coeffs over level below, monic, len degree+1
         self.red_tail = red_tail  # nonzero (index, coeff) pairs of minpoly below X^deg
         self.sqrt_const = sqrt_const        # c for minpoly X^2 - c, else None
@@ -68,17 +88,14 @@ class _LevelCtx:
 
 
 def _raw_zero(ctx, lv):
-    if lv == 0:
-        return F0
-    below = _raw_zero(ctx, lv - 1)
-    return tuple(below for _ in range(ctx[lv - 1].degree))
+    return ctx[lv - 1].own_zero if lv else F0
 
 
 def _raw_one(ctx, lv):
     if lv == 0:
         return F1
-    below = _raw_zero(ctx, lv - 1)
-    return ((_raw_one(ctx, lv - 1),) + (below,) * (ctx[lv - 1].degree - 1))
+    lc = ctx[lv - 1]
+    return (_raw_one(ctx, lv - 1),) + (lc.zero,) * (lc.degree - 1)
 
 
 def _is_zero(a, lv):
@@ -91,48 +108,82 @@ def _is_zero(a, lv):
     return True
 
 
+def _canon(lc, out):
+    """``out``, a tuple of coefficients over the level below, or the shared
+    zero of ``lc``'s level when every coefficient is zero."""
+    z = lc.zero
+    for x in out:
+        if x is not z and x:
+            return out
+    return lc.own_zero
+
+
 def _add(ctx, lv, a, b):
     if lv == 0:
-        return a + b
-    return tuple(_add(ctx, lv - 1, x, y) for x, y in zip(a, b))
+        return a + b if a and b else a or b
+    lc = ctx[lv - 1]
+    if a is lc.own_zero:
+        return b
+    if b is lc.own_zero:
+        return a
+    lo = lv - 1
+    return _canon(lc, tuple([_add(ctx, lo, x, y) for x, y in zip(a, b)]))
 
 
 def _sub(ctx, lv, a, b):
     if lv == 0:
-        return a - b
-    return tuple(_sub(ctx, lv - 1, x, y) for x, y in zip(a, b))
+        if not b:
+            return a
+        return a - b if a else -b
+    lc = ctx[lv - 1]
+    if b is lc.own_zero:
+        return a
+    if a is lc.own_zero:
+        return _neg(ctx, lv, b)
+    lo = lv - 1
+    return _canon(lc, tuple([_sub(ctx, lo, x, y) for x, y in zip(a, b)]))
 
 
 def _neg(ctx, lv, a):
     if lv == 0:
-        return -a
-    return tuple(_neg(ctx, lv - 1, x) for x in a)
+        return -a if a else a
+    if a is ctx[lv - 1].own_zero:
+        return a
+    lo = lv - 1
+    return tuple([_neg(ctx, lo, x) for x in a])
 
 
 def _scale(ctx, lv, a, q):
     """Multiply by a plain Fraction, cheaply."""
     if lv == 0:
-        return a * q
-    return tuple(_scale(ctx, lv - 1, x, q) for x in a)
+        return a * q if a else a
+    z = ctx[lv - 1].own_zero
+    if a is z or not q:
+        return z
+    lo = lv - 1
+    return tuple([_scale(ctx, lo, x, q) for x in a])
 
 
 def _mul(ctx, lv, a, b):
     if lv == 0:
         return a * b
     lc = ctx[lv - 1]
+    if a is lc.own_zero or b is lc.own_zero:
+        return lc.own_zero
+    lo = lv - 1
+    z = lc.zero
     if lc.sqrt_const is not None:
         # level X^2 - c: Karatsuba with one extra scale by c
         a0, a1 = a
         b0, b1 = b
-        lo = lv - 1
-        a1z = _is_zero(a1, lo)
-        b1z = _is_zero(b1, lo)
+        a1z = a1 is z or not a1
+        b1z = b1 is z or not b1
         if a1z and b1z:
-            return (_mul(ctx, lo, a0, b0), lc.zero)
+            return _canon(lc, (_mul(ctx, lo, a0, b0), z))
         if a1z:
-            return (_mul(ctx, lo, a0, b0), _mul(ctx, lo, a0, b1))
+            return _canon(lc, (_mul(ctx, lo, a0, b0), _mul(ctx, lo, a0, b1)))
         if b1z:
-            return (_mul(ctx, lo, a0, b0), _mul(ctx, lo, a1, b0))
+            return _canon(lc, (_mul(ctx, lo, a0, b0), _mul(ctx, lo, a1, b0)))
         p00 = _mul(ctx, lo, a0, b0)
         p11 = _mul(ctx, lo, a1, b1)
         cross = _sub(
@@ -145,37 +196,36 @@ def _mul(ctx, lv, a, b):
             hi = _add(ctx, lo, p00, _scale(ctx, lo, p11, lc.sqrt_const_rat))
         else:
             hi = _add(ctx, lo, p00, _mul(ctx, lo, p11, lc.sqrt_const))
-        return (hi, cross)
+        return _canon(lc, (hi, cross))
     # generic level: schoolbook product then fold X^d = -tail
     d = lc.degree
-    lo = lv - 1
-    zero = lc.zero
-    prod = [zero] * (2 * d - 1)
+    prod = [z] * (2 * d - 1)
+    nzb = [(j, y) for j, y in enumerate(b) if y is not z and y]
     for i, x in enumerate(a):
-        if _is_zero(x, lo):
+        if x is z or not x:
             continue
-        for j, y in enumerate(b):
-            if _is_zero(y, lo):
-                continue
+        for j, y in nzb:
             prod[i + j] = _add(ctx, lo, prod[i + j], _mul(ctx, lo, x, y))
     for i in range(2 * d - 2, d - 1, -1):
         top = prod[i]
-        if _is_zero(top, lo):
+        if top is z or not top:
             continue
         for j, mc in lc.red_tail:
             prod[i - d + j] = _sub(ctx, lo, prod[i - d + j], _mul(ctx, lo, top, mc))
-    return tuple(prod[:d])
+    return _canon(lc, tuple(prod[:d]))
 
 
 def _sqr(ctx, lv, a):
     if lv == 0:
         return a * a
     lc = ctx[lv - 1]
+    if a is lc.own_zero:
+        return a
     if lc.sqrt_const is not None:
         a0, a1 = a
         lo = lv - 1
-        if _is_zero(a1, lo):
-            return (_sqr(ctx, lo, a0), lc.zero)
+        if a1 is lc.zero or not a1:
+            return _canon(lc, (_sqr(ctx, lo, a0), lc.zero))
         p0 = _sqr(ctx, lo, a0)
         p1 = _sqr(ctx, lo, a1)
         cr = _mul(ctx, lo, a0, a1)
@@ -183,7 +233,7 @@ def _sqr(ctx, lv, a):
             hi = _add(ctx, lo, p0, _scale(ctx, lo, p1, lc.sqrt_const_rat))
         else:
             hi = _add(ctx, lo, p0, _mul(ctx, lo, p1, lc.sqrt_const))
-        return (hi, _add(ctx, lo, cr, cr))
+        return _canon(lc, (hi, _add(ctx, lo, cr, cr)))
     return _mul(ctx, lv, a, a)
 
 
@@ -197,6 +247,8 @@ def _dot(ctx, lv, pairs, low=()):
     once: the integer products of the numerators accumulate over a running
     common denominator (the lcm of the pair denominators), and one Fraction
     is built at the end, the canonical 0/1 when the sum cancels.
+    Pairs and coefficients that are the shared zero are skipped by
+    identity, and a zero result above level 0 is the shared zero.
     _mul stays the one-pair product; routed through here it pays more in
     call overhead on small elements than the shared reduction saves."""
     if lv == 0:
@@ -210,29 +262,34 @@ def _dot(ctx, lv, pairs, low=()):
                 g = gcd(den, d)
                 num = num * (d // g) + n * (den // g)
                 den = den // g * d
-        return Fraction(num, den)
+        return Fraction(num, den) if num else F0
     lo = lv - 1
     lc = ctx[lo]
+    own, z = lc.own_zero, lc.zero
     if lc.sqrt_const is not None:
         # full pairs go through Karatsuba; a pair with a zero upper half, or
         # a triple, contributes a0*b0 and at most one cross term, computed
         # directly
         full, direct, cross, low_direct, low_cross = [], [], [], [], []
         for a, b in pairs:
+            if a is own or b is own:
+                continue
             a0, a1 = a
             b0, b1 = b
-            if _is_zero(a1, lo):
+            if a1 is z or not a1:
                 direct.append((a0, b0))
-                if not _is_zero(b1, lo):
+                if b1 is not z and b1:
                     cross.append((a0, b1))
-            elif _is_zero(b1, lo):
+            elif b1 is z or not b1:
                 direct.append((a0, b0))
                 cross.append((a1, b0))
             else:
                 full.append((a, b))
         for a, la, b in low:
+            if b is own:
+                continue
             b0, b1 = b
-            b1z = _is_zero(b1, lo)
+            b1z = b1 is z or not b1
             if la == lo:
                 direct.append((a, b0))
                 if not b1z:
@@ -241,9 +298,9 @@ def _dot(ctx, lv, pairs, low=()):
                 low_direct.append((a, la, b0))
                 if not b1z:
                     low_cross.append((a, la, b1))
-        c0 = _dot(ctx, lo, direct, low_direct) if direct or low_direct else lc.zero
+        c0 = _dot(ctx, lo, direct, low_direct) if direct or low_direct else z
         if not full:
-            return (c0, _dot(ctx, lo, cross, low_cross) if cross or low_cross else lc.zero)
+            return _canon(lc, (c0, _dot(ctx, lo, cross, low_cross) if cross or low_cross else z))
         p00 = _dot(ctx, lo, [(a[0], b[0]) for a, b in full])
         p11 = _dot(ctx, lo, [(a[1], b[1]) for a, b in full])
         cross += [(_add(ctx, lo, a0, a1), _add(ctx, lo, b0, b1)) for (a0, a1), (b0, b1) in full]
@@ -252,40 +309,46 @@ def _dot(ctx, lv, pairs, low=()):
             p11 = _scale(ctx, lo, p11, lc.sqrt_const_rat)
         else:
             p11 = _mul(ctx, lo, p11, lc.sqrt_const)
-        return (_add(ctx, lo, _add(ctx, lo, c0, p00), p11), c1)
+        return _canon(lc, (_add(ctx, lo, _add(ctx, lo, c0, p00), p11), c1))
     # generic level: bucket the coefficient products by degree, then fold
     # X^d = -tail once; a triple only fills the buckets below X^d
     d = lc.degree
     buckets = [[] for _ in range(2 * d - 1)]
     low_buckets = [[] for _ in range(d)]
     for a, b in pairs:
-        nzb = [(j, y) for j, y in enumerate(b) if not _is_zero(y, lo)]
+        if a is own or b is own:
+            continue
+        nzb = [(j, y) for j, y in enumerate(b) if y is not z and y]
         for i, x in enumerate(a):
-            if not _is_zero(x, lo):
+            if x is not z and x:
                 for j, y in nzb:
                     buckets[i + j].append((x, y))
     for a, la, b in low:
+        if b is own:
+            continue
         for j, y in enumerate(b):
-            if not _is_zero(y, lo):
+            if y is not z and y:
                 if la == lo:
                     buckets[j].append((a, y))
                 else:
                     low_buckets[j].append((a, la, y))
     prod = [
-        _dot(ctx, lo, bk, lbk) if bk or lbk else lc.zero
+        _dot(ctx, lo, bk, lbk) if bk or lbk else z
         for bk, lbk in zip_longest(buckets, low_buckets, fillvalue=())
     ]
     for i in range(2 * d - 2, d - 1, -1):
         top = prod[i]
-        if _is_zero(top, lo):
+        if top is z or not top:
             continue
         for j, mc in lc.red_tail:
             prod[i - d + j] = _sub(ctx, lo, prod[i - d + j], _mul(ctx, lo, top, mc))
-    return tuple(prod[:d])
+    return _canon(lc, tuple(prod[:d]))
 
 
 def _embed_up(ctx, lv_from, a, lv_to):
     """View a level lv_from value at level lv_to >= lv_from."""
+    if lv_from < lv_to and (not a or a is _raw_zero(ctx, lv_from)):
+        return _raw_zero(ctx, lv_to)
     for lv in range(lv_from, lv_to):
         pad = _raw_zero(ctx, lv)
         a = (a,) + (pad,) * (ctx[lv].degree - 1)
@@ -584,7 +647,7 @@ class TowerField:
             else:
                 data.append(_embed_up(self._ctx, 0, Fraction(c), level - 1))
         data += [pad] * (d - len(data))
-        return TowerElement(self, level, tuple(data))
+        return TowerElement(self, level, _canon(self._ctx[level - 1], tuple(data)))
 
 
 def _check_shape(ctx, lv, data):
@@ -624,7 +687,10 @@ class TowerElement:
     # -- structural helpers ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return _is_zero(self.data, self.level)
+        lv, data = self.level, self.data
+        if lv and data is self.tower._ctx[lv - 1].own_zero:
+            return True
+        return _is_zero(data, lv)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -788,7 +854,7 @@ def _scan(xs):
             tower = _join(tower, t)
         if la > lv:
             lv = la
-        entries.append(None if _is_zero(a, la) else (la, a))
+        entries.append(None if x.is_zero() else (la, a))
     return tower, lv, entries
 
 

@@ -12,7 +12,10 @@ data, not on ``TowerElement`` wrappers: ``tower._mul`` for one product,
 one integer-accumulated Fraction), ``tower._is_zero`` and
 ``tower._raw_one`` for zero tests and units.  Raw data is always reduced and
 zero-padded, so ``==`` on it is value equality.  These primitives are the
-whole ring interface the checks use.
+whole ring interface the checks use.  ``_is_zero`` is structural: the
+kernel's shared zero per level only lets ``_mul`` and ``_dot`` skip zeros
+faster, so no check here depends on object identity, and a parsed or
+hand-built zero that is not the shared one is judged the same way.
 
 Each verifier returns ``(ok, reason)`` where ``reason`` names the first
 failing equation when ok is False.
@@ -22,8 +25,9 @@ from __future__ import annotations
 
 from .errors import MalformedCertificate
 from .serialize import (
+    _element_from_json,
+    _zeros_of,
     element_from_json,
-    element_to_json,
     gram_from_json,
     int_from_json,
     tower_from_json,
@@ -197,7 +201,7 @@ def _parse_algebra(doc: dict):
     if len(constants) != n or any(len(p) != n or any(len(r) != n for r in p) for p in constants):
         raise MalformedCertificate("constants shape does not match dim")
     # the canonical zero of a level needs no parse: only its level counts
-    zeros = [element_to_json(tower.zero(lv)) for lv in range(tower.height + 1)]
+    zeros = _zeros_of(tower)
     level = 0
     rows = []
     for plane in constants:
@@ -209,7 +213,7 @@ def _parse_algebra(doc: dict):
                 if node in zeros:
                     level = max(level, zeros.index(node))
                     continue
-                c = element_from_json(tower, node)
+                c = _element_from_json(tower, node, zeros)
                 level = max(level, c.level)
                 if c:
                     entry.append((k, c))

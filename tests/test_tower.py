@@ -1,10 +1,15 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isotower.errors import ReducibilityError, ZeroInverse
 from isotower.serialize import element_to_json, tower_from_json, tower_to_json
+from isotower.serialize import element_from_json
 from isotower.tower import QQ, TowerField, _pdivmod, dot, dot_matrix, tower_extend
+from isotower.tower import _add, _dot, _inv, _is_zero, _mul, _neg, _raw_one, _scale, _sqr, _sub
 
 
 @pytest.fixture
@@ -339,3 +344,128 @@ def test_dot_cancelling_to_zero_is_canonical():
     w = dot([s2.gen(), s2.rational(Fraction(1, 3))], [s2.gen(), s2.rational(-6)])
     assert w.is_zero()
     assert element_to_json(w) == ["0/1", "0/1"]
+
+
+# -- shared zeros ----------------------------------------------------------------
+#
+# Every level of a tower has one zero object, and a zero kernel result at
+# level >= 1 is that object.  The kernel skips zeros by identity, but only as
+# a fast path: a zero built outside it must give the same values.
+
+_chains = lru_cache(maxsize=None)(_dot_towers)
+
+
+@st.composite
+def _elements(draw, tower, level):
+    """An element built through the public constructors, so its zero
+    subtrees are the tower's shared zeros; about a quarter of the
+    coefficients at each level are zero."""
+    if level == 0:
+        return tower.rational(Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 4))), 0)
+    if draw(st.integers(0, 3)) == 0:
+        return tower.zero(level)
+    coeffs = [draw(_elements(tower, level - 1)) for _ in range(tower.degree_of_level(level))]
+    return tower.from_coeffs(level, coeffs)
+
+
+def _fresh(a, lv):
+    """A copy of raw data that shares no object with it, zeros included."""
+    if lv == 0:
+        return Fraction(a.numerator, a.denominator)
+    return tuple([_fresh(x, lv - 1) for x in a])
+
+
+def _shared_zero(tower, lv):
+    return tower._ctx[lv - 1].own_zero
+
+
+def _assert_canonical(tower, lv, data):
+    if lv and _is_zero(data, lv):
+        assert data is _shared_zero(tower, lv)
+
+
+@pytest.mark.parametrize("case", sorted(_dot_towers()))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_kernel_agrees_on_shared_and_fresh_zeros(case, data):
+    tower = _chains()[case][-1]
+    ctx = tower._ctx
+    lv = data.draw(st.integers(1, tower.height), label="level")
+    a, b, c, d = (data.draw(_elements(tower, lv)).data for _ in range(4))
+    la = data.draw(st.integers(0, lv - 1), label="low level")
+    e = data.draw(_elements(tower, la)).data
+    q = Fraction(data.draw(st.integers(-9, 9)), data.draw(st.integers(1, 4)))
+    fa, fb, fc, fd, fe = (_fresh(x, y) for x, y in ((a, lv), (b, lv), (c, lv), (d, lv), (e, la)))
+    assert all(f is not x for f, x in ((fa, a), (fb, b), (fc, c), (fd, d)))
+    ops = {
+        "add": lambda a, b, c, d, e: _add(ctx, lv, a, b),
+        "sub": lambda a, b, c, d, e: _sub(ctx, lv, a, b),
+        "sub-self": lambda a, b, c, d, e: _sub(ctx, lv, a, a),
+        "neg": lambda a, b, c, d, e: _neg(ctx, lv, a),
+        "scale": lambda a, b, c, d, e: _scale(ctx, lv, a, q),
+        "mul": lambda a, b, c, d, e: _mul(ctx, lv, a, b),
+        "sqr": lambda a, b, c, d, e: _sqr(ctx, lv, a),
+        "dot": lambda a, b, c, d, e: _dot(ctx, lv, [(a, b), (c, d)], [(e, la, b)]),
+        "dot-cancel": lambda a, b, c, d, e: _dot(ctx, lv, [(a, b), (_neg(ctx, lv, a), b)]),
+    }
+    for name, op in ops.items():
+        shared = op(a, b, c, d, e)
+        _assert_canonical(tower, lv, shared)
+        assert op(fa, fb, fc, fd, fe) == shared, name
+        assert op(a, fb, c, fd, fe) == shared, name
+    if not _is_zero(a, lv):
+        inv = _inv(ctx, lv, a)
+        assert _inv(ctx, lv, fa) == inv
+        assert _mul(ctx, lv, a, inv) == _raw_one(ctx, lv)
+
+
+@pytest.mark.parametrize("case", sorted(_dot_towers()))
+def test_zero_results_are_the_shared_zero(case):
+    import random
+
+    tower = _chains()[case][-1]
+    rng = random.Random(case + "-zero")
+    for lv in range(1, tower.height + 1):
+        zero = _shared_zero(tower, lv)
+        assert tower.zero(lv).data is zero
+        assert tower.rational(0, lv).data is zero
+        assert tower.zero(lv - 1).embed(lv).data is zero
+        assert tower.from_coeffs(lv, []).data is zero
+        x = _random_element(rng, tower, lv)
+        while x.is_zero():
+            x = _random_element(rng, tower, lv)
+        for value in (x - x, x + (-x), x * tower.zero(lv), x * 0, tower.zero(lv).square()):
+            assert value.data is zero
+        assert dot([x, -x], [x, x]).data is zero
+        # the coefficients of a shared zero are the shared zero below
+        if lv > 1:
+            assert all(c is _shared_zero(tower, lv - 1) for c in zero)
+
+
+def test_parsed_zeros_are_the_shared_zero():
+    for chain in _chains().values():
+        tower = tower_from_json(tower_to_json(chain[-1]))
+        for lv in range(1, tower.height + 1):
+            zero = _shared_zero(tower, lv)
+            node = element_to_json(chain[-1].zero(lv))
+            assert element_from_json(tower, node).data is zero
+            # a zero subtree inside a nonzero element is shared as well
+            one = element_to_json(tower.one(lv))
+            assert all(c is tower._ctx[lv - 1].zero for c in element_from_json(tower, one).data[1:])
+        # so are the zero coefficients of the parsed minimal polynomials
+        for lv, level in enumerate(tower.levels):
+            for c in level.minpoly:
+                _assert_canonical(tower, lv, c)
+
+
+def test_extend_and_prefix_keep_the_shared_zero(cubic):
+    top = tower_extend(tower_extend(cubic, [-2, 0, 1], label="s"), [-3, 0, 1], label="t")
+    for height in range(1, top.height + 1):
+        cut = top.prefix(height)
+        for lv in range(1, height + 1):
+            assert cut.zero(lv).data is top.zero(lv).data
+    again = tower_extend(top.prefix(2), [-5, 0, 1], label="u")
+    assert again.zero(2).data is top.zero(2).data
+    # the new level's coefficient zero is the shared zero of the level below
+    assert again._ctx[2].zero is top.zero(2).data
+    assert again.zero(3).data == top.zero(3).data
