@@ -5,27 +5,31 @@ corestriction subalgebra, and its structural checks.
 The fixed subalgebra of the semilinear shift action is computed orbitwise:
 the action permutes tensor basis indices and twists coordinates by the
 field automorphism, so the fixed space is spanned, orbit by orbit, by
-vectors whose representative coordinate runs over the subfield fixed by
-the orbit-length power of the generator.  Every basis vector is fixed by
-construction and is not re-checked here; ``verify_cor`` checks each one
-against the action.  The same orbit solver is the one way into the fixed
-basis: it gives the structure constants, the split idempotent's coordinates
-and the columns of the base-change embedding.  A product of fixed vectors
-is fixed, so the structure constants are read from the orbit
-representatives alone; ``CorResult.coordinates`` runs the same solve and
-then rejects any vector the action does not fix.
+vectors whose representative coordinate runs over a basis of the subfield
+fixed by the orbit-length power of the generator.  Every basis vector is
+fixed by construction and is not re-checked here; ``verify_cor`` checks
+each one against the action.  That subfield basis is in reduced form
+(:meth:`CyclicExtensionData.fixed_subfield_basis`), so the coordinates of a
+fixed vector are read off its representative values at the basis's free
+coordinates, with no arithmetic.  The same read-off gives the structure
+constants, the unit, the split idempotent's coordinates and the columns of
+the base-change embedding.  A product of fixed vectors is fixed, so the
+structure constants are read unchecked; ``CorResult.coordinates`` also
+checks that each representative value x is fixed by sigma^(orbit length)
+and that the rest of the orbit holds its conjugates.
 
 The center test keeps the rows of the stacked commutator maps
 x -> e_i x - x e_i in reduced echelon form, adding one generator's rows per
 elimination, and stops once the rank reaches dim - 1 (the scalars are
 always central).
 
-Products, the orbit solver and the center test compute on the kernel's raw
-nested data at one level, and wrap results as ``TowerElement`` only where
-they leave the module.  A ``StructureConstantAlgebra`` keeps a private raw
-view of its rows and unit, lifted once to its level; ``CyclicExtensionData``
-caches the matrices of sigma^j once.  The tensor power does not build its
-(dim A)^(2r) product rows: ``row(i, j)`` is computed from the legs' raw rows
+Products, the coordinate read-off and the center test compute on the
+kernel's raw nested data at one level, and wrap results as ``TowerElement``
+only where they leave the module.  A ``StructureConstantAlgebra`` keeps a
+private raw view of its rows and unit, lifted once to its level;
+``CyclicExtensionData`` caches the matrices of sigma^j once.  The tensor
+power's unit and rows are sparse Kronecker products of the legs' raw data.
+It does not build its (dim A)^(2r) product rows: ``row(i, j)`` is computed
 on first use and memoised, so the dimension guard bounds what the fixed
 subalgebra builds, its n^2 products in the n-dimensional tensor power.
 """
@@ -35,7 +39,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product as iproduct
 
 from . import linalg
 from .errors import (
@@ -145,20 +148,20 @@ class CyclicExtensionData:
         )
 
     def validate(self) -> None:
-        """sigma is an F-algebra automorphism of order exactly [K:F] and
-        preserves the minimal polynomial of the generator."""
+        """sigma is an F-algebra automorphism of order exactly [K:F].
+
+        sigma is F-linear, so sigma(gen^j) = sigma(gen)^j for j < [K:F] makes
+        it the evaluation map p(gen) -> p(sigma(gen)) on the power basis;
+        once sigma(gen) is a root of the minimal polynomial m of gen, that
+        map is a ring homomorphism K -> K, so a field automorphism."""
         tower, k = self.tower, self.k_level
-        one = tower.one(k)
-        if self.apply(one) != one:
-            raise PreconditionError("sigma does not fix 1")
         gen = tower.gen(k)
-        basis = [one]
-        for _ in range(self.order - 1):
-            basis.append(basis[-1] * gen)
-        for i in range(self.order):
-            for j in range(i, self.order):
-                if self.apply(basis[i] * basis[j]) != self.apply(basis[i]) * self.apply(basis[j]):
-                    raise PreconditionError("sigma is not multiplicative on the power basis")
+        sg = self.apply(gen)
+        power = image = tower.one(k)
+        for j in range(self.order):
+            if self.apply(power) != image:
+                raise PreconditionError(f"sigma(gen^{j}) != sigma(gen)^{j}")
+            power, image = power * gen, image * sg
         x = gen
         for j in range(1, self.order):
             x = self.apply(x)
@@ -166,17 +169,19 @@ class CyclicExtensionData:
                 raise PreconditionError(f"sigma has order {j}, expected {self.order}")
         if self.apply(x) != gen:
             raise PreconditionError("sigma^r is not the identity")
-        # minimal polynomial preservation: m(sigma(gen)) = 0
-        minpoly = tower.levels[k - 1].minpoly
-        sg = self.apply(gen)
         acc = tower.zero(k)
-        for c in reversed(minpoly):
+        for c in reversed(tower.levels[k - 1].minpoly):
             acc = acc * sg + TowerElement(tower, k - 1, c).embed(k)
         if not acc.is_zero():
             raise PreconditionError("sigma(gen) is not a root of the minimal polynomial")
 
     def fixed_subfield_basis(self, power: int):
-        """F-basis of the subfield of K fixed by sigma^power."""
+        """F-basis omega_1, ..., omega_m of the subfield of K fixed by
+        sigma^power, in the reduced form ``linalg.nullspace`` returns: omega_t
+        is 1 at its own free coordinate f_t (over the power basis of K/F),
+        which is its last nonzero coordinate, and 0 at every other f_s.  So
+        an element x of the subfield is x[f_1] omega_1 + ... + x[f_m] omega_m,
+        and its coordinates in this basis are read off, not solved for."""
         tower, k, f = self.tower, self.k_level, self.f_level
         m = self.sigma
         acc = linalg.identity(tower, f, self.order)
@@ -418,7 +423,7 @@ class _TensorRows(Sequence):
         return row
 
     def _build(self, idx: int) -> tuple:
-        d, ctx, lv = self._d, self._tower._ctx, self._level
+        d = self._d
         i, j = divmod(idx, self._n)
         leg_rows = []
         for leg in reversed(self._legs):  # the last leg is least significant
@@ -428,12 +433,17 @@ class _TensorRows(Sequence):
         if not all(leg_rows):
             return ()
         leg_rows.reverse()
-        stack = list(leg_rows[0])
-        for leg_row in leg_rows[1:]:
-            stack = [
-                (flat * d + k, _mul(ctx, lv, coeff, c)) for flat, coeff in stack for k, c in leg_row
-            ]
-        return tuple((flat, c) for flat, c in stack if not _is_zero(c, lv))
+        return _kron(self._tower._ctx, self._level, d, leg_rows)
+
+
+def _kron(ctx, lv, d, factors) -> tuple:
+    """Sparse Kronecker product on raw data at level lv: each factor lists
+    (index < d, value) pairs, the first factor most significant; returns the
+    (flat index, product) pairs whose product is nonzero."""
+    stack = list(factors[0])
+    for factor in factors[1:]:
+        stack = [(flat * d + k, _mul(ctx, lv, coeff, c)) for flat, coeff in stack for k, c in factor]
+    return tuple((flat, c) for flat, c in stack if not _is_zero(c, lv))
 
 
 def tensor_power_over_K(
@@ -445,33 +455,14 @@ def tensor_power_over_K(
     n = a.dim**r
     if n > _TENSOR_DIM_GUARD:
         raise MemoryGuardExceeded(f"tensor dimension {n} exceeds the {_TENSOR_DIM_GUARD} guard")
+    tower, k = a.tower, cyclic.k_level
     legs = [conjugate_algebra(a, cyclic, t) for t in range(r)]
-    rows = _TensorRows(a.tower, cyclic.k_level, legs, a.dim)
-    unit = _tensor_unit(a, legs, r)
-    alg = StructureConstantAlgebra(
-        a.tower, cyclic.k_level, n, rows, unit, matrix_units=a.matrix_units
-    )
+    rows = _TensorRows(tower, k, legs, a.dim)
+    unit = [tower.zero(k)] * n
+    for flat, c in _kron(tower._ctx, k, a.dim, [tuple(leg._raw_unit.items()) for leg in legs]):
+        unit[flat] = TowerElement(tower, k, c)
+    alg = StructureConstantAlgebra(tower, k, n, rows, tuple(unit), matrix_units=a.matrix_units)
     return TensorPowerAlgebra(algebra=alg, base_dim=a.dim, r=r)
-
-
-def _tensor_unit(a, legs, r):
-    d = a.dim
-    n = d**r
-    zero = a.tower.zero(legs[0].level)
-    out = [zero] * n
-    for multi in iproduct(range(d), repeat=r):
-        coeff = None
-        flat = 0
-        for t, idx in enumerate(multi):
-            c = legs[t].unit[idx]
-            if not c:
-                coeff = None
-                break
-            flat = flat * d + idx
-            coeff = c if coeff is None else coeff * c
-        if coeff is not None:
-            out[flat] = coeff
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -525,22 +516,44 @@ class CorResult:
     power (dense K-coordinate vectors, every one fixed by the action).
 
     ``tensor`` and ``cyclic`` describe the source: the tensor power over K
-    and the extension K/F it descends along."""
+    and the extension K/F it descends along.  ``_orbit_data`` holds, for
+    each orbit of the action in basis order, its positions from the
+    representative on and the free coordinates of its subfield basis."""
 
     algebra: StructureConstantAlgebra
     fixed_basis: tuple[tuple[TowerElement, ...], ...]
     tensor: StructureConstantAlgebra
     cyclic: CyclicExtensionData
-    _solver: "_OrbitSolver" = field(repr=False, compare=False)
+    _orbit_data: tuple = field(repr=False, compare=False)
 
     def coordinates(self, z: dict) -> tuple[TowerElement, ...]:
         """F-coordinates in the fixed basis of a sparse tensor vector
         ({flat index: K-element}); raises PreconditionError when the vector
-        is not action-fixed."""
-        return self._solver.coordinates(z)
+        is not action-fixed.  On an orbit of length ell with representative
+        value x, the vector is in the fixed-basis span there exactly when
+        sigma^ell(x) = x, and fixed exactly when every other position holds
+        its conjugate sigma^j(x)."""
+        cyclic = self.cyclic
+        tower, ctx, k, f = cyclic.tower, cyclic.tower._ctx, cyclic.k_level, cyclic.f_level
+        raw = {pos: _raw_at(tower, k, x) for pos, x in z.items()}
+        coords = _read_off(self._orbit_data, raw, _raw_zero(ctx, f))
+        for positions, _free in self._orbit_data:
+            val = raw.pop(positions[0], None)
+            if val is None:
+                continue
+            if cyclic._apply_raw(val, len(positions)) != val:
+                raise PreconditionError("vector is not in the fixed-basis span")
+            for j, pos in enumerate(positions[1:], start=1):
+                if raw.pop(pos, _raw_zero(ctx, k)) != cyclic._apply_raw(val, j):
+                    raise PreconditionError("vector is not action-fixed")
+        if any(not _is_zero(x, k) for x in raw.values()):
+            raise PreconditionError("vector is not action-fixed")
+        return tuple(TowerElement(tower, f, c) for c in coords)
 
 
 def _orbits(perm):
+    """The cycles of perm, each from its least position on: (p, perm[p],
+    perm^2[p], ...)."""
     seen = [False] * len(perm)
     orbits = []
     for p in range(len(perm)):
@@ -558,36 +571,45 @@ def _orbits(perm):
 
 
 def _fixed_basis_sparse(action: GAction):
-    """Sparse fixed vectors, orbit by orbit: the representative coordinate
-    runs over an F-basis of the subfield fixed by sigma^(orbit length).  Each
-    vector is fixed by construction: x[perm^j(p)] = sigma^j(omega) around
-    the orbit, closed by sigma^ell(omega) = omega."""
+    """Sparse fixed vectors and the orbit data that reads coordinates in
+    them, orbit by orbit: the representative coordinate runs over an F-basis
+    of the subfield fixed by sigma^(orbit length).  Each vector is fixed by
+    construction: x[perm^j(p)] = sigma^j(omega) around the orbit, closed by
+    sigma^ell(omega) = omega.  The orbit data pairs the orbit's positions
+    with the free coordinates f_t of its subfield basis (see
+    :meth:`CyclicExtensionData.fixed_subfield_basis`)."""
     cyclic = action.cyclic
     out = []
-    orbit_meta = []
+    orbit_data = []
     sub_bases = {}
     for orbit in sorted(_orbits(action.perm)):
         ell = len(orbit)
-        sub_basis = sub_bases.get(ell)
-        if sub_basis is None:
-            sub_basis = sub_bases[ell] = cyclic.fixed_subfield_basis(ell)
-        if len(sub_basis) != ell:
-            raise PreconditionError(
-                f"fixed subfield of sigma^{ell} has dimension {len(sub_basis)}, expected {ell}"
-            )
-        # fixedness forces x[perm^j(p)] = sigma^j(x[p]) around the orbit
-        positions = [orbit[0]]
-        q = orbit[0]
-        for _ in range(ell - 1):
-            q = action.perm[q]
-            positions.append(q)
+        if ell not in sub_bases:
+            sub_basis = cyclic.fixed_subfield_basis(ell)
+            if len(sub_basis) != ell:
+                raise PreconditionError(
+                    f"fixed subfield of sigma^{ell} has dimension {len(sub_basis)}, expected {ell}"
+                )
+            # the free coordinate of omega_t is its last nonzero coordinate
+            free = tuple(max(i for i, c in enumerate(w.coeffs()) if c) for w in sub_basis)
+            sub_bases[ell] = sub_basis, free
+        sub_basis, free = sub_bases[ell]
         for omega in sub_basis:
-            vec = {}
-            for j, pos in enumerate(positions):
-                vec[pos] = cyclic.apply(omega, j)
-            out.append(vec)
-        orbit_meta.append((tuple(positions), sub_basis))
-    return out, orbit_meta
+            out.append({pos: cyclic.apply(omega, j) for j, pos in enumerate(orbit)})
+        orbit_data.append((orbit, free))
+    return out, tuple(orbit_data)
+
+
+def _read_off(orbit_data, z: dict, zero_f) -> list:
+    """F-coordinates of an action-fixed raw vector z in the fixed basis,
+    unchecked: on each orbit, the representative value's coordinates at the
+    free coordinates of the orbit's subfield basis.  A fixed vector is
+    determined by its representative values."""
+    out = []
+    for positions, free in orbit_data:
+        val = z.get(positions[0])
+        out.extend([zero_f] * len(free) if val is None else [val[t] for t in free])
+    return out
 
 
 def fixed_subalgebra(ta: TensorPowerAlgebra, action: GAction) -> CorResult:
@@ -601,23 +623,17 @@ def fixed_subalgebra(ta: TensorPowerAlgebra, action: GAction) -> CorResult:
     tower = alg.tower
     f_level = cyclic.f_level
     n_k = alg.dim
-    sparse_basis, orbit_meta = _fixed_basis_sparse(action)
+    sparse_basis, orbit_data = _fixed_basis_sparse(action)
     raw_basis = [alg._raw_vector(vec) for vec in sparse_basis]
-    zero_k = tower.zero(cyclic.k_level)
-    dense_basis = []
-    for vec in sparse_basis:
-        dense = [zero_k] * n_k
-        for pos, val in vec.items():
-            dense[pos] = val
-        dense_basis.append(tuple(dense))
-    solver = _OrbitSolver(cyclic, orbit_meta)
+    zero_k, zero_f = tower.zero(cyclic.k_level), _raw_zero(tower._ctx, f_level)
+    dense_basis = tuple(tuple(vec.get(q, zero_k) for q in range(n_k)) for vec in sparse_basis)
 
+    # a product of fixed vectors is fixed (the action is an algebra
+    # automorphism), and so is the tensor unit: both are read off unchecked
     rows = []
     for x in raw_basis:
         for y in raw_basis:
-            # a product of fixed vectors is fixed (the action is an algebra
-            # automorphism), so its representative positions determine it
-            coeffs = solver._solve_raw(alg._mul_raw(x, y))
+            coeffs = _read_off(orbit_data, alg._mul_raw(x, y), zero_f)
             rows.append(
                 tuple(
                     (k, TowerElement(tower, f_level, c))
@@ -625,97 +641,11 @@ def fixed_subalgebra(ta: TensorPowerAlgebra, action: GAction) -> CorResult:
                     if not _is_zero(c, f_level)
                 )
             )
-    unit_sparse = {i: c for i, c in enumerate(alg.unit) if c}
-    unit_coeffs = solver.coordinates(unit_sparse)
-    cor = StructureConstantAlgebra(
-        tower, f_level, n_k, tuple(rows), tuple(unit_coeffs), alg.matrix_units
+    unit = tuple(
+        TowerElement(tower, f_level, c) for c in _read_off(orbit_data, alg._raw_unit, zero_f)
     )
-    return CorResult(
-        algebra=cor, fixed_basis=tuple(dense_basis), tensor=alg, cyclic=cyclic, _solver=solver
-    )
-
-
-class _OrbitSolver:
-    """Expresses action-fixed vectors in the orbit basis and verifies the
-    expansion exactly (a failed residual means the vector left the span).
-
-    The sub-basis of an orbit depends only on the orbit length ell, so the
-    order x ell system is eliminated once per distinct ell: the rref of
-    [mat | I] is [I_ell * ; 0 *] with an invertible right block E, and
-    mat x = b exactly when E b is zero past ell, with x its first ell
-    entries.  The work runs on raw data: K-entries at K's level, the
-    coordinates over F."""
-
-    def __init__(self, cyclic: CyclicExtensionData, orbit_meta):
-        self.cyclic = cyclic
-        tower, k, f = cyclic.tower, cyclic.k_level, cyclic.f_level
-        ctx = tower._ctx
-        one, zero = _raw_one(ctx, f), _raw_zero(ctx, f)
-        self.meta = []
-        transforms = {}
-        offset = 0
-        for positions, sub_basis in orbit_meta:
-            ell = len(sub_basis)
-            if ell not in transforms:
-                cols = [_raw_at(tower, k, x) for x in sub_basis]
-                aug = [
-                    list(row) + [one if i == j else zero for j in range(cyclic.order)]
-                    for i, row in enumerate(zip(*cols))  # order x ell over F, then I
-                ]
-                red, _ = linalg._rref_raw(ctx, f, aug)
-                transforms[ell] = tuple(
-                    tuple((j, x) for j, x in enumerate(row[ell:]) if not _is_zero(x, f))
-                    for row in red
-                )
-            self.meta.append((positions, transforms[ell], offset))
-            offset += ell
-        self.total = offset
-        self.tower, self.ctx, self.k_level, self.f_level = tower, ctx, k, f
-        self.zero_f, self.zero_k = zero, _raw_zero(ctx, k)
-
-    def coordinates(self, z: dict):
-        tower, k, f = self.tower, self.k_level, self.f_level
-        coords = self._coordinates_raw({pos: _raw_at(tower, k, x) for pos, x in z.items()})
-        return tuple(TowerElement(tower, f, c) for c in coords)
-
-    def _solve_raw(self, z: dict) -> list:
-        """F-coordinates of an action-fixed vector z from its representative
-        positions alone, unchecked: a fixed vector is determined by them."""
-        ctx, f = self.ctx, self.f_level
-        out = [self.zero_f] * self.total
-        for positions, transform, offset in self.meta:
-            val = z.get(positions[0])
-            if val is None:
-                # representative zero forces the whole orbit block to zero
-                continue
-            out[offset : offset + len(positions)] = [
-                _dot(ctx, f, [(t, val[j]) for j, t in row]) if row else self.zero_f
-                for row in transform[: len(positions)]
-            ]
-        return out
-
-    def _coordinates_raw(self, z: dict) -> list:
-        """:meth:`_solve_raw`, then the checks that z really is fixed and in
-        the span: the residual rows vanish at each representative, and every
-        other position is the representative's conjugate or zero."""
-        out = self._solve_raw(z)
-        ctx, f, cyclic = self.ctx, self.f_level, self.cyclic
-        touched = dict(z)
-        for positions, transform, _offset in self.meta:
-            val = touched.pop(positions[0], None)
-            if val is None:
-                continue
-            for row in transform[len(positions) :]:
-                if row and not _is_zero(_dot(ctx, f, [(t, val[j]) for j, t in row]), f):
-                    raise PreconditionError("vector is not in the fixed-basis span")
-            # consume and verify the non-representative positions
-            for j, pos in enumerate(positions[1:], start=1):
-                if touched.pop(pos, self.zero_k) != cyclic._apply_raw(val, j):
-                    raise PreconditionError("vector is not action-fixed")
-        for leftover in touched.values():
-            if not _is_zero(leftover, self.k_level):
-                raise PreconditionError("vector is not action-fixed")
-        return out
+    cor = StructureConstantAlgebra(tower, f_level, n_k, tuple(rows), unit, alg.matrix_units)
+    return CorResult(cor, dense_basis, alg, cyclic, orbit_data)
 
 
 # ---------------------------------------------------------------------------

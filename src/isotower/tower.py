@@ -65,7 +65,6 @@ RationalLike = Union[int, Fraction]
 class _LevelCtx:
     __slots__ = (
         "degree",
-        "kind",
         "zero",
         "one",
         "own_zero",
@@ -75,9 +74,8 @@ class _LevelCtx:
         "sqrt_const_rat",
     )
 
-    def __init__(self, degree, kind, zero, one, minpoly, red_tail, sqrt_const, sqrt_const_rat):
+    def __init__(self, degree, zero, one, minpoly, red_tail, sqrt_const, sqrt_const_rat):
         self.degree = degree
-        self.kind = kind
         self.zero = zero          # the shared zero of the level *below*
         self.one = one            # one of the level below
         self.own_zero = (zero,) * degree  # the shared zero of this level
@@ -498,7 +496,6 @@ def _level_ctx(ctx, level) -> _LevelCtx:
         sqrt_rat = _rational_value_raw(sqrt_const, lv_below)
     return _LevelCtx(
         d,
-        level.kind,
         _raw_zero(ctx, lv_below),
         _raw_one(ctx, lv_below),
         level.minpoly,

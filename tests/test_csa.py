@@ -2,6 +2,7 @@ import functools
 import json
 import random
 from fractions import Fraction
+from math import gcd
 from itertools import product
 
 import pytest
@@ -22,6 +23,7 @@ from isotower.csa import (
     split_idempotent_witness,
     tensor_power_over_K,
 )
+from isotower.csa import _orbits
 from isotower.errors import MalformedCertificate, MemoryGuardExceeded, PreconditionError
 from isotower.presets import cyclic_cubic, cyclic_gaussian, cyclic_sqrt, field_sqrt
 from isotower.serialize import canonical_dumps, element_to_json, tower_to_json, vector_to_json
@@ -31,6 +33,20 @@ from isotower import verify
 
 
 # -- cyclic data --------------------------------------------------------------------
+
+
+def zeta5_k_times_k():
+    """(cyclic, A): K = Q(zeta_5) = Q[z]/(z^4 + z^3 + z^2 + z + 1) over Q with
+    sigma: z -> z^2 of order 4, and A = K x K on its two idempotents.  The
+    leg shift on the 16 positions of A's tensor power has orbits of lengths
+    1, 1, 2, 4, 4, 4, so one orbit has 1 < ell < r."""
+    tower = tower_extend(QQ, [1, 1, 1, 1, 1], label="z5")
+    # columns are the images of 1, z, z^2, z^3; z^4 = -1 - z - z^2 - z^3
+    m = [[1, 0, -1, 0], [0, 0, -1, 1], [0, 1, -1, 0], [0, 0, -1, 0]]
+    cyc = CyclicExtensionData.create(tower, 1, m, 4)
+    one = tower.one(1)
+    rows = (((0, one),), (), (), ((1, one),))
+    return cyc, StructureConstantAlgebra(tower, 1, 2, rows, (one, one))
 
 
 def test_cyclic_sqrt2():
@@ -59,6 +75,24 @@ def test_cyclic_validation_rejects_non_automorphism():
     tower = tower_extend(QQ, [-2, 0, 1], label="s2")
     with pytest.raises(PreconditionError):
         CyclicExtensionData.create(tower, 1, [[1, 1], [0, -1]], 2)  # does not fix products
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: cyclic_sqrt(2), cyclic_cubic, lambda: zeta5_k_times_k()[0]],
+    ids=["sqrt2", "cubic", "zeta5"],
+)
+def test_fixed_subfield_basis_reduced_form(make):
+    # omega_t is fixed by sigma^power, 1 at its last nonzero coordinate f_t
+    # and 0 at every other f_s: the contract the coordinate read-off uses
+    cyc = make()
+    for power in range(1, cyc.order + 1):
+        basis = cyc.fixed_subfield_basis(power)
+        assert len(basis) == gcd(power, cyc.order)  # [K^(sigma^power) : F]
+        free = [max(i for i, c in enumerate(w.coeffs()) if c) for w in basis]
+        for t, w in enumerate(basis):
+            assert cyc.apply(w, power) == w
+            assert [w.coeffs()[f] for f in free] == [int(s == t) for s in range(len(basis))]
 
 
 def test_sigma_preserves_minpoly():
@@ -349,6 +383,33 @@ def test_coordinates_of_fixed_basis():
         # E_11 (x) ... (x) E_11 is a one-point orbit, fixed only by F-multiples
         with pytest.raises(PreconditionError, match="fixed-basis span"):
             cor.coordinates({0: cyc.tower.gen(cyc.k_level)})
+
+
+def test_coordinates_read_off_zeta5_orbits():
+    cyc, alg = zeta5_k_times_k()
+    ta = tensor_power_over_K(alg, cyc)
+    act = g_action_matrix(ta, cyc)
+    assert sorted(len(orbit) for orbit in _orbits(act.perm)) == [1, 1, 2, 4, 4, 4]
+    cor = fixed_subalgebra(ta, act)
+    assert_verifies(cor, alg)
+    n = cor.algebra.dim
+    one, zero = QQ.one(0), QQ.zero(0)
+    for i, vec in enumerate(cor.fixed_basis):
+        coords = cor.coordinates({q: x for q, x in enumerate(vec) if x})
+        assert coords == tuple(one if k == i else zero for k in range(n))
+    # positions 5 and 10 (leg exponents 0101 and 1010) form the orbit of
+    # length 2; its representative runs over K^(sigma^2) = Q(sqrt 5)
+    z = cyc.tower.gen()
+    with pytest.raises(PreconditionError, match="fixed-basis span"):
+        cor.coordinates({5: z, 10: cyc.apply(z)})
+    omega = z + z**4  # fixed by sigma^2, moved by sigma
+    with pytest.raises(PreconditionError, match="not action-fixed"):
+        cor.coordinates({5: omega, 10: omega})
+    x = {5: omega, 10: cyc.apply(omega)}
+    coords = cor.coordinates(x)
+    for q in range(n):
+        entry = sum((c * vec[q] for c, vec in zip(coords, cor.fixed_basis)), cyc.tower.zero(1))
+        assert entry == x.get(q, 0)
 
 
 def test_idempotent_rejected_for_division_input():

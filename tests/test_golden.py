@@ -23,6 +23,7 @@ from isotower.presets import cyclic_cubic, cyclic_sqrt, field_cubic, field_quint
 from isotower.quadforms import isotropy_2ext
 from isotower.serialize import canonical_dumps
 from isotower.splitting import split_over_2ext, standard_quaternion
+from test_csa import zeta5_k_times_k
 
 SEED = 20260808  # the acceptance suite's seed
 
@@ -71,6 +72,8 @@ CASES = {
     "split-septic": lambda: _split(field_septic()),
     "cor-sqrt2-quaternion": _cor_quaternion_sqrt2,
     "cor-m2-cubic": _cor_m2_cubic,
+    # K x K over Q(zeta_5): orbits of lengths 1, 2 and 4 under an order-4 sigma
+    "cor-kxk-zeta5": lambda: _cor(*zeta5_k_times_k()),
 }
 
 GOLDEN = {
@@ -85,6 +88,8 @@ GOLDEN = {
     "split-septic": "dd3dc40f8607e0909d81d31fd75acb731fbf80c83605cc7d1b5f3c40f8773c6e",
     # pinned before corestriction moved to raw rows
     "cor-m2-cubic": "eb8f3daf6d36a0bef321b2f8b989a0e8f6be8e0b7c903e5268fa691b36dbe70d",
+    # pinned before the fixed-basis coordinates were read off instead of solved
+    "cor-kxk-zeta5": "0accaec60ebc70a99150652d97f70bfe1141ac20d2e5ab64df576179101ca991",
 }
 
 

@@ -89,6 +89,22 @@ def test_diagonalize_hyperbolic():
     assert all(d)
 
 
+@pytest.mark.parametrize(
+    "gram",
+    [
+        # zero first diagonal entry, a later one nonzero: pivot by swap
+        [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+        # zero first row and diagonal: swap in the first off-diagonal pair
+        [[0, 0, 0], [0, 0, 1], [0, 1, 0]],
+    ],
+)
+def test_diagonalize_zero_diagonal(gram):
+    form = QuadraticForm.from_gram(QQ, 0, gram)
+    d, p = diagonalize(form)
+    check_congruence(form, d, p)
+    assert sum(1 for x in d if x) == linalg.rank(form.gram)
+
+
 def test_diagonalize_already_diagonal():
     form = diag(2, 3)
     d, p = diagonalize(form)
@@ -237,6 +253,22 @@ def test_isotropy_zero_system_immediate_witness():
     assert cert.actual_degree == 1
     assert any(cert.witness)
     assert verify_isotropy_certificate(system, cert)
+
+
+def test_isotropy_hyperbolic_zero_diagonal_verifies():
+    # three multiples of x1 x2 + x3 x4 + x5 x6: no diagonal entry to pick, so
+    # the scan takes e_1 + e_2, and mixing leaves two zero forms, whose
+    # witness is immediate
+    gram = [[Fraction(0)] * 7 for _ in range(7)]
+    for i in (0, 2, 4):
+        gram[i][i + 1] = gram[i + 1][i] = Fraction(1, 2)
+    system = QFSystem(
+        tuple(QuadraticForm.from_gram(QQ, 0, [[s * x for x in row] for row in gram]) for s in (1, 2, 3))
+    )
+    cert = isotropy_2ext(system)
+    assert cert.actual_degree == 1
+    ok, reason = verify.verify_isotropy(isotropy_certificate_doc(system, cert))
+    assert ok, reason
 
 
 def test_isotropy_over_extension_field():

@@ -330,6 +330,19 @@ def test_hilbert_examples():
     assert hilbert_symbol_Q(Fraction(1, 7), 3) == "division"
 
 
+@pytest.mark.parametrize(
+    "v, want",
+    [
+        (1000033, "split"),  # a prime 1 mod 4, past trial division: Miller-Rabin
+        (1000039, "division"),  # a prime 3 mod 4
+        (10007 * 10009, "division"),  # composite past trial division: Pollard rho
+    ],
+)
+def test_hilbert_large_prime_factors(v, want):
+    # (-1, p) splits exactly when p is 1 mod 4; 10007 is 3 mod 4
+    assert hilbert_symbol_Q(-1, v) == want
+
+
 def test_hilbert_rejects_zero():
     with pytest.raises(PreconditionError):
         hilbert_symbol_Q(0, 3)

@@ -1,0 +1,193 @@
+"""The verifier's FAIL paths, one targeted forgery or mutation per reason.
+
+Each case edits an honest certificate on a small rational or cubic input
+so that exactly one check of ``verify_split`` or ``verify_isotropy`` fails,
+and asserts the reason that check names.  Two PASS cases reach the bracket
+presentation and the two-tower check's general-quadratic branch.
+"""
+
+import copy
+import functools
+
+import pytest
+
+from isotower.certjson import isotropy_certificate_doc, split_certificate_doc
+from isotower.presets import field_cubic
+from isotower.quadforms import QFSystem, QuadraticForm, isotropy_2ext
+from isotower.serialize import tower_to_json
+from isotower.splitting import bracket_quaternion, split_over_2ext, standard_quaternion
+from isotower.tower import QQ, tower_extend
+from isotower import verify
+
+
+def _level(label, *minpoly):
+    """One rational tower level as JSON, coefficients lowest degree first."""
+    return {"label": label, "minpoly": [f"{c}/1" for c in minpoly]}
+
+
+SQRT2_SQRT3 = tower_to_json(tower_extend(tower_extend(QQ, [-2, 0, 1], label="s2"), [-3, 0, 1], label="s3"))
+
+
+@functools.cache
+def _split_doc(u, v):
+    """Split certificate of the rational quaternion (u, v)."""
+    return split_certificate_doc(split_over_2ext(standard_quaternion(QQ.rational(u), QQ.rational(v))))
+
+
+@functools.cache
+def _isotropy_doc():
+    """x^2 - y^2 = 0 over Q: witness (1, 1), no added level."""
+    system = QFSystem((QuadraticForm.diagonal(QQ, 0, [1, -1]),))
+    return isotropy_certificate_doc(system, isotropy_2ext(system))
+
+
+def _bump_first_leaf(node):
+    if isinstance(node, list):
+        return [_bump_first_leaf(node[0])] + node[1:]
+    n, d = node.split("/")
+    return f"{int(n) + 1}/{d}"
+
+
+def _zero_like(node):
+    return [_zero_like(c) for c in node] if isinstance(node, list) else "0/1"
+
+
+def test_split_base_docs():
+    # (-1, -1) is division over Q, so its witness lives over Q(i);
+    # (1, -1) splits over Q with a rational witness and no F-side level
+    div, split = _split_doc(-1, -1), _split_doc(1, -1)
+    assert verify.verify_split(div)[0] and div["degree_over_F"] == 2 and len(div["tower"]) == 1
+    assert verify.verify_split(split)[0] and split["two_tower"] == [] and split["tower"] == []
+
+
+def _set(path, value):
+    def edit(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value(node[path[-1]]) if callable(value) else value
+
+    return edit
+
+
+SPLIT_FORGERIES = {
+    "unknown-presentation": (
+        (-1, -1), [_set(("quaternion", "presentation"), "hamilton")], "unknown presentation 'hamilton'"
+    ),
+    "degenerate-u": ((-1, -1), [_set(("quaternion", "u"), "0/1")], "degenerate quaternion entries"),
+    "degenerate-v": ((-1, -1), [_set(("quaternion", "v"), "0/1")], "degenerate quaternion entries"),
+    "witness-length": ((-1, -1), [_set(("witness",), lambda w: w[:3])], "witness must be a 4-vector"),
+    "zero-witness": ((-1, -1), [_set(("witness",), _zero_like)], "witness = 0"),
+    # K = Q(sqrt 2) while the certificate tower starts with Q(i)
+    "tower-not-over-K": (
+        (-1, -1),
+        [_set(("quaternion", "field"), [_level("s2", -2, 0, 1)])],
+        "certificate tower does not extend the quaternion's field",
+    ),
+    "cubic-compositum-level": (
+        (1, -1), [_set(("tower",), [_level("c", -2, 0, 0, 1)])], "compositum level 1 is not quadratic"
+    ),
+    "norm-nonzero": ((-1, -1), [_set(("witness",), _bump_first_leaf)], "N_Q(witness) = "),
+    "degree-mismatch": (
+        (-1, -1), [_set(("degree_over_F",), 1)], "degree_over_F 1 != recomputed 2"
+    ),
+    # an F-side of degree 4 over Q, where 2^[K:F] = 2
+    "degree-above-bound": (
+        (1, -1),
+        [_set(("two_tower",), SQRT2_SQRT3), _set(("degree_over_F",), 4)],
+        "degree_over_F 4 > claimed_bound 2",
+    ),
+    "two-tower-sqrt0": (
+        (-1, -1), [_set(("two_tower",), [_level("z", 0, 0, 1)])], "two-tower level 1 adjoins sqrt(0)"
+    ),
+    "two-tower-square-constant": (
+        (-1, -1),
+        [_set(("two_tower",), [_level("t", -4, 0, 1)])],
+        "two-tower level 1 is reducible (square constant)",
+    ),
+    # X^2 + 3X + 2 = (X + 1)(X + 2): discriminant 1
+    "two-tower-square-discriminant": (
+        (-1, -1),
+        [_set(("two_tower",), [_level("t", 2, 3, 1)])],
+        "two-tower level 1 is reducible (square discriminant)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_FORGERIES))
+def test_split_forgery_fails(name):
+    entries, edits, why = SPLIT_FORGERIES[name]
+    doc = copy.deepcopy(_split_doc(*entries))
+    for edit in edits:
+        edit(doc)
+    ok, reason = verify.verify_split(doc)
+    assert not ok and reason.startswith(why), reason
+
+
+def test_split_bracket_over_cubic_passes():
+    cubic = field_cubic()
+    doc = split_certificate_doc(split_over_2ext(bracket_quaternion(cubic.gen(), cubic.rational(-3))))
+    assert doc["quaternion"]["presentation"] == "bracket"
+    ok, reason = verify.verify_split(doc)
+    assert ok, reason
+
+
+def test_split_over_eisenstein_field_passes():
+    # K = Q[x]/(x^2 + x + 1) declared as its own 2-part: the F-side level is
+    # a general quadratic, re-tested through its discriminant -3
+    k = tower_extend(QQ, [1, 1, 1], label="w")
+    doc = split_certificate_doc(split_over_2ext(standard_quaternion(k.gen(), k.rational(3)), two_part_levels=1))
+    assert doc["two_tower"] == [_level("w", 1, 1, 1)]
+    ok, reason = verify.verify_split(doc)
+    assert ok and doc["degree_over_F"] == 2, reason
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: verify_split never ties the certificate tower to two_tower",
+)
+def test_split_empty_two_tower_forgery_fails():
+    # ROADMAP item 1's repro: drop the F-side and claim degree 1
+    cubic = field_cubic()
+    doc = split_certificate_doc(split_over_2ext(standard_quaternion(cubic.gen(), cubic.rational(2))))
+    assert verify.verify_split(doc)[0] and doc["degree_over_F"] > 1
+    doc.update(two_tower=[], degree_over_F=1)
+    assert not verify.verify_split(doc)[0]
+
+
+ISOTROPY_FORGERIES = {
+    "added-level-not-sqrt": (
+        [_set(("tower",), [_level("w", 1, 1, 1)]), _set(("actual_degree",), 2)],
+        "added level 1 is not of shape X^2 - c",
+    ),
+    "added-level-sqrt0": (
+        [_set(("tower",), [_level("z", 0, 0, 1)]), _set(("actual_degree",), 2)],
+        "added level 1 adjoins sqrt(0)",
+    ),
+    "added-level-square": (
+        [_set(("tower",), [_level("t", -4, 0, 1)]), _set(("actual_degree",), 2)],
+        "added level 1 adjoins a root that already exists",
+    ),
+    "form-dimension": (
+        [_set(("witness",), lambda w: w + ["0/1"])], "form 1 dimension does not match the witness"
+    ),
+    "degree-mismatch": (
+        [_set(("actual_degree",), 2)], "actual_degree 2 != recomputed degree 1"
+    ),
+    # a genuine chain of two square roots, where 2^r = 2
+    "degree-above-bound": (
+        [_set(("tower",), SQRT2_SQRT3), _set(("actual_degree",), 4)],
+        "actual_degree 4 > claimed_bound 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ISOTROPY_FORGERIES))
+def test_isotropy_forgery_fails(name):
+    edits, why = ISOTROPY_FORGERIES[name]
+    doc = copy.deepcopy(_isotropy_doc())
+    assert verify.verify_isotropy(doc)[0]
+    for edit in edits:
+        edit(doc)
+    ok, reason = verify.verify_isotropy(doc)
+    assert not ok and reason.startswith(why), reason
