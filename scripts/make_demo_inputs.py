@@ -28,6 +28,16 @@ def main():
     )
     (outdir / "system_r2.json").write_text(canonical_dumps(system_doc(system)))
 
+    # forms over a level above Q: the recursion on level-1 data
+    sqrt2 = cyclic_sqrt(2).tower
+    system = QFSystem(
+        (
+            QuadraticForm.diagonal(sqrt2, 1, [1, 1, 1, 1]),
+            QuadraticForm.diagonal(sqrt2, 1, [1, sqrt2.gen(), 3, 4]),
+        )
+    )
+    (outdir / "system_sqrt2.json").write_text(canonical_dumps(system_doc(system)))
+
     cubic = field_cubic()
     quat = standard_quaternion(cubic.gen(), cubic.rational(2))
     (outdir / "cubic_quat.json").write_text(canonical_dumps(quaternion_doc(quat)))
@@ -54,6 +64,7 @@ def main():
     (outdir / "m2_sqrt2_sqrt3.json").write_text(canonical_dumps(cor_input))
 
     print(f"wrote {outdir}/system_r2.json   (isotropy --input)")
+    print(f"wrote {outdir}/system_sqrt2.json  (isotropy --input, forms over Q(sqrt2))")
     print(f"wrote {outdir}/cubic_quat.json  (split-quaternion --input)")
     print(f"wrote {outdir}/m2_sqrt2.json    (corestrict --input)")
     print(f"wrote {outdir}/quat_sqrt2.json  (corestrict --input, a division algebra)")

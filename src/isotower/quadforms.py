@@ -8,17 +8,27 @@ packaged as a self-contained certificate.  The recursion mixes forms to
 vanish at a chosen vector, intersects orthogonal complements, solves the
 smaller system, and finishes with one binary quadratic per recursion level,
 so the constructed extension degree is at most 2^r.
+
+The forms compute on the kernel's raw level data.  Every Gram entry of a
+form lies at ``form.level`` in ``form.tower``, so its ``.data`` is raw data
+at that one level.  A symmetric Gram matrix is built on its upper triangle:
+entry (p, q), p <= q, is one sum of products (:func:`~isotower.tower._dot`),
+wrapped once, and that same object is mirrored to (q, p).  ``gram`` stays
+the public, wrapped, symmetric matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from math import lcm
 from typing import Sequence
 
 from . import linalg
 from .errors import AllVanish, DimensionTooSmall, PreconditionError, SingularMatrix
 from .sqrt import adjoin_sqrt
-from .tower import TowerElement, TowerField, dot
+from .tower import TowerElement, TowerField, _add, _dot, _embed_up, _is_zero, _join, _mul
+from .tower import _neg, _raw_zero
 
 
 def _as_elem(tower: TowerField, level: int, x) -> TowerElement:
@@ -33,6 +43,8 @@ class QuadraticForm:
 
     Off-diagonal entries are half the polar form, so
     phi(x+y) - phi(x) - phi(y) = 2 x^T G y exactly (characteristic 0).
+    Every Gram entry lies at ``level`` in ``tower``; the raw code reads an
+    entry's ``.data`` as level-``level`` data.
     """
 
     tower: TowerField
@@ -65,26 +77,47 @@ class QuadraticForm:
     def dim(self) -> int:
         return len(self.gram)
 
-    def evaluate(self, v: Sequence[TowerElement]) -> TowerElement:
-        if len(v) != self.dim:
-            raise ValueError(f"vector length {len(v)} != form dimension {self.dim}")
-        vv = [x if isinstance(x, TowerElement) else self.tower.rational(x, self.level) for x in v]
-        return dot(vv, linalg.matvec(self.gram, vv))
+    def _gy(self, *vecs):
+        """(tower, level, raw first vector, raw G times the last vector y) in the
+        longest tower and at the highest level among the vectors and the form;
+        plain numbers are rationals.  Each row of G y is one sum of products."""
+        tower, lv, out = self.tower, self.level, []
+        for v in vecs:
+            if len(v) != self.dim:
+                raise ValueError(f"vector length {len(v)} != form dimension {self.dim}")
+            v = [x if isinstance(x, TowerElement) else self.tower.rational(x, self.level) for x in v]
+            for x in v:
+                tower = tower if x.tower is tower else _join(tower, x.tower)
+                lv = max(lv, x.level)
+            out.append(v)
+        ctx, fl = tower._ctx, self.level
+        out = [[_embed_up(ctx, x.level, x.data, lv) for x in v] for v in out]
+        nz = [(j, y) for j, y in enumerate(out[-1]) if not _is_zero(y, lv)]
+        if fl == lv:
+            gy = [_dot(ctx, lv, [(row[j].data, y) for j, y in nz]) for row in self.gram]
+        else:
+            gy = [_dot(ctx, lv, (), [(row[j].data, fl, y) for j, y in nz]) for row in self.gram]
+        return tower, lv, out[0], gy
+
+    def evaluate(self, v) -> TowerElement:
+        tower, lv, v, gv = self._gy(v)
+        return TowerElement(tower, lv, _dot(tower._ctx, lv, list(zip(v, gv))))
 
     def bilinear(self, x, y) -> TowerElement:
         """b(x, y) = phi(x+y) - phi(x) - phi(y) = 2 x^T G y."""
-        return 2 * dot(x, linalg.matvec(self.gram, tuple(y)))
+        tower, lv, x, gy = self._gy(x, y)
+        xgy = _dot(tower._ctx, lv, list(zip(x, gy)))
+        return TowerElement(tower, lv, _add(tower._ctx, lv, xgy, xgy))
 
-    def scaled(self, c: TowerElement) -> "QuadraticForm":
-        return QuadraticForm(
-            self.tower, self.level, tuple(tuple(c * g for g in row) for row in self.gram)
-        )
 
-    def minus(self, other: "QuadraticForm") -> "QuadraticForm":
-        rows = tuple(
-            tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.gram, other.gram)
-        )
-        return QuadraticForm(self.tower, self.level, rows)
+def _symmetric(tower: TowerField, level: int, n: int, entry) -> QuadraticForm:
+    """The form whose Gram entry (p, q), p <= q, is the raw ``entry(p, q)``,
+    wrapped once and mirrored to (q, p)."""
+    rows = [[None] * n for _ in range(n)]
+    for p in range(n):
+        for q in range(p, n):
+            rows[p][q] = rows[q][p] = TowerElement(tower, level, entry(p, q))
+    return QuadraticForm(tower, level, tuple(map(tuple, rows)))
 
 
 @dataclass(frozen=True)
@@ -219,7 +252,9 @@ def mix_forms(system: QFSystem, v: Sequence[TowerElement]) -> QFSystem:
     largest index with nonzero value into the last position.
 
     The mixed system has exactly the same isotropic vectors as the original
-    over every extension, and the first r-1 mixed forms vanish at v.
+    over every extension, and the first r-1 mixed forms vanish at v, which
+    lies at the system's level.  Each upper-triangle entry of a mixed form
+    is one sum of two products, a_r g - a_i h.
     """
     vals = [f.evaluate(v) for f in system.forms]
     nz = [i for i, a in enumerate(vals) if a]
@@ -229,28 +264,33 @@ def mix_forms(system: QFSystem, v: Sequence[TowerElement]) -> QFSystem:
     forms = list(system.forms)
     forms[pick], forms[-1] = forms[-1], forms[pick]
     vals[pick], vals[-1] = vals[-1], vals[pick]
-    a_r = vals[-1]
-    last = forms[-1]
-    mixed = [forms[i].scaled(a_r).minus(last.scaled(vals[i])) for i in range(len(forms) - 1)]
-    return QFSystem(tuple(mixed + [last]))
+    tower, lv, n = system.tower, system.level, system.dim
+    ctx, last = tower._ctx, forms[-1]
+
+    def mixed(form, a_i):
+        # a zero a_i stays the shared zero under _neg, and _dot skips it
+        terms = ((vals[-1].data, form.gram), (_neg(ctx, lv, a_i.data), last.gram))
+        return _symmetric(tower, lv, n, lambda p, q: _dot(ctx, lv, [(a, g[p][q].data) for a, g in terms]))
+
+    return QFSystem(tuple(mixed(f, a) for f, a in zip(forms, vals[:-1])) + (last,))
 
 
 def orthogonal_intersection(system: QFSystem, v: Sequence[TowerElement]):
     """Basis of W = {x : b_i(x, v) = 0 for i < r} plus a direct complement of
-    the line through v inside W.  Requires phi_i(v) = 0 for i < r.
+    the line through v inside W.  Requires phi_i(v) = 0 for i < r, which
+    is checked on the same G_i v that gives the row x . (G_i v) = b_i(x,v)/2.
     """
     tower, level, n = system.tower, system.level, system.dim
-    for f in system.forms[:-1]:
-        if f.evaluate(v):
-            raise PreconditionError("orthogonal_intersection requires phi_i(v) = 0 for i < r")
     rows = []
     for f in system.forms[:-1]:
-        rows.append(tuple(linalg.matvec(f.gram, tuple(v))))  # x . (G v) = b(x,v)/2
+        t, lv, vr, gv = f._gy(v)
+        if not _is_zero(_dot(t._ctx, lv, list(zip(vr, gv))), lv):
+            raise PreconditionError("orthogonal_intersection requires phi_i(v) = 0 for i < r")
+        rows.append(tuple(TowerElement(t, lv, x) for x in gv))
     if rows:
         w_basis = list(linalg.nullspace(tuple(rows), tower, level, n))
     else:
-        w_basis = [tuple(tower.one(level) if k == i else tower.zero(level) for k in range(n))
-                   for i in range(n)]
+        w_basis = list(linalg.identity(tower, level, n))
     # extend v != 0 to a basis of W: the pivot columns of [v | w_1 | ...]
     # past the first are the candidates that raise the rank, in order
     _, pivots = linalg.rref(tuple(zip(v, *w_basis)))
@@ -259,10 +299,15 @@ def orthogonal_intersection(system: QFSystem, v: Sequence[TowerElement]):
 
 
 def _restrict(form: QuadraticForm, basis) -> QuadraticForm:
-    cols = tuple(zip(*basis))  # basis vectors as columns
-    gb = linalg.matmul(form.gram, cols)
-    small = linalg.matmul(tuple(zip(*cols)), gb)
-    return QuadraticForm(form.tower, form.level, small)
+    """B^T G B, the form on the span of ``basis`` (vectors at the form's
+    level): G B is one matmul, each entry of B^T (G B) one sum of products."""
+    tower, lv = form.tower, form.level
+    ctx = tower._ctx
+    gb_cols = [[x.data for x in col] for col in zip(*linalg.matmul(form.gram, tuple(zip(*basis))))]
+    b_rows = [[(p, x.data) for p, x in enumerate(b) if x] for b in basis]
+    return _symmetric(
+        tower, lv, len(basis), lambda i, j: _dot(ctx, lv, [(x, gb_cols[j][p]) for p, x in b_rows[i]])
+    )
 
 
 def _binary_root(tower: TowerField, a, b, c):
@@ -290,17 +335,10 @@ def _solve_system(system: QFSystem):
         for i in range(n):
             if not form.gram[i][i]:
                 return tower, tuple(one if k == i else zero for k in range(n))
-        v1 = tuple(one if k == 0 else zero for k in range(n))
-        v2 = tuple(one if k == 1 else zero for k in range(n))
-        a = form.gram[0][0]
-        b = form.bilinear(v1, v2)
-        c = form.gram[1][1]
-        t2, x = _binary_root(tower, a, b, c)
+        # phi(x e_1 + e_2) = g_11 x^2 + b(e_1, e_2) x + g_22, b(e_1, e_2) = 2 g_12
+        t2, x = _binary_root(tower, form.gram[0][0], 2 * form.gram[0][1], form.gram[1][1])
         top = t2.height
-        wit = tuple(
-            (x if k == 0 else (t2.one(top) if k == 1 else t2.zero(top))) for k in range(n)
-        )
-        return t2, wit
+        return t2, (x, t2.one(top)) + (t2.zero(top),) * (n - 2)
 
     v = _scan_vector(system)
     if v is None:
@@ -331,19 +369,7 @@ def _solve_system(system: QFSystem):
 
 def clear_denominators(witness):
     """Scale a witness to integral nested coordinates (forms are homogeneous)."""
-    from math import lcm
-
-    dens: list[int] = []
-
-    def walk(data, lv):
-        if lv == 0:
-            dens.append(data.denominator)
-            return
-        for c in data:
-            walk(c, lv - 1)
-
-    for x in witness:
-        walk(x.data, x.level)
+    dens = [c.denominator for x in witness for c in _flatten_raw(x.data, x.level, 0)]
     m = lcm(*dens) if dens else 1
     if m == 1:
         return tuple(witness)
@@ -427,9 +453,21 @@ class LinearFunctionalBasis:
     def size(self) -> int:
         return len(self.elements)
 
+    @cached_property
+    def _inv_raw(self):
+        return [[x.data for x in row] for row in self.inv_matrix]
+
+    def _raw_coordinates(self, data, indices):
+        """Coordinates ``indices`` of raw level-k_level data, raw at f_level:
+        one sum of products each, over the nonzero flattened coefficients."""
+        f, inv = self.f_level, self._inv_raw
+        flat = [(j, c) for j, c in enumerate(_flatten_raw(data, self.k_level, f)) if not _is_zero(c, f)]
+        return [_dot(self.tower._ctx, f, [(inv[t][j], c) for j, c in flat]) for t in indices]
+
     def coordinates(self, x: TowerElement) -> tuple[TowerElement, ...]:
-        flat = flatten_between(x.embed(self.k_level), self.f_level)
-        return linalg.matvec(self.inv_matrix, flat)
+        tower = _join(self.tower, x.tower)
+        raw = self._raw_coordinates(x.embed(self.k_level).data, range(self.size))
+        return tuple(TowerElement(tower, self.f_level, c) for c in raw)
 
 
 def _block_dim(tower: TowerField, f_level: int, k_level: int) -> int:
@@ -439,19 +477,16 @@ def _block_dim(tower: TowerField, f_level: int, k_level: int) -> int:
     return d
 
 
+def _flatten_raw(data, lv: int, f_level: int) -> list:
+    """Raw coordinates over f_level of raw level-lv data, in power-product order."""
+    if lv == f_level:
+        return [data]
+    return [c for part in data for c in _flatten_raw(part, lv - 1, f_level)]
+
+
 def flatten_between(x: TowerElement, f_level: int) -> tuple[TowerElement, ...]:
     """Coordinates of x over f_level in the tower power-product basis."""
-    tower = x.tower
-
-    def rec(data, lv):
-        if lv == f_level:
-            return [TowerElement(tower, lv, data)]
-        out = []
-        for c in data:
-            out.extend(rec(c, lv - 1))
-        return out
-
-    return tuple(rec(x.data, x.level))
+    return tuple(TowerElement(x.tower, f_level, c) for c in _flatten_raw(x.data, x.level, f_level))
 
 
 def _basis_element(tower: TowerField, f_level: int, k_level: int, idx: int) -> TowerElement:
@@ -484,34 +519,26 @@ def transfer_system(
     f_level, k_level = basis.f_level, basis.k_level
     if form.level != k_level or form.tower != tower:
         raise ValueError("form must live at the basis's K level")
-    m = basis.size
-    n = form.dim
-    big = n * m
-    if indices is None:
-        indices = range(m)
-    indices = list(indices)
-    # gram entries of the transferred forms: s_t(B_j * B_l * G_ip)
-    prods = {}
-    for j in range(m):
-        for l in range(j, m):
-            prods[(j, l)] = basis.elements[j] * basis.elements[l]
-    zero = tower.zero(f_level)
-    grams = {t: [[zero] * big for _ in range(big)] for t in indices}
+    m, big = basis.size, form.dim * basis.size
+    indices = list(range(m) if indices is None else indices)
+    # the upper-triangle gram entries of all transferred forms at once:
+    # s_t(B_j * B_l * G_ip) for each t, on raw level data
+    ctx, elems = tower._ctx, [x.data for x in basis.elements]
+    prods = {(j, l): _mul(ctx, k_level, elems[j], elems[l]) for j in range(m) for l in range(j, m)}
+    zeros = [_raw_zero(ctx, f_level)] * len(indices)
+    coords = {}
     for a in range(big):
         i, j = divmod(a, m)
         for b in range(a, big):
             p, l = divmod(b, m)
             g = form.gram[i][p]
-            if not g:
-                continue
-            prod = prods[(j, l)] if j <= l else prods[(l, j)]
-            coords = basis.coordinates(g * prod)
-            for t in indices:
-                c = coords[t]
-                grams[t][a][b] = c
-                grams[t][b][a] = c
-    forms = tuple(QuadraticForm(tower, f_level, tuple(tuple(r) for r in grams[t])) for t in indices)
-    return QFSystem(forms)
+            if g:
+                gbb = _mul(ctx, k_level, g.data, prods[min(j, l), max(j, l)])
+                coords[a, b] = basis._raw_coordinates(gbb, indices)
+    return QFSystem(tuple(
+        _symmetric(tower, f_level, big, lambda a, b, k=k: coords.get((a, b), zeros)[k])
+        for k in range(len(indices))
+    ))
 
 
 __all__ = [

@@ -24,6 +24,7 @@ from isotower.quadforms import isotropy_2ext
 from isotower.serialize import canonical_dumps
 from isotower.splitting import split_over_2ext, standard_quaternion
 from test_csa import zeta5_k_times_k
+from test_quadforms import random_system_over
 
 SEED = 20260808  # the acceptance suite's seed
 
@@ -33,6 +34,16 @@ def _isotropy(r):
     docs = []
     for _ in range(2):
         system = random_qfsystem(rng, r)
+        docs.append(isotropy_certificate_doc(system, isotropy_2ext(system)))
+    return docs
+
+
+def _isotropy_cubic(r):
+    # Gram entries c + d*a3 over the cubic preset: the recursion on level-1 data
+    rng = random.Random(SEED + r)
+    docs = []
+    for _ in range(2):
+        system = random_system_over(rng, field_cubic(), r)
         docs.append(isotropy_certificate_doc(system, isotropy_2ext(system)))
     return docs
 
@@ -67,6 +78,7 @@ CASES = {
     "isotropy-r2": lambda: _isotropy(2),
     "isotropy-r3": lambda: _isotropy(3),
     "isotropy-r4": lambda: _isotropy(4),
+    "isotropy-r3-cubic": lambda: _isotropy_cubic(3),
     "split-cubic": lambda: _split(field_cubic()),
     "split-quintic": lambda: _split(field_quintic()),
     "split-septic": lambda: _split(field_septic()),
@@ -90,6 +102,9 @@ GOLDEN = {
     "cor-m2-cubic": "eb8f3daf6d36a0bef321b2f8b989a0e8f6be8e0b7c903e5268fa691b36dbe70d",
     # pinned before the fixed-basis coordinates were read off instead of solved
     "cor-kxk-zeta5": "0accaec60ebc70a99150652d97f70bfe1141ac20d2e5ab64df576179101ca991",
+    # pinned before the quadratic forms moved to raw level data: forms over
+    # a base-root level, which the cases above only reach as a split's field
+    "isotropy-r3-cubic": "b04580f38896754fe4c74ae696f376b7c6877061f43e33363ad1d96e4fae4850",
 }
 
 

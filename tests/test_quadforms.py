@@ -25,11 +25,14 @@ from isotower.quadforms import (
     diagonalize,
     isotropy_2ext,
     mix_forms,
+    _restrict,
     orthogonal_intersection,
     transfer_system,
 )
+from isotower.presets import field_cubic
 from isotower.tower import QQ, tower_extend
 from isotower import verify
+from test_tower import _dot_towers, _random_element
 
 
 def diag(*entries):
@@ -38,6 +41,20 @@ def diag(*entries):
 
 def vec(*xs):
     return tuple(QQ.rational(x) for x in xs)
+
+
+def random_system_over(rng, tower, r):
+    """r forms in r(r+1)/2 + 1 variables over the top of a one-level tower,
+    with Gram entries c + d*gen for small random integers c and d."""
+    n, g = r * (r + 1) // 2 + 1, tower.gen()
+    forms = []
+    for _ in range(r):
+        rows = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = rng.randint(-3, 3) + rng.randint(-3, 3) * g
+        forms.append(QuadraticForm.from_gram(tower, 1, rows))
+    return QFSystem(tuple(forms))
 
 
 # -- evaluation ------------------------------------------------------------------
@@ -65,6 +82,13 @@ def test_polarization_identity():
         xy = tuple(a + b for a, b in zip(x, y))
         lhs = form.evaluate(xy) - form.evaluate(x) - form.evaluate(y)
         assert lhs == form.bilinear(x, y)
+
+
+def test_bilinear_accepts_plain_numbers():
+    form = QuadraticForm.from_gram(QQ, 0, [[1, 3], [3, 2]])
+    assert form.bilinear([1, 0], [0, 1]) == 6
+    assert form.bilinear([1, 2], [3, 4]) == form.bilinear(vec(1, 2), vec(3, 4)) == 98
+    assert form.evaluate([1, 2]) == 21
 
 
 # -- diagonalization ---------------------------------------------------------------
@@ -153,23 +177,77 @@ def test_mix_all_vanish():
 
 
 def test_mix_value_identity_random():
+    # each mixed phi_i(x) is a_r phi_i(x) - a_i phi_r(x) for the forms after
+    # the swap, the last mixed form is phi_r, and the first r-1 vanish at v
     rng = random.Random(4)
-    system = random_qfsystem(rng, 3, dim=5)
-    v = vec(*[rng.randint(-3, 3) for _ in range(5)])
-    vals = [f.evaluate(v) for f in system.forms]
-    if not any(vals):
-        return
-    mixed = mix_forms(system, v)
-    a_r = mixed.forms[-1].evaluate(v)
-    # on any sample vector the mixed values are the promised combinations
-    for _ in range(20):
-        x = vec(*[rng.randint(-4, 4) for _ in range(5)])
-        mixed_at_last = mixed.forms[-1].evaluate(x)
-        originals = sorted(str(f.evaluate(x)) for f in system.forms)
-        # zero-set equivalence both ways
-        all_orig_zero = all(f.evaluate(x).is_zero() for f in system.forms)
-        all_mixed_zero = all(f.evaluate(x).is_zero() for f in mixed.forms)
-        assert all_orig_zero == all_mixed_zero
+    for _ in range(5):
+        system = random_qfsystem(rng, 3, dim=5)
+        v = vec(*[rng.randint(-3, 3) for _ in range(5)])
+        vals = [f.evaluate(v) for f in system.forms]
+        if not any(vals):
+            continue
+        pick = max(i for i, a in enumerate(vals) if a)
+        forms = list(system.forms)
+        forms[pick], forms[-1] = forms[-1], forms[pick]
+        vals[pick], vals[-1] = vals[-1], vals[pick]
+        mixed = mix_forms(system, v)
+        assert all(f.evaluate(v).is_zero() for f in mixed.forms[:-1])
+        for _ in range(20):
+            x = vec(*[rng.randint(-4, 4) for _ in range(5)])
+            at_x = [f.evaluate(x) for f in forms]
+            assert mixed.forms[-1].evaluate(x) == at_x[-1]
+            for i in range(2):
+                assert mixed.forms[i].evaluate(x) == vals[-1] * at_x[i] - vals[i] * at_x[-1]
+
+
+@pytest.mark.parametrize("case", sorted(_dot_towers()))
+def test_raw_forms_match_wrapped_arithmetic(case):
+    # forms at every level of the chain's longest tower, a third of their
+    # entries zero: evaluate, mix_forms and _restrict against TowerElement
+    # operators and two matmuls, in value and in level
+    tower = _dot_towers()[case][-1]
+    rng = random.Random(case)
+
+    def entry(level):
+        return tower.zero(level) if rng.random() < 0.3 else _random_element(rng, tower, level)
+
+    mixed_count = 0
+    for level in [lv for lv in range(1, tower.height + 1) for _ in range(3)]:
+        n, r = 3, rng.randint(2, 3)
+        forms = []
+        for _ in range(r):
+            rows = [[None] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    rows[i][j] = rows[j][i] = entry(level)
+            forms.append(QuadraticForm.from_gram(tower, level, rows))
+        v = (_random_element(rng, tower, level),) + tuple(entry(level) for _ in range(n - 1))
+        vals = [f.evaluate(v) for f in forms]
+        for f, a in zip(forms, vals):
+            want = sum((v[p] * f.gram[p][q] * v[q] for p in range(n) for q in range(n)), tower.zero(level))
+            assert a == want and a.level == level
+        basis = [tuple(entry(level) for _ in range(n)) for _ in range(2)]
+        cols = tuple(zip(*basis))
+        for f in forms:
+            got = _restrict(f, basis)
+            want = linalg.matmul(tuple(zip(*cols)), linalg.matmul(f.gram, cols))
+            assert got.gram == want and got.level == level
+            assert [[x.level for x in row] for row in got.gram] == [[level] * 2] * 2
+        if not any(vals):
+            continue
+        mixed_count += 1
+        pick = max(i for i, a in enumerate(vals) if a)
+        forms[pick], forms[-1] = forms[-1], forms[pick]
+        vals[pick], vals[-1] = vals[-1], vals[pick]
+        mixed = mix_forms(QFSystem(tuple(forms)), v)
+        assert mixed.forms[-1].gram == forms[-1].gram
+        for i in range(r - 1):
+            for p in range(n):
+                for q in range(n):
+                    got = mixed.forms[i].gram[p][q]
+                    assert got == vals[-1] * forms[i].gram[p][q] - vals[i] * forms[-1].gram[p][q]
+                    assert got.level == level
+    assert mixed_count
 
 
 # -- orthogonal intersection ---------------------------------------------------------
@@ -279,6 +357,21 @@ def test_isotropy_over_extension_field():
     assert cert.base_levels == 1
     assert cert.actual_degree <= 2
     assert verify_isotropy_certificate(QFSystem((form,)), cert)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("field", ["sqrt2", "cubic"])
+def test_isotropy_above_level0_verifies(field, r):
+    # a sqrt level and a base-root level under the forms: mixing and
+    # restriction run on level-1 data
+    tower = tower_extend(QQ, [-2, 0, 1], label="s2") if field == "sqrt2" else field_cubic()
+    rng = random.Random(f"{field}-{r}")
+    for _ in range(2):
+        system = random_system_over(rng, tower, r)
+        cert = isotropy_2ext(system)
+        assert cert.base_levels == 1 and cert.actual_degree <= 2**r
+        ok, reason = verify.verify_isotropy(isotropy_certificate_doc(system, cert))
+        assert ok, reason
 
 
 def test_isotropy_seeded_bound_and_verify():
