@@ -29,21 +29,12 @@ from test_quadforms import random_system_over
 SEED = 20260808  # the acceptance suite's seed
 
 
-def _isotropy(r):
+def _isotropy(r, field=None):
+    # with a field: Gram entries c + d*gen over it, the recursion on level-1 data
     rng = random.Random(SEED + r)
     docs = []
     for _ in range(2):
-        system = random_qfsystem(rng, r)
-        docs.append(isotropy_certificate_doc(system, isotropy_2ext(system)))
-    return docs
-
-
-def _isotropy_cubic(r):
-    # Gram entries c + d*a3 over the cubic preset: the recursion on level-1 data
-    rng = random.Random(SEED + r)
-    docs = []
-    for _ in range(2):
-        system = random_system_over(rng, field_cubic(), r)
+        system = random_qfsystem(rng, r) if field is None else random_system_over(rng, field, r)
         docs.append(isotropy_certificate_doc(system, isotropy_2ext(system)))
     return docs
 
@@ -78,7 +69,7 @@ CASES = {
     "isotropy-r2": lambda: _isotropy(2),
     "isotropy-r3": lambda: _isotropy(3),
     "isotropy-r4": lambda: _isotropy(4),
-    "isotropy-r3-cubic": lambda: _isotropy_cubic(3),
+    "isotropy-r3-cubic": lambda: _isotropy(3, field_cubic()),
     "split-cubic": lambda: _split(field_cubic()),
     "split-quintic": lambda: _split(field_quintic()),
     "split-septic": lambda: _split(field_septic()),
