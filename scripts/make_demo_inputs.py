@@ -42,6 +42,13 @@ def main():
     quat = standard_quaternion(cubic.gen(), cubic.rational(2))
     (outdir / "cubic_quat.json").write_text(canonical_dumps(quaternion_doc(quat)))
 
+    # (b, -3) over Q[x]/(x^4 - x - 1): Galois group S4, so no quadratic
+    # subfield and an honest empty 2-part; r = 4 is even, so the mirrored
+    # levels are square-tested rather than guaranteed to stack
+    quartic = tower_extend(QQ, [-1, -1, 0, 0, 1], label="b")
+    quat = standard_quaternion(quartic.gen(), quartic.rational(-3))
+    (outdir / "quartic_quat.json").write_text(canonical_dumps(quaternion_doc(quat)))
+
     cyc = cyclic_sqrt(2)
     cor_input = {
         "algebra": algebra_doc(matrix_algebra(cyc.tower, 1)),
@@ -66,6 +73,7 @@ def main():
     print(f"wrote {outdir}/system_r2.json   (isotropy --input)")
     print(f"wrote {outdir}/system_sqrt2.json  (isotropy --input, forms over Q(sqrt2))")
     print(f"wrote {outdir}/cubic_quat.json  (split-quaternion --input)")
+    print(f"wrote {outdir}/quartic_quat.json  (split-quaternion --input --two-part 0)")
     print(f"wrote {outdir}/m2_sqrt2.json    (corestrict --input)")
     print(f"wrote {outdir}/quat_sqrt2.json  (corestrict --input, a division algebra)")
     print(f"wrote {outdir}/m2_sqrt2_sqrt3.json  (corestrict --input, K/F = Q(sqrt2, sqrt3)/Q(sqrt2))")

@@ -36,7 +36,6 @@ from .quadforms import (
     transfer_system,
 )
 from .splitting import (
-    PfisterForm2,
     QuaternionAlgebra,
     SplitCertificate,
     bracket_quaternion,

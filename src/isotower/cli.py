@@ -60,11 +60,11 @@ def _isotropy_batch_item(args) -> str:
 
 
 def _split_batch_item(args) -> str:
-    seed, index, preset = args
+    seed, index, preset, two_part = args
     rng = random.Random(seed * 1000003 + index)
     tower = SPLIT_FIELDS[preset]()
     q = random_quaternion(rng, tower)
-    cert = split_over_2ext(q)
+    cert = split_over_2ext(q, two_part)
     return canonical_dumps(certjson.split_certificate_doc(cert))
 
 
@@ -102,7 +102,10 @@ def _cmd_isotropy(args) -> int:
         return 0
     if args.count is None or args.seed is None:
         raise MalformedCertificate("isotropy needs --input, or --seed with --count")
-    r = int((args.preset or "r2").lstrip("r"))
+    preset = args.preset or "r2"
+    if not (preset[:1] == "r" and preset[1:].isdecimal() and int(preset[1:]) >= 1):
+        raise MalformedCertificate(f"unknown isotropy preset {preset!r}; use r<k> with k >= 1")
+    r = int(preset[1:])
     items = [(args.seed, i, r, args.dim) for i in range(args.count)]
     text, code = _run_batch(_isotropy_batch_item, items, args.jobs)
     _write_text(args.output, text)
@@ -122,7 +125,7 @@ def _cmd_split(args) -> int:
         raise MalformedCertificate(
             f"unknown field preset {preset!r}; choose from {sorted(SPLIT_FIELDS)}"
         )
-    items = [(args.seed, i, preset) for i in range(args.count)]
+    items = [(args.seed, i, preset, args.two_part) for i in range(args.count)]
     text, code = _run_batch(_split_batch_item, items, args.jobs)
     _write_text(args.output, text)
     return code

@@ -27,7 +27,7 @@ from typing import Sequence
 from . import linalg
 from .errors import AllVanish, DimensionTooSmall, PreconditionError, SingularMatrix
 from .sqrt import adjoin_sqrt
-from .tower import TowerElement, TowerField, _add, _dot, _embed_up, _is_zero, _join, _mul
+from .tower import TowerElement, TowerField, _add, _dot, _embed_up, _is_zero, _join, _mul, dot
 from .tower import _neg, _raw_zero
 
 
@@ -345,26 +345,16 @@ def _solve_system(system: QFSystem):
         return tower, tuple(one if k == 0 else zero for k in range(n))
 
     mixed = mix_forms(system, v)
-    _, complement = orthogonal_intersection(mixed, v)
+    w_basis, complement = orthogonal_intersection(mixed, v)
     sub_forms = tuple(_restrict(f, complement) for f in mixed.forms[:-1])
     t2, w_small = _solve_system(QFSystem(sub_forms))
 
-    # lift the recursive witness back to V-coordinates
-    cols = tuple(zip(*complement))
-    w_v = linalg.matvec(cols, w_small)
-    last = mixed.forms[-1]
-    a = last.evaluate(v)                      # nonzero by the choice of v
-    top = t2.height
-    v_t2 = tuple(x.in_tower(t2).embed(top) for x in v)
-    b = last.bilinear(v_t2, w_v)
-    c = last.evaluate(w_v)
-    t3, x = _binary_root(t2, a.in_tower(t2).embed(top), b, c)
-    top3 = t3.height
-    wit = tuple(
-        x * vi.in_tower(t3).embed(top3) + wi.in_tower(t3).embed(top3)
-        for vi, wi in zip(v, w_v)
-    )
-    return t3, wit
+    # on W's basis (v, C), phi_r(x v + C w) = a x^2 + b x + c with a = phi_r(v),
+    # nonzero by the choice of v
+    last = _restrict(mixed.forms[-1], w_basis)
+    z = (t2.zero(t2.height),) + w_small
+    t3, x = _binary_root(t2, last.gram[0][0], 2 * dot(last.gram[0], z), last.evaluate(z))
+    return t3, linalg.matvec(tuple(zip(*w_basis)), (x,) + w_small)
 
 
 def clear_denominators(witness):
@@ -511,9 +501,9 @@ def transfer_system(
 ) -> QFSystem:
     """Transfer a K-form through the dual functionals of an F-basis of K.
 
-    The output system has dimension dim_K(V) * [K:F] over F; for every
-    F-vector x the i-th output value is the i-th coordinate of phi(x) in the
-    given basis.
+    The output system has dimension dim_K(V) * [K:F] over F, in the tower of
+    F (the basis tower's first f_level levels); for every F-vector x the i-th
+    output value is the i-th coordinate of phi(x) in the given basis.
     """
     tower = basis.tower
     f_level, k_level = basis.f_level, basis.k_level
@@ -535,8 +525,9 @@ def transfer_system(
             if g:
                 gbb = _mul(ctx, k_level, g.data, prods[min(j, l), max(j, l)])
                 coords[a, b] = basis._raw_coordinates(gbb, indices)
+    f_tower = tower.prefix(f_level)
     return QFSystem(tuple(
-        _symmetric(tower, f_level, big, lambda a, b, k=k: coords.get((a, b), zeros)[k])
+        _symmetric(f_tower, f_level, big, lambda a, b, k=k: coords.get((a, b), zeros)[k])
         for k in range(len(indices))
     ))
 

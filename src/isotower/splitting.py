@@ -25,7 +25,6 @@ from .errors import (
 )
 from .quadforms import (
     LinearFunctionalBasis,
-    QFSystem,
     QuadraticForm,
     _basis_element,
     clear_denominators,
@@ -101,24 +100,10 @@ def bracket_quaternion(a: TowerElement, b: TowerElement) -> QuaternionAlgebra:
     return QuaternionAlgebra("bracket", a, b.in_tower(a.tower))
 
 
-@dataclass(frozen=True)
-class PfisterForm2:
+def norm_form(q: QuaternionAlgebra) -> QuadraticForm:
     """The norm form <1, -u, -v, uv> in the basis (1, I, J, IJ)."""
-
-    u: TowerElement
-    v: TowerElement
-    form: QuadraticForm
-
-    def __post_init__(self):
-        d = [self.form.gram[i][i] for i in range(4)]
-        if d[0] != 1 or d[3] != d[1] * d[2]:
-            raise ValueError("not a 2-fold Pfister shape")
-
-
-def norm_form(q: QuaternionAlgebra) -> PfisterForm2:
     u, v = q.standard_pair()
-    form = QuadraticForm.diagonal(q.field, q.level, [q.field.one(q.level), -u, -v, u * v])
-    return PfisterForm2(u=u, v=v, form=form)
+    return QuadraticForm.diagonal(q.field, q.level, [q.field.one(q.level), -u, -v, u * v])
 
 
 def norm_value(q: QuaternionAlgebra, witness, tower: TowerField) -> TowerElement:
@@ -179,30 +164,33 @@ class _Pair:
     images: tuple[TowerElement, ...]  # comp image of each F-side generator above
     guaranteed: bool                  # no-quadratic-subextension hypothesis holds
     collapsed: bool = False           # some mirrored level was already a square
+    mirrored: int = 0                 # leading images that are plain generators
+                                      # of successive comp levels of equal degree
 
-    def _gen_mirrored(self, j: int) -> bool:
-        """First j F-side adjunctions sit as plain generators of successive
-        compositum levels of matching degree (then lifting is restructuring)."""
-        if j > len(self.images) or self.comp_base + j > self.c_tower.height:
-            return False
-        for i in range(j):
-            level = self.comp_base + i + 1
-            img = self.images[i]
-            if img.level != level:
-                return False
-            if self.f_tower.levels[self.shared + i].degree != self.c_tower.levels[level - 1].degree:
-                return False
-            if img.data != self.c_tower.gen(level).data:
-                return False
-        return True
+    def _extended(self, f2: TowerField, c2: TowerField, img: TowerElement, collapsed: bool) -> "_Pair":
+        """This pair with f2's new top level mirrored to ``img`` in c2;
+        ``collapsed`` says the new level was already a square there."""
+        i = len(self.images)
+        level = self.comp_base + i + 1
+        plain = (
+            self.mirrored == i
+            and img.level == level
+            and f2.levels[self.shared + i].degree == c2.levels[level - 1].degree
+            and img.data == c2.gen(level).data
+        )
+        return _Pair(
+            f2, c2, self.shared, self.comp_base, self.images + (img,), self.guaranteed,
+            self.collapsed or collapsed, self.mirrored + plain,
+        )
 
     def lift(self, x: TowerElement) -> TowerElement:
-        """Carry an F-side element into the compositum top."""
+        """Carry an F-side element into the compositum top.  Only ``x.level``
+        and ``x.data`` are read, so x may lie in any prefix of the F-side."""
         top = self.c_tower.height
         j = x.level - self.shared
         if j <= 0:
             return TowerElement(self.c_tower, x.level, x.data).embed(top)
-        if self._gen_mirrored(j):
+        if j <= self.mirrored:
             # generator-for-generator: re-nest the shared-level coefficients
             # through the K levels, no field arithmetic needed
             ctx = self.c_tower._ctx
@@ -247,12 +235,9 @@ class _Pair:
             # K/K0 has no quadratic subextension, hence K0-2-extensions stay
             # linearly disjoint: the mirrored level cannot collapse
             c2 = tower_extend(self.c_tower, [-c_comp, self.c_tower.zero(), self.c_tower.one()])
-            img: TowerElement = c2.gen()
-            collapsed = self.collapsed
-        else:
-            c2, img, added_c = adjoin_sqrt(self.c_tower, c_comp)
-            collapsed = self.collapsed or not added_c
-        return _Pair(f2, c2, self.shared, self.comp_base, self.images + (img,), self.guaranteed, collapsed)
+            return self._extended(f2, c2, c2.gen(), False)
+        c2, img, added_c = adjoin_sqrt(self.c_tower, c_comp)
+        return self._extended(f2, c2, img, not added_c)
 
     def mirror_to(self, f_ext: TowerField) -> "_Pair":
         """Mirror every F-side level of f_ext beyond the current height."""
@@ -292,14 +277,11 @@ def _slot_split(pair: _Pair, alpha_comp: TowerElement, g_coeffs) -> tuple[_Pair,
     if len(coeffs) > 3:
         raise PreconditionError("g must have degree <= 2")
 
-    def lift_top(pair_, e):
-        return pair_.lift(e.in_tower(pair_.f_tower))
-
     top = pair.f_tower.height
     coeffs = [c.in_tower(pair.f_tower).embed(top) for c in coeffs]
     if len(coeffs) == 1:
         pair, s = pair.adjoin_sqrt(-coeffs[0])
-        w = (lift_top(pair, s), pair.c_tower.zero(), pair.c_tower.one())
+        w = (pair.lift(s), pair.c_tower.zero(), pair.c_tower.one())
     elif len(coeffs) == 2:
         a = coeffs[1]
         b = coeffs[0] / a
@@ -308,8 +290,8 @@ def _slot_split(pair: _Pair, alpha_comp: TowerElement, g_coeffs) -> tuple[_Pair,
             sb = pair.f_tower.zero()
         else:
             pair, sb = pair.adjoin_sqrt(b)
-        la = lift_top(pair, sa)
-        w = (la * lift_top(pair, sb), la, pair.c_tower.one())
+        la = pair.lift(sa)
+        w = (la * pair.lift(sb), la, pair.c_tower.one())
     else:
         a = coeffs[2]
         b = coeffs[1] / a
@@ -324,9 +306,9 @@ def _slot_split(pair: _Pair, alpha_comp: TowerElement, g_coeffs) -> tuple[_Pair,
             se = pair.f_tower.zero()
         else:
             pair, se = pair.adjoin_sqrt(e)
-        la = lift_top(pair, sa)
+        la = pair.lift(sa)
         alpha_t = alpha_comp.in_tower(pair.c_tower).embed(pair.c_tower.height)
-        w = (la * (alpha_t + lift_top(pair, sc)), la * lift_top(pair, se), pair.c_tower.one())
+        w = (la * (alpha_t + pair.lift(sc)), la * pair.lift(se), pair.c_tower.one())
     return pair, w
 
 
@@ -452,25 +434,12 @@ def split_over_2ext(q: QuaternionAlgebra, two_part_levels: int | None = None) ->
     )
 
 
-def _retag_system(system: QFSystem, f_tower: TowerField, level: int) -> QFSystem:
-    forms = tuple(
-        QuadraticForm(
-            f_tower,
-            level,
-            tuple(tuple(TowerElement(f_tower, level, g.data) for g in row) for row in f.gram),
-        )
-        for f in system.forms
-    )
-    return QFSystem(forms)
-
-
-def _split_small(nf: PfisterForm2, pair: _Pair, t: int, k_height: int, r: int):
+def _split_small(nf: QuadraticForm, pair: _Pair, t: int, k_height: int, r: int):
     """Transfer the whole norm form through a K0-basis of K: r forms in 4r
     variables (4r > r(r+1)/2 for r <= 6), then one isotropy certificate."""
     k_tower = pair.c_tower
     basis = LinearFunctionalBasis.standard(k_tower, t, k_height)
-    system = transfer_system(nf.form, basis)
-    cert = isotropy_2ext(_retag_system(system, pair.f_tower, t))
+    cert = isotropy_2ext(transfer_system(nf, basis))
     pair = pair.mirror_to(cert.tower)
     witness = tuple(
         _lifted_sum(pair, cert.witness[i * r : (i + 1) * r], basis.elements) for i in range(4)
@@ -488,12 +457,12 @@ def _lifted_sum(pair: _Pair, coords, basis) -> TowerElement:
     return acc
 
 
-def _split_large(nf: PfisterForm2, pair: _Pair, t: int, k_height: int, r: int):
+def _split_large(nf: QuadraticForm, pair: _Pair, t: int, k_height: int, r: int):
     """r in {7, 8}: peel <1, alpha> off the diagonalized norm form, transfer
     the 2-dimensional rest through functionals 3..r-1, finish with the
     explicit 3-slot witness."""
     k_tower = pair.c_tower
-    diag, p_mat = diagonalize(nf.form)
+    diag, p_mat = diagonalize(nf)
     assert diag[0] == 1
     alpha = diag[1]
     d3, d4 = diag[2], diag[3]
@@ -513,8 +482,7 @@ def _split_large(nf: PfisterForm2, pair: _Pair, t: int, k_height: int, r: int):
         chosen = pows + [_basis_element(k_tower, t, k_height, c - 3) for c in pivots[3:]]
         basis = LinearFunctionalBasis.from_elements(k_tower, t, k_height, chosen)
         rest = QuadraticForm.diagonal(k_tower, k_height, [d3, d4])
-        system = transfer_system(rest, basis, indices=range(3, r))
-        cert = isotropy_2ext(_retag_system(system, pair.f_tower, t))
+        cert = isotropy_2ext(transfer_system(rest, basis, indices=range(3, r)))
         pair = pair.mirror_to(cert.tower)
         top = pair.c_tower.height
         v3 = _lifted_sum(pair, cert.witness[:r], basis.elements)
@@ -576,7 +544,7 @@ def _dependent_alpha_witness(pair: _Pair, t: int, alpha: TowerElement, coord_row
     ]
     f2 = tower_extend(pair.f_tower, quartic)
     c2, img, _added = adjoin_sqrt(pair.c_tower, -alpha.embed(pair.c_tower.height))
-    pair = _Pair(f2, c2, pair.shared, pair.comp_base, pair.images + (img,), pair.guaranteed, pair.collapsed)
+    pair = pair._extended(f2, c2, img, False)
     top = pair.c_tower.height
     w = (
         img.in_tower(pair.c_tower).embed(top),
@@ -737,7 +705,6 @@ __all__ = [
     "QuaternionAlgebra",
     "standard_quaternion",
     "bracket_quaternion",
-    "PfisterForm2",
     "norm_form",
     "norm_value",
     "pfister_descend",

@@ -211,6 +211,31 @@ def test_batch_error_lines(tmp_path):
     assert all(d["exit"] == 3 and "r(r+1)/2 + 1" in d["error"] for d in docs)
 
 
+@pytest.mark.parametrize("preset", ["rx", "r0", "r", "3", "r-1"])
+def test_isotropy_batch_rejects_malformed_preset(tmp_path, capsys, preset):
+    out = tmp_path / "certs.jsonl"
+    args = ["isotropy", "--seed", "1", "--count", "1", "--preset", preset, "--output", str(out)]
+    assert run(args) == 2
+    assert "malformed input" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_split_batch_passes_two_part(tmp_path):
+    # the cubic's one level is not quadratic, so declaring it as the 2-part
+    # violates a precondition in every item, as it does with --input
+    base = ["split-quaternion", "--seed", "1", "--count", "2", "--preset", "cubic"]
+    bad = tmp_path / "bad.jsonl"
+    assert run(base + ["--two-part", "1", "--output", str(bad)]) == 3
+    docs = [canonical_loads(line) for line in bad.read_text().splitlines()]
+    assert [d["index"] for d in docs] == [0, 1]
+    assert all(d["exit"] == 3 and "2-part" in d["error"] for d in docs)
+    # an odd-degree field's empty 2-part is the default declaration
+    plain, empty = tmp_path / "plain.jsonl", tmp_path / "empty.jsonl"
+    assert run(base + ["--output", str(plain)]) == 0
+    assert run(base + ["--two-part", "0", "--output", str(empty)]) == 0
+    assert plain.read_bytes() == empty.read_bytes()
+
+
 def test_verify_reports_malformed_line_and_goes_on(tmp_path, capsys):
     certs = tmp_path / "certs.jsonl"
     assert run(["isotropy", "--seed", "2", "--count", "1", "--preset", "r1",

@@ -18,9 +18,10 @@ from isotower.errors import (
 )
 from isotower.generate import random_quaternion
 from isotower.presets import field_cubic, field_quintic, field_septic
-from isotower.quadforms import LinearFunctionalBasis
+from isotower.quadforms import LinearFunctionalBasis, flatten_between
 from isotower.splitting import (
     _Pair,
+    _dependent_alpha_witness,
     _extract_quadratic_in_alpha,
     bracket_quaternion,
     hilbert_symbol_Q,
@@ -45,14 +46,14 @@ def q_rat(u, v):
 
 def test_norm_form_standard():
     nf = norm_form(q_rat(-1, -1))
-    assert [nf.form.gram[i][i] for i in range(4)] == [1, 1, 1, 1]
+    assert [nf.gram[i][i] for i in range(4)] == [1, 1, 1, 1]
     nf2 = norm_form(q_rat(2, 3))
-    assert [str(nf2.form.gram[i][i]) for i in range(4)] == ["1", "-2", "-3", "6"]
+    assert [str(nf2.gram[i][i]) for i in range(4)] == ["1", "-2", "-3", "6"]
 
 
 def test_norm_form_bracket_conversion():
     nf = norm_form(bracket_quaternion(QQ.rational(0), QQ.rational(5)))
-    assert [str(nf.form.gram[i][i]) for i in range(4)] == ["1", "-1", "-5", "5"]
+    assert [str(nf.gram[i][i]) for i in range(4)] == ["1", "-1", "-5", "5"]
 
 
 def test_presentation_invariants():
@@ -317,6 +318,81 @@ def test_split_quartic_alpha_branch():
     assert cert.degree_over_F <= 256
     assert norm_value(q, cert.witness, cert.tower).is_zero()
     assert verify_split_certificate(q, cert)
+
+
+# -- lifting F-side elements into the compositum ------------------------------------
+
+
+def _random_element(tower, lv, rng):
+    if lv == 0:
+        return tower.rational(Fraction(rng.randint(-9, 9), rng.randint(1, 3)), 0)
+    coeffs = [_random_element(tower, lv - 1, rng) for _ in range(tower.degree_of_level(lv))]
+    return tower.from_coeffs(lv, coeffs)
+
+
+def _horner_lift(pair, x):
+    """x evaluated at the compositum top by substituting each F-side
+    generator above the shared levels with its image, coefficient by
+    coefficient."""
+    top = pair.c_tower.height
+    if x.level <= pair.shared:
+        return x.in_tower(pair.c_tower).embed(top)
+    img = pair.images[x.level - 1 - pair.shared].in_tower(pair.c_tower).embed(top)
+    acc = pair.c_tower.zero(top)
+    for c in reversed(x.coeffs()):
+        acc = acc * img + _horner_lift(pair, c)
+    return acc
+
+
+def _guaranteed_pair():
+    # K = Q(sqrt2)(3^(1/3)) over its 2-part Q(sqrt2): r = 3 is odd, so every
+    # mirrored level is stacked as a plain generator
+    s2 = tower_extend(QQ, [-2, 0, 1], label="s2")
+    k = tower_extend(s2, [-3, 0, 0, 1], label="c3")
+    pair = _Pair(s2, k, shared=1, comp_base=2, images=(), guaranteed=True)
+    pair, _ = pair.adjoin_sqrt(pair.f_tower.gen(1) + 3)
+    pair, _ = pair.adjoin_sqrt(pair.f_tower.gen() - 1)
+    return pair
+
+
+def _after_collapse_pair():
+    # two more levels stacked above the collapsed sqrt(3): their images are
+    # generators, but the image before them is not
+    _, pair, _ = _collapsed_pair()
+    pair, _ = pair.adjoin_sqrt(pair.f_tower.rational(5))
+    pair, _ = pair.adjoin_sqrt(pair.f_tower.gen() + 1)
+    return pair
+
+
+def _dependent_alpha_pair():
+    # the quartic F-side level of test_split_quartic_alpha_branch, mirrored
+    # to a quadratic compositum level, then one sqrt level above it
+    t = tower_extend(QQ, [-3] + [0] * 7 + [1], label="e8")
+    alpha = t.gen() ** 4
+    pair = _Pair(t.prefix(0), t, shared=0, comp_base=1, images=(), guaranteed=False)
+    rows = [flatten_between(x, 0) for x in (t.one(), alpha, alpha * alpha)]
+    pair, _ = _dependent_alpha_witness(pair, 0, alpha, rows)
+    assert pair.f_tower.levels[-1].degree == 4
+    pair, _ = pair.adjoin_sqrt(pair.f_tower.rational(5))
+    return pair
+
+
+@pytest.mark.parametrize(
+    "make_pair",
+    [_guaranteed_pair, lambda: _collapsed_pair()[1], _after_collapse_pair, _dependent_alpha_pair],
+    ids=["guaranteed", "collapsed", "after-collapse", "dependent-alpha"],
+)
+def test_lift_matches_horner(make_pair):
+    pair = make_pair()
+    assert pair.f_tower.height > pair.shared
+    rng = random.Random(31)
+    for lv in range(pair.f_tower.height + 1):
+        for _ in range(3):
+            x = _random_element(pair.f_tower, lv, rng)
+            assert pair.lift(x) == _horner_lift(pair, x)
+        # an element from the F-side tower as it stood when lv was its top
+        x = _random_element(pair.f_tower.prefix(lv), lv, rng)
+        assert pair.lift(x) == _horner_lift(pair, x.in_tower(pair.f_tower))
 
 
 # -- rational oracle ------------------------------------------------------------------
