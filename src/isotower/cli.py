@@ -79,6 +79,14 @@ def _guarded(task) -> tuple[str, int]:
         return canonical_dumps({"error": str(exc), "exit": code, "index": index}), code
 
 
+def _check_batch_flags(args) -> None:
+    """Reject a negative --count and a --jobs below 1 before any item runs."""
+    if args.count < 0:
+        raise MalformedCertificate(f"--count must be >= 0, got {args.count}")
+    if args.jobs < 1:
+        raise MalformedCertificate(f"--jobs must be >= 1, got {args.jobs}")
+
+
 def _run_batch(worker, items, jobs: int) -> tuple[str, int]:
     """The batch's output text, and its exit code: the largest of the items',
     so 3 if an item violated a precondition, else 2 if one failed, else 0."""
@@ -105,6 +113,9 @@ def _cmd_isotropy(args) -> int:
     preset = args.preset or "r2"
     if not (preset[:1] == "r" and preset[1:].isdecimal() and int(preset[1:]) >= 1):
         raise MalformedCertificate(f"unknown isotropy preset {preset!r}; use r<k> with k >= 1")
+    _check_batch_flags(args)
+    if args.dim is not None and args.dim < 1:
+        raise MalformedCertificate(f"--dim must be >= 1, got {args.dim}")
     r = int(preset[1:])
     items = [(args.seed, i, r, args.dim) for i in range(args.count)]
     text, code = _run_batch(_isotropy_batch_item, items, args.jobs)
@@ -125,6 +136,7 @@ def _cmd_split(args) -> int:
         raise MalformedCertificate(
             f"unknown field preset {preset!r}; choose from {sorted(SPLIT_FIELDS)}"
         )
+    _check_batch_flags(args)
     items = [(args.seed, i, preset, args.two_part) for i in range(args.count)]
     text, code = _run_batch(_split_batch_item, items, args.jobs)
     _write_text(args.output, text)

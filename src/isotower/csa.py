@@ -14,9 +14,12 @@ fixed vector are read off its representative values at the basis's free
 coordinates, with no arithmetic.  The same read-off gives the structure
 constants, the unit, the split idempotent's coordinates and the columns of
 the base-change embedding.  A product of fixed vectors is fixed, so the
-structure constants are read unchecked; ``CorResult.coordinates`` also
-checks that each representative value x is fixed by sigma^(orbit length)
-and that the rest of the orbit holds its conjugates.
+structure constants are read unchecked, and a product is formed only at the
+orbit representatives: one sum of products per representative coordinate,
+over a per-call table of products of the subfield bases' conjugates and the
+tensor rows of each orbit pair, fetched once.  ``CorResult.coordinates``
+also checks that each representative value x is fixed by sigma^(orbit
+length) and that the rest of the orbit holds its conjugates.
 
 The center test keeps the rows of the stacked commutator maps
 x -> e_i x - x e_i in reduced echelon form, adding one generator's rows per
@@ -31,7 +34,8 @@ private raw view of its rows and unit, lifted once to its level;
 power's unit and rows are sparse Kronecker products of the legs' raw data.
 It does not build its (dim A)^(2r) product rows: ``row(i, j)`` is computed
 on first use and memoised, so the dimension guard bounds what the fixed
-subalgebra builds, its n^2 products in the n-dimensional tensor power.
+subalgebra builds, the n^2 rows of the n-dimensional tensor power that its
+products read.
 """
 
 from __future__ import annotations
@@ -518,7 +522,8 @@ class CorResult:
     ``tensor`` and ``cyclic`` describe the source: the tensor power over K
     and the extension K/F it descends along.  ``_orbit_data`` holds, for
     each orbit of the action in basis order, its positions from the
-    representative on and the free coordinates of its subfield basis."""
+    representative on, the free coordinates of its subfield basis and that
+    basis's conjugates."""
 
     algebra: StructureConstantAlgebra
     fixed_basis: tuple[tuple[TowerElement, ...], ...]
@@ -537,7 +542,7 @@ class CorResult:
         tower, ctx, k, f = cyclic.tower, cyclic.tower._ctx, cyclic.k_level, cyclic.f_level
         raw = {pos: _raw_at(tower, k, x) for pos, x in z.items()}
         coords = _read_off(self._orbit_data, raw, _raw_zero(ctx, f))
-        for positions, _free in self._orbit_data:
+        for positions, _free, _conj in self._orbit_data:
             val = raw.pop(positions[0], None)
             if val is None:
                 continue
@@ -577,7 +582,9 @@ def _fixed_basis_sparse(action: GAction):
     construction: x[perm^j(p)] = sigma^j(omega) around the orbit, closed by
     sigma^ell(omega) = omega.  The orbit data pairs the orbit's positions
     with the free coordinates f_t of its subfield basis (see
-    :meth:`CyclicExtensionData.fixed_subfield_basis`)."""
+    :meth:`CyclicExtensionData.fixed_subfield_basis`) and the conjugates
+    sigma^j(omega_t) of that basis, indexed [t][j]; every orbit of one length
+    shares the last two."""
     cyclic = action.cyclic
     out = []
     orbit_data = []
@@ -592,11 +599,11 @@ def _fixed_basis_sparse(action: GAction):
                 )
             # the free coordinate of omega_t is its last nonzero coordinate
             free = tuple(max(i for i, c in enumerate(w.coeffs()) if c) for w in sub_basis)
-            sub_bases[ell] = sub_basis, free
-        sub_basis, free = sub_bases[ell]
-        for omega in sub_basis:
-            out.append({pos: cyclic.apply(omega, j) for j, pos in enumerate(orbit)})
-        orbit_data.append((orbit, free))
+            conj = tuple(tuple(cyclic.apply(w, j) for j in range(ell)) for w in sub_basis)
+            sub_bases[ell] = free, conj
+        free, conj = sub_bases[ell]
+        out.extend(dict(zip(orbit, values)) for values in conj)
+        orbit_data.append((orbit, free, conj))
     return out, tuple(orbit_data)
 
 
@@ -606,7 +613,7 @@ def _read_off(orbit_data, z: dict, zero_f) -> list:
     free coordinates of the orbit's subfield basis.  A fixed vector is
     determined by its representative values."""
     out = []
-    for positions, free in orbit_data:
+    for positions, free, _conj in orbit_data:
         val = z.get(positions[0])
         out.extend([zero_f] * len(free) if val is None else [val[t] for t in free])
     return out
@@ -617,34 +624,75 @@ def fixed_subalgebra(ta: TensorPowerAlgebra, action: GAction) -> CorResult:
     the structure constants of the fixed algebra in the resulting basis.
 
     The returned F-dimension equals dim_K of the tensor power, which for a
-    central simple A is (deg A)^(2r)."""
+    central simple A is (deg A)^(2r).
+
+    Basis vector (o, t) holds sigma^j(omega_t) at the j-th position of orbit
+    o, so the product of (o, t) and (o', t') is the sum over j, j' of
+    sigma^j(omega_t) sigma^j'(omega'_t') e_(o[j]) e_(o'[j']).  A product of
+    fixed vectors is fixed (the action is an algebra automorphism), and so is
+    the tensor unit: both are read off unchecked, so a product is formed
+    only at the orbit representatives.  The K-products of conjugates are one
+    table for the call, and the tensor rows of an orbit pair are fetched and
+    filtered once for all its (t, t')."""
     alg = ta.algebra
     cyclic = action.cyclic
-    tower = alg.tower
-    f_level = cyclic.f_level
-    n_k = alg.dim
+    tower, ctx, n_k = alg.tower, alg.tower._ctx, alg.dim
+    k_level, f_level = cyclic.k_level, cyclic.f_level
     sparse_basis, orbit_data = _fixed_basis_sparse(action)
-    raw_basis = [alg._raw_vector(vec) for vec in sparse_basis]
-    zero_k, zero_f = tower.zero(cyclic.k_level), _raw_zero(tower._ctx, f_level)
+    zero_k, zero_f = tower.zero(k_level), _raw_zero(ctx, f_level)
     dense_basis = tuple(tuple(vec.get(q, zero_k) for q in range(n_k)) for vec in sparse_basis)
 
-    # a product of fixed vectors is fixed (the action is an algebra
-    # automorphism), and so is the tensor unit: both are read off unchecked
-    rows = []
-    for x in raw_basis:
-        for y in raw_basis:
-            coeffs = _read_off(orbit_data, alg._mul_raw(x, y), zero_f)
-            rows.append(
-                tuple(
-                    (k, TowerElement(tower, f_level, c))
-                    for k, c in enumerate(coeffs)
-                    if not _is_zero(c, f_level)
-                )
-            )
+    # sigma^j(omega_t) sigma^j'(omega'_t') for the subfield bases of every
+    # orbit length, as products[ell, t, ell', t'][j][j']
+    conj = {len(positions): c for positions, _free, c in orbit_data}
+    raw_conj = {
+        ell: [[_raw_at(tower, k_level, x) for x in xs] for xs in c] for ell, c in conj.items()
+    }
+    products = {
+        (la, t, lb, tb): [[_mul(ctx, k_level, x, y) for y in ys] for x in xs]
+        for la, ca in raw_conj.items()
+        for t, xs in enumerate(ca)
+        for lb, cb in raw_conj.items()
+        for tb, ys in enumerate(cb)
+    }
+    # representative position -> (index of its orbit's first basis vector,
+    # free coordinates); representatives ascend with the basis index
+    target, start = {}, 0
+    for positions, free, _conj in orbit_data:
+        target[positions[0]] = start, free
+        start += len(free)
+
+    raw_row = alg._raw_row
+    table = [[()] * n_k for _ in range(n_k)]
+    for pos_a, free_a, _conj in orbit_data:
+        la, ia = len(pos_a), target[pos_a[0]][0]
+        for pos_b, free_b, _conj in orbit_data:
+            lb, ib = len(pos_b), target[pos_b[0]][0]
+            # representative k -> (j, j', c) over the rows e_(o[j]) e_(o'[j'])
+            terms: dict[int, list] = {}
+            for j, p in enumerate(pos_a):
+                base = p * n_k
+                for jb, q in enumerate(pos_b):
+                    for k, c in raw_row(base + q):
+                        if k in target:
+                            terms.setdefault(k, []).append((j, jb, c))
+            order = sorted(terms)
+            for t in range(len(free_a)):
+                for tb in range(len(free_b)):
+                    prod = products[la, t, lb, tb]
+                    row = []
+                    for k in order:
+                        val = _dot(ctx, k_level, [(prod[j][jb], c) for j, jb, c in terms[k]])
+                        begin, free = target[k]
+                        for m, fc in enumerate(free):
+                            if not _is_zero(val[fc], f_level):
+                                row.append((begin + m, TowerElement(tower, f_level, val[fc])))
+                    table[ia + t][ib + tb] = tuple(row)
+    rows = tuple(row for block in table for row in block)
     unit = tuple(
         TowerElement(tower, f_level, c) for c in _read_off(orbit_data, alg._raw_unit, zero_f)
     )
-    cor = StructureConstantAlgebra(tower, f_level, n_k, tuple(rows), unit, alg.matrix_units)
+    cor = StructureConstantAlgebra(tower, f_level, n_k, rows, unit, alg.matrix_units)
     return CorResult(cor, dense_basis, alg, cyclic, orbit_data)
 
 
@@ -720,9 +768,38 @@ def split_idempotent_witness(cor: CorResult):
 
 def fixed_basis_spans(cor: CorResult) -> bool:
     """Galois-descent sanity: the K-span of the fixed F-basis is the whole
-    tensor power (rank over K equals dim_K)."""
-    rows = tuple(cor.fixed_basis)
-    return linalg.rank(rows) == cor.tensor.dim
+    tensor power (rank over K equals dim_K).
+
+    The rows fall into blocks, the connected components of their supports:
+    rows that share a nonzero column are in one block.  Blocks share no
+    column, so the rank is the sum of the block ranks, each taken on the
+    block's own columns, and equal blocks are ranked once.  The library's
+    fixed basis has one block per orbit."""
+    rows = cor.fixed_basis
+    supports = [[q for q, x in enumerate(row) if x] for row in rows]
+    root: dict[int, int] = {}  # column -> a column of its block; unlisted: itself
+
+    def find(q):
+        while root.get(q, q) != q:
+            q = root[q]
+        return q
+
+    for support in supports:
+        for q in support[1:]:
+            root[find(q)] = find(support[0])
+    blocks: dict[int, list] = {}
+    for i, support in enumerate(supports):
+        if support:
+            blocks.setdefault(find(support[0]), []).append(i)
+    ranks: dict[tuple, int] = {}
+    total = 0
+    for members in blocks.values():
+        cols = sorted({q for i in members for q in supports[i]})
+        block = tuple(tuple(rows[i][q] for q in cols) for i in members)
+        if block not in ranks:
+            ranks[block] = linalg.rank(block)
+        total += ranks[block]
+    return total == cor.tensor.dim
 
 
 # ---------------------------------------------------------------------------

@@ -220,6 +220,33 @@ def test_isotropy_batch_rejects_malformed_preset(tmp_path, capsys, preset):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["isotropy", "--preset", "r2", "--count", "-1"],
+        ["isotropy", "--preset", "r2", "--count", "1", "--jobs", "0"],
+        ["isotropy", "--preset", "r2", "--count", "1", "--jobs", "-3"],
+        ["isotropy", "--preset", "r2", "--count", "1", "--dim", "-2"],
+        ["isotropy", "--preset", "r2", "--count", "1", "--dim", "0"],
+        ["split-quaternion", "--preset", "cubic", "--count", "-1"],
+        ["split-quaternion", "--preset", "cubic", "--count", "1", "--jobs", "0"],
+    ],
+    ids=["count-1", "jobs0", "jobs-3", "dim-2", "dim0", "split-count-1", "split-jobs0"],
+)
+def test_batch_rejects_malformed_flags(tmp_path, capsys, flags):
+    # rejected before any item runs: nothing is written
+    out = tmp_path / "certs.jsonl"
+    assert run(flags + ["--seed", "1", "--output", str(out)]) == 2
+    assert "malformed input" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_batch_of_zero_items_is_empty(tmp_path):
+    out = tmp_path / "certs.jsonl"
+    assert run(["isotropy", "--seed", "1", "--count", "0", "--output", str(out)]) == 0
+    assert out.read_text() == ""
+
+
 def test_split_batch_passes_two_part(tmp_path):
     # the cubic's one level is not quadratic, so declaring it as the 2-part
     # violates a precondition in every item, as it does with --input

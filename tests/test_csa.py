@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import random
@@ -410,6 +411,75 @@ def test_coordinates_read_off_zeta5_orbits():
     for q in range(n):
         entry = sum((c * vec[q] for c, vec in zip(coords, cor.fixed_basis)), cyc.tower.zero(1))
         assert entry == x.get(q, 0)
+
+
+def _quat_minus_one(cyc):
+    tower = cyc.tower
+    return quaternion_structure_algebra(
+        standard_quaternion(tower.rational(-1, cyc.k_level), tower.rational(-1, cyc.k_level))
+    )
+
+
+def _quat_over_level2():
+    """(sqrt2, -1) over K = Q(sqrt2, sqrt3), corestricted to F = Q(sqrt2)."""
+    tower = tower_extend(cyclic_sqrt(2).tower, [-3, 0, 1], label="sqrt3")
+    cyc = CyclicExtensionData.create(tower, 2, [[1, 0], [0, -1]], 2)
+    alg = quaternion_structure_algebra(
+        standard_quaternion(tower.gen(1).embed(2), tower.rational(-1, 2))
+    )
+    return cyc, alg
+
+
+DIFFERENTIAL_CASES = {
+    "m2-sqrt2": lambda: (cyclic_sqrt(2), matrix_algebra(cyclic_sqrt(2).tower, 1)),
+    "quat-sqrt2": lambda: (cyclic_sqrt(2), _quat_minus_one(cyclic_sqrt(2))),
+    "quat-cubic": lambda: (cyclic_cubic(), _quat_minus_one(cyclic_cubic())),
+    "kxk-zeta5": zeta5_k_times_k,
+    "quat-level2": _quat_over_level2,
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIFFERENTIAL_CASES))
+def test_fixed_subalgebra_matches_tensor_products(case):
+    # every structure constant against the product of the two fixed basis
+    # vectors in the tensor power, read back through coordinates (which also
+    # checks that the product is action-fixed), and the unit against the
+    # tensor unit read the same way
+    cyc, alg = DIFFERENTIAL_CASES[case]()
+    ta = tensor_power_over_K(alg, cyc)
+    cor = fixed_subalgebra(ta, g_action_matrix(ta, cyc))
+    basis = [as_sparse(vec) for vec in cor.fixed_basis]
+    for i, x in enumerate(basis):
+        for j, y in enumerate(basis):
+            coords = cor.coordinates(ta.algebra.mul_sparse(x, y))
+            assert tuple((k, c) for k, c in enumerate(coords) if c) == cor.algebra.row(i, j), (i, j)
+    assert cor.coordinates(as_sparse(ta.algebra.unit)) == cor.algebra.unit
+
+
+def test_fixed_basis_spans_rejects_rank_deficient_orbit():
+    # the orbit {1, 4} of M2's tensor square carries basis rows 1 and 2; a
+    # copy of row 1 in place of row 2 leaves that block with rank 1
+    cor, _doc = honest_m2_sqrt2()
+    assert fixed_basis_spans(cor)
+    assert [i for i, x in enumerate(cor.fixed_basis[2]) if x] == [1, 4]
+    basis = list(cor.fixed_basis)
+    basis[2] = basis[1]
+    assert not fixed_basis_spans(dataclasses.replace(cor, fixed_basis=tuple(basis)))
+
+
+@pytest.mark.parametrize("last, spans", [(2, True), (1, False)])
+def test_fixed_basis_spans_ranks_chained_supports_as_one_block(last, spans):
+    # rows over columns {0, 1}, {1, 2}, {2, 3} and {0, 3} chain into one
+    # block, and unit rows fill the rest; r0 - r1 + r2 = (1, 0, 0, 1), so the
+    # last row (1, 0, 0, last) is dependent exactly when last = 1
+    cor, _doc = honest_m2_sqrt2()
+    tower, k = cor.cyclic.tower, cor.cyclic.k_level
+    n = cor.tensor.dim
+    chain = [(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, last)]
+    rows = [tuple(chain[i]) + (0,) * (n - 4) if i < 4 else tuple(int(q == i) for q in range(n))
+            for i in range(n)]
+    basis = tuple(tuple(tower.rational(x, k) for x in row) for row in rows)
+    assert fixed_basis_spans(dataclasses.replace(cor, fixed_basis=basis)) is spans
 
 
 def test_idempotent_rejected_for_division_input():
