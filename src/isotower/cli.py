@@ -91,6 +91,8 @@ def _run_batch(worker, items, jobs: int) -> tuple[str, int]:
     """The batch's output text, and its exit code: the largest of the items',
     so 3 if an item violated a precondition, else 2 if one failed, else 0."""
     tasks = [(worker, item, i) for i, item in enumerate(items)]
+    # never more workers than items: a pool of one would only add a process
+    jobs = min(jobs, len(tasks))
     if jobs > 1:
         with Pool(jobs) as pool:
             results = pool.map(_guarded, tasks)

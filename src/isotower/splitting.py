@@ -38,6 +38,7 @@ from .tower import (
     KIND_SQRT,
     TowerElement,
     TowerField,
+    _div,
     _embed_up,
     _neg,
     dot,
@@ -120,6 +121,13 @@ def norm_value(q: QuaternionAlgebra, witness, tower: TowerField) -> TowerElement
 # ---------------------------------------------------------------------------
 
 
+def _quotients(xs, d: TowerElement) -> tuple:
+    """x / d for each x, all on d's tower and level, through one
+    conjugate-norm chain for d."""
+    tower, lv = d.tower, d.level
+    return tuple(TowerElement(tower, lv, q) for q in _div(tower._ctx, lv, [x.data for x in xs], d.data))
+
+
 def pfister_descend(alpha: TowerElement, beta: TowerElement, w):
     """From a nonzero zero of <1, a, b, ab> produce one of <1, a, b>.
 
@@ -139,8 +147,10 @@ def pfister_descend(alpha: TowerElement, beta: TowerElement, w):
     zero = val.tower.zero(val.level)
     d = z * z + alpha * (t * t)
     if not d.is_zero():
-        dinv = d.inverse()
-        out = ((x * z + alpha * (y * t)) * dinv, (y * z - x * t) * dinv, one)
+        # the first numerator's level and tower hold every input but beta
+        n0 = x * z + alpha * (y * t)
+        n1, d = (e.in_tower(n0.tower).embed(n0.level) for e in (y * z - x * t, d))
+        out = (*_quotients((n0, n1), d), one)
     elif z or t:
         out = (z + zero, t + zero, zero)
     else:
@@ -294,8 +304,7 @@ def _slot_split(pair: _Pair, alpha_comp: TowerElement, g_coeffs) -> tuple[_Pair,
         w = (la * pair.lift(sb), la, pair.c_tower.one())
     else:
         a = coeffs[2]
-        b = coeffs[1] / a
-        c = coeffs[0] / a
+        b, c = _quotients((coeffs[1], coeffs[0]), a)
         pair, sa = pair.adjoin_sqrt(-a)
         if c.is_zero():
             sc = pair.f_tower.zero()

@@ -38,8 +38,8 @@ from .tower import (
     KIND_SQRT,
     TowerElement,
     TowerField,
+    _div,
     _embed_up,
-    _inv,
     _is_zero,
     _mul,
     _neg,
@@ -527,7 +527,7 @@ def _sqrt_tier2(tower: TowerField, lv: int, data):
         ad = _mul(ctx, lo, a, d)
         r2 = _sqrt_raw(tower, lo, ad)
         if r2 is not None:
-            y = _mul(ctx, lo, r2, _inv(ctx, lo, d))
+            y = _div(ctx, lo, [r2], d)[0]
             cand = (ctx[lv - 1].zero, y)
             if _sqr(ctx, lv, cand) == data:
                 return cand
@@ -541,7 +541,7 @@ def _sqrt_tier2(tower: TowerField, lv: int, data):
         r = _sqrt_raw(tower, lo, half)
         if r is None or _is_zero(r, lo):
             continue
-        y = _mul(ctx, lo, _scale(ctx, lo, b, _HALF), _inv(ctx, lo, r))
+        y = _div(ctx, lo, [_scale(ctx, lo, b, _HALF)], r)[0]
         cand = (r, y)
         if _sqr(ctx, lv, cand) == data:
             return cand

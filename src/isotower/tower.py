@@ -12,9 +12,13 @@ and coefficients by identity instead of walking them.  Identity is only a
 fast path: a zero built elsewhere is an ordinary value to the kernel, and
 ``_is_zero`` stays the structural test (see the raw arithmetic section).
 
+Division never forms 1/a on an X^2 - c level: it multiplies by a's
+conjugate and divides by the norm one level down, so a chain of such levels
+inverts only its full norm at the bottom, or divides leaves by it on Q.
+
 Irreducibility of adjoined polynomials is *not* decided eagerly.  A
-reducible level surfaces lazily: when an inversion exposes a proper factor
-of some level's minimal polynomial, a
+reducible level surfaces lazily: when an inversion or a division exposes a
+proper factor of some level's minimal polynomial, a
 :class:`~isotower.errors.ReducibilityError` carrying the factor is raised.
 It is a precondition error (CLI exit 3); there is no API that refines the
 tower by the factor and retries.
@@ -410,46 +414,67 @@ def _pmonic(ctx, lv, a):
     return [_mul(ctx, lv, c, inv_lead) for c in a]
 
 
+def _norm(ctx, lv, a):
+    """a0^2 - c a1^2 for a = a0 + a1 X, a1 != 0, on an X^2 - c level; a zero
+    norm means a0/a1 squares to c, and raises the factor X + a0/a1."""
+    lo = lv - 1
+    lc = ctx[lo]
+    a0, a1 = a
+    c_a1_sq = _sqr(ctx, lo, a1)
+    if lc.sqrt_const_rat is not None:
+        c_a1_sq = _scale(ctx, lo, c_a1_sq, lc.sqrt_const_rat)
+    else:
+        c_a1_sq = _mul(ctx, lo, c_a1_sq, lc.sqrt_const)
+    norm = _sub(ctx, lo, _sqr(ctx, lo, a0), c_a1_sq)
+    if _is_zero(norm, lo):
+        factor = (_div(ctx, lo, [a0], a1)[0], lc.one)
+        raise ReducibilityError(ReducibilityWitness(level=lv, factor=factor))
+    return norm
+
+
+def _div(ctx, lv, xs, a):
+    """The quotients x / a of the numerators xs; raises as _inv(a) does.
+    A divisor constant over the level below divides coefficient-wise; on an
+    X^2 - c level the halves of every x times the conjugate a0 - a1 X are
+    divided at once by the norm; generic levels invert and multiply."""
+    if lv == 0:
+        if not a:
+            raise ZeroInverse("division by zero")
+        return [x / a for x in xs]
+    lo = lv - 1
+    lc = ctx[lo]
+    if all(_is_zero(y, lo) for y in a[1:]):
+        parts = _div(ctx, lo, [y for x in xs for y in x], a[0])
+    elif lc.sqrt_const is not None:
+        conj = (a[0], _neg(ctx, lo, a[1]))
+        parts = _div(ctx, lo, [y for x in xs for y in _mul(ctx, lv, x, conj)], _norm(ctx, lv, a))
+    else:
+        inv = _inv(ctx, lv, a)
+        return [_mul(ctx, lv, x, inv) for x in xs]
+    return [_canon(lc, q) for q in zip(*[iter(parts)] * lc.degree)]
+
+
 def _inv(ctx, lv, a):
     """Exact inverse; raises ZeroInverse on 0 and ReducibilityError on a
     zero divisor exposing a proper minpoly factor.
 
-    An X^2 - c level inverts by the conjugate, (a0 - a1 X)/(a0^2 - c a1^2),
-    one inverse one level down; a zero norm with a1 != 0 means a0/a1 squares
-    to c, and X + a0/a1 is the factor.  Generic levels run extended Euclid
-    against the minimal polynomial."""
+    A value constant over the level below inverts there.  An X^2 - c level
+    divides the conjugate's halves a0 and -a1 by the norm (_norm, _div).
+    Generic levels run extended Euclid against the minimal polynomial."""
     if lv == 0:
         if not a:
             raise ZeroInverse("inverse of zero")
         return 1 / a
-    if _is_zero(a, lv):
-        raise ZeroInverse("inverse of zero")
     lo = lv - 1
-    lc = ctx[lv - 1]
+    lc = ctx[lo]
+    if all(_is_zero(y, lo) for y in a[1:]):
+        return (_inv(ctx, lo, a[0]),) + (lc.zero,) * (lc.degree - 1)
     if lc.sqrt_const is not None:
-        a0, a1 = a
-        if _is_zero(a1, lo):
-            return (_inv(ctx, lo, a0), lc.zero)
-        c_a1_sq = _sqr(ctx, lo, a1)
-        if lc.sqrt_const_rat is not None:
-            c_a1_sq = _scale(ctx, lo, c_a1_sq, lc.sqrt_const_rat)
-        else:
-            c_a1_sq = _mul(ctx, lo, c_a1_sq, lc.sqrt_const)
-        norm = _sub(ctx, lo, _sqr(ctx, lo, a0), c_a1_sq)
-        if _is_zero(norm, lo):
-            factor = (_mul(ctx, lo, a0, _inv(ctx, lo, a1)), lc.one)
-            raise ReducibilityError(ReducibilityWitness(level=lv, factor=factor))
-        inv_n = _inv(ctx, lo, norm)
-        return (_mul(ctx, lo, a0, inv_n), _neg(ctx, lo, _mul(ctx, lo, a1, inv_n)))
-    acoeffs = _ptrim(a, lo)
-    if len(acoeffs) == 1:
-        inv0 = _inv(ctx, lo, acoeffs[0])
-        pad = _raw_zero(ctx, lo)
-        return (inv0,) + (pad,) * (lc.degree - 1)
+        return tuple(_div(ctx, lo, [a[0], _neg(ctx, lo, a[1])], _norm(ctx, lv, a)))
     # extended Euclid against the minimal polynomial, tracking only the
     # cofactor of a:  s*a = r (mod minpoly)
     r0 = list(lc.minpoly)
-    r1 = acoeffs
+    r1 = _ptrim(a, lo)
     s0: list = []
     s1 = [_raw_one(ctx, lo)]
     while len(r1) > 1:
@@ -775,13 +800,13 @@ class TowerElement:
         a, b = self._coerce(other)
         if b is NotImplemented:
             return NotImplemented
-        return a * b.inverse()
+        return TowerElement(a.tower, a.level, _div(a.tower._ctx, a.level, [a.data], b.data)[0])
 
     def __rtruediv__(self, other):
         a, b = self._coerce(other)
         if b is NotImplemented:
             return NotImplemented
-        return b * a.inverse()
+        return TowerElement(a.tower, a.level, _div(a.tower._ctx, a.level, [b.data], a.data)[0])
 
     def __pow__(self, n: int):
         return TowerElement(self.tower, self.level, _pow(self.tower._ctx, self.level, self.data, n))

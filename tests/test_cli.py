@@ -197,6 +197,37 @@ def test_batch_parallel_matches_serial(tmp_path):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
+def test_batch_pool_never_outnumbers_items(tmp_path, monkeypatch):
+    # the recorder stands in for multiprocessing.Pool and runs the map in
+    # this process, so no worker is ever started
+    import isotower.cli as cli
+
+    sizes = []
+
+    class Recorder:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(task) for task in tasks]
+
+    monkeypatch.setattr(cli, "Pool", Recorder)
+    base = ["isotropy", "--seed", "3", "--preset", "r1", "--jobs", "1000"]
+    one, serial = tmp_path / "one.jsonl", tmp_path / "serial.jsonl"
+    assert run(base + ["--count", "1", "--output", str(one)]) == 0
+    assert sizes == []
+    assert run(["isotropy", "--seed", "3", "--preset", "r1", "--count", "1", "--output", str(serial)]) == 0
+    assert one.read_bytes() == serial.read_bytes()
+    assert run(base + ["--count", "3", "--output", str(tmp_path / "three.jsonl")]) == 0
+    assert sizes == [3]
+
+
 def test_batch_error_lines(tmp_path):
     # r = 3 needs dim >= 7: every item violates the precondition, the batch
     # still writes one canonical error line per item, in index order

@@ -94,6 +94,48 @@ def test_serialization_round_trip(x):
     assert canonical_dumps(element_to_json(back)) == text
 
 
+def _division_towers():
+    s2 = tower_extend(QQ, [-2, 0, 1], label="s2")
+    s3 = tower_extend(s2, [-3, 0, 1], label="s3")
+    t = tower_extend(s3, [-(1 + s3.gen(1)), 0, 1], label="t")
+    septic = tower_extend(QQ, [-2, 0, 0, 0, 0, 0, 0, 1], label="r")
+    return {
+        "sqrt-chain": tower_extend(t, [-(t.gen(3) + s3.gen(2)), 0, 1], label="u"),
+        "sqrt-over-septic": tower_extend(septic, [-5, 0, 1], label="s"),
+    }
+
+
+DIVISION_TOWERS = _division_towers()
+
+
+@st.composite
+def division_pairs(draw):
+    """(x, a) on one tower, each at a drawn level; a's upper half is zeroed
+    about a quarter of the time, so constant divisors are drawn too."""
+    tower = DIVISION_TOWERS[draw(st.sampled_from(sorted(DIVISION_TOWERS)))]
+    leaves = st.fractions(min_value=Fraction(-9), max_value=Fraction(9), max_denominator=4)
+
+    def mk():
+        lv = draw(st.integers(0, tower.height))
+        x = tower.element(lv, build_element(tower, lv, lambda: draw(leaves)))
+        if lv and draw(st.integers(0, 3)) == 0:
+            x = tower.from_coeffs(lv, [x.coeffs()[0]])
+        return x
+
+    return mk(), mk()
+
+
+@given(division_pairs())
+@settings(max_examples=60, deadline=None)
+def test_division_round_trip(pair):
+    x, a = pair
+    if a.is_zero():
+        return
+    q = x / a
+    assert q * a == x
+    assert q.level == max(x.level, a.level)
+
+
 def test_reducibility_factor_divides():
     # deliberately reducible levels X^2 - a^2 expose a linear factor
     for a in (2, 3, 5, 7):

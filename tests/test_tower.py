@@ -9,7 +9,7 @@ from isotower.errors import ReducibilityError, ZeroInverse
 from isotower.serialize import element_to_json, tower_from_json, tower_to_json
 from isotower.serialize import element_from_json
 from isotower.tower import QQ, TowerField, _pdivmod, dot, dot_matrix, tower_extend
-from isotower.tower import _add, _dot, _inv, _is_zero, _mul, _neg, _raw_one, _scale, _sqr, _sub
+from isotower.tower import _add, _div, _dot, _inv, _is_zero, _mul, _neg, _raw_one, _scale, _sqr, _sub
 
 
 @pytest.fixture
@@ -257,19 +257,97 @@ def test_inverse_matches_product(case):
         assert x.inverse().level == level
 
 
-def test_conjugate_inverse_exposes_factor():
+@pytest.mark.parametrize("case", sorted(_dot_towers()))
+def test_division_matches_inverse_product(case):
+    import random
+
+    chain = _dot_towers()[case]
+    rng = random.Random(case + "-div")
+    tower = chain[-1]
+
+    def divisor():
+        # mostly top-level, often with a zero upper half, sometimes rational
+        # or from a lower level or a shorter tower of the chain
+        pick = rng.random()
+        if pick < 0.15:
+            return tower.rational(Fraction(rng.choice([-7, -2, 3, 5]), rng.randint(1, 4)), tower.height)
+        t = rng.choice(chain)
+        level = t.height if pick < 0.6 else rng.randint(0, t.height)
+        a = _random_element(rng, t, level)
+        if level and rng.random() < 0.3:
+            a = t.from_coeffs(level, [a.coeffs()[0]])
+        return a
+
+    for _ in range(16):
+        a = divisor()
+        if a.is_zero():
+            continue
+        inv = a.inverse()
+        t = rng.choice(chain)
+        xs = [_random_element(rng, t, rng.randint(0, t.height)) for _ in range(3)]
+        xs.append(t.zero(t.height))
+        for x in xs:
+            got, want = x / a, x * inv
+            assert got == want
+            assert got.data == want.data
+            assert (got.level, got.tower) == (want.level, want.tower)
+        n = rng.choice([-3, 1, 2])
+        got, want = n / a, n * inv
+        assert got == want and (got.level, got.tower) == (a.level, a.tower)
+        # several numerators at the divisor's level: one call, one norm chain
+        ctx, lv = a.tower._ctx, a.level
+        nums = [x.in_tower(a.tower).embed(lv).data for x in xs if x.level <= lv]
+        assert _div(ctx, lv, nums, a.data) == [_div(ctx, lv, [x], a.data)[0] for x in nums]
+        for x, q in zip(nums, _div(ctx, lv, nums, a.data)):
+            assert q == _mul(ctx, lv, x, inv.data)
+            _assert_canonical(a.tower, lv, q)
+
+
+@pytest.mark.parametrize("case", sorted(_dot_towers()))
+def test_division_by_zero(case):
+    tower = _dot_towers()[case][-1]
+    x = tower.gen() + 1
+    for level in range(tower.height + 1):
+        zero = tower.zero(level)
+        # a zero embedded from below, and one that is not the shared zero
+        fresh = tower.element(level, _fresh(zero.data, level))
+        for divisor in (zero, zero.embed(tower.height), fresh):
+            with pytest.raises(ZeroInverse):
+                x / divisor
+            with pytest.raises(ZeroInverse):
+                3 / divisor
+            with pytest.raises(ZeroInverse):
+                _div(tower._ctx, divisor.level, [], divisor.data)
+
+
+def _reducible_over_sqrt2():
     s2 = tower_extend(QQ, [-2, 0, 1], label="s2")
     r = s2.gen()
     c = 3 + 2 * r  # (1 + s2)^2, so X^2 - c splits over Q(s2)
     bad = tower_extend(s2, [-c, 0, 1], label="g")
+    return bad, bad.gen() - (1 + r)
+
+
+def test_conjugate_inverse_exposes_factor():
+    bad, zero_divisor = _reducible_over_sqrt2()
     with pytest.raises(ReducibilityError) as err:
-        (bad.gen() - (1 + r)).inverse()
+        zero_divisor.inverse()
     witness = err.value.witness
     assert witness.level == 2
     assert len(witness.factor) == 2
     minpoly = list(bad.levels[1].minpoly)
     _, rem = _pdivmod(bad._ctx, 1, minpoly, list(witness.factor))
     assert rem == []
+
+
+def test_conjugate_division_exposes_the_same_factor():
+    bad, zero_divisor = _reducible_over_sqrt2()
+    with pytest.raises(ReducibilityError) as by_inverse:
+        zero_divisor.inverse()
+    for dividend in (bad.one(), bad.gen(), bad.zero(), 5):
+        with pytest.raises(ReducibilityError) as by_division:
+            dividend / zero_divisor
+        assert by_division.value.witness == by_inverse.value.witness
 
 
 def test_dot_rejects_incompatible_towers(q_i, q_sqrt2):
