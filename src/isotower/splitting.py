@@ -125,7 +125,8 @@ def _quotients(xs, d: TowerElement) -> tuple:
     """x / d for each x, all on d's tower and level, through one
     conjugate-norm chain for d."""
     tower, lv = d.tower, d.level
-    return tuple(TowerElement(tower, lv, q) for q in _div(tower._ctx, lv, [x.data for x in xs], d.data))
+    quotients = _div(tower._ctx, lv, [x.data for x in xs], d.data)
+    return tuple(TowerElement(tower, lv, q) for q in quotients)
 
 
 def pfister_descend(alpha: TowerElement, beta: TowerElement, w):

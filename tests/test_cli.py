@@ -218,13 +218,13 @@ def test_batch_pool_never_outnumbers_items(tmp_path, monkeypatch):
             return [fn(task) for task in tasks]
 
     monkeypatch.setattr(cli, "Pool", Recorder)
-    base = ["isotropy", "--seed", "3", "--preset", "r1", "--jobs", "1000"]
+    base = ["isotropy", "--seed", "3", "--preset", "r1"]
     one, serial = tmp_path / "one.jsonl", tmp_path / "serial.jsonl"
-    assert run(base + ["--count", "1", "--output", str(one)]) == 0
+    assert run(base + ["--jobs", "1000", "--count", "1", "--output", str(one)]) == 0
     assert sizes == []
-    assert run(["isotropy", "--seed", "3", "--preset", "r1", "--count", "1", "--output", str(serial)]) == 0
+    assert run(base + ["--count", "1", "--output", str(serial)]) == 0
     assert one.read_bytes() == serial.read_bytes()
-    assert run(base + ["--count", "3", "--output", str(tmp_path / "three.jsonl")]) == 0
+    assert run(base + ["--jobs", "1000", "--count", "3", "--output", str(tmp_path / "three.jsonl")]) == 0
     assert sizes == [3]
 
 
