@@ -21,10 +21,10 @@ tensor rows of each orbit pair, fetched once.  ``CorResult.coordinates``
 also checks that each representative value x is fixed by sigma^(orbit
 length) and that the rest of the orbit holds its conjugates.
 
-The center test keeps the rows of the stacked commutator maps
-x -> e_i x - x e_i in reduced echelon form, adding one generator's rows per
-elimination, and stops once the rank reaches dim - 1 (the scalars are
-always central).
+The center test inserts the sparse rows of the stacked commutator maps
+x -> e_i x - x e_i one at a time into an echelon form and stops once the
+rank reaches dim - 1 (the scalars are always central); the trace test
+inserts the trace form's rows the same way and stops at a dependent one.
 
 Products, the coordinate read-off and the center test compute on the
 kernel's raw nested data at one level, and wrap results as ``TowerElement``
@@ -58,8 +58,10 @@ from .tower import (
     TowerField,
     _add,
     _dot,
+    _inv,
     _is_zero,
     _mul,
+    _neg,
     _raw_one,
     _raw_zero,
     _sub,
@@ -701,51 +703,89 @@ def fixed_subalgebra(ta: TensorPowerAlgebra, action: GAction) -> CorResult:
 # ---------------------------------------------------------------------------
 
 
+def _sub_at(ctx, lv: int, row: dict, k, c) -> None:
+    """row[k] -= c on a sparse raw row, dropping the entry if it becomes 0."""
+    v = _sub(ctx, lv, row[k], c) if k in row else _neg(ctx, lv, c)
+    if _is_zero(v, lv):
+        row.pop(k, None)
+    else:
+        row[k] = v
+
+
+def _echelon_insert(ctx, lv: int, echelon: list, row: dict) -> bool:
+    """Reduce ``row`` ({column: nonzero raw value}; consumed) by the rows of
+    ``echelon`` in order and append what is left, or return False when
+    nothing is.  A kept row is (pivot, its other (column, value) pairs): 1 at
+    its pivot, its first column left nonzero, and 0 at earlier pivots."""
+    for p, kept in echelon:
+        f = row.pop(p, None)
+        if f is None:
+            continue
+        for k, y in kept:
+            _sub_at(ctx, lv, row, k, _mul(ctx, lv, f, y))
+    if not row:
+        return False
+    p = min(row)
+    inv = _inv(ctx, lv, row.pop(p))
+    echelon.append((p, [(k, _mul(ctx, lv, v, inv)) for k, v in row.items()]))
+    return True
+
+
+def _commutator_rows(a: StructureConstantAlgebra, i: int) -> list:
+    """Rows of the map x -> e_i x - x e_i: row k is {j: coefficient of e_k
+    in e_i e_j - e_j e_i}, nonzero entries only, in increasing k."""
+    n, ctx, lv, raw_row = a.dim, a.tower._ctx, a.level, a._raw_row
+    comm: dict = {}
+    for j in range(n):
+        for k, c in raw_row(i * n + j):
+            if not _is_zero(c, lv):
+                comm.setdefault(k, {})[j] = c
+        for k, c in raw_row(j * n + i):
+            _sub_at(ctx, lv, comm.setdefault(k, {}), j, c)
+    return [comm[k] for k in sorted(comm)]
+
+
 def central_simple_check(a: StructureConstantAlgebra) -> bool:
     """Center dimension 1 plus nondegenerate trace form: in characteristic 0
     this is exactly central simplicity."""
     if not a.check_unit():
         return False
     n, ctx, lv, raw_row = a.dim, a.tower._ctx, a.level, a._raw_row
-    zero = _raw_zero(ctx, lv)
 
     # center: the kernel of the stacked commutator maps x -> e_i x - x e_i,
-    # whose rows are kept in reduced echelon form one generator at a time;
-    # check_unit put the scalars in the center, so rank n - 1 settles it
-    echelon: list = []
-    for i in range(n):
-        comm = [[zero] * n for _ in range(n)]
-        for j in range(n):
-            for k, c in raw_row(i * n + j):
-                comm[k][j] = c
-            for k, c in raw_row(j * n + i):
-                comm[k][j] = _sub(ctx, lv, comm[k][j], c)
-        nonzero = [r for r in comm if any(not _is_zero(x, lv) for x in r)]
-        red, pivots = linalg._rref_raw(ctx, lv, echelon + nonzero)
-        echelon = red[: len(pivots)]
-        if len(echelon) == n - 1:
-            break
-    if len(echelon) != n - 1:
-        return False
+    # whose rows enter one echelon one generator at a time; check_unit put
+    # the scalars in the center, so rank n - 1 settles it
+    center: list = []
+    rows = (row for i in range(n) for row in _commutator_rows(a, i))
+    while len(center) < n - 1:
+        row = next(rows, None)
+        if row is None:
+            return False
+        _echelon_insert(ctx, lv, center, row)
 
-    # trace form nondegeneracy (semisimplicity in characteristic 0)
-    tr = []
+    # trace form nondegeneracy (semisimplicity in characteristic 0): its
+    # rows enter an echelon until one is dependent
+    tr = {}
     for k in range(n):
-        acc = zero
+        acc = _raw_zero(ctx, lv)
         for m in range(n):
             for idx, c in raw_row(k * n + m):
                 if idx == m:
                     acc = _add(ctx, lv, acc, c)
-        tr.append(acc)
-    tmat = []
+        if not _is_zero(acc, lv):
+            tr[k] = acc
+    trace: list = []
     for i in range(n):
-        row = []
+        row = {}
         for j in range(n):
-            pairs = [(c, tr[k]) for k, c in raw_row(i * n + j) if not _is_zero(tr[k], lv)]
-            row.append(_dot(ctx, lv, pairs) if pairs else zero)
-        tmat.append(row)
-    _, pivots = linalg._rref_raw(ctx, lv, tmat)
-    return len(pivots) == n
+            pairs = [(c, tr[k]) for k, c in raw_row(i * n + j) if k in tr]
+            if pairs:
+                v = _dot(ctx, lv, pairs)
+                if not _is_zero(v, lv):
+                    row[j] = v
+        if not _echelon_insert(ctx, lv, trace, row):
+            return False
+    return True
 
 
 def split_idempotent_witness(cor: CorResult):

@@ -6,8 +6,8 @@ Matrices are tuples of row tuples of TowerElement, all at one level.
 once and reduces each entry's sum of products once per level.  ``rref``,
 and through it ``rank``, ``nullspace``, ``solve`` and ``invert``, lifts its
 rows once to their highest level and longest tower, eliminates on the
-kernel's raw data at that one level (:func:`_rref_raw`, which callers that
-already hold raw rows use directly), and wraps the result once.  Pivoting
+kernel's raw data at that one level (:func:`_rref_raw`), and wraps the
+result once.  Pivoting
 is always the first nonzero entry, so eliminations are deterministic and
 certificates are reproducible.  Pivot inversions go through the kernel, so
 a reducible tower level surfaces here as the ReducibilityError

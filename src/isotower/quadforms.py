@@ -357,9 +357,18 @@ def _solve_system(system: QFSystem):
     return t3, linalg.matvec(tuple(zip(*w_basis)), (x,) + w_small)
 
 
+def _denominators(ctx, data, lv: int) -> list:
+    """Denominators of the nonzero rational leaves of raw level-lv data; a
+    subtree that is its level's shared zero is skipped unread."""
+    if lv == 0:
+        return [data.denominator] if data else []
+    z = ctx[lv - 1].zero
+    return [d for c in data if c is not z for d in _denominators(ctx, c, lv - 1)]
+
+
 def clear_denominators(witness):
     """Scale a witness to integral nested coordinates (forms are homogeneous)."""
-    dens = [c.denominator for x in witness for c in _flatten_raw(x.data, x.level, 0)]
+    dens = [d for x in witness for d in _denominators(x.tower._ctx, x.data, x.level)]
     m = lcm(*dens) if dens else 1
     if m == 1:
         return tuple(witness)

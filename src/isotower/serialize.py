@@ -5,6 +5,10 @@ strings; its nesting depth determines its level.  A tower is a list of
 levels ``{"label": str, "minpoly": [coeff, ...]}`` where each coefficient is
 itself a nested list in the same convention.  This format is the substrate
 of all certificates; serialize -> parse -> serialize is byte-identical.
+
+Both directions skip each level's shared zero: the writer emits fresh
+``"0/1"`` lists for it unread (no list sits at two places of a document),
+and the parser returns it for any node equal to its level's zero JSON.
 """
 
 from __future__ import annotations
@@ -50,10 +54,26 @@ def int_from_json(node) -> int:
     return node
 
 
-def _data_to_json(data, lv):
+def _zero_to_json(ctx, lv):
+    """Fresh JSON of the zero at level ``lv`` >= 1 of a tower with context
+    ``ctx``: no list in it is shared."""
+    d = ctx[lv - 1].degree
+    if lv == 1:
+        return ["0/1"] * d
+    return [_zero_to_json(ctx, lv - 1) for _ in range(d)]
+
+
+def _to_json(ctx, data, lv):
+    """JSON of raw data at level ``lv`` of a tower with context ``ctx``.  A
+    subtree that is its level's shared zero is written fresh, its leaves
+    unread; any other subtree, zero or not, is walked."""
     if lv == 0:
         return fraction_to_json(data)
-    return [_data_to_json(c, lv - 1) for c in data]
+    if data is ctx[lv - 1].own_zero:
+        return _zero_to_json(ctx, lv)
+    if lv == 1:
+        return ["0/1" if not q else f"{q.numerator}/{q.denominator}" for q in data]
+    return [_to_json(ctx, c, lv - 1) for c in data]
 
 
 @lru_cache(maxsize=32)
@@ -99,7 +119,7 @@ def _json_depth(node) -> int:
 
 
 def element_to_json(x: TowerElement):
-    return _data_to_json(x.data, x.level)
+    return _to_json(x.tower._ctx, x.data, x.level)
 
 
 def element_from_json(tower: TowerField, node) -> TowerElement:
@@ -114,15 +134,11 @@ def _element_from_json(tower, node, zeros) -> TowerElement:
 
 
 def tower_to_json(tower: TowerField):
-    out = []
-    for i, level in enumerate(tower.levels):
-        out.append(
-            {
-                "label": level.label,
-                "minpoly": [_data_to_json(c, i) for c in level.minpoly],
-            }
-        )
-    return out
+    ctx = tower._ctx
+    return [
+        {"label": level.label, "minpoly": [_to_json(ctx, c, i) for c in level.minpoly]}
+        for i, level in enumerate(tower.levels)
+    ]
 
 
 def tower_from_json(node) -> TowerField:

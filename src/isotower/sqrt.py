@@ -235,9 +235,10 @@ class _BadPrime(Exception):
     pass
 
 
-def _eval_mod(data, lv, point, m):
+def _eval_mod(data, lv, point, m, zeros):
     """Evaluate raw tower data at a modular point; _BadPrime on a denominator
-    not prime to m."""
+    not prime to m.  ``zeros[k]`` is the tower's shared zero of level k: a
+    coefficient that is that object adds 0 unread (any other zero is read)."""
     if lv == 0:
         num, den = data.numerator, data.denominator
         if not num:
@@ -245,31 +246,36 @@ def _eval_mod(data, lv, point, m):
         if den % m == 0 or gcd(den, m) != 1:
             raise _BadPrime
         return num % m * pow(den, -1, m) % m
-    acc = 0
-    r = point[lv - 1]
+    acc, lo = 0, lv - 1
+    r, z = point[lo], zeros[lo]
     for c in reversed(data):
-        acc = (acc * r + _eval_mod(c, lv - 1, point, m)) % m
+        acc = (acc * r + (0 if c is z else _eval_mod(c, lo, point, m, zeros))) % m
     return acc
 
 
-def _minpoly_mod(minpoly, lv_below, point, m):
-    return [_eval_mod(c, lv_below, point, m) for c in minpoly]
+def _minpoly_mod(minpoly, lv_below, point, m, zeros):
+    return [_eval_mod(c, lv_below, point, m, zeros) for c in minpoly]
 
 
-def _points(levels, p):
+def _points(levels, p, zeros=None):
     """Points of the tower over F_p whose coordinates are simple roots of the
     reduced minpolys, depth first in increasing root order.
 
-    ``levels`` is a list of (minpoly raw data, degree).  A minpoly that is
+    ``levels`` is a list of (minpoly raw data, degree) and ``zeros`` the
+    tower's shared zero of each of those levels, lowest first (see
+    :func:`_eval_mod`; None reads every coefficient).  A minpoly that is
     not p-integral raises _BadPrime before the first point is yielded, since
     every point passes through every level.
     """
+    if zeros is None:
+        zeros = (None,) * len(levels)
+
     def rec(depth: int, point: tuple[int, ...]):
         if depth == len(levels):
             yield point
             return
         minpoly, deg = levels[depth]
-        f = _minpoly_mod(minpoly, depth, point, p)
+        f = _minpoly_mod(minpoly, depth, point, p, zeros)
         if deg == 2 and f[1] == 0:
             roots = _sqrt_roots_mod(-f[0], p)  # X^2 - c: Euler and Tonelli
         else:
@@ -282,7 +288,7 @@ def _points(levels, p):
     return rec(0, ())
 
 
-def _lift_point(levels, point, p, modulus):
+def _lift_point(levels, zeros, point, p, modulus):
     """Hensel-lift a mod-p point to mod ``modulus``, a power of p
     (coordinates stay simple roots)."""
     m = p
@@ -290,7 +296,7 @@ def _lift_point(levels, point, p, modulus):
     while m < modulus:
         m = min(m * m, modulus)
         for depth, (minpoly, _deg) in enumerate(levels):
-            f = _minpoly_mod(minpoly, depth, tuple(cur), m)
+            f = _minpoly_mod(minpoly, depth, tuple(cur), m, zeros)
             r = cur[depth]
             fp = [c * i % m for i, c in enumerate(f)][1:]
             cur[depth] = (r - _horner_mod(f, r, m) * pow(_horner_mod(fp, r, m), -1, m)) % m
@@ -368,11 +374,11 @@ def _nonsquare_witness(tower: TowerField, lv: int, data):
     increasing order, _WITNESS_PRIMES of them, each through all its points;
     None means none was found, not that data is a square.
     """
-    levels = _subtower_levels(tower, lv)
+    levels, zeros = _subtower_levels(tower, lv)
     for p in _small_primes()[1 : _WITNESS_PRIMES + 1]:
         try:
-            for point in _points(levels, p):
-                residue = _eval_mod(data, lv, point, p)
+            for point in _points(levels, p, zeros):
+                residue = _eval_mod(data, lv, point, p, zeros)
                 if residue and pow(residue, (p - 1) // 2, p) == p - 1:
                     return p, point, residue
         except _BadPrime:
@@ -387,7 +393,9 @@ _PRECISION_BITS = (80, 320)  # reconstruct mod p^k >= 2^80, then >= 2^320
 
 
 def _subtower_levels(tower: TowerField, lv: int):
-    return [(tower.levels[i].minpoly, tower.levels[i].degree) for i in range(lv)]
+    """(minpoly, degree) of the levels below ``lv`` and their shared zeros."""
+    levels = [(tower.levels[i].minpoly, tower.levels[i].degree) for i in range(lv)]
+    return levels, tuple(lc.zero for lc in tower._ctx[:lv])
 
 
 def _unflatten(ctx, coords, lv):
@@ -438,17 +446,17 @@ def _sqrt_tier3(tower: TowerField, lv: int, data):
             return _embed_up(ctx, lv - 1, r, lv)
 
     # recovery: completely split prime, lift, reconstruct, verify
-    levels = _subtower_levels(tower, lv)
+    levels, zeros = _subtower_levels(tower, lv)
     dim = prod(deg for _mp, deg in levels)
     if dim > _MAX_PATTERN_DIM:
         return None
     split_found = 0
     for p in _small_primes()[1:]:
         try:
-            points = list(_points(levels, p))
+            points = list(_points(levels, p, zeros))
             if len(points) != dim:
                 continue
-            vals_p = [_eval_mod(data, lv, pt, p) for pt in points]
+            vals_p = [_eval_mod(data, lv, pt, p, zeros) for pt in points]
         except _BadPrime:
             continue
         if not all(vals_p):
@@ -460,8 +468,8 @@ def _sqrt_tier3(tower: TowerField, lv: int, data):
             m = p
             while m.bit_length() <= bits:
                 m *= p
-            lifted = [_lift_point(levels, pt, p, m) for pt in points]
-            vals = [_eval_mod(data, lv, pt, m) for pt in lifted]
+            lifted = [_lift_point(levels, zeros, pt, p, m) for pt in points]
+            vals = [_eval_mod(data, lv, pt, m, zeros) for pt in lifted]
             sqrts = []
             for t0, v in zip(roots_p, vals):
                 t = t0

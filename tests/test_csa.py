@@ -827,3 +827,87 @@ def test_base_change_rejects_L_equal_K():
     cyc = cyclic_sqrt(2)
     alg = matrix_algebra(cyc.tower, 1)
     assert not base_change_embedding_check(alg, cyc, [Fraction(-2), Fraction(0), Fraction(1)])
+
+
+# -- the central-simplicity check against the dense elimination ---------------
+
+
+def dense_central_simple_check(a):
+    """The check as it was before its sparse echelon: the commutator rows of
+    each generator re-reduced with the echelon so far by a dense rref, then
+    the rank of the dense trace-form matrix."""
+    from isotower.linalg import _rref_raw
+    from isotower.tower import _add, _dot, _is_zero, _raw_zero, _sub
+
+    if not a.check_unit():
+        return False
+    n, ctx, lv, raw_row = a.dim, a.tower._ctx, a.level, a._raw_row
+    zero = _raw_zero(ctx, lv)
+    echelon: list = []
+    for i in range(n):
+        comm = [[zero] * n for _ in range(n)]
+        for j in range(n):
+            for k, c in raw_row(i * n + j):
+                comm[k][j] = c
+            for k, c in raw_row(j * n + i):
+                comm[k][j] = _sub(ctx, lv, comm[k][j], c)
+        nonzero = [r for r in comm if any(not _is_zero(x, lv) for x in r)]
+        red, pivots = _rref_raw(ctx, lv, echelon + nonzero)
+        echelon = red[: len(pivots)]
+        if len(echelon) == n - 1:
+            break
+    if len(echelon) != n - 1:
+        return False
+    tr = []
+    for k in range(n):
+        acc = zero
+        for m in range(n):
+            for idx, c in raw_row(k * n + m):
+                if idx == m:
+                    acc = _add(ctx, lv, acc, c)
+        tr.append(acc)
+    tmat = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            pairs = [(c, tr[k]) for k, c in raw_row(i * n + j) if not _is_zero(tr[k], lv)]
+            row.append(_dot(ctx, lv, pairs) if pairs else zero)
+        tmat.append(row)
+    _, pivots = _rref_raw(ctx, lv, tmat)
+    return len(pivots) == n
+
+
+def _central_simple_cases():
+    s2 = field_sqrt(2)
+    one = QQ.one(0)
+    upper_rows = (((0, one),), ((1, one),), (), (), (), ((1, one),), (), (), ((2, one),))
+    m2 = matrix_algebra(QQ, 0)
+    cases = {
+        "m2": (m2, True),
+        "quaternion(-1,-1)": (quaternion_structure_algebra(
+            standard_quaternion(QQ.rational(-1), QQ.rational(-1))), True),
+        "m2 over Q(sqrt2)": (matrix_algebra(s2, 1), True),
+        "quaternion(-1,-1) over Q(sqrt2)": (quaternion_structure_algebra(
+            standard_quaternion(s2.rational(-1), s2.rational(-1))), True),
+        "Q x Q": (StructureConstantAlgebra(QQ, 0, 2, (((0, one),), (), (), ((1, one),)),
+                                           (one, one)), False),
+        # the center test passes, the trace test fails
+        "upper triangular": (StructureConstantAlgebra(QQ, 0, 3, upper_rows,
+                                                      (one, QQ.zero(0), one)), False),
+        "wrong unit": (dataclasses.replace(m2, unit=(one,) + (QQ.zero(0),) * 3), False),
+    }
+    # the algebra of every golden corestriction case
+    cyc = cyclic_sqrt(2)
+    quat = quaternion_structure_algebra(
+        standard_quaternion(cyc.tower.rational(-1, 1), cyc.tower.rational(-1, 1)))
+    cubic = cyclic_cubic()
+    cases["cor-sqrt2-quaternion"] = (run_cor(cyc, quat).algebra, True)
+    cases["cor-m2-cubic"] = (run_cor(cubic, matrix_algebra(cubic.tower, 1)).algebra, True)
+    cases["cor-kxk-zeta5"] = (run_cor(*zeta5_k_times_k()).algebra, False)
+    return cases
+
+
+def test_central_simple_check_matches_dense_elimination():
+    for name, (alg, expected) in _central_simple_cases().items():
+        assert central_simple_check(alg) is expected, name
+        assert dense_central_simple_check(alg) is expected, name

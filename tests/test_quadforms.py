@@ -22,6 +22,7 @@ from isotower.quadforms import (
     LinearFunctionalBasis,
     QFSystem,
     QuadraticForm,
+    clear_denominators,
     diagonalize,
     isotropy_2ext,
     mix_forms,
@@ -520,3 +521,27 @@ def test_basis_over_reducible_level_names_reducibility():
     t = bad.gen().in_tower(top).embed(2)
     with pytest.raises(ReducibilityError):
         LinearFunctionalBasis.from_elements(top, 1, 2, [top.one(), (t - 2) * top.gen()])
+
+
+@pytest.mark.parametrize("case", sorted(_dot_towers()))
+def test_clear_denominators_ignores_zero_identity(case):
+    from math import lcm
+
+    from test_serialize import fresh, fresh_element
+
+    def leaves(data, lv):
+        return [data] if lv == 0 else [q for c in data for q in leaves(c, lv - 1)]
+
+    chain = _dot_towers()[case]
+    rng = random.Random(case)
+    for _ in range(8):
+        witness = []
+        for _ in range(rng.randint(1, 4)):
+            tower = rng.choice(chain)
+            witness.append(_random_element(rng, tower, rng.randint(0, tower.height)))
+        m = lcm(*(q.denominator for x in witness for q in leaves(x.data, x.level)))
+        expected = tuple(x * m for x in witness)
+        for w in (witness, [fresh_element(x) for x in witness]):
+            got = clear_denominators(w)
+            assert got == expected
+            assert [fresh(x.data, x.level) for x in got] == [x.data for x in expected]

@@ -10,10 +10,12 @@ from isotower.serialize import (
     element_to_json,
     fraction_from_json,
     fraction_to_json,
+    gram_to_json,
     tower_from_json,
     tower_to_json,
+    vector_to_json,
 )
-from isotower.tower import KIND_SQRT, QQ, tower_extend
+from isotower.tower import KIND_SQRT, QQ, Level, TowerElement, TowerField, tower_extend
 
 
 @pytest.fixture
@@ -96,3 +98,167 @@ def test_canonical_dumps_deterministic():
     doc = {"b": 1, "a": [2, {"z": "x", "y": "w"}]}
     assert canonical_dumps(doc) == canonical_dumps({"a": [2, {"y": "w", "z": "x"}], "b": 1})
     assert canonical_dumps(doc).endswith("\n")
+
+
+# -- the writer's shared-zero fast path -------------------------------------
+
+
+def fresh(data, lv):
+    """``data`` rebuilt node by node: new tuples and new Fractions, so no
+    node is a tower's shared zero.  (A pickle or deepcopy round trip keeps
+    zero identity inside the copy, so it would not do.)"""
+    if lv == 0:
+        return Fraction(data.numerator, data.denominator)
+    return tuple(fresh(c, lv - 1) for c in data)
+
+
+def fresh_tower(tower):
+    """The same tower from rebuilt minimal polynomials, with its own shared
+    zeros, none of which occurs in those polynomials."""
+    return TowerField(
+        [Level(lv.label, tuple(fresh(c, i) for c in lv.minpoly), lv.kind)
+         for i, lv in enumerate(tower.levels)]
+    )
+
+
+def fresh_element(x, tower=None):
+    return TowerElement(tower or x.tower, x.level, fresh(x.data, x.level))
+
+
+def _reference_json(data, lv):
+    """The writer's output by a full recursive walk over every leaf."""
+    if lv == 0:
+        return f"{data.numerator}/{data.denominator}"
+    return [_reference_json(c, lv - 1) for c in data]
+
+
+def _reference_tower_json(tower):
+    return [{"label": lv.label, "minpoly": [_reference_json(c, i) for c in lv.minpoly]}
+            for i, lv in enumerate(tower.levels)]
+
+
+def _chain_elements(case):
+    import random
+
+    from test_tower import _dot_towers, _random_element
+
+    chain = _dot_towers()[case]
+    rng = random.Random(case)
+    tower = chain[-1]
+    xs = [tower.zero(lv) for lv in range(tower.height + 1)]
+    xs += [tower.one(tower.height), tower.gen()]
+    for _ in range(12):
+        t = rng.choice(chain)
+        xs.append(_random_element(rng, t, rng.randint(0, t.height)))
+    return chain, xs
+
+
+@pytest.fixture(scope="module")
+def septic_cert():
+    import random
+
+    from isotower.generate import random_quaternion
+    from isotower.presets import field_septic
+    from isotower.splitting import split_over_2ext
+
+    # item 0 of split-septic at seed 1
+    return split_over_2ext(random_quaternion(random.Random(1 * 1000003 + 0), field_septic()))
+
+
+def _dot_tower_cases():
+    from test_tower import _dot_towers
+
+    return sorted(_dot_towers())
+
+
+@pytest.mark.parametrize("case", _dot_tower_cases())
+def test_writer_matches_full_walk(case):
+    chain, xs = _chain_elements(case)
+    for x in xs:
+        expected = _reference_json(x.data, x.level)
+        assert element_to_json(x) == expected
+        assert element_to_json(fresh_element(x)) == expected
+    for tower in chain:
+        expected = _reference_tower_json(tower)
+        assert tower_to_json(tower) == expected
+        assert tower_to_json(fresh_tower(tower)) == expected
+    assert vector_to_json(xs) == [_reference_json(x.data, x.level) for x in xs]
+    gram = [xs[:3], xs[3:6]]
+    assert gram_to_json(gram) == [[_reference_json(x.data, x.level) for x in r] for r in gram]
+
+
+def test_writer_matches_full_walk_on_septic_certificate(septic_cert):
+    cert = septic_cert
+    expected = [_reference_json(x.data, x.level) for x in cert.witness]
+    assert vector_to_json(cert.witness) == expected
+    assert vector_to_json([fresh_element(x) for x in cert.witness]) == expected
+    for tower in (cert.tower, cert.two_tower):
+        expected = _reference_tower_json(tower)
+        assert tower_to_json(tower) == expected
+        assert tower_to_json(fresh_tower(tower)) == expected
+    # the witness of a rebuilt tower, rebuilt too: nothing is shared anywhere
+    rebuilt = fresh_tower(cert.tower)
+    assert vector_to_json([fresh_element(x, rebuilt) for x in cert.witness]) == (
+        vector_to_json(cert.witness)
+    )
+
+
+def _leaves(node, path=()):
+    """(path, leaf) of every "num/den" string of a document."""
+    if isinstance(node, str):
+        yield path, node
+        return
+    for i, c in enumerate(node):
+        yield from _leaves(c, path + (i,))
+
+
+def _lowest_zero_lists(node, path=()):
+    """Paths of the lists of "0/1" strings in a document.  Every nested zero
+    list holds some, so a list written at two places shows up here as one
+    of them reached by two paths."""
+    if isinstance(node, str):
+        return
+    if all(isinstance(c, str) for c in node):
+        if all(c == "0/1" for c in node):
+            yield path
+        return
+    for i, c in enumerate(node):
+        yield from _lowest_zero_lists(c, path + (i,))
+
+
+def _at(node, path):
+    for i in path:
+        node = node[i]
+    return node
+
+
+def test_written_zero_lists_are_never_shared(septic_cert):
+    from isotower.serialize import _zero_json, _zeros_of
+
+    chain, xs = _chain_elements("sqrt-chain")
+
+    def minpolys(tower):
+        return [level["minpoly"] for level in tower_to_json(tower)]
+
+    docs = {
+        chain[-1]: [vector_to_json(xs), minpolys(chain[-1])],
+        septic_cert.tower: [vector_to_json(septic_cert.witness), minpolys(septic_cert.tower)],
+    }
+    for tower, written in docs.items():
+        for doc in written:
+            paths = list(_lowest_zero_lists(doc))
+            assert paths
+            before = dict(_leaves(doc))
+            # edit each zero list in place, on the written document itself,
+            # with its own mark: a list written at two places would end with
+            # one of them holding another's mark
+            marks = {path + (0,): f"{i + 2}/1" for i, path in enumerate(paths)}
+            for leaf, mark in marks.items():
+                _at(doc, leaf[:-1])[0] = mark
+            after = dict(_leaves(doc))
+            assert after == {p: marks.get(p, leaf) for p, leaf in before.items()}
+        degrees = tuple(level.degree for level in tower.levels)
+        assert _zeros_of(tower) == _zero_json.__wrapped__(degrees)
+        for lv in range(tower.height + 1):
+            zero = tower.zero(lv)
+            assert element_to_json(zero) == _reference_json(zero.data, lv)

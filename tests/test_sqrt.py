@@ -324,3 +324,54 @@ def test_witness_found_on_former_misses():
         w = _nonsquare_witness(below, 6, c)
         assert w is not None
         _recheck_witness(below, 6, c, w)
+
+
+# -- the shared-zero fast path of the witness search ----------------------
+
+
+def _zero_heavy_values(rng, tower, count):
+    """Values at levels >= 1 built the kernel's way, many coefficients the
+    tower's shared zeros: nonzero elements and their squares."""
+    from test_tower import _random_element as sparse_element
+
+    out = []
+    while len(out) < 2 * count:
+        x = sparse_element(rng, tower, rng.randint(1, tower.height))
+        if not x.is_zero():
+            out += [x, x * x]
+    return out
+
+
+def _witness_search_cases():
+    from test_tower import _dot_towers
+
+    rng = random.Random(20)
+    septic = field_septic()
+    a7 = septic.gen()
+    s = tower_extend(septic, [-(1 + a7), 0, 1], label="s")
+    over_septic = tower_extend(s, [-(s.gen() + 3), 0, 1], label="t")
+    cases = []
+    for tower in (_dot_towers()["sqrt-chain"][-1], over_septic):
+        cases += [(tower, x.level, x.data) for x in _zero_heavy_values(rng, tower, 4)]
+    # the adjoined constants of the first seed-1 split-septic two-tower, each
+    # at the level below its square root, and values over the whole chain
+    q = random_quaternion(random.Random(1 * 1000003 + 0), septic)
+    two_tower = split_over_2ext(q).two_tower
+    for lv in range(1, two_tower.height):
+        c = -two_tower.element(lv, two_tower.levels[lv].minpoly[0])
+        cases += [(two_tower, lv, c.data), (two_tower, lv, (c * c).data)]
+    cases += [(two_tower, x.level, x.data) for x in _zero_heavy_values(rng, two_tower, 2)]
+    return cases
+
+
+def test_witness_search_ignores_zero_identity():
+    from test_serialize import fresh, fresh_tower
+
+    found = squares = 0
+    for tower, lv, data in _witness_search_cases():
+        w = _nonsquare_witness(tower, lv, data)
+        assert _nonsquare_witness(tower, lv, fresh(data, lv)) == w
+        assert _nonsquare_witness(fresh_tower(tower), lv, fresh(data, lv)) == w
+        found += w is not None
+        squares += w is None
+    assert found and squares
