@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 
@@ -33,6 +34,7 @@ from isotower.quadforms import (
 from isotower.presets import field_cubic
 from isotower.tower import QQ, tower_extend
 from isotower import verify
+from test_serialize import fresh, fresh_element
 from test_tower import _dot_towers, _random_element
 
 
@@ -525,10 +527,6 @@ def test_basis_over_reducible_level_names_reducibility():
 
 @pytest.mark.parametrize("case", sorted(_dot_towers()))
 def test_clear_denominators_ignores_zero_identity(case):
-    from math import lcm
-
-    from test_serialize import fresh, fresh_element
-
     def leaves(data, lv):
         return [data] if lv == 0 else [q for c in data for q in leaves(c, lv - 1)]
 

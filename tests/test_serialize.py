@@ -1,10 +1,15 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from isotower.errors import MalformedCertificate
+from isotower.generate import random_quaternion
+from isotower.presets import field_septic
 from isotower.serialize import (
     canonical_dumps,
+    _zero_json,
+    _zeros_of,
     canonical_loads,
     element_from_json,
     element_to_json,
@@ -15,7 +20,9 @@ from isotower.serialize import (
     tower_to_json,
     vector_to_json,
 )
+from isotower.splitting import split_over_2ext
 from isotower.tower import KIND_SQRT, QQ, Level, TowerElement, TowerField, tower_extend
+from test_tower import _dot_towers, _random_element
 
 
 @pytest.fixture
@@ -116,8 +123,8 @@ def fresh_tower(tower):
     """The same tower from rebuilt minimal polynomials, with its own shared
     zeros, none of which occurs in those polynomials."""
     return TowerField(
-        [Level(lv.label, tuple(fresh(c, i) for c in lv.minpoly), lv.kind)
-         for i, lv in enumerate(tower.levels)]
+        [Level(level.label, tuple(fresh(c, i) for c in level.minpoly), level.kind)
+         for i, level in enumerate(tower.levels)]
     )
 
 
@@ -133,15 +140,11 @@ def _reference_json(data, lv):
 
 
 def _reference_tower_json(tower):
-    return [{"label": lv.label, "minpoly": [_reference_json(c, i) for c in lv.minpoly]}
-            for i, lv in enumerate(tower.levels)]
+    return [{"label": level.label, "minpoly": [_reference_json(c, i) for c in level.minpoly]}
+            for i, level in enumerate(tower.levels)]
 
 
 def _chain_elements(case):
-    import random
-
-    from test_tower import _dot_towers, _random_element
-
     chain = _dot_towers()[case]
     rng = random.Random(case)
     tower = chain[-1]
@@ -155,23 +158,11 @@ def _chain_elements(case):
 
 @pytest.fixture(scope="module")
 def septic_cert():
-    import random
-
-    from isotower.generate import random_quaternion
-    from isotower.presets import field_septic
-    from isotower.splitting import split_over_2ext
-
     # item 0 of split-septic at seed 1
     return split_over_2ext(random_quaternion(random.Random(1 * 1000003 + 0), field_septic()))
 
 
-def _dot_tower_cases():
-    from test_tower import _dot_towers
-
-    return sorted(_dot_towers())
-
-
-@pytest.mark.parametrize("case", _dot_tower_cases())
+@pytest.mark.parametrize("case", sorted(_dot_towers()))
 def test_writer_matches_full_walk(case):
     chain, xs = _chain_elements(case)
     for x in xs:
@@ -233,8 +224,6 @@ def _at(node, path):
 
 
 def test_written_zero_lists_are_never_shared(septic_cert):
-    from isotower.serialize import _zero_json, _zeros_of
-
     chain, xs = _chain_elements("sqrt-chain")
 
     def minpolys(tower):

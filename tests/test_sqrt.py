@@ -20,6 +20,8 @@ from isotower.sqrt import (
 )
 from isotower.tower import KIND_SQRT, QQ, TowerField, tower_extend
 from isotower.verify import verify_split
+from test_serialize import fresh, fresh_tower
+from test_tower import _dot_towers, _random_element as _sparse_element
 
 
 def test_rational_sqrt():
@@ -332,19 +334,15 @@ def test_witness_found_on_former_misses():
 def _zero_heavy_values(rng, tower, count):
     """Values at levels >= 1 built the kernel's way, many coefficients the
     tower's shared zeros: nonzero elements and their squares."""
-    from test_tower import _random_element as sparse_element
-
     out = []
     while len(out) < 2 * count:
-        x = sparse_element(rng, tower, rng.randint(1, tower.height))
+        x = _sparse_element(rng, tower, rng.randint(1, tower.height))
         if not x.is_zero():
             out += [x, x * x]
     return out
 
 
 def _witness_search_cases():
-    from test_tower import _dot_towers
-
     rng = random.Random(20)
     septic = field_septic()
     a7 = septic.gen()
@@ -365,8 +363,6 @@ def _witness_search_cases():
 
 
 def test_witness_search_ignores_zero_identity():
-    from test_serialize import fresh, fresh_tower
-
     found = squares = 0
     for tower, lv, data in _witness_search_cases():
         w = _nonsquare_witness(tower, lv, data)
