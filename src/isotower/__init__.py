@@ -39,9 +39,7 @@ from .splitting import (
     QuaternionAlgebra,
     SplitCertificate,
     bracket_quaternion,
-    hilbert_symbol_Q,
     norm_form,
-    pfister_descend,
     quadratic_slot_split,
     split_over_2ext,
     standard_quaternion,
@@ -59,10 +57,6 @@ from .csa import (
     quaternion_structure_algebra,
     split_idempotent_witness,
     tensor_power_over_K,
-)
-from .certjson import (
-    verify_isotropy_certificate,
-    verify_split_certificate,
 )
 
 __version__ = "0.1.0"

@@ -1,10 +1,11 @@
 """Canonical JSON documents for systems, quaternions, algebras, and
-certificates, plus the object-level verification entry points.
+certificates, and readers for the documents a command takes as input
+(systems, quaternions, algebras, cyclic data).
 
 Certificates are self-contained: they embed the full tower recipe, so the
-verifier needs no side data.  Verification always goes through the raw
-document form in :mod:`isotower.verify`, which shares no code with the
-constructors beyond the arithmetic kernel.
+verifier needs no side data.  This module only writes them; they are
+checked from the raw document by :mod:`isotower.verify`, which shares no
+code with the constructors beyond the arithmetic kernel.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .serialize import (
 )
 from .splitting import QuaternionAlgebra, SplitCertificate
 from .tower import TowerField
-from . import verify as _verify
 
 
 # -- quadratic form systems ----------------------------------------------------
@@ -60,35 +60,6 @@ def isotropy_certificate_doc(system: QFSystem, cert: IsotropyCertificate) -> dic
     doc["claimed_bound"] = cert.claimed_bound
     doc["actual_degree"] = cert.actual_degree
     return doc
-
-
-def isotropy_certificate_from_doc(doc: dict) -> tuple[QFSystem, IsotropyCertificate]:
-    tower = tower_from_json(doc["tower"])
-    witness = vector_from_json(tower, doc["witness"])
-    grams = [gram_from_json(tower, g) for g in doc["forms"]]
-    if not grams:
-        raise MalformedCertificate("certificate carries no forms")
-    base_levels = grams[0][0][0].level if grams[0] else 0
-    base = tower.prefix(base_levels)
-    forms = tuple(
-        QuadraticForm.from_gram(base, base_levels, [[e.in_tower(base) for e in row] for row in g])
-        for g in grams
-    )
-    cert = IsotropyCertificate(
-        tower=tower,
-        witness=witness,
-        claimed_bound=int_from_json(doc["claimed_bound"]),
-        actual_degree=int_from_json(doc["actual_degree"]),
-        base_levels=base_levels,
-    )
-    return QFSystem(forms), cert
-
-
-def verify_isotropy_certificate(system: QFSystem, cert: IsotropyCertificate) -> bool:
-    """Re-check a certificate from scratch by exact arithmetic (the checking
-    code never touches the constructors)."""
-    ok, _reason = _verify.verify_isotropy(isotropy_certificate_doc(system, cert))
-    return ok
 
 
 # -- quaternions and split certificates ------------------------------------------
@@ -138,22 +109,21 @@ def split_certificate_doc(cert: SplitCertificate) -> dict:
     }
 
 
-def verify_split_certificate(q: QuaternionAlgebra, cert: SplitCertificate) -> bool:
-    if quaternion_doc(q) != quaternion_doc(cert.quaternion):
-        return False
-    ok, _reason = _verify.verify_split(split_certificate_doc(cert))
-    return ok
-
-
 # -- structure constant algebras ---------------------------------------------------
 
 
 def algebra_doc(a: StructureConstantAlgebra) -> dict:
-    """The dense dim x dim x dim constants table, filled from the sparse rows;
-    every zero cell holds one shared zero leaf."""
+    """The dense dim x dim x dim constants table, filled from the sparse rows.
+    Above level 0 each zero cell is written fresh, so no list sits at two
+    places of the document; at level 0 the zero cells share the immutable
+    ``"0/1"`` and cost no call each."""
     n = a.dim
-    zero = element_to_json(a.tower.zero(a.level))
-    constants = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    if a.level == 0:
+        zeros = lambda: ["0/1"] * n
+    else:
+        zero = a.tower.zero(a.level)
+        zeros = lambda: [element_to_json(zero) for _ in range(n)]
+    constants = [[zeros() for _ in range(n)] for _ in range(n)]
     for i, plane in enumerate(constants):
         for j, cell in enumerate(plane):
             for k, c in a.row(i, j):
@@ -220,12 +190,9 @@ __all__ = [
     "system_doc",
     "system_from_doc",
     "isotropy_certificate_doc",
-    "isotropy_certificate_from_doc",
-    "verify_isotropy_certificate",
     "quaternion_doc",
     "quaternion_from_doc",
     "split_certificate_doc",
-    "verify_split_certificate",
     "algebra_doc",
     "algebra_from_doc",
     "cyclic_doc",

@@ -303,13 +303,6 @@ class StructureConstantAlgebra:
                 return False
         return True
 
-    def associative_on(self, i: int, j: int, k: int) -> bool:
-        one = _raw_one(self.tower._ctx, self.level)
-        dim, raw_row = self.dim, self._raw_row
-        return self._mul_raw(dict(raw_row(i * dim + j)), {k: one}) == self._mul_raw(
-            {i: one}, dict(raw_row(j * dim + k))
-        )
-
 
 def matrix_algebra(tower: TowerField, level: int, n: int = 2) -> StructureConstantAlgebra:
     """M_n in the matrix-unit basis E_11, E_12, ..., E_nn."""

@@ -52,21 +52,8 @@ def random_quaternion(
     return standard_quaternion(u, v)
 
 
-def random_rational_pair(rng: random.Random, bound: int = 30):
-    """Nonzero rationals with numerators and denominators up to the bound."""
-
-    def pick():
-        while True:
-            num = rng.randint(-bound, bound)
-            if num:
-                return Fraction(num, rng.randint(1, 12))
-
-    return pick(), pick()
-
-
 __all__ = [
     "random_qfsystem",
     "random_element",
     "random_quaternion",
-    "random_rational_pair",
 ]

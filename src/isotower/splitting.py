@@ -12,8 +12,6 @@ transport by evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
 from typing import Sequence
 
 from . import linalg
@@ -33,7 +31,7 @@ from .quadforms import (
     isotropy_2ext,
     transfer_system,
 )
-from .sqrt import _trial_factor, adjoin_sqrt
+from .sqrt import adjoin_sqrt
 from .tower import (
     KIND_SQRT,
     TowerElement,
@@ -41,7 +39,6 @@ from .tower import (
     _div,
     _embed_up,
     _neg,
-    dot,
     tower_extend,
 )
 
@@ -105,60 +102,6 @@ def norm_form(q: QuaternionAlgebra) -> QuadraticForm:
     """The norm form <1, -u, -v, uv> in the basis (1, I, J, IJ)."""
     u, v = q.standard_pair()
     return QuadraticForm.diagonal(q.field, q.level, [q.field.one(q.level), -u, -v, u * v])
-
-
-def norm_value(q: QuaternionAlgebra, witness, tower: TowerField) -> TowerElement:
-    """N_Q at a vector over an extension tower of q's field: the squares of
-    the coordinates combined with (1, -u, -v, uv) in one sum of products,
-    with u, v and uv kept at q's level."""
-    u, v = (x.in_tower(tower) for x in q.standard_pair())
-    squares = [x.in_tower(tower).square() for x in witness]
-    return dot((tower.one(0), -u, -v, u * v), squares)
-
-
-# ---------------------------------------------------------------------------
-# descent from an isotropic Pfister vector to the 3-dimensional subform
-# ---------------------------------------------------------------------------
-
-
-def _quotients(xs, d: TowerElement) -> tuple:
-    """x / d for each x, all on d's tower and level, through one
-    conjugate-norm chain for d."""
-    tower, lv = d.tower, d.level
-    quotients = _div(tower._ctx, lv, [x.data for x in xs], d.data)
-    return tuple(TowerElement(tower, lv, q) for q in quotients)
-
-
-def pfister_descend(alpha: TowerElement, beta: TowerElement, w):
-    """From a nonzero zero of <1, a, b, ab> produce one of <1, a, b>.
-
-    Norm-quotient descent: with w = (x, y, z, t) and D = z^2 + a t^2, the
-    vector ((xz + a y t)/D, (yz - x t)/D, 1) works when D != 0; otherwise
-    (z, t, 0) when (z, t) != 0, else (x, y, 0).
-    """
-    if len(w) != 4:
-        raise ValueError("need a 4-vector")
-    x, y, z, t = w
-    if not any((x, y, z, t)):
-        raise PreconditionError("w must be nonzero")
-    val = x * x + alpha * (y * y) + beta * (z * z) + (alpha * beta) * (t * t)
-    if not val.is_zero():
-        raise PreconditionError("w is not isotropic for the Pfister form")
-    one = val.tower.one(val.level)
-    zero = val.tower.zero(val.level)
-    d = z * z + alpha * (t * t)
-    if not d.is_zero():
-        # the first numerator's level and tower hold every input but beta
-        n0 = x * z + alpha * (y * t)
-        n1, d = (e.in_tower(n0.tower).embed(n0.level) for e in (y * z - x * t, d))
-        out = (*_quotients((n0, n1), d), one)
-    elif z or t:
-        out = (z + zero, t + zero, zero)
-    else:
-        out = (x + zero, y + zero, zero)
-    check = out[0] * out[0] + alpha * (out[1] * out[1]) + beta * (out[2] * out[2])
-    assert check.is_zero() and any(out)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +217,14 @@ class SlotSplitResult:
     two_tower: TowerField
     comp_tower: TowerField
     witness: tuple[TowerElement, TowerElement, TowerElement]
+
+
+def _quotients(xs, d: TowerElement) -> tuple:
+    """x / d for each x, all on d's tower and level, through one
+    conjugate-norm chain for d."""
+    tower, lv = d.tower, d.level
+    quotients = _div(tower._ctx, lv, [x.data for x in xs], d.data)
+    return tuple(TowerElement(tower, lv, q) for q in quotients)
 
 
 def _slot_split(pair: _Pair, alpha_comp: TowerElement, g_coeffs) -> tuple[_Pair, tuple]:
@@ -592,135 +543,13 @@ def _extract_quadratic_in_alpha(pair: _Pair, basis: LinearFunctionalBasis, value
     return tuple(coeffs)
 
 
-# ---------------------------------------------------------------------------
-# rational Hilbert symbol oracle
-# ---------------------------------------------------------------------------
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _factor(n: int) -> dict[int, int]:
-    """Complete factorization of |n|: small primes by trial division, the
-    cofactor by Pollard rho."""
-    out, cofactor = _trial_factor(abs(n))
-    stack = [cofactor]
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if _is_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m)
-        stack.append(d)
-        stack.append(m // d)
-    return out
-
-
-def _pollard_rho(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    c = 1
-    while True:
-        x, y, d = 2, 2, 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = gcd(abs(x - y), n)
-        if d != n:
-            return d
-        c += 1
-
-
-def _legendre(a: int, p: int) -> int:
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
-
-
-def _hilbert_local(a: int, b: int, p: int) -> int:
-    """Hilbert symbol (a, b)_p for integers a, b != 0 at a prime p (2 allowed)."""
-    al = 0
-    while a % p == 0:
-        a //= p
-        al += 1
-    be = 0
-    while b % p == 0:
-        b //= p
-        be += 1
-    if p == 2:
-        eps = lambda x: ((x - 1) // 2) & 1
-        om = lambda x: ((x * x - 1) // 8) & 1
-        e = eps(a) * eps(b) + al * om(b) + be * om(a)
-        return -1 if e & 1 else 1
-    e = ((p - 1) // 2) * al * be
-    sym = (-1) ** (e & 1)
-    if be & 1:
-        sym *= _legendre(a, p)
-    if al & 1:
-        sym *= _legendre(b, p)
-    return sym
-
-
-def hilbert_symbol_Q(u, v) -> str:
-    """Decide split/division for the rational quaternion (u, v), via Hilbert
-    symbols at -1, 2 and the odd primes dividing the entries, with the
-    product formula as a self-check."""
-    u, v = Fraction(u), Fraction(v)
-    if u == 0 or v == 0:
-        raise PreconditionError("hilbert_symbol_Q requires nonzero entries")
-    a = u.numerator * u.denominator
-    b = v.numerator * v.denominator
-    primes = {2}
-    primes.update(_factor(a))
-    primes.update(_factor(b))
-    primes.discard(2)
-    symbols = {}
-    symbols["inf"] = -1 if (a < 0 and b < 0) else 1
-    symbols[2] = _hilbert_local(a, b, 2)
-    for p in sorted(primes):
-        symbols[p] = _hilbert_local(a, b, p)
-    prod = 1
-    for s in symbols.values():
-        prod *= s
-    assert prod == 1, "Hilbert product formula violated (factorization bug)"
-    return "split" if all(s == 1 for s in symbols.values()) else "division"
-
-
 __all__ = [
     "QuaternionAlgebra",
     "standard_quaternion",
     "bracket_quaternion",
     "norm_form",
-    "norm_value",
-    "pfister_descend",
     "SlotSplitResult",
     "quadratic_slot_split",
     "SplitCertificate",
     "split_over_2ext",
-    "hilbert_symbol_Q",
 ]

@@ -9,7 +9,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from norm_oracle import rational_norm_zero_search
+from norm_oracle import hilbert_symbol_Q, rational_norm_zero_search
 
 from isotower import verify
 from isotower.certjson import (
@@ -27,7 +27,7 @@ from isotower.csa import (
     split_idempotent_witness,
     tensor_power_over_K,
 )
-from isotower.generate import random_qfsystem, random_quaternion, random_rational_pair
+from isotower.generate import random_qfsystem, random_quaternion
 from isotower.presets import (
     cyclic_cubic,
     cyclic_gaussian,
@@ -37,11 +37,7 @@ from isotower.presets import (
     field_septic,
 )
 from isotower.quadforms import isotropy_2ext
-from isotower.splitting import (
-    hilbert_symbol_Q,
-    split_over_2ext,
-    standard_quaternion,
-)
+from isotower.splitting import split_over_2ext, standard_quaternion
 from isotower.sqrt import adjoin_sqrt, sqrt_or_nonsquare
 from isotower.tower import QQ, tower_extend
 
@@ -157,6 +153,18 @@ def test_criterion_3_split_bound():
         "quaternion splitting bound",
         f"300 certificates, max degrees {degrees}, {elapsed:.0f}s",
     )
+
+
+def random_rational_pair(rng: random.Random, bound: int = 30):
+    """Nonzero rationals with numerators and denominators up to the bound."""
+
+    def pick():
+        while True:
+            num = rng.randint(-bound, bound)
+            if num:
+                return Fraction(num, rng.randint(1, 12))
+
+    return pick(), pick()
 
 
 def test_criterion_4_rational_oracle_agreement():

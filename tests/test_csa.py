@@ -131,6 +131,14 @@ def test_apply_power_is_repeated_application(make):
 # -- structure constants ----------------------------------------------------------------
 
 
+def associative_on(alg, i: int, j: int, k: int) -> bool:
+    """(e_i e_j) e_k == e_i (e_j e_k), through the public rows and product."""
+    one = alg.tower.one(alg.level)
+    return alg.mul_sparse(dict(alg.row(i, j)), {k: one}) == alg.mul_sparse(
+        {i: one}, dict(alg.row(j, k))
+    )
+
+
 def test_quaternion_tables_associative_all_triples():
     tower = tower_extend(QQ, [-2, 0, 1], label="s2")
     for q in (
@@ -140,14 +148,14 @@ def test_quaternion_tables_associative_all_triples():
         alg = quaternion_structure_algebra(q)
         assert alg.check_unit()
         for i, j, k in product(range(4), repeat=3):
-            assert alg.associative_on(i, j, k)
+            assert associative_on(alg, i, j, k)
 
 
 def test_matrix_algebra_m2():
     alg = matrix_algebra(QQ, 0)
     assert alg.check_unit() and alg.matrix_units
     for i, j, k in product(range(4), repeat=3):
-        assert alg.associative_on(i, j, k)
+        assert associative_on(alg, i, j, k)
 
 
 def test_algebra_doc_round_trip():
@@ -155,6 +163,18 @@ def test_algebra_doc_round_trip():
     doc = algebra_doc(alg)
     back = algebra_from_doc(doc)
     assert algebra_doc(back) == doc
+
+
+def test_algebra_doc_zero_cells_are_not_shared():
+    # above level 0 every zero cell is its own list: editing one in place
+    # leaves the other 55 zero cells of M2 over Q(sqrt 2) as they were
+    constants = algebra_doc(matrix_algebra(cyclic_sqrt(2).tower, 1))["constants"]
+    cells = [cell for plane in constants for row in plane for cell in row]
+    zero = ["0/1", "0/1"]
+    zeros = [cell for cell in cells if cell == zero]
+    assert len(zeros) == 56
+    zeros[0][0] = "1/1"
+    assert sum(cell == zero for cell in cells) == 55
 
 
 # -- conjugates -----------------------------------------------------------------------
@@ -183,7 +203,7 @@ def test_conjugates_stay_associative():
     alg = quaternion_structure_algebra(standard_quaternion(a, a + 2))
     conj = conjugate_algebra(alg, cyc, 1)
     for i, j, k in product(range(4), repeat=3):
-        assert conj.associative_on(i, j, k)
+        assert associative_on(conj, i, j, k)
 
 
 # -- tensor powers ----------------------------------------------------------------------
@@ -219,6 +239,24 @@ def test_memory_guard():
         tensor_power_over_K(bigger, cyc)
 
 
+def test_tensor_rows_as_a_sequence():
+    # the public rows and row() of a tensor power agree with its product
+    cyc = cyclic_sqrt(2)
+    one = cyc.tower.one(1)
+    for alg in (
+        matrix_algebra(cyc.tower, 1),
+        quaternion_structure_algebra(
+            standard_quaternion(cyc.tower.rational(-1), cyc.tower.rational(-1))
+        ),
+    ):
+        ta = tensor_power_over_K(alg, cyc)
+        assert len(ta.algebra.rows) == 256
+        for i, j in product(range(16), repeat=2):
+            assert dict(ta.algebra.row(i, j)) == ta.algebra.mul_sparse({i: one}, {j: one})
+        with pytest.raises(IndexError):
+            ta.algebra.rows[256]
+
+
 def test_tensor_associativity_sampled():
     cyc = cyclic_sqrt(2)
     s = cyc.tower.gen()
@@ -227,7 +265,7 @@ def test_tensor_associativity_sampled():
     rng = random.Random(8)
     for _ in range(60):
         i, j, k = (rng.randrange(16) for _ in range(3))
-        assert ta.algebra.associative_on(i, j, k)
+        assert associative_on(ta.algebra, i, j, k)
 
 
 # -- the action ----------------------------------------------------------------------

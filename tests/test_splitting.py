@@ -2,13 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from norm_oracle import rational_norm_zero_search
+from norm_oracle import hilbert_symbol_Q, rational_norm_zero_search
 
 from isotower.certjson import (
     quaternion_doc,
     quaternion_from_doc,
     split_certificate_doc,
-    verify_split_certificate,
 )
 from isotower.errors import (
     DegreeTooLarge,
@@ -24,10 +23,7 @@ from isotower.splitting import (
     _dependent_alpha_witness,
     _extract_quadratic_in_alpha,
     bracket_quaternion,
-    hilbert_symbol_Q,
     norm_form,
-    norm_value,
-    pfister_descend,
     quadratic_slot_split,
     split_over_2ext,
     standard_quaternion,
@@ -39,6 +35,14 @@ from isotower import verify
 
 def q_rat(u, v):
     return standard_quaternion(QQ.rational(u), QQ.rational(v))
+
+
+def assert_split_verifies(q, cert):
+    """The certificate is for q and passes the verifier."""
+    doc = split_certificate_doc(cert)
+    assert doc["quaternion"] == quaternion_doc(q)
+    ok, reason = verify.verify_split(doc)
+    assert ok, reason
 
 
 # -- presentations and norm forms --------------------------------------------------
@@ -63,51 +67,6 @@ def test_presentation_invariants():
         bracket_quaternion(QQ.rational(Fraction(-1, 4)), QQ.rational(1))  # 1 + 4a = 0
     with pytest.raises(ValueError):
         bracket_quaternion(QQ.rational(1), QQ.zero())
-
-
-# -- pfister descent -----------------------------------------------------------------
-
-
-def test_descend_degenerate_plane():
-    out = pfister_descend(QQ.rational(-1), QQ.rational(7), tuple(QQ.rational(c) for c in (1, 1, 1, 1)))
-    assert [str(c) for c in out] == ["1", "1", "0"]
-
-
-def test_descend_unit_denominator():
-    out = pfister_descend(QQ.rational(2), QQ.rational(-3), tuple(QQ.rational(c) for c in (1, 1, 1, 0)))
-    assert [str(c) for c in out] == ["1", "1", "1"]
-
-
-def test_descend_rejects_nonisotropic():
-    # pi = <1,1,1,1> has no nonzero rational zero: (1,0,0,1) is not isotropic
-    with pytest.raises(PreconditionError):
-        pfister_descend(QQ.rational(1), QQ.rational(1), tuple(QQ.rational(c) for c in (1, 0, 0, 1)))
-    with pytest.raises(PreconditionError):
-        pfister_descend(QQ.rational(1), QQ.rational(1), tuple(QQ.rational(0) for _ in range(4)))
-
-
-def test_descend_exhaustive_cases():
-    rng = random.Random(13)
-    one = Fraction(1)
-    for _ in range(40):
-        beta = Fraction(rng.randint(-9, 9) or 1)
-        # family 1: alpha = -a^2, witness (a, 1, 0, 0): hits the z = t = 0 branch
-        a = Fraction(rng.randint(1, 9))
-        out = pfister_descend(
-            QQ.rational(-a * a), QQ.rational(beta), tuple(QQ.rational(c) for c in (a, 1, 0, 0))
-        )
-        assert any(out)
-        # family 2: alpha = -z^2, w = (z y, y, z, 1): hits the D = 0, (z,t) != 0 branch
-        z = Fraction(rng.randint(1, 9))
-        y = Fraction(rng.randint(-9, 9))
-        out = pfister_descend(
-            QQ.rational(-z * z), QQ.rational(beta), tuple(QQ.rational(c) for c in (z * y, y, z, 1))
-        )
-        assert any(out)
-    # family 3: D != 0 through a split quaternion zero
-    w = rational_norm_zero_search(2, 7)
-    out = pfister_descend(QQ.rational(-2), QQ.rational(-7), tuple(QQ.rational(c) for c in w))
-    assert any(out)
 
 
 # -- the quadratic slot -----------------------------------------------------------------
@@ -205,8 +164,7 @@ def test_split_cubic_example(cubic):
     q = standard_quaternion(cubic.gen(), cubic.rational(2))
     cert = split_over_2ext(q)
     assert cert.degree_over_F <= 8
-    assert norm_value(q, cert.witness, cert.tower).is_zero()
-    assert verify_split_certificate(q, cert)
+    assert_split_verifies(q, cert)
 
 
 def test_split_odd_degrees_bound():
@@ -215,7 +173,7 @@ def test_split_odd_degrees_bound():
         q = random_quaternion(rng, tower)
         cert = split_over_2ext(q)
         assert cert.degree_over_F <= bound
-        assert verify_split_certificate(q, cert)
+        assert_split_verifies(q, cert)
 
 
 def test_split_septic_large_branch():
@@ -223,7 +181,7 @@ def test_split_septic_large_branch():
     q = random_quaternion(rng, field_septic())
     cert = split_over_2ext(q)
     assert cert.degree_over_F <= 128
-    assert verify_split_certificate(q, cert)
+    assert_split_verifies(q, cert)
 
 
 def test_split_septic_dependent_alpha():
@@ -232,7 +190,7 @@ def test_split_septic_dependent_alpha():
     q = standard_quaternion(tower.rational(3), tower.gen() + 1)
     cert = split_over_2ext(q)
     assert cert.degree_over_F <= 128
-    assert verify_split_certificate(q, cert)
+    assert_split_verifies(q, cert)
 
 
 def test_split_declared_two_part():
@@ -242,7 +200,7 @@ def test_split_declared_two_part():
     q = standard_quaternion(t.gen() + 1, t.rational(-1))
     cert = split_over_2ext(q, two_part_levels=2)
     assert cert.degree_over_F <= 16
-    assert verify_split_certificate(q, cert)
+    assert_split_verifies(q, cert)
 
 
 def test_split_even_degree_requires_declaration():
@@ -252,7 +210,7 @@ def test_split_even_degree_requires_declaration():
         split_over_2ext(q)
     cert = split_over_2ext(q, two_part_levels=1)
     assert cert.degree_over_F <= 4
-    assert verify_split_certificate(q, cert)
+    assert_split_verifies(q, cert)
 
 
 def test_split_even_degree_without_quadratic_subfield():
@@ -263,7 +221,7 @@ def test_split_even_degree_without_quadratic_subfield():
         q = standard_quaternion(t.gen(), t.rational(2))
         cert = split_over_2ext(q, two_part_levels=0)
         assert cert.degree_over_F <= bound
-        assert verify_split_certificate(q, cert)
+        assert_split_verifies(q, cert)
 
 
 def test_split_degree_too_large():
@@ -316,8 +274,7 @@ def test_split_quartic_alpha_branch():
     q = standard_quaternion(-x4, t.rational(5))
     cert = split_over_2ext(q, two_part_levels=0)
     assert cert.degree_over_F <= 256
-    assert norm_value(q, cert.witness, cert.tower).is_zero()
-    assert verify_split_certificate(q, cert)
+    assert_split_verifies(q, cert)
 
 
 # -- lifting F-side elements into the compositum ------------------------------------
@@ -440,7 +397,7 @@ def test_oracle_agreement_sample():
         verdict = hilbert_symbol_Q(u, v)
         q = standard_quaternion(QQ.rational(u), QQ.rational(v))
         cert = split_over_2ext(q)
-        assert verify_split_certificate(q, cert)
+        assert_split_verifies(q, cert)
         if verdict == "division":
             assert cert.degree_over_F == 2
         else:

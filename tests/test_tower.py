@@ -350,6 +350,19 @@ def test_conjugate_division_exposes_the_same_factor():
         assert by_division.value.witness == by_inverse.value.witness
 
 
+def test_generic_level_factor_is_made_monic():
+    # Q[x]/(x^3 - 8) is reducible: Euclid on 2x - 4 against the minimal
+    # polynomial ends at the last nonzero remainder 2x - 4 itself, and the
+    # witness reports it monic, as the factor x - 2
+    bad = tower_extend(QQ, [-8, 0, 0, 1], label="c8")
+    zero_divisor = 2 * bad.gen() - 4
+    for attempt in (zero_divisor.inverse, lambda: 1 / zero_divisor):
+        with pytest.raises(ReducibilityError) as err:
+            attempt()
+        assert err.value.witness.level == 1
+        assert err.value.witness.factor == (-2, 1)
+
+
 def test_dot_rejects_incompatible_towers(q_i, q_sqrt2):
     with pytest.raises(ValueError):
         dot([q_i.gen()], [q_sqrt2.gen()])
