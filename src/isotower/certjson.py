@@ -14,6 +14,7 @@ from .csa import CorResult, CyclicExtensionData, StructureConstantAlgebra
 from .errors import MalformedCertificate
 from .quadforms import IsotropyCertificate, QFSystem, QuadraticForm
 from .serialize import (
+    _to_json,
     element_from_json,
     element_to_json,
     gram_from_json,
@@ -124,10 +125,11 @@ def algebra_doc(a: StructureConstantAlgebra) -> dict:
         zero = a.tower.zero(a.level)
         zeros = lambda: [element_to_json(zero) for _ in range(n)]
     constants = [[zeros() for _ in range(n)] for _ in range(n)]
+    ctx, lv, rows = a.tower._ctx, a.level, a.rows
     for i, plane in enumerate(constants):
         for j, cell in enumerate(plane):
-            for k, c in a.row(i, j):
-                cell[k] = element_to_json(c)
+            for k, c in rows[i * n + j]:
+                cell[k] = _to_json(ctx, c, lv)
     return {
         "dim": n,
         "constants": constants,

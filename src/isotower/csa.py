@@ -28,12 +28,13 @@ inserts the trace form's rows the same way and stops at a dependent one.
 
 Products, the coordinate read-off and the center test compute on the
 kernel's raw nested data at one level, and wrap results as ``TowerElement``
-only where they leave the module.  A ``StructureConstantAlgebra`` keeps a
-private raw view of its rows and unit, lifted once to its level;
+only where they leave the module.  A ``StructureConstantAlgebra``'s rows
+are that raw data: every producer writes each nonzero constant at the
+algebra's level, and ``row(i, j)`` wraps one row on demand;
 ``CyclicExtensionData`` caches the matrices of sigma^j once.  The tensor
 power's unit and rows are sparse Kronecker products of the legs' raw data.
-It does not build its (dim A)^(2r) product rows: ``row(i, j)`` is computed
-on first use and memoised, so the dimension guard bounds what the fixed
+It does not build its (dim A)^(2r) product rows: each row is computed on
+first use and memoised, so the dimension guard bounds what the fixed
 subalgebra builds, the n^2 rows of the n-dimensional tensor power that its
 products read.
 """
@@ -58,6 +59,7 @@ from .tower import (
     TowerField,
     _add,
     _dot,
+    _embed_up,
     _inv,
     _is_zero,
     _mul,
@@ -209,51 +211,41 @@ class CyclicExtensionData:
 @dataclass(frozen=True)
 class StructureConstantAlgebra:
     """Finite-dimensional associative algebra with basis products stored as
-    sparse rows: rows[i*dim + j] lists (k, c) with e_i e_j = sum c e_k.
+    sparse rows: rows[i*dim + j] lists (k, c) with e_i e_j = sum c e_k, where
+    c is the nonzero raw data of the constant at the algebra's level.
 
     ``rows`` is a tuple, or for a tensor power a lazy sequence of the same
-    rows.  Products run on a private raw view of the rows and the unit at
-    the algebra's level; a constant above that level is an error."""
+    rows; :meth:`row` wraps one row as elements.  The unit is a tuple of
+    elements at the level."""
 
     tower: TowerField
     level: int
     dim: int
-    rows: tuple[tuple[tuple[int, TowerElement], ...], ...]
+    rows: tuple[tuple[tuple[int, object], ...], ...]
     unit: tuple[TowerElement, ...]
     matrix_units: bool = False
 
     @staticmethod
     def from_dense(tower: TowerField, level: int, constants, unit, matrix_units=False):
+        """From a dense constants[i][j][k] table of elements or rationals; a
+        constant above ``level`` is an error."""
         n = len(constants)
-        rows = []
-        for i in range(n):
-            for j in range(n):
-                entry = []
-                for k in range(n):
-                    c = constants[i][j][k]
-                    if not isinstance(c, TowerElement):
-                        c = tower.rational(c, level)
-                    else:
-                        c = c.in_tower(tower).embed(level)
-                    if c:
-                        entry.append((k, c))
-                rows.append(tuple(entry))
-        u = tuple(
-            x.in_tower(tower).embed(level) if isinstance(x, TowerElement) else tower.rational(x, level)
-            for x in unit
+        rows = tuple(
+            tuple(
+                (k, c)
+                for k, c in enumerate(_raw_at(tower, level, x) for x in constants[i][j])
+                if not _is_zero(c, level)
+            )
+            for i in range(n)
+            for j in range(n)
         )
-        return StructureConstantAlgebra(tower, level, n, tuple(rows), u, matrix_units)
+        u = tuple(TowerElement(tower, level, _raw_at(tower, level, x)) for x in unit)
+        return StructureConstantAlgebra(tower, level, n, rows, u, matrix_units)
 
-    def row(self, i: int, j: int):
-        return self.rows[i * self.dim + j]
-
-    @cached_property
-    def _raw_row(self):
-        """Row index -> the row's (k, raw constant) pairs at the level."""
-        if isinstance(self.rows, _TensorRows):
-            return self.rows.raw
+    def row(self, i: int, j: int) -> tuple[tuple[int, TowerElement], ...]:
+        """Row (i, j) as (k, element) pairs."""
         tower, lv = self.tower, self.level
-        return tuple(tuple((k, _raw_at(tower, lv, c)) for k, c in row) for row in self.rows).__getitem__
+        return tuple((k, TowerElement(tower, lv, c)) for k, c in self.rows[i * self.dim + j])
 
     @cached_property
     def _raw_unit(self) -> dict:
@@ -273,12 +265,12 @@ class StructureConstantAlgebra:
     def _mul_raw(self, x: dict, y: dict) -> dict:
         """:meth:`mul_sparse` on raw coordinates at the level: each output
         coordinate is one sum of products, reduced once."""
-        ctx, lv, dim, raw_row = self.tower._ctx, self.level, self.dim, self._raw_row
+        ctx, lv, dim, rows = self.tower._ctx, self.level, self.dim, self.rows
         terms: dict[int, list] = {}
         for i, xi in x.items():
             base = i * dim
             for j, yj in y.items():
-                row = raw_row(base + j)
+                row = rows[base + j]
                 if row:
                     f = _mul(ctx, lv, xi, yj)
                     for k, c in row:
@@ -314,7 +306,7 @@ def matrix_algebra(tower: TowerField, level: int, n: int = 2) -> StructureConsta
             for c in range(n):
                 for d in range(n):
                     if b == c:
-                        rows.append((((a * n + d), one),))
+                        rows.append((((a * n + d), one.data),))
                     else:
                         rows.append(())
     unit = tuple(one if (i // n) == (i % n) else tower.zero(level) for i in range(dim))
@@ -355,11 +347,11 @@ def quaternion_structure_algebra(q) -> StructureConstantAlgebra:
     for i in range(4):
         for j in range(4):
             if i == 0:
-                rows.append(((j, one),))
+                rows.append(((j, one.data),))
             elif j == 0:
-                rows.append(((i, one),))
+                rows.append(((i, one.data),))
             else:
-                rows.append(tuple((k, c) for k, c in tab[(i, j)] if c))
+                rows.append(tuple((k, c.data) for k, c in tab[(i, j)] if c))
     unit = (one, zero, zero, zero)
     return StructureConstantAlgebra(tower, level, 4, tuple(rows), unit)
 
@@ -374,13 +366,16 @@ def conjugate_algebra(
 ) -> StructureConstantAlgebra:
     """Same ring with K-scalars twisted through sigma^power: the structure
     constants get sigma^(-power) entrywise.  The result lies at K's level,
-    also when A lies below it."""
+    also when A lies below it; A above it is a ValueError."""
     j = (-sigma_power) % cyclic.order
-    rows = tuple(
-        tuple((k, cyclic.apply(c, j)) for k, c in row) for row in a.rows
-    )
+    ctx, lv, k_level = cyclic.tower._ctx, a.level, cyclic.k_level
+    # the unit first: cyclic.apply checks A's tower and level against K's
     unit = tuple(cyclic.apply(c, j) for c in a.unit)
-    return StructureConstantAlgebra(a.tower, cyclic.k_level, a.dim, rows, unit, a.matrix_units)
+    rows = tuple(
+        tuple((k, cyclic._apply_raw(_embed_up(ctx, lv, c, k_level), j)) for k, c in row)
+        for row in a.rows
+    )
+    return StructureConstantAlgebra(cyclic.tower, k_level, a.dim, rows, unit, a.matrix_units)
 
 
 @dataclass(frozen=True)
@@ -395,29 +390,24 @@ class TensorPowerAlgebra:
 
 
 class _TensorRows(Sequence):
-    """The product rows of a tensor power, each computed from the legs' raw
-    rows on first use and memoised: entry i*n + j lists (k, c) with
-    e_i e_j = sum c e_k."""
+    """The product rows of a tensor power, each computed from the legs' rows
+    on first use and memoised: entry i*n + j lists (k, c) with
+    e_i e_j = sum c e_k, c raw at the tensor power's level."""
 
     def __init__(self, tower: TowerField, level: int, legs, d: int):
         self._tower, self._level, self._d = tower, level, d
         self._n = d ** len(legs)
-        self._legs = [leg._raw_row for leg in legs]
+        self._legs = [leg.rows for leg in legs]
         self._memo: dict[int, tuple] = {}
 
     def __len__(self) -> int:
         return self._n * self._n
 
-    def __getitem__(self, idx: int):
-        if not 0 <= idx < len(self):
-            raise IndexError("tensor row index out of range")
-        tower, lv = self._tower, self._level
-        return tuple((k, TowerElement(tower, lv, c)) for k, c in self.raw(idx))
-
-    def raw(self, idx: int) -> tuple:
-        """Row idx as (k, raw constant) pairs at the tensor power's level."""
+    def __getitem__(self, idx: int) -> tuple:
         row = self._memo.get(idx)
         if row is None:
+            if not 0 <= idx < len(self):
+                raise IndexError("tensor row index out of range")
             row = self._memo[idx] = self._build(idx)
         return row
 
@@ -428,7 +418,7 @@ class _TensorRows(Sequence):
         for leg in reversed(self._legs):  # the last leg is least significant
             i, a = divmod(i, d)
             j, b = divmod(j, d)
-            leg_rows.append(leg(a * d + b))
+            leg_rows.append(leg[a * d + b])
         if not all(leg_rows):
             return ()
         leg_rows.reverse()
@@ -454,7 +444,7 @@ def tensor_power_over_K(
     n = a.dim**r
     if n > _TENSOR_DIM_GUARD:
         raise MemoryGuardExceeded(f"tensor dimension {n} exceeds the {_TENSOR_DIM_GUARD} guard")
-    tower, k = a.tower, cyclic.k_level
+    tower, k = cyclic.tower, cyclic.k_level
     legs = [conjugate_algebra(a, cyclic, t) for t in range(r)]
     rows = _TensorRows(tower, k, legs, a.dim)
     unit = [tower.zero(k)] * n
@@ -657,7 +647,7 @@ def fixed_subalgebra(ta: TensorPowerAlgebra, action: GAction) -> CorResult:
         target[positions[0]] = start, free
         start += len(free)
 
-    raw_row = alg._raw_row
+    tensor_rows = alg.rows
     table = [[()] * n_k for _ in range(n_k)]
     for pos_a, free_a, _conj in orbit_data:
         la, ia = len(pos_a), target[pos_a[0]][0]
@@ -668,7 +658,7 @@ def fixed_subalgebra(ta: TensorPowerAlgebra, action: GAction) -> CorResult:
             for j, p in enumerate(pos_a):
                 base = p * n_k
                 for jb, q in enumerate(pos_b):
-                    for k, c in raw_row(base + q):
+                    for k, c in tensor_rows[base + q]:
                         if k in target:
                             terms.setdefault(k, []).append((j, jb, c))
             order = sorted(terms)
@@ -681,7 +671,7 @@ def fixed_subalgebra(ta: TensorPowerAlgebra, action: GAction) -> CorResult:
                         begin, free = target[k]
                         for m, fc in enumerate(free):
                             if not _is_zero(val[fc], f_level):
-                                row.append((begin + m, TowerElement(tower, f_level, val[fc])))
+                                row.append((begin + m, val[fc]))
                     table[ia + t][ib + tb] = tuple(row)
     rows = tuple(row for block in table for row in block)
     unit = tuple(
@@ -727,13 +717,13 @@ def _echelon_insert(ctx, lv: int, echelon: list, row: dict) -> bool:
 def _commutator_rows(a: StructureConstantAlgebra, i: int) -> list:
     """Rows of the map x -> e_i x - x e_i: row k is {j: coefficient of e_k
     in e_i e_j - e_j e_i}, nonzero entries only, in increasing k."""
-    n, ctx, lv, raw_row = a.dim, a.tower._ctx, a.level, a._raw_row
+    n, ctx, lv, rows = a.dim, a.tower._ctx, a.level, a.rows
     comm: dict = {}
     for j in range(n):
-        for k, c in raw_row(i * n + j):
+        for k, c in rows[i * n + j]:
             if not _is_zero(c, lv):
                 comm.setdefault(k, {})[j] = c
-        for k, c in raw_row(j * n + i):
+        for k, c in rows[j * n + i]:
             _sub_at(ctx, lv, comm.setdefault(k, {}), j, c)
     return [comm[k] for k in sorted(comm)]
 
@@ -743,15 +733,15 @@ def central_simple_check(a: StructureConstantAlgebra) -> bool:
     this is exactly central simplicity."""
     if not a.check_unit():
         return False
-    n, ctx, lv, raw_row = a.dim, a.tower._ctx, a.level, a._raw_row
+    n, ctx, lv, rows = a.dim, a.tower._ctx, a.level, a.rows
 
     # center: the kernel of the stacked commutator maps x -> e_i x - x e_i,
     # whose rows enter one echelon one generator at a time; check_unit put
     # the scalars in the center, so rank n - 1 settles it
     center: list = []
-    rows = (row for i in range(n) for row in _commutator_rows(a, i))
+    comm = (row for i in range(n) for row in _commutator_rows(a, i))
     while len(center) < n - 1:
-        row = next(rows, None)
+        row = next(comm, None)
         if row is None:
             return False
         _echelon_insert(ctx, lv, center, row)
@@ -762,7 +752,7 @@ def central_simple_check(a: StructureConstantAlgebra) -> bool:
     for k in range(n):
         acc = _raw_zero(ctx, lv)
         for m in range(n):
-            for idx, c in raw_row(k * n + m):
+            for idx, c in rows[k * n + m]:
                 if idx == m:
                     acc = _add(ctx, lv, acc, c)
         if not _is_zero(acc, lv):
@@ -771,7 +761,7 @@ def central_simple_check(a: StructureConstantAlgebra) -> bool:
     for i in range(n):
         row = {}
         for j in range(n):
-            pairs = [(c, tr[k]) for k, c in raw_row(i * n + j) if k in tr]
+            pairs = [(c, tr[k]) for k, c in rows[i * n + j] if k in tr]
             if pairs:
                 v = _dot(ctx, lv, pairs)
                 if not _is_zero(v, lv):
@@ -885,7 +875,9 @@ def base_change_embedding_check(
             return t2.from_coeffs(2, coeffs)
 
         rows2 = tuple(
-            tuple((k, embed_elem(c)) for k, c in row) for row in a.rows
+            tuple((k, embed_elem(c).data) for k, c in a.row(i, j))
+            for i in range(a.dim)
+            for j in range(a.dim)
         )
         unit2 = tuple(embed_elem(c) for c in a.unit)
         a2 = StructureConstantAlgebra(t2, 2, a.dim, rows2, unit2, a.matrix_units)

@@ -27,29 +27,24 @@ def random_qfsystem(
     return QFSystem(tuple(forms))
 
 
-def random_element(
-    rng: random.Random, tower: TowerField, lo: int = -9, hi: int = 9, nonzero: bool = True
-) -> TowerElement:
-    """Random element of the tower top with integral nested coordinates."""
+def random_element(rng: random.Random, tower: TowerField) -> TowerElement:
+    """Random nonzero element of the tower top with integral nested
+    coordinates in -9..9."""
 
     def build(lv: int):
         if lv == 0:
-            return Fraction(rng.randint(lo, hi))
+            return Fraction(rng.randint(-9, 9))
         d = tower.levels[lv - 1].degree
         return tuple(build(lv - 1) for _ in range(d))
 
     while True:
         x = tower.element(tower.height, build(tower.height))
-        if not nonzero or x:
+        if x:
             return x
 
 
-def random_quaternion(
-    rng: random.Random, tower: TowerField, lo: int = -9, hi: int = 9
-) -> QuaternionAlgebra:
-    u = random_element(rng, tower, lo, hi)
-    v = random_element(rng, tower, lo, hi)
-    return standard_quaternion(u, v)
+def random_quaternion(rng: random.Random, tower: TowerField) -> QuaternionAlgebra:
+    return standard_quaternion(random_element(rng, tower), random_element(rng, tower))
 
 
 __all__ = [

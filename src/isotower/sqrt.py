@@ -257,18 +257,16 @@ def _minpoly_mod(minpoly, lv_below, point, m, zeros):
     return [_eval_mod(c, lv_below, point, m, zeros) for c in minpoly]
 
 
-def _points(levels, p, zeros=None):
+def _points(levels, p, zeros):
     """Points of the tower over F_p whose coordinates are simple roots of the
     reduced minpolys, depth first in increasing root order.
 
     ``levels`` is a list of (minpoly raw data, degree) and ``zeros`` the
     tower's shared zero of each of those levels, lowest first (see
-    :func:`_eval_mod`; None reads every coefficient).  A minpoly that is
-    not p-integral raises _BadPrime before the first point is yielded, since
+    :func:`_eval_mod` and :func:`_subtower_levels`).  A minpoly that is not
+    p-integral raises _BadPrime before the first point is yielded, since
     every point passes through every level.
     """
-    if zeros is None:
-        zeros = (None,) * len(levels)
 
     def rec(depth: int, point: tuple[int, ...]):
         if depth == len(levels):

@@ -224,7 +224,7 @@ def _parse_algebra(doc: dict):
     return tower, level, n, rows, unit
 
 
-def _raw_rows(rows, level):
+def _unwrap_rows(rows, level):
     """Sparse rows of elements as rows of (k, raw data at ``level``)."""
     return [tuple((k, c.embed(level).data) for k, c in row) for row in rows]
 
@@ -378,7 +378,7 @@ def verify_cor(doc: dict) -> tuple[bool, str]:
 
     # from here on every value is raw data, at K's level or at F's; raw data
     # is reduced and zero-padded, so == compares values
-    a_rows = _raw_rows(a_rows, k_level)
+    a_rows = _unwrap_rows(a_rows, k_level)
     d = a_dim
     n = d**order
     if len(fixed_basis) != cor_dim:
@@ -459,7 +459,7 @@ def verify_cor(doc: dict) -> tuple[bool, str]:
     if combine(enumerate(cor_unit)) != unit_target:
         return False, "claimed unit does not combine to the tensor identity"
 
-    c_rows = _raw_rows(c_rows, f_level)
+    c_rows = _unwrap_rows(c_rows, f_level)
 
     def lin(terms) -> dict:
         """sum of f * (constants row ij) over the terms (f, ij), zeros

@@ -29,7 +29,7 @@ from isotower.errors import MalformedCertificate, MemoryGuardExceeded, Precondit
 from isotower.presets import cyclic_cubic, cyclic_gaussian, cyclic_sqrt, field_sqrt
 from isotower.serialize import canonical_dumps, element_to_json, tower_to_json, vector_to_json
 from isotower.splitting import bracket_quaternion, standard_quaternion
-from isotower.tower import QQ, tower_extend
+from isotower.tower import QQ, _check_shape, _is_zero, tower_extend
 from isotower import verify
 
 
@@ -46,7 +46,7 @@ def zeta5_k_times_k():
     m = [[1, 0, -1, 0], [0, 0, -1, 1], [0, 1, -1, 0], [0, 0, -1, 0]]
     cyc = CyclicExtensionData.create(tower, 1, m, 4)
     one = tower.one(1)
-    rows = (((0, one),), (), (), ((1, one),))
+    rows = (((0, one.data),), (), (), ((1, one.data),))
     return cyc, StructureConstantAlgebra(tower, 1, 2, rows, (one, one))
 
 
@@ -204,6 +204,110 @@ def test_conjugates_stay_associative():
     conj = conjugate_algebra(alg, cyc, 1)
     for i, j, k in product(range(4), repeat=3):
         assert associative_on(conj, i, j, k)
+
+
+def _s2_s3():
+    return tower_extend(cyclic_sqrt(2).tower, [-3, 0, 1], label="sqrt3")
+
+
+def _mixed_dense():
+    """from_dense at level 2 of Q(sqrt2, sqrt3) on constants given as
+    rationals, level-1 and level-2 elements, zeros of each kind among them."""
+    t = _s2_s3()
+    constants = [
+        [[1, t.zero(1)], [0, t.gen(1)]],
+        [[t.gen(2), t.zero(2)], [Fraction(1, 2), t.rational(3, 1) + t.gen(1)]],
+    ]
+    return StructureConstantAlgebra.from_dense(t, 2, constants, [1, t.zero(1)])
+
+
+def _quat_sqrt2():
+    cyc = cyclic_sqrt(2)
+    q = standard_quaternion(cyc.tower.gen(), cyc.tower.rational(-1))
+    return cyc, quaternion_structure_algebra(q)
+
+
+RAW_ROW_CASES = {
+    "from_dense": _mixed_dense,
+    "from_doc": lambda: algebra_from_doc(algebra_doc(_mixed_dense())),
+    "matrix_algebra": lambda: matrix_algebra(cyclic_sqrt(2).tower, 1),
+    "quaternion-standard": lambda: _quat_sqrt2()[1],
+    "quaternion-bracket": lambda: quaternion_structure_algebra(
+        bracket_quaternion(field_sqrt(2).gen(), field_sqrt(2).rational(3))),
+    "conjugate": lambda: conjugate_algebra(_quat_sqrt2()[1], _quat_sqrt2()[0], 1),
+    "conjugate-below-K": lambda: conjugate_algebra(
+        matrix_algebra(cyclic_sqrt(2).tower, 0), cyclic_sqrt(2), 1),
+    "tensor-power": lambda: tensor_power_over_K(_quat_sqrt2()[1], _quat_sqrt2()[0]).algebra,
+    "fixed_subalgebra": lambda: run_cor(*_quat_sqrt2()).algebra,
+    "fixed_subalgebra-level2": lambda: run_cor(*_quat_over_level2()).algebra,
+    "fixed_subalgebra-below-level2": lambda: run_cor(*_quat_sqrt2_below_level2()).algebra,
+}
+
+
+@pytest.mark.parametrize("case", sorted(RAW_ROW_CASES))
+def test_rows_hold_raw_nonzero_data_at_the_level(case):
+    # every producer stores each constant as nonzero raw data shaped for the
+    # algebra's level, and row(i, j) wraps exactly that data
+    alg = RAW_ROW_CASES[case]()
+    ctx, lv = alg.tower._ctx, alg.level
+    assert len(alg.rows) == alg.dim**2
+    for i, j in product(range(alg.dim), repeat=2):
+        raw = alg.rows[i * alg.dim + j]
+        for _k, c in raw:
+            _check_shape(ctx, lv, c)
+            assert not _is_zero(c, lv)
+        wrapped = alg.row(i, j)
+        assert all(x.tower is alg.tower and x.level == lv for _k, x in wrapped)
+        assert [(k, x.data) for k, x in wrapped] == list(raw)
+
+
+def _quat_sqrt2_below_level2():
+    """(sqrt2, -1) at level 1 of its own tower Q(sqrt2), against K = Q(sqrt2,
+    sqrt3) over F = Q(sqrt2): an algebra below K's level."""
+    cyc, _alg = _quat_over_level2()
+    low = cyc.tower.prefix(1)
+    return cyc, quaternion_structure_algebra(standard_quaternion(low.gen(1), low.rational(-1)))
+
+
+CONJUGATE_CASES = {
+    "quat-sqrt2": _quat_sqrt2,
+    "m2-below-sqrt2": lambda: (cyclic_sqrt(2), matrix_algebra(cyclic_sqrt(2).tower, 0)),
+    "quat-cubic": lambda: (cyclic_cubic(), quaternion_structure_algebra(
+        standard_quaternion(cyclic_cubic().tower.gen(), cyclic_cubic().tower.gen() + 2))),
+    "kxk-zeta5": zeta5_k_times_k,
+    "quat-level2": lambda: _quat_over_level2(),
+    "quat-below-level2": _quat_sqrt2_below_level2,
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONJUGATE_CASES))
+def test_conjugate_rows_match_apply(case):
+    # each conjugate's raw constant is sigma^(-power) of the source constant
+    # through the public apply, for A at and below K's level
+    cyc, alg = CONJUGATE_CASES[case]()
+    for power in range(cyc.order):
+        conj = conjugate_algebra(alg, cyc, power)
+        assert conj.tower is cyc.tower and conj.level == cyc.k_level
+        for i, j in product(range(alg.dim), repeat=2):
+            want = tuple((k, cyc.apply(c, -power).data) for k, c in alg.row(i, j))
+            assert conj.rows[i * alg.dim + j] == want, (power, i, j)
+        assert conj.unit == tuple(cyc.apply(c, -power) for c in alg.unit)
+
+
+@pytest.mark.parametrize("make", [
+    lambda t: matrix_algebra(t, 2),
+    lambda t: quaternion_structure_algebra(standard_quaternion(t.gen(2), t.gen(1))),
+], ids=["m2", "quat"])
+def test_algebra_above_k_level_is_rejected(make):
+    # K = Q(sqrt2) is level 1 of Q(sqrt2, sqrt3); an algebra at level 2
+    # cannot be twisted by sigma, and the tensor power says so the same way
+    tower = _s2_s3()
+    cyc = CyclicExtensionData.create(tower, 1, [[1, 0], [0, -1]], 2)
+    alg = make(tower)
+    with pytest.raises(ValueError, match="cannot embed downward"):
+        conjugate_algebra(alg, cyc, 1)
+    with pytest.raises(ValueError, match="cannot embed downward"):
+        tensor_power_over_K(alg, cyc)
 
 
 # -- tensor powers ----------------------------------------------------------------------
@@ -533,7 +637,7 @@ def test_idempotent_rejected_for_division_input():
 
 def test_central_simple_counterexample():
     one, zero = QQ.one(0), QQ.zero(0)
-    rows = (((0, one),), (), (), ((1, one),))
+    rows = (((0, one.data),), (), (), ((1, one.data),))
     qxq = StructureConstantAlgebra(QQ, 0, 2, rows, (one, one))
     assert not central_simple_check(qxq)  # center has dimension 2
     assert central_simple_check(matrix_algebra(QQ, 0))
@@ -543,7 +647,8 @@ def test_central_simple_rejects_upper_triangular():
     # E11, E12, E22: the center is the scalars, so the center step stops
     # early, but E12 lies in the radical and the trace form is degenerate
     one = QQ.one(0)
-    rows = (((0, one),), ((1, one),), (), (), (), ((1, one),), (), (), ((2, one),))
+    u = one.data
+    rows = (((0, u),), ((1, u),), (), (), (), ((1, u),), (), (), ((2, u),))
     upper = StructureConstantAlgebra(QQ, 0, 3, rows, (one, QQ.zero(0), one))
     assert upper.check_unit()
     assert not central_simple_check(upper)
@@ -879,7 +984,7 @@ def dense_central_simple_check(a):
 
     if not a.check_unit():
         return False
-    n, ctx, lv, raw_row = a.dim, a.tower._ctx, a.level, a._raw_row
+    n, ctx, lv, raw_row = a.dim, a.tower._ctx, a.level, a.rows.__getitem__
     zero = _raw_zero(ctx, lv)
     echelon: list = []
     for i in range(n):
@@ -918,7 +1023,8 @@ def dense_central_simple_check(a):
 def _central_simple_cases():
     s2 = field_sqrt(2)
     one = QQ.one(0)
-    upper_rows = (((0, one),), ((1, one),), (), (), (), ((1, one),), (), (), ((2, one),))
+    u = one.data
+    upper_rows = (((0, u),), ((1, u),), (), (), (), ((1, u),), (), (), ((2, u),))
     m2 = matrix_algebra(QQ, 0)
     cases = {
         "m2": (m2, True),
@@ -927,7 +1033,7 @@ def _central_simple_cases():
         "m2 over Q(sqrt2)": (matrix_algebra(s2, 1), True),
         "quaternion(-1,-1) over Q(sqrt2)": (quaternion_structure_algebra(
             standard_quaternion(s2.rational(-1), s2.rational(-1))), True),
-        "Q x Q": (StructureConstantAlgebra(QQ, 0, 2, (((0, one),), (), (), ((1, one),)),
+        "Q x Q": (StructureConstantAlgebra(QQ, 0, 2, (((0, u),), (), (), ((1, u),)),
                                            (one, one)), False),
         # the center test passes, the trace test fails
         "upper triangular": (StructureConstantAlgebra(QQ, 0, 3, upper_rows,

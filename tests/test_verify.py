@@ -12,7 +12,7 @@ import functools
 import pytest
 
 from isotower.certjson import isotropy_certificate_doc, split_certificate_doc
-from isotower.presets import field_cubic
+from isotower.presets import demo_thm21_r2, field_cubic
 from isotower.quadforms import QFSystem, QuadraticForm, isotropy_2ext
 from isotower.serialize import tower_to_json
 from isotower.splitting import bracket_quaternion, split_over_2ext, standard_quaternion
@@ -153,6 +153,29 @@ def test_split_empty_two_tower_forgery_fails():
     assert verify.verify_split(doc)[0] and doc["degree_over_F"] > 1
     doc.update(two_tower=[], degree_over_F=1)
     assert not verify.verify_split(doc)[0]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 17: verify_isotropy reads the base height off the first Gram entry",
+)
+def test_isotropy_renested_gram_forgery_fails():
+    # two positive definite forms over Q, isotropic only over a quadratic
+    # extension: every Gram entry re-nested to the tower's top depth with zero
+    # padding makes the added level look like the base, and degree 1 then
+    # claims isotropy over Q
+    _lines, doc, ok = demo_thm21_r2()
+    assert ok and doc["actual_degree"] == 2
+    degrees = [len(level["minpoly"]) - 1 for level in doc["tower"]]
+
+    def renest(leaf):
+        for d in degrees:
+            leaf = [leaf] + [_zero_like(leaf) for _ in range(d - 1)]
+        return leaf
+
+    doc["forms"] = [[[renest(e) for e in row] for row in gram] for gram in doc["forms"]]
+    doc["actual_degree"] = 1
+    assert not verify.verify_isotropy(doc)[0]
 
 
 ISOTROPY_FORGERIES = {
