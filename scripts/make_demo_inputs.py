@@ -5,10 +5,12 @@ Usage: python scripts/make_demo_inputs.py [outdir]
 """
 
 import pathlib
+import random
 import sys
 
 from isotower.certjson import algebra_doc, cyclic_doc, quaternion_doc, system_doc
 from isotower.csa import CyclicExtensionData, matrix_algebra, quaternion_structure_algebra
+from isotower.generate import random_quaternion
 from isotower.presets import cyclic_sqrt, field_cubic
 from isotower.quadforms import QFSystem, QuadraticForm
 from isotower.serialize import canonical_dumps
@@ -49,6 +51,13 @@ def main():
     quat = standard_quaternion(quartic.gen(), quartic.rational(-3))
     (outdir / "quartic_quat.json").write_text(canonical_dumps(quaternion_doc(quat)))
 
+    # a random quaternion over Q[x]/(x^8 - 2) with its 2-part declared empty:
+    # r = 8 takes the large split branch, and the certificate's integers
+    # run past 4300 digits
+    octic = tower_extend(QQ, [-2, 0, 0, 0, 0, 0, 0, 0, 1], label="a8")
+    quat = random_quaternion(random.Random(0), octic)
+    (outdir / "octic_quat.json").write_text(canonical_dumps(quaternion_doc(quat)))
+
     cyc = cyclic_sqrt(2)
     cor_input = {
         "algebra": algebra_doc(matrix_algebra(cyc.tower, 1)),
@@ -74,6 +83,7 @@ def main():
     print(f"wrote {outdir}/system_sqrt2.json  (isotropy --input, forms over Q(sqrt2))")
     print(f"wrote {outdir}/cubic_quat.json  (split-quaternion --input)")
     print(f"wrote {outdir}/quartic_quat.json  (split-quaternion --input --two-part 0)")
+    print(f"wrote {outdir}/octic_quat.json  (split-quaternion --input --two-part 0)")
     print(f"wrote {outdir}/m2_sqrt2.json    (corestrict --input)")
     print(f"wrote {outdir}/quat_sqrt2.json  (corestrict --input, a division algebra)")
     print(f"wrote {outdir}/m2_sqrt2_sqrt3.json  (corestrict --input, K/F = Q(sqrt2, sqrt3)/Q(sqrt2))")

@@ -6,7 +6,6 @@ from .errors import (
     AllVanish,
     DegreeTooLarge,
     DimensionTooSmall,
-    DisjointnessViolation,
     IsotowerError,
     MalformedCertificate,
     MemoryGuardExceeded,

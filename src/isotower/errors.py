@@ -61,10 +61,6 @@ class Missing2PartDeclaration(PreconditionError):
     """Even-degree K without a declared maximal 2-subextension chain."""
 
 
-class DisjointnessViolation(PreconditionError):
-    """A declared linearly-disjoint extension collapsed during construction."""
-
-
 class MemoryGuardExceeded(PreconditionError):
     """Tensor power dimension over K would exceed the 4096 guard."""
 
@@ -92,7 +88,6 @@ __all__ = [
     "DimensionTooSmall",
     "DegreeTooLarge",
     "Missing2PartDeclaration",
-    "DisjointnessViolation",
     "MemoryGuardExceeded",
     "MalformedCertificate",
     "SingularMatrix",

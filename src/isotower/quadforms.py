@@ -27,7 +27,7 @@ from typing import Sequence
 from . import linalg
 from .errors import AllVanish, DimensionTooSmall, PreconditionError, SingularMatrix
 from .sqrt import adjoin_sqrt
-from .tower import TowerElement, TowerField, _add, _dot, _embed_up, _is_zero, _join, _mul, dot
+from .tower import TowerElement, TowerField, _dot, _embed_up, _is_zero, _join, _mul, dot
 from .tower import _neg, _raw_zero
 
 
@@ -77,37 +77,29 @@ class QuadraticForm:
     def dim(self) -> int:
         return len(self.gram)
 
-    def _gy(self, *vecs):
-        """(tower, level, raw first vector, raw G times the last vector y) in the
-        longest tower and at the highest level among the vectors and the form;
-        plain numbers are rationals.  Each row of G y is one sum of products."""
-        tower, lv, out = self.tower, self.level, []
-        for v in vecs:
-            if len(v) != self.dim:
-                raise ValueError(f"vector length {len(v)} != form dimension {self.dim}")
-            v = [x if isinstance(x, TowerElement) else self.tower.rational(x, self.level) for x in v]
-            for x in v:
-                tower = tower if x.tower is tower else _join(tower, x.tower)
-                lv = max(lv, x.level)
-            out.append(v)
+    def _gy(self, v):
+        """(tower, level, raw v, raw G v) in the longer tower and at the higher
+        level of v and the form; plain numbers are rationals.  Each row of
+        G v is one sum of products."""
+        if len(v) != self.dim:
+            raise ValueError(f"vector length {len(v)} != form dimension {self.dim}")
+        v = [x if isinstance(x, TowerElement) else self.tower.rational(x, self.level) for x in v]
+        tower, lv = self.tower, self.level
+        for x in v:
+            tower = tower if x.tower is tower else _join(tower, x.tower)
+            lv = max(lv, x.level)
         ctx, fl = tower._ctx, self.level
-        out = [[_embed_up(ctx, x.level, x.data, lv) for x in v] for v in out]
-        nz = [(j, y) for j, y in enumerate(out[-1]) if not _is_zero(y, lv)]
+        v = [_embed_up(ctx, x.level, x.data, lv) for x in v]
+        nz = [(j, y) for j, y in enumerate(v) if not _is_zero(y, lv)]
         if fl == lv:
             gy = [_dot(ctx, lv, [(row[j].data, y) for j, y in nz]) for row in self.gram]
         else:
             gy = [_dot(ctx, lv, (), [(row[j].data, fl, y) for j, y in nz]) for row in self.gram]
-        return tower, lv, out[0], gy
+        return tower, lv, v, gy
 
     def evaluate(self, v) -> TowerElement:
         tower, lv, v, gv = self._gy(v)
         return TowerElement(tower, lv, _dot(tower._ctx, lv, list(zip(v, gv))))
-
-    def bilinear(self, x, y) -> TowerElement:
-        """b(x, y) = phi(x+y) - phi(x) - phi(y) = 2 x^T G y."""
-        tower, lv, x, gy = self._gy(x, y)
-        xgy = _dot(tower._ctx, lv, list(zip(x, gy)))
-        return TowerElement(tower, lv, _add(tower._ctx, lv, xgy, xgy))
 
 
 def _symmetric(tower: TowerField, level: int, n: int, entry) -> QuadraticForm:
@@ -456,17 +448,12 @@ class LinearFunctionalBasis:
     def _inv_raw(self):
         return [[x.data for x in row] for row in self.inv_matrix]
 
-    def _raw_coordinates(self, data, indices):
-        """Coordinates ``indices`` of raw level-k_level data, raw at f_level:
-        one sum of products each, over the nonzero flattened coefficients."""
+    def _raw_coordinates(self, data):
+        """Coordinates of raw level-k_level data, raw at f_level: one sum of
+        products each, over the nonzero flattened coefficients."""
         f, inv = self.f_level, self._inv_raw
         flat = [(j, c) for j, c in enumerate(_flatten_raw(data, self.k_level, f)) if not _is_zero(c, f)]
-        return [_dot(self.tower._ctx, f, [(inv[t][j], c) for j, c in flat]) for t in indices]
-
-    def coordinates(self, x: TowerElement) -> tuple[TowerElement, ...]:
-        tower = _join(self.tower, x.tower)
-        raw = self._raw_coordinates(x.embed(self.k_level).data, range(self.size))
-        return tuple(TowerElement(tower, self.f_level, c) for c in raw)
+        return [_dot(self.tower._ctx, f, [(row[j], c) for j, c in flat]) for row in inv]
 
 
 def _block_dim(tower: TowerField, f_level: int, k_level: int) -> int:
@@ -503,11 +490,7 @@ def _basis_element(tower: TowerField, f_level: int, k_level: int, idx: int) -> T
     return acc
 
 
-def transfer_system(
-    form: QuadraticForm,
-    basis: LinearFunctionalBasis,
-    indices: Sequence[int] | None = None,
-) -> QFSystem:
+def transfer_system(form: QuadraticForm, basis: LinearFunctionalBasis) -> QFSystem:
     """Transfer a K-form through the dual functionals of an F-basis of K.
 
     The output system has dimension dim_K(V) * [K:F] over F, in the tower of
@@ -519,12 +502,11 @@ def transfer_system(
     if form.level != k_level or form.tower != tower:
         raise ValueError("form must live at the basis's K level")
     m, big = basis.size, form.dim * basis.size
-    indices = list(range(m) if indices is None else indices)
     # the upper-triangle gram entries of all transferred forms at once:
     # s_t(B_j * B_l * G_ip) for each t, on raw level data
     ctx, elems = tower._ctx, [x.data for x in basis.elements]
     prods = {(j, l): _mul(ctx, k_level, elems[j], elems[l]) for j in range(m) for l in range(j, m)}
-    zeros = [_raw_zero(ctx, f_level)] * len(indices)
+    zeros = [_raw_zero(ctx, f_level)] * m
     coords = {}
     for a in range(big):
         i, j = divmod(a, m)
@@ -533,11 +515,11 @@ def transfer_system(
             g = form.gram[i][p]
             if g:
                 gbb = _mul(ctx, k_level, g.data, prods[min(j, l), max(j, l)])
-                coords[a, b] = basis._raw_coordinates(gbb, indices)
+                coords[a, b] = basis._raw_coordinates(gbb)
     f_tower = tower.prefix(f_level)
     return QFSystem(tuple(
         _symmetric(f_tower, f_level, big, lambda a, b, k=k: coords.get((a, b), zeros)[k])
-        for k in range(len(indices))
+        for k in range(m)
     ))
 
 

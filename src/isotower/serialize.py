@@ -18,11 +18,14 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import MalformedCertificate
-from .tower import F0, Level, TowerElement, TowerField, _level_kind, _raw_zero
+from .tower import F0, Level, TowerElement, TowerField, _decimal, _from_decimal, _level_kind, _raw_zero
 
 
 def fraction_to_json(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:  # past the interpreter's int -> str digit limit
+        return f"{_decimal(q.numerator)}/{_decimal(q.denominator)}"
 
 
 def fraction_from_json(node) -> Fraction:
@@ -34,7 +37,7 @@ def fraction_from_json(node) -> Fraction:
     if not sep:
         raise MalformedCertificate(f"expected 'num/den' string, got {node!r}")
     try:
-        n, d = int(num), int(den)
+        n, d = _from_decimal(num), _from_decimal(den)
     except ValueError as exc:
         raise MalformedCertificate(f"bad rational {node!r}") from exc
     if d == 0:
@@ -42,7 +45,7 @@ def fraction_from_json(node) -> Fraction:
     q = Fraction(n, d)
     # one spelling per rational (lowest terms, positive denominator, plain
     # digits), so parse -> serialize reproduces the input bytes
-    if node != f"{q.numerator}/{q.denominator}":
+    if node != fraction_to_json(q):
         raise MalformedCertificate(f"rational {node!r} is not in canonical form")
     return q
 
@@ -72,7 +75,10 @@ def _to_json(ctx, data, lv):
     if data is ctx[lv - 1].own_zero:
         return _zero_to_json(ctx, lv)
     if lv == 1:
-        return ["0/1" if not q else f"{q.numerator}/{q.denominator}" for q in data]
+        try:
+            return ["0/1" if not q else f"{q.numerator}/{q.denominator}" for q in data]
+        except ValueError:  # a leaf past the digit limit
+            return [fraction_to_json(q) for q in data]
     return [_to_json(ctx, c, lv - 1) for c in data]
 
 
@@ -189,7 +195,7 @@ def canonical_dumps(doc) -> str:
 def canonical_loads(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise MalformedCertificate(f"invalid JSON: {exc}") from exc
 
 

@@ -15,14 +15,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import linalg
-from .errors import (
-    DegreeTooLarge,
-    DisjointnessViolation,
-    Missing2PartDeclaration,
-    PreconditionError,
-)
+from .errors import DegreeTooLarge, Missing2PartDeclaration, PreconditionError
 from .quadforms import (
     LinearFunctionalBasis,
+    QFSystem,
     QuadraticForm,
     _basis_element,
     clear_denominators,
@@ -117,13 +113,12 @@ class _Pair:
     comp_base: int                    # comp height before any mirrored level
     images: tuple[TowerElement, ...]  # comp image of each F-side generator above
     guaranteed: bool                  # no-quadratic-subextension hypothesis holds
-    collapsed: bool = False           # some mirrored level was already a square
     mirrored: int = 0                 # leading images that are plain generators
                                       # of successive comp levels of equal degree
 
-    def _extended(self, f2: TowerField, c2: TowerField, img: TowerElement, collapsed: bool) -> "_Pair":
-        """This pair with f2's new top level mirrored to ``img`` in c2;
-        ``collapsed`` says the new level was already a square there."""
+    def _extended(self, f2: TowerField, c2: TowerField, img: TowerElement) -> "_Pair":
+        """This pair with f2's new top level mirrored to ``img``, a root in c2
+        of the level's lifted minimal polynomial."""
         i = len(self.images)
         level = self.comp_base + i + 1
         plain = (
@@ -134,7 +129,7 @@ class _Pair:
         )
         return _Pair(
             f2, c2, self.shared, self.comp_base, self.images + (img,), self.guaranteed,
-            self.collapsed or collapsed, self.mirrored + plain,
+            self.mirrored + plain,
         )
 
     def lift(self, x: TowerElement) -> TowerElement:
@@ -189,9 +184,9 @@ class _Pair:
             # K/K0 has no quadratic subextension, hence K0-2-extensions stay
             # linearly disjoint: the mirrored level cannot collapse
             c2 = tower_extend(self.c_tower, [-c_comp, self.c_tower.zero(), self.c_tower.one()])
-            return self._extended(f2, c2, c2.gen(), False)
-        c2, img, added_c = adjoin_sqrt(self.c_tower, c_comp)
-        return self._extended(f2, c2, img, not added_c)
+            return self._extended(f2, c2, c2.gen())
+        c2, img, _ = adjoin_sqrt(self.c_tower, c_comp)
+        return self._extended(f2, c2, img)
 
     def mirror_to(self, f_ext: TowerField) -> "_Pair":
         """Mirror every F-side level of f_ext beyond the current height."""
@@ -339,14 +334,16 @@ def split_over_2ext(q: QuaternionAlgebra, two_part_levels: int | None = None) ->
     The witness is a zero of N_Q by construction; ``verify_split`` evaluates
     the norm, so it is not evaluated here.  ``_Pair.lift`` is a ring
     homomorphism F' -> K F' fixing K0: every F-side level goes to a root of
-    its lifted minimal polynomial, collapsed or not.  Small r: the identity
-    N(sum_j x_j b_j) = sum_t phi_t(x) b_t over K0 makes the lifted isotropy
-    witness a zero.  Large r: d3 v3^2 + d4 v4^2 = sum_{t<3} lift(phi_t(w))
-    alpha^t, read off the compositum monomials, which are the lifted F-side
-    ones since each uncollapsed image is its level's generator; a collapse
-    or a coordinate above alpha^2 raises ``DisjointnessViolation``.  Then
-    ``_slot_split`` kills <1, alpha, g(alpha)> (``_dependent_alpha_witness``
-    kills <1, alpha>), and P^T G P = diag(1, alpha, d3, d4).
+    its lifted minimal polynomial, collapsed or not.  So x (x) f -> x lift(f)
+    is a ring homomorphism K (x)_K0 F' -> K F', and for a K-form transferred
+    through the functionals s_t of a K0-basis B of K, the value at the lifted
+    vector sum_j lift(w_j) B_j is sum_t lift(phi_t(w)) B_t.  Small r: that
+    identity for the whole norm form makes the lifted isotropy witness a
+    zero.  Large r: with B = (1, alpha, alpha^2, ...) and phi_t(w) = 0 for
+    t >= 3, d3 v3^2 + d4 v4^2 = g(alpha), where g's coefficients are the
+    F-side values phi_0(w), phi_1(w), phi_2(w).  Then ``_slot_split`` kills
+    <1, alpha, g(alpha)> (``_dependent_alpha_witness`` kills <1, alpha>),
+    and P^T G P = diag(1, alpha, d3, d4).
     """
     k_tower = q.field
     k_height = k_tower.height
@@ -420,8 +417,8 @@ def _lifted_sum(pair: _Pair, coords, basis) -> TowerElement:
 
 def _split_large(nf: QuadraticForm, pair: _Pair, t: int, k_height: int, r: int):
     """r in {7, 8}: peel <1, alpha> off the diagonalized norm form, transfer
-    the 2-dimensional rest through functionals 3..r-1, finish with the
-    explicit 3-slot witness."""
+    the 2-dimensional rest, make functionals 3..r-1 vanish, read g off
+    functionals 0..2 and finish with the explicit 3-slot witness."""
     k_tower = pair.c_tower
     diag, p_mat = diagonalize(nf)
     assert diag[0] == 1
@@ -443,15 +440,13 @@ def _split_large(nf: QuadraticForm, pair: _Pair, t: int, k_height: int, r: int):
         chosen = pows + [_basis_element(k_tower, t, k_height, c - 3) for c in pivots[3:]]
         basis = LinearFunctionalBasis.from_elements(k_tower, t, k_height, chosen)
         rest = QuadraticForm.diagonal(k_tower, k_height, [d3, d4])
-        cert = isotropy_2ext(transfer_system(rest, basis, indices=range(3, r)))
+        forms = transfer_system(rest, basis).forms
+        cert = isotropy_2ext(QFSystem(forms[3:]))
+        g_coeffs = tuple(f.evaluate(cert.witness) for f in forms[:3])
         pair = pair.mirror_to(cert.tower)
         top = pair.c_tower.height
         v3 = _lifted_sum(pair, cert.witness[:r], basis.elements)
         v4 = _lifted_sum(pair, cert.witness[r:], basis.elements)
-        d3t = d3.in_tower(pair.c_tower).embed(top)
-        d4t = d4.in_tower(pair.c_tower).embed(top)
-        value = d3t * v3.square() + d4t * v4.square()
-        g_coeffs = _extract_quadratic_in_alpha(pair, basis, value, k_height)
         if all(c.is_zero() for c in g_coeffs):
             w_diag = (pair.c_tower.zero(top), pair.c_tower.zero(top), v3, v4)
         else:
@@ -505,7 +500,7 @@ def _dependent_alpha_witness(pair: _Pair, t: int, alpha: TowerElement, coord_row
     ]
     f2 = tower_extend(pair.f_tower, quartic)
     c2, img, _added = adjoin_sqrt(pair.c_tower, -alpha.embed(pair.c_tower.height))
-    pair = pair._extended(f2, c2, img, False)
+    pair = pair._extended(f2, c2, img)
     top = pair.c_tower.height
     w = (
         img.in_tower(pair.c_tower).embed(top),
@@ -514,33 +509,6 @@ def _dependent_alpha_witness(pair: _Pair, t: int, alpha: TowerElement, coord_row
         pair.c_tower.zero(top),
     )
     return pair, w
-
-
-def _extract_quadratic_in_alpha(pair: _Pair, basis: LinearFunctionalBasis, value, k_height: int):
-    """Write a compositum element as g(alpha) with g of degree <= 2 over the
-    F-side: per sqrt-monomial the K-part's functional coordinates 3..r-1 must
-    vanish, and coordinates 0..2 rebuild the F-side coefficients."""
-    if pair.collapsed:
-        raise DisjointnessViolation(
-            "a mirrored level collapsed; coefficients cannot be pulled back"
-        )
-    k_parts = flatten_between(value.embed(pair.c_tower.height), k_height)
-    f_top = pair.f_tower.height
-    coeffs = [pair.f_tower.zero(f_top) for _ in range(3)]
-    for mono_idx, k_part in enumerate(k_parts):
-        part = TowerElement(pair.c_tower, k_height, k_part.data)
-        coords = basis.coordinates(part)
-        for i in range(3, basis.size):
-            if coords[i]:
-                raise DisjointnessViolation(
-                    "transfer coordinates above degree 2 did not vanish"
-                )
-        mono_f = _basis_element(pair.f_tower, pair.shared, f_top, mono_idx)
-        for j in range(3):
-            cj = coords[j]
-            if cj:
-                coeffs[j] = coeffs[j] + cj.in_tower(pair.f_tower).embed(f_top) * mono_f
-    return tuple(coeffs)
 
 
 __all__ = [

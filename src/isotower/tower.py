@@ -927,9 +927,37 @@ def dot_matrix(rows, cols) -> tuple:
     return tuple(out)
 
 
+def _decimal(n: int) -> str:
+    """str(n), also past the interpreter's int -> str digit limit: such an
+    n is cut at a power of ten into halves converted the same way."""
+    try:
+        return str(n)
+    except ValueError:
+        if n < 0:
+            return "-" + _decimal(-n)
+        k = n.bit_length() * 3 // 20  # about half of n's digits
+        hi, lo = divmod(n, 10**k)
+        return _decimal(hi) + _decimal(lo).zfill(k)
+
+
+def _from_decimal(s: str) -> int:
+    """int(s), also past the interpreter's str -> int digit limit for ASCII
+    digits after an optional "-": their halves are converted the same way."""
+    try:
+        return int(s)
+    except ValueError:
+        digits = s[1:] if s[:1] == "-" else s
+        if not (digits.isascii() and digits.isdigit()):
+            raise
+        k = len(digits) // 2
+        n = _from_decimal(digits[:-k]) * 10**k + _from_decimal(digits[-k:])
+        return -n if s[0] == "-" else n
+
+
 def _render(tower, lv, data):
     if lv == 0:
-        return str(data)
+        num = _decimal(data.numerator)
+        return num if data.denominator == 1 else f"{num}/{_decimal(data.denominator)}"
     label = tower.levels[lv - 1].label
     parts = []
     for i, c in enumerate(data):

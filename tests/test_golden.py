@@ -23,6 +23,7 @@ from isotower.presets import cyclic_cubic, cyclic_sqrt, field_cubic, field_quint
 from isotower.quadforms import isotropy_2ext
 from isotower.serialize import canonical_dumps
 from isotower.splitting import split_over_2ext, standard_quaternion
+from isotower.tower import QQ, tower_extend
 from test_csa import zeta5_k_times_k
 from test_quadforms import random_system_over
 
@@ -44,6 +45,14 @@ def _split(field):
     rng = random.Random(SEED + field.absolute_degree())
     return [split_certificate_doc(split_over_2ext(random_quaternion(rng, field)))
             for _ in range(2)]
+
+
+def _split_octic():
+    # Q(2^(1/8)) with an empty 2-part declared: the r = 8 large branch, whose
+    # success is not guaranteed, with integers past 4300 digits
+    field = tower_extend(QQ, [-2, 0, 0, 0, 0, 0, 0, 0, 1], label="a8")
+    rng = random.Random(SEED + 8)
+    return [split_certificate_doc(split_over_2ext(random_quaternion(rng, field), 0))]
 
 
 def _cor(cyc, alg):
@@ -73,6 +82,7 @@ CASES = {
     "split-cubic": lambda: _split(field_cubic()),
     "split-quintic": lambda: _split(field_quintic()),
     "split-septic": lambda: _split(field_septic()),
+    "split-octic": _split_octic,
     "cor-sqrt2-quaternion": _cor_quaternion_sqrt2,
     "cor-m2-cubic": _cor_m2_cubic,
     # K x K over Q(zeta_5): orbits of lengths 1, 2 and 4 under an order-4 sigma
@@ -93,6 +103,9 @@ GOLDEN = {
     "cor-m2-cubic": "eb8f3daf6d36a0bef321b2f8b989a0e8f6be8e0b7c903e5268fa691b36dbe70d",
     # pinned before the fixed-basis coordinates were read off instead of solved
     "cor-kxk-zeta5": "0accaec60ebc70a99150652d97f70bfe1141ac20d2e5ab64df576179101ca991",
+    # pinned before g(alpha) was read off the transferred forms on the F-side,
+    # with the integer-to-string limit lifted, which the writer needed then
+    "split-octic": "26aba353b40ef9c095459ca62cb09f3a48d4e2f3f2302705b1be548900d524c6",
     # pinned before the quadratic forms moved to raw level data: forms over
     # a base-root level, which the cases above only reach as a split's field
     "isotropy-r3-cubic": "b04580f38896754fe4c74ae696f376b7c6877061f43e33363ad1d96e4fae4850",

@@ -28,7 +28,7 @@ from isotower.quadforms import (
     transfer_system,
 )
 from isotower.presets import field_cubic
-from isotower.tower import QQ, tower_extend
+from isotower.tower import QQ, dot, tower_extend
 from isotower import verify
 from test_serialize import fresh, fresh_element
 from test_tower import _dot_towers, _random_element
@@ -65,6 +65,8 @@ def test_evaluate_examples():
     q_s = tower_extend(QQ, [-2, 0, 1], label="s2")
     form = QuadraticForm.diagonal(q_s, 1, [1, -2])
     assert form.evaluate((q_s.gen(), q_s.one())).is_zero()
+    # plain numbers are read as rationals
+    assert QuadraticForm.from_gram(QQ, 0, [[1, 3], [3, 2]]).evaluate([1, 2]) == 21
 
 
 def test_evaluate_dimension_mismatch():
@@ -80,14 +82,7 @@ def test_polarization_identity():
         y = vec(*[rng.randint(-5, 5) for _ in range(4)])
         xy = tuple(a + b for a, b in zip(x, y))
         lhs = form.evaluate(xy) - form.evaluate(x) - form.evaluate(y)
-        assert lhs == form.bilinear(x, y)
-
-
-def test_bilinear_accepts_plain_numbers():
-    form = QuadraticForm.from_gram(QQ, 0, [[1, 3], [3, 2]])
-    assert form.bilinear([1, 0], [0, 1]) == 6
-    assert form.bilinear([1, 2], [3, 4]) == form.bilinear(vec(1, 2), vec(3, 4)) == 98
-    assert form.evaluate([1, 2]) == 21
+        assert lhs == 2 * dot(x, linalg.matvec(form.gram, y))
 
 
 # -- diagonalization ---------------------------------------------------------------
@@ -275,7 +270,9 @@ def test_orthogonal_intersection_bilinear_rows():
     assert len(w_basis) == 3
     for w in w_basis:
         assert w[1].is_zero()
-        assert phi1.bilinear(w, v).is_zero()
+        # the polar form phi(w + v) - phi(w) - phi(v) = 2 w^T G v
+        wv = tuple(a + b for a, b in zip(w, v))
+        assert (phi1.evaluate(wv) - phi1.evaluate(w) - phi1.evaluate(v)).is_zero()
     assert len(complement) == 2
 
 
@@ -463,15 +460,6 @@ def test_transfer_sqrt2_example():
     s0, s1 = system.forms
     assert s0.gram[0][0] == 1 and s0.gram[1][1] == 2 and not s0.gram[0][1]
     assert s1.gram[0][1] == 1 and not s1.gram[0][0] and not s1.gram[1][1]
-
-
-def test_transfer_single_index():
-    q_s = tower_extend(QQ, [-2, 0, 1], label="s2")
-    form = QuadraticForm.diagonal(q_s, 1, [1])
-    basis = LinearFunctionalBasis.standard(q_s, 0, 1)
-    system = transfer_system(form, basis, indices=[0])
-    assert system.r == 1
-    assert system.forms[0].gram[0][0] == 1
 
 
 def test_transfer_cubic_coordinate_oracle():

@@ -52,6 +52,64 @@ def test_fraction_rejects_noncanonical():
             fraction_from_json(node)
 
 
+# integers past CPython's default 4300-digit limit on int <-> str, with their
+# digits spelled out by hand: 10^4400 + 1 has 4401 digits, (10^9000 - 1)/9 * 7
+# is 9000 sevens, and both are prime to 10^4400
+BIG = 10**4400 + 1
+BIG_TEXT = "1" + "0" * 4399 + "1"
+SEVENS = (10**9000 - 1) // 9 * 7
+SEVENS_TEXT = "7" * 9000
+POW = 10**4400
+POW_TEXT = "1" + "0" * 4400
+
+
+@pytest.mark.parametrize(
+    "q, text",
+    [
+        (Fraction(BIG), BIG_TEXT + "/1"),
+        (Fraction(-BIG, 3), "-" + BIG_TEXT + "/3"),
+        (Fraction(SEVENS, POW), SEVENS_TEXT + "/" + POW_TEXT),
+        (Fraction(-2, SEVENS), "-2/" + SEVENS_TEXT),
+    ],
+    ids=["integer", "numerator", "both", "denominator"],
+)
+def test_fraction_round_trip_past_digit_limit(q, text):
+    assert fraction_to_json(q) == text
+    assert fraction_from_json(text) == q
+
+
+def test_element_round_trip_past_digit_limit(stacked):
+    x = stacked.element(1, (Fraction(SEVENS, POW), Fraction(-BIG, 3)))
+    node = element_to_json(x)
+    assert node == [SEVENS_TEXT + "/" + POW_TEXT, "-" + BIG_TEXT + "/3"]
+    text = canonical_dumps(node)
+    back = element_from_json(stacked, canonical_loads(text))
+    assert back == x
+    assert canonical_dumps(element_to_json(back)) == text
+
+
+@pytest.mark.parametrize(
+    "node",
+    [
+        "0" + BIG_TEXT + "/1",  # a leading zero
+        "2" + "0" * 4400 + "/4",  # not in lowest terms
+        BIG_TEXT + "/-1",
+        BIG_TEXT + "x/1",
+        "1_" + BIG_TEXT + "/1",
+        "--" + BIG_TEXT + "/1",
+    ],
+    ids=["leading-zero", "not-lowest", "negative-denominator", "junk", "underscore", "two-signs"],
+)
+def test_fraction_past_digit_limit_rejects_noncanonical(node):
+    with pytest.raises(MalformedCertificate):
+        fraction_from_json(node)
+
+
+def test_loads_rejects_integer_past_digit_limit():
+    with pytest.raises(MalformedCertificate):
+        canonical_loads('{"dim": ' + BIG_TEXT + "}")
+
+
 def test_element_round_trip_byte_identical(stacked):
     x = (1 + stacked.gen()) * stacked.gen(1).in_tower(stacked).embed(2) + Fraction(5, 3)
     node = element_to_json(x)

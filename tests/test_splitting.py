@@ -9,19 +9,18 @@ from isotower.certjson import (
     quaternion_from_doc,
     split_certificate_doc,
 )
-from isotower.errors import (
-    DegreeTooLarge,
-    DisjointnessViolation,
-    Missing2PartDeclaration,
-    PreconditionError,
-)
+from isotower.errors import DegreeTooLarge, Missing2PartDeclaration, PreconditionError
 from isotower.generate import random_quaternion
 from isotower.presets import field_cubic, field_quintic, field_septic
-from isotower.quadforms import LinearFunctionalBasis, flatten_between
+from isotower.quadforms import (
+    LinearFunctionalBasis,
+    QuadraticForm,
+    flatten_between,
+    transfer_system,
+)
 from isotower.splitting import (
     _Pair,
     _dependent_alpha_witness,
-    _extract_quadratic_in_alpha,
     bracket_quaternion,
     norm_form,
     quadratic_slot_split,
@@ -233,7 +232,7 @@ def test_split_degree_too_large():
 
 def _collapsed_pair():
     # a dishonestly declared 2-part: sqrt(3) already lives in the compositum,
-    # so mirroring sqrt(3) collapses and is recorded rather than stacked
+    # so mirroring sqrt(3) collapses: its image is recorded, no level stacked
     t2 = tower_extend(QQ, [-2, 0, 1], label="s2")
     comp = tower_extend(t2, [t2.rational(-3), t2.rational(0), t2.rational(1)], label="s3")
     pair = _Pair(
@@ -250,20 +249,10 @@ def _collapsed_pair():
 
 def test_mirror_records_collapse():
     comp, pair2, root = _collapsed_pair()
-    assert pair2.collapsed
     assert pair2.c_tower is comp or pair2.c_tower == comp  # no level stacked
     assert pair2.f_tower.absolute_degree() == 4  # F-side still counts it
     lifted = pair2.lift(root)
     assert lifted * lifted == 3
-
-
-def test_collapsed_pair_refuses_pull_back():
-    # after a collapse the compositum monomials are not the lifts of the
-    # F-side ones, so g(alpha) cannot be read off them
-    comp, pair2, root = _collapsed_pair()
-    basis = LinearFunctionalBasis.standard(comp, 1, comp.height)
-    with pytest.raises(DisjointnessViolation, match="collapsed"):
-        _extract_quadratic_in_alpha(pair2, basis, pair2.lift(root), comp.height)
 
 
 def test_split_quartic_alpha_branch():
@@ -334,11 +323,16 @@ def _dependent_alpha_pair():
     return pair
 
 
-@pytest.mark.parametrize(
+# every shape of mirrored level: stacked generators, a collapse, levels after
+# a collapse, and a quartic F-side level on a quadratic compositum level
+each_pair = pytest.mark.parametrize(
     "make_pair",
     [_guaranteed_pair, lambda: _collapsed_pair()[1], _after_collapse_pair, _dependent_alpha_pair],
     ids=["guaranteed", "collapsed", "after-collapse", "dependent-alpha"],
 )
+
+
+@each_pair
 def test_lift_matches_horner(make_pair):
     pair = make_pair()
     assert pair.f_tower.height > pair.shared
@@ -350,6 +344,31 @@ def test_lift_matches_horner(make_pair):
         # an element from the F-side tower as it stood when lv was its top
         x = _random_element(pair.f_tower.prefix(lv), lv, rng)
         assert pair.lift(x) == _horner_lift(pair, x.in_tower(pair.f_tower))
+
+
+@each_pair
+def test_transfer_commutes_with_lift(make_pair):
+    # x (x) f -> x lift(f) is a ring map K (x)_K0 F' -> K F', collapsed or
+    # not: at v_i = sum_j lift(w_ij) B_j, <d_0, d_1> takes the value
+    # sum_t lift(phi_t(w)) B_t, phi_t its transfer through the K0-basis B
+    pair = make_pair()
+    k = pair.c_tower.prefix(pair.comp_base)
+    basis = LinearFunctionalBasis.standard(k, pair.shared, pair.comp_base)
+    rng = random.Random(47)
+    ds = [_random_element(k, k.height, rng) for _ in range(2)]
+    forms = transfer_system(QuadraticForm.diagonal(k, k.height, ds), basis).forms
+    top, r = pair.c_tower.height, basis.size
+    for _ in range(2):
+        w = [_random_element(pair.f_tower, pair.f_tower.height, rng) for _ in range(2 * r)]
+        lhs = rhs = pair.c_tower.zero(top)
+        for i, d in enumerate(ds):
+            v = pair.c_tower.zero(top)
+            for wj, b in zip(w[i * r : (i + 1) * r], basis.elements):
+                v = v + pair.lift(wj) * b
+            lhs = lhs + d * v.square()
+        for f, b in zip(forms, basis.elements):
+            rhs = rhs + pair.lift(f.evaluate(w)) * b
+        assert lhs == rhs
 
 
 # -- rational oracle ------------------------------------------------------------------

@@ -146,6 +146,17 @@ def test_element_equality_and_hash(q_i, q_sqrt2):
     assert len({s + 1, lifted, stacked.gen() + s}) == 2
 
 
+def test_str_past_digit_limit(q_sqrt2):
+    # verify's FAIL reasons are built from str(); 10^4400 + 1 has 4401
+    # digits, past CPython's default int -> str limit of 4300
+    big = 10**4400 + 1
+    text = "1" + "0" * 4399 + "1"
+    assert str(QQ.rational(Fraction(-big, 7))) == f"-{text}/7"
+    x = big + Fraction(3, big) * q_sqrt2.gen()
+    assert str(x) == f"{text} + (3/{text})*s2"
+    assert repr(x) == f"TowerElement(level=1, {x})"
+
+
 def test_values_are_immutable_structures(q_i):
     # nested tuples of Fractions all the way down: safe to share across threads
     x = q_i.gen() + 1
