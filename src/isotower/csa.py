@@ -468,16 +468,7 @@ class GAction:
     q left by one; T has order exactly r."""
 
     cyclic: CyclicExtensionData
-    base_dim: int
-    r: int
     perm: tuple[int, ...]
-
-    def apply(self, vec, power: int = 1):
-        power %= self.r
-        out = list(vec)
-        for _ in range(power):
-            out = [self.cyclic.apply(out[self.perm[q]], self.r - 1) for q in range(len(out))]
-        return tuple(out)
 
 
 def g_action_matrix(ta: TensorPowerAlgebra, cyclic: CyclicExtensionData) -> GAction:
@@ -496,7 +487,7 @@ def g_action_matrix(ta: TensorPowerAlgebra, cyclic: CyclicExtensionData) -> GAct
         for dig in rot:
             flat = flat * d + dig
         perm.append(flat)
-    return GAction(cyclic=cyclic, base_dim=d, r=r, perm=tuple(perm))
+    return GAction(cyclic=cyclic, perm=tuple(perm))
 
 
 @dataclass(frozen=True)

@@ -480,15 +480,12 @@ def _dependent_alpha_witness(pair: _Pair, t: int, alpha: TowerElement, coord_row
         top = pair.c_tower.height
         w = (pair.lift(s), pair.c_tower.one(top), pair.c_tower.zero(top), pair.c_tower.zero(top))
         return pair, w
-    # degree exactly 2: alpha^2 = e1 alpha + e0 over K0; the F-side gets the
-    # quartic minpoly of sqrt(-alpha).  If the declared 2-part was not
-    # maximal after all, the quartic is reducible and a later inversion
-    # raises the ReducibilityError precondition
-    sol = linalg.solve(
-        tuple(zip(*coord_rows[:2])), coord_rows[2], pair.c_tower, t
-    )
-    if sol is None:
-        raise PreconditionError("dependent triple without a degree-2 relation")
+    # degree exactly 2: alpha^2 = e1 alpha + e0 over K0, a consistent system
+    # since 1 and alpha are independent and (1, alpha, alpha^2) is not; the
+    # F-side gets the quartic minpoly of sqrt(-alpha).  If the declared
+    # 2-part was not maximal after all, the quartic is reducible and a later
+    # inversion raises the ReducibilityError precondition
+    sol = linalg.solve(tuple(zip(*coord_rows[:2])), coord_rows[2], pair.c_tower, t)
     e0, e1 = sol[0].in_tower(pair.f_tower), sol[1].in_tower(pair.f_tower)
     f_top = pair.f_tower.height
     quartic = [

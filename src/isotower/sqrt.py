@@ -8,13 +8,15 @@ level the tier-2 descent recurses into, first looks for a Legendre witness
 p, a tower point mod p whose coordinates are simple roots of the reduced
 minimal polynomials, and a nonzero value of c there that is a quadratic
 nonresidue mod p.  Such a point is an unramified degree-1 prime, so a
-witness proves c a nonsquare and no square ever has one.  Without a
-witness the level's tier decides:
+witness proves c a nonsquare and no square ever has one.  A point's
+coordinate on an X^2 - c level comes from Euler's criterion and Tonelli;
+on any other level every residue mod p is tried.  Without a witness, a root
+of a constant from the level below embeds upward; otherwise the level's
+tier decides:
 
 2. quadratic-sqrt levels K0(sqrt(d)): the complete denesting recursion,
    so the test is a decision procedure on chains of sqrt adjunctions;
-3. general levels: a root of a constant from the level below embeds
-   upward; otherwise modular square-root lifting at the completely split
+3. general levels: modular square-root lifting at the completely split
    odd primes below 10^4, in increasing order (square roots at every
    point, Hensel lift to a modulus of at least 2^80, then 2^320, rational
    reconstruction, exact verification).  When reconstruction fails at
@@ -122,25 +124,7 @@ def squarefree_reduce(n: int) -> tuple[int, int]:
     return (-d if n < 0 else d), m
 
 
-# -- polynomial arithmetic mod p ----------------------------------------------
-
-
-def _ptrim_mod(c: list[int], p: int) -> list[int]:
-    c = [x % p for x in c]
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _pmulmod(a, b, f, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _pdivmod_mod(out, f, p)[1]
+# -- polynomial roots mod p ---------------------------------------------------
 
 
 def _horner_mod(coeffs, x, m):
@@ -150,82 +134,10 @@ def _horner_mod(coeffs, x, m):
     return acc
 
 
-def _pgcd_mod(a, b, p):
-    a = _ptrim_mod(a, p)
-    b = _ptrim_mod(b, p)
-    while b:
-        a = _pdivmod_mod(a, b, p)[1]
-        a, b = b, a
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [x * inv % p for x in a]
-    return a
-
-
-def _ppowmod(base, e, f, p):
-    result = [1]
-    b = _pdivmod_mod(base, f, p)[1]
-    while e:
-        if e & 1:
-            result = _pmulmod(result, b, f, p)
-        b = _pmulmod(b, b, f, p)
-        e >>= 1
-    return result
-
-
-def _poly_roots_mod_p(coeffs: list[int], p: int) -> list[int]:
-    """Distinct roots mod p of a monic integer polynomial, sorted."""
-    c = _ptrim_mod(coeffs, p)
-    if len(c) == 1:
-        return []
-    xp = _ppowmod([0, 1], p, c, p)
-    xp_minus_x = list(xp)
-    while len(xp_minus_x) < 2:
-        xp_minus_x.append(0)
-    xp_minus_x[1] = (xp_minus_x[1] - 1) % p
-    g = _pgcd_mod(xp_minus_x, c, p)
-    if len(g) <= 1:
-        return []
-    roots: list[int] = []
-    stack = [g]
-    shift = 0
-    while stack:
-        f = stack.pop()
-        if len(f) == 2:
-            roots.append((-f[0]) * pow(f[1], -1, p) % p)
-            continue
-        while True:
-            base = [shift % p, 1]
-            shift += 1
-            h = _ppowmod(base, (p - 1) // 2, f, p)
-            h = list(h)
-            if not h:
-                h = [0]
-            h[0] = (h[0] - 1) % p
-            h = _pgcd_mod(h, f, p)
-            if 0 < len(h) - 1 < len(f) - 1:
-                q, _ = _pdivmod_mod(f, h, p)
-                stack.append(h)
-                stack.append(q)
-                break
-    return sorted(roots)
-
-
-def _pdivmod_mod(a, b, p):
-    a = _ptrim_mod(a, p)
-    b = _ptrim_mod(b, p)
-    inv = pow(b[-1], -1, p)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and a:
-        c = a[-1] * inv % p
-        k = len(a) - len(b)
-        q[k] = c
-        for j in range(len(b) - 1):
-            a[k + j] = (a[k + j] - c * b[j]) % p
-        a.pop()
-        while a and a[-1] == 0:
-            a.pop()
-    return q, a
+def _roots_mod_p(coeffs: list[int], p: int) -> list[int]:
+    """Distinct roots mod p of a monic integer polynomial, sorted: every
+    residue is tried."""
+    return [r for r in range(p) if not _horner_mod(coeffs, r, p)]
 
 
 # -- reduction of tower data mod p^k ------------------------------------------
@@ -277,7 +189,7 @@ def _points(levels, p, zeros):
         if deg == 2 and f[1] == 0:
             roots = _sqrt_roots_mod(-f[0], p)  # X^2 - c: Euler and Tonelli
         else:
-            roots = _poly_roots_mod_p(f, p)
+            roots = _roots_mod_p(f, p)
         fprime = [c * i % p for i, c in enumerate(f)][1:]
         for r in roots:
             if _horner_mod(fprime, r, p):
@@ -329,7 +241,7 @@ def _tonelli(a: int, p: int) -> int | None:
 
 def _sqrt_roots_mod(c: int, p: int) -> list[int]:
     """Distinct roots of X^2 - c mod an odd prime p, sorted as
-    _poly_roots_mod_p sorts them."""
+    _roots_mod_p sorts them."""
     t = _tonelli(c, p)
     if t is None:
         return []
@@ -435,15 +347,8 @@ def _mat_inv_mod(rows, p, m):
 
 
 def _sqrt_tier3(tower: TowerField, lv: int, data):
+    """Recovery: completely split prime, lift, reconstruct, verify."""
     ctx = tower._ctx
-    # a root of a constant below embeds upward (the converse fails, e.g. at
-    # even-degree base-root levels, so no early NonSquare here)
-    if all(_is_zero(c, lv - 1) for c in data[1:]):
-        r = _sqrt_raw(tower, lv - 1, data[0])
-        if r is not None:
-            return _embed_up(ctx, lv - 1, r, lv)
-
-    # recovery: completely split prime, lift, reconstruct, verify
     levels, zeros = _subtower_levels(tower, lv)
     dim = prod(deg for _mp, deg in levels)
     if dim > _MAX_PATTERN_DIM:
@@ -527,9 +432,7 @@ def _sqrt_tier2(tower: TowerField, lv: int, data):
     d = ctx[lv - 1].sqrt_const
     a, b = data
     if _is_zero(b, lo):
-        r = _sqrt_raw(tower, lo, a)
-        if r is not None:
-            return (r, ctx[lv - 1].zero)
+        # a has no root below (see _sqrt_raw); try y sqrt(d), y = sqrt(a d) / d
         ad = _mul(ctx, lo, a, d)
         r2 = _sqrt_raw(tower, lo, ad)
         if r2 is not None:
@@ -563,6 +466,12 @@ def _sqrt_raw(tower: TowerField, lv: int, data):
     # a Legendre witness settles nonsquares before any exact descent
     if _nonsquare_witness(tower, lv, data) is not None:
         return None
+    # a root of a constant below embeds upward (the converse fails, e.g. at
+    # even-degree base-root levels, so no early NonSquare here)
+    if all(_is_zero(c, lv - 1) for c in data[1:]):
+        r = _sqrt_raw(tower, lv - 1, data[0])
+        if r is not None:
+            return _embed_up(tower._ctx, lv - 1, r, lv)
     if tower.levels[lv - 1].kind == KIND_SQRT:
         return _sqrt_tier2(tower, lv, data)
     return _sqrt_tier3(tower, lv, data)

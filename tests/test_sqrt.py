@@ -11,7 +11,7 @@ from isotower.splitting import split_over_2ext
 from isotower.sqrt import (
     _nonsquare_witness,
     _points,
-    _poly_roots_mod_p,
+    _roots_mod_p,
     _sqrt_roots_mod,
     _subtower_levels,
     adjoin_sqrt,
@@ -263,7 +263,7 @@ def test_witness_skips_primes_dividing_denominators():
 def test_sqrt_level_roots_match_generic_root_finder():
     for p in (3, 5, 13, 17, 41):
         for c in range(p):
-            assert _sqrt_roots_mod(c, p) == _poly_roots_mod_p([-c, 0, 1], p)
+            assert _sqrt_roots_mod(c, p) == _roots_mod_p([-c, 0, 1], p)
 
 
 def test_tier3_square_over_huge_constant():
@@ -311,6 +311,32 @@ def test_points_are_the_simple_points():
             # the complete split set: every level has all its roots, all simple
             split += len(points) == dim
         assert split
+
+
+def test_points_on_cubic_levels_follow_splitting_laws():
+    # counts from the splitting laws of two cubic fields, not from a search.
+    # x^3 + x^2 - 2x - 1 generates Q(zeta7)^+: p splits completely when
+    # p = +-1 (mod 7) and is inert otherwise; at 7 it has a triple root.
+    # x^3 - 2: a triple root at 3, one root when p = 2 (mod 3), and three
+    # when p = 1 (mod 3) exactly if 2 is a cube mod p
+    cyclic = tower_extend(QQ, [-1, -2, 1, 1], label="a")
+    pure = tower_extend(QQ, [-2, 0, 0, 1], label="c")
+
+    def count(tower, p):
+        levels, zeros = _subtower_levels(tower, 1)
+        return len(list(_points(levels, p, zeros)))
+
+    for p in range(3, 314, 2):
+        if any(p % q == 0 for q in range(3, isqrt(p) + 1, 2)):
+            continue
+        assert count(cyclic, p) == (3 if p % 7 in (1, 6) else 0), p
+        if p == 3:
+            want = 0
+        elif p % 3 == 2:
+            want = 1
+        else:
+            want = 3 if pow(2, (p - 1) // 3, p) == 1 else 0
+        assert count(pure, p) == want, p
 
 
 def test_witness_found_on_former_misses():
