@@ -15,12 +15,7 @@ import sys
 from multiprocessing import Pool
 
 from . import certjson, verify
-from .errors import (
-    IsotowerError,
-    MalformedCertificate,
-    PreconditionError,
-    named_precondition,
-)
+from .errors import IsotowerError, MalformedCertificate, PreconditionError
 from .generate import random_qfsystem, random_quaternion
 from .presets import DEMOS, SPLIT_FIELDS
 from .quadforms import isotropy_2ext
@@ -176,21 +171,25 @@ def _cmd_verify(args) -> int:
     lines = [ln for ln in _read_text(args.input).splitlines() if ln.strip()]
     if not lines:
         raise MalformedCertificate("empty input")
-    failures = malformed = 0
+    failures = preconditions = malformed = 0
     for idx, line in enumerate(lines):
         tag = f"[{idx}] " if len(lines) > 1 else ""
         try:
             kind, ok, reason = verify.verify_any(canonical_loads(line))
-        except MalformedCertificate as exc:
+        except IsotowerError as exc:
             if not tag:
-                raise  # a single document: exit 2 with the reason on stderr
-            print(f"{tag}MALFORMED: {exc}")
-            malformed += 1
+                raise  # a single document: main names the error and picks the exit code
+            if isinstance(exc, PreconditionError):
+                print(f"{tag}PRECONDITION [{type(exc).__name__}]: {exc}")
+                preconditions += 1
+            else:
+                print(f"{tag}MALFORMED: {exc}")
+                malformed += 1
             continue
         print(f"{tag}{'PASS' if ok else 'FAIL'} ({kind}): {reason}")
         if not ok:
             failures += 1
-    return 1 if failures else 2 if malformed else 0
+    return 1 if failures else 3 if preconditions else 2 if malformed else 0
 
 
 def _cmd_demo(args) -> int:
@@ -263,7 +262,7 @@ def main(argv=None) -> int:
         print(f"error: malformed input: {exc}", file=sys.stderr)
         return 2
     except PreconditionError as exc:
-        print(f"error: precondition violated [{named_precondition(exc)}]: {exc}", file=sys.stderr)
+        print(f"error: precondition violated [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 3
     except IsotowerError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -73,11 +73,6 @@ class SingularMatrix(IsotowerError):
     """Exact linear solve hit a rank-deficient matrix where full rank was required."""
 
 
-def named_precondition(exc: PreconditionError) -> str:
-    """Name of the violated precondition, for CLI error reporting."""
-    return type(exc).__name__
-
-
 __all__ = [
     "IsotowerError",
     "ZeroInverse",
@@ -91,5 +86,4 @@ __all__ = [
     "MemoryGuardExceeded",
     "MalformedCertificate",
     "SingularMatrix",
-    "named_precondition",
 ]

@@ -12,9 +12,11 @@ and coefficients by identity instead of walking them.  Identity is only a
 fast path: a zero built elsewhere is an ordinary value to the kernel, and
 ``_is_zero`` stays the structural test (see the raw arithmetic section).
 
-Division never forms 1/a on an X^2 - c level: it multiplies by a's
-conjugate and divides by the norm one level down, so a chain of such levels
-inverts only its full norm at the bottom, or divides leaves by it on Q.
+Division has one path, ``_div``, and 1/a is ``_div`` of one.  It never
+forms 1/a on an X^2 - c level: it multiplies by a's conjugate and divides by
+the norm one level down, so a chain of such levels inverts only its full
+norm at the bottom, or divides leaves by it on Q.  Generic levels run
+extended Euclid against the minimal polynomial inside it.
 
 Irreducibility of adjoined polynomials is *not* decided eagerly.  A
 reducible level surfaces lazily: when an inversion or a division exposes a
@@ -188,17 +190,9 @@ def _mul(ctx, lv, a, b):
             return _canon(lc, (_mul(ctx, lo, a0, b0), _mul(ctx, lo, a1, b0)))
         p00 = _mul(ctx, lo, a0, b0)
         p11 = _mul(ctx, lo, a1, b1)
-        cross = _sub(
-            ctx,
-            lo,
-            _mul(ctx, lo, _add(ctx, lo, a0, a1), _add(ctx, lo, b0, b1)),
-            _add(ctx, lo, p00, p11),
-        )
-        if lc.sqrt_const_rat is not None:
-            hi = _add(ctx, lo, p00, _scale(ctx, lo, p11, lc.sqrt_const_rat))
-        else:
-            hi = _add(ctx, lo, p00, _mul(ctx, lo, p11, lc.sqrt_const))
-        return _canon(lc, (hi, cross))
+        p_sum = _mul(ctx, lo, _add(ctx, lo, a0, a1), _add(ctx, lo, b0, b1))
+        cross = _sub(ctx, lo, p_sum, _add(ctx, lo, p00, p11))
+        return _canon(lc, (_add(ctx, lo, p00, _times_c(ctx, lo, lc, p11)), cross))
     # generic level: schoolbook product then fold X^d = -tail
     d = lc.degree
     prod = [z] * (2 * d - 1)
@@ -208,6 +202,20 @@ def _mul(ctx, lv, a, b):
             continue
         for j, y in nzb:
             prod[i + j] = _add(ctx, lo, prod[i + j], _mul(ctx, lo, x, y))
+    return _fold(ctx, lo, lc, prod)
+
+
+def _times_c(ctx, lo, lc, x):
+    """c * x for x at level lo, below the X^2 - c level whose context is lc."""
+    if lc.sqrt_const_rat is not None:
+        return _scale(ctx, lo, x, lc.sqrt_const_rat)
+    return _mul(ctx, lo, x, lc.sqrt_const)
+
+
+def _fold(ctx, lo, lc, prod):
+    """The 2d - 1 coefficients prod of a product on a generic level, reduced
+    in place by X^d = -tail and returned as a canonical value."""
+    d, z = lc.degree, lc.zero
     for i in range(2 * d - 2, d - 1, -1):
         top = prod[i]
         if top is z or not top:
@@ -231,11 +239,7 @@ def _sqr(ctx, lv, a):
         p0 = _sqr(ctx, lo, a0)
         p1 = _sqr(ctx, lo, a1)
         cr = _mul(ctx, lo, a0, a1)
-        if lc.sqrt_const_rat is not None:
-            hi = _add(ctx, lo, p0, _scale(ctx, lo, p1, lc.sqrt_const_rat))
-        else:
-            hi = _add(ctx, lo, p0, _mul(ctx, lo, p1, lc.sqrt_const))
-        return _canon(lc, (hi, _add(ctx, lo, cr, cr)))
+        return _canon(lc, (_add(ctx, lo, p0, _times_c(ctx, lo, lc, p1)), _add(ctx, lo, cr, cr)))
     return _mul(ctx, lv, a, a)
 
 
@@ -307,11 +311,8 @@ def _dot(ctx, lv, pairs, low=()):
         p11 = _dot(ctx, lo, [(a[1], b[1]) for a, b in full])
         cross += [(_add(ctx, lo, a0, a1), _add(ctx, lo, b0, b1)) for (a0, a1), (b0, b1) in full]
         c1 = _sub(ctx, lo, _dot(ctx, lo, cross, low_cross), _add(ctx, lo, p00, p11))
-        if lc.sqrt_const_rat is not None:
-            p11 = _scale(ctx, lo, p11, lc.sqrt_const_rat)
-        else:
-            p11 = _mul(ctx, lo, p11, lc.sqrt_const)
-        return _canon(lc, (_add(ctx, lo, _add(ctx, lo, c0, p00), p11), c1))
+        hi = _add(ctx, lo, _add(ctx, lo, c0, p00), _times_c(ctx, lo, lc, p11))
+        return _canon(lc, (hi, c1))
     # generic level: bucket the coefficient products by degree, then fold
     # X^d = -tail once; a triple only fills the buckets below X^d
     d = lc.degree
@@ -338,13 +339,7 @@ def _dot(ctx, lv, pairs, low=()):
         _dot(ctx, lo, bk, lbk) if bk or lbk else z
         for bk, lbk in zip_longest(buckets, low_buckets, fillvalue=())
     ]
-    for i in range(2 * d - 2, d - 1, -1):
-        top = prod[i]
-        if top is z or not top:
-            continue
-        for j, mc in lc.red_tail:
-            prod[i - d + j] = _sub(ctx, lo, prod[i - d + j], _mul(ctx, lo, top, mc))
-    return _canon(lc, tuple(prod[:d]))
+    return _fold(ctx, lo, lc, prod)
 
 
 def _embed_up(ctx, lv_from, a, lv_to):
@@ -406,26 +401,13 @@ def _psub(ctx, lv, a, b):
     return _ptrim([_sub(ctx, lv, x, y) for x, y in zip_longest(a, b, fillvalue=zero)], lv)
 
 
-def _pmonic(ctx, lv, a):
-    a = _ptrim(a, lv)
-    if not a:
-        return a
-    inv_lead = _inv(ctx, lv, a[-1])
-    return [_mul(ctx, lv, c, inv_lead) for c in a]
-
-
 def _norm(ctx, lv, a):
     """a0^2 - c a1^2 for a = a0 + a1 X, a1 != 0, on an X^2 - c level; a zero
     norm means a0/a1 squares to c, and raises the factor X + a0/a1."""
     lo = lv - 1
     lc = ctx[lo]
     a0, a1 = a
-    c_a1_sq = _sqr(ctx, lo, a1)
-    if lc.sqrt_const_rat is not None:
-        c_a1_sq = _scale(ctx, lo, c_a1_sq, lc.sqrt_const_rat)
-    else:
-        c_a1_sq = _mul(ctx, lo, c_a1_sq, lc.sqrt_const)
-    norm = _sub(ctx, lo, _sqr(ctx, lo, a0), c_a1_sq)
+    norm = _sub(ctx, lo, _sqr(ctx, lo, a0), _times_c(ctx, lo, lc, _sqr(ctx, lo, a1)))
     if _is_zero(norm, lo):
         factor = (_div(ctx, lo, [a0], a1)[0], lc.one)
         raise ReducibilityError(ReducibilityWitness(level=lv, factor=factor))
@@ -433,10 +415,12 @@ def _norm(ctx, lv, a):
 
 
 def _div(ctx, lv, xs, a):
-    """The quotients x / a of the numerators xs; raises as _inv(a) does.
-    A divisor constant over the level below divides coefficient-wise; on an
-    X^2 - c level the halves of every x times the conjugate a0 - a1 X are
-    divided at once by the norm; generic levels invert and multiply."""
+    """The quotients x / a of the numerators xs: the kernel's one quotient
+    (1/a is _div of one).  Raises ZeroInverse on 0 and ReducibilityError on
+    a zero divisor exposing a proper minpoly factor.  A divisor constant
+    over the level below divides coefficient-wise; on an X^2 - c level the
+    halves of every x times the conjugate a0 - a1 X are divided at once by
+    the norm; generic levels run extended Euclid for 1/a and multiply."""
     if lv == 0:
         if not a:
             raise ZeroInverse("division by zero")
@@ -449,46 +433,27 @@ def _div(ctx, lv, xs, a):
         conj = (a[0], _neg(ctx, lo, a[1]))
         parts = _div(ctx, lo, [y for x in xs for y in _mul(ctx, lv, x, conj)], _norm(ctx, lv, a))
     else:
-        inv = _inv(ctx, lv, a)
+        # extended Euclid, tracking only the cofactor of a: s*a = r (mod minpoly)
+        r0 = list(lc.minpoly)
+        r1 = _ptrim(a, lo)
+        s0: list = []
+        s1 = [_raw_one(ctx, lo)]
+        while len(r1) > 1:
+            q, r = _pdivmod(ctx, lo, r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, _psub(ctx, lo, s0, _pmul(ctx, lo, q, s1))
+        if not r1:
+            factor = _div(ctx, lo, r0, r0[-1])
+            raise ReducibilityError(ReducibilityWitness(level=lv, factor=tuple(factor)))
+        inv = _div(ctx, lo, s1, r1[0])
+        inv = tuple(inv + [lc.zero] * (lc.degree - len(inv)))
         return [_mul(ctx, lv, x, inv) for x in xs]
     return [_canon(lc, q) for q in zip(*[iter(parts)] * lc.degree)]
 
 
 def _inv(ctx, lv, a):
-    """Exact inverse; raises ZeroInverse on 0 and ReducibilityError on a
-    zero divisor exposing a proper minpoly factor.
-
-    A value constant over the level below inverts there.  An X^2 - c level
-    divides the conjugate's halves a0 and -a1 by the norm (_norm, _div).
-    Generic levels run extended Euclid against the minimal polynomial."""
-    if lv == 0:
-        if not a:
-            raise ZeroInverse("inverse of zero")
-        return 1 / a
-    lo = lv - 1
-    lc = ctx[lo]
-    if all(_is_zero(y, lo) for y in a[1:]):
-        return (_inv(ctx, lo, a[0]),) + (lc.zero,) * (lc.degree - 1)
-    if lc.sqrt_const is not None:
-        return tuple(_div(ctx, lo, [a[0], _neg(ctx, lo, a[1])], _norm(ctx, lv, a)))
-    # extended Euclid against the minimal polynomial, tracking only the
-    # cofactor of a:  s*a = r (mod minpoly)
-    r0 = list(lc.minpoly)
-    r1 = _ptrim(a, lo)
-    s0: list = []
-    s1 = [_raw_one(ctx, lo)]
-    while len(r1) > 1:
-        q, r = _pdivmod(ctx, lo, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _psub(ctx, lo, s0, _pmul(ctx, lo, q, s1))
-    if not r1:
-        factor = _pmonic(ctx, lo, r0)
-        raise ReducibilityError(ReducibilityWitness(level=lv, factor=tuple(factor)))
-    inv_g = _inv(ctx, lo, r1[0])
-    out = [_mul(ctx, lo, c, inv_g) for c in s1]
-    pad = _raw_zero(ctx, lo)
-    out = out + [pad] * (lc.degree - len(out))
-    return tuple(out[: lc.degree])
+    """1 / a, as _div of one."""
+    return _div(ctx, lv, [_raw_one(ctx, lv)], a)[0]
 
 
 def _pow(ctx, lv, a, n):

@@ -312,6 +312,51 @@ def test_verify_reports_malformed_line_and_goes_on(tmp_path, capsys):
     assert run(["verify", "--input", str(mixed)]) == 1
 
 
+def test_verify_reports_precondition_line_and_goes_on(tmp_path, capsys):
+    # M2 corestricted along Q[x]/(x^2 - 1), sigma: x -> -x, passes; a fixed
+    # basis vector with 1 + x and 1 - x at the swapped positions 1 and 4 is
+    # fixed by the action, and the independence check then inverts the zero
+    # divisor 1 + x
+    from isotower.certjson import algebra_doc, cyclic_doc
+    from isotower.csa import CyclicExtensionData, matrix_algebra
+    from isotower.tower import QQ, tower_extend
+
+    split = tower_extend(QQ, [-1, 0, 1], label="x")
+    cyc = CyclicExtensionData.create(split, 1, [[1, 0], [0, -1]], 2)
+    inp, cor = tmp_path / "alg.json", tmp_path / "cor.json"
+    source = {"algebra": algebra_doc(matrix_algebra(split, 1)), "cyclic": cyclic_doc(cyc)}
+    inp.write_text(canonical_dumps(source))
+    assert run(["corestrict", "--input", str(inp), "--output", str(cor)]) == 0
+    assert run(["verify", "--input", str(cor)]) == 0
+    bad = canonical_loads(cor.read_text())
+    vec = [["0/1", "0/1"]] * 16
+    vec[1], vec[4] = ["1/1", "1/1"], ["1/1", "-1/1"]
+    bad["fixed_basis"][0] = vec
+    inp.write_text(canonical_dumps(m2_sqrt2_input()))
+    assert run(["corestrict", "--input", str(inp), "--output", str(cor)]) == 0
+    honest = canonical_loads(cor.read_text())
+    batch = tmp_path / "batch.jsonl"
+    batch.write_text(canonical_dumps(bad) + canonical_dumps(honest))
+    capsys.readouterr()
+    assert run(["verify", "--input", str(batch)]) == 3
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 2
+    assert out[0].startswith("[0] PRECONDITION [ReducibilityError]: level 1 minpoly")
+    assert out[1].startswith("[1] PASS (cor): ")
+    # a FAIL outranks a precondition line, which outranks a malformed one
+    honest["constants"][14][3][0] = "9/1"
+    batch.write_text(canonical_dumps(bad) + canonical_dumps(honest))
+    assert run(["verify", "--input", str(batch)]) == 1
+    batch.write_text("{not json\n" + canonical_dumps(bad))
+    assert run(["verify", "--input", str(batch)]) == 3
+    # one document still ends with exit 3 and the name on stderr
+    single = tmp_path / "single.json"
+    single.write_text(canonical_dumps(bad))
+    capsys.readouterr()
+    assert run(["verify", "--input", str(single)]) == 3
+    assert "precondition violated [ReducibilityError]" in capsys.readouterr().err
+
+
 def test_split_batch_verify(tmp_path, capsys):
     out = tmp_path / "certs.jsonl"
     assert run([

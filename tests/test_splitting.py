@@ -116,6 +116,26 @@ def test_slot_split_bound(cubic):
         assert res.two_tower.absolute_degree() <= 2 ** (2 + 1)
 
 
+@pytest.mark.parametrize(
+    "g, levels",
+    [
+        ((3, 1), 2),  # linear g = X + 3: sqrt(-1) and sqrt(3)
+        ((0, 1, 1), 1),  # quadratic with c = 0: sqrt(c) is not adjoined
+        ((1, 2, 1), 1),  # (X + 1)^2: e = b - 2 sqrt(c) = 0 is not adjoined
+    ],
+)
+def test_slot_split_branches(cubic, g, levels):
+    alpha = cubic.gen()
+    res = quadratic_slot_split(alpha, g)
+    assert res.two_tower.height == levels
+    assert res.two_tower.absolute_degree() <= 2 ** len(g)
+    a = alpha.in_tower(res.comp_tower).embed(res.comp_tower.height)
+    g_a = sum(c * a**i for i, c in enumerate(g))
+    w = res.witness
+    assert (w[0].square() + a * w[1].square() + g_a * w[2].square()).is_zero()
+    assert any(w)
+
+
 def test_slot_split_rejects_gzero(cubic):
     alpha = cubic.gen()
     with pytest.raises(PreconditionError):

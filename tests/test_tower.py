@@ -269,6 +269,28 @@ def test_inverse_matches_product(case):
 
 
 @pytest.mark.parametrize("case", sorted(_dot_towers()))
+def test_negative_power_matches_inverse(case):
+    import random
+
+    tower = _dot_towers()[case][-1]
+    rng = random.Random(case)
+    for _ in range(6):
+        level = rng.randint(1, tower.height)
+        x = _random_element(rng, tower, level)
+        if rng.random() < 0.3:
+            x = tower.from_coeffs(level, [x.coeffs()[0]])
+        if x.is_zero():
+            continue
+        for n in (1, 2, 3):
+            got = x ** -n
+            assert got == x.inverse() ** n
+            assert got * x**n == 1
+            assert got.level == level
+    with pytest.raises(ZeroInverse):
+        tower.zero() ** -2
+
+
+@pytest.mark.parametrize("case", sorted(_dot_towers()))
 def test_division_matches_inverse_product(case):
     import random
 

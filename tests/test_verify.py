@@ -1,7 +1,8 @@
 """The verifier's FAIL paths, one targeted forgery or mutation per reason.
 
-Each case edits an honest certificate on a small rational or cubic input
-so that exactly one check of ``verify_split`` or ``verify_isotropy`` fails,
+Each case edits an honest certificate on a small rational or cubic input,
+or an honest corestriction of M2 along a quadratic field, so that exactly
+one check of ``verify_split``, ``verify_isotropy`` or ``verify_cor`` fails,
 and asserts the reason that check names.  Two PASS cases reach the bracket
 presentation and the two-tower check's general-quadratic branch.
 """
@@ -11,10 +12,17 @@ import functools
 
 import pytest
 
-from isotower.certjson import isotropy_certificate_doc, split_certificate_doc
-from isotower.presets import demo_thm21_r2, field_cubic
+from isotower.certjson import cor_result_doc, isotropy_certificate_doc, split_certificate_doc
+from isotower.csa import (
+    CyclicExtensionData,
+    fixed_subalgebra,
+    g_action_matrix,
+    matrix_algebra,
+    tensor_power_over_K,
+)
+from isotower.presets import cyclic_sqrt, demo_thm21_r2, field_cubic
 from isotower.quadforms import QFSystem, QuadraticForm, isotropy_2ext
-from isotower.serialize import tower_to_json
+from isotower.serialize import element_to_json, tower_to_json
 from isotower.splitting import bracket_quaternion, split_over_2ext, standard_quaternion
 from isotower.tower import QQ, tower_extend
 from isotower import verify
@@ -179,6 +187,7 @@ def test_isotropy_renested_gram_forgery_fails():
 
 
 ISOTROPY_FORGERIES = {
+    "no-forms": ([_set(("forms",), [])], "certificate has no forms or empty witness"),
     "added-level-not-sqrt": (
         [_set(("tower",), [_level("w", 1, 1, 1)]), _set(("actual_degree",), 2)],
         "added level 1 is not of shape X^2 - c",
@@ -214,3 +223,73 @@ def test_isotropy_forgery_fails(name):
         edit(doc)
     ok, reason = verify.verify_isotropy(doc)
     assert not ok and reason.startswith(why), reason
+
+
+# Q(s2) < Q(s2, s3): K = Q(s2) sits below the top, so an entry can lie above it
+S2_S3 = tower_extend(cyclic_sqrt(2).tower, [-3, 0, 1], label="sqrt3")
+X2_MINUS_1 = tower_to_json(tower_extend(QQ, [-1, 0, 1], label="x"))
+
+
+@functools.cache
+def _cor_doc(below_top):
+    """The corestriction of M2 along Q(sqrt 2)/Q, with K the top of its
+    tower or, when below_top, the first level of Q(sqrt 2, sqrt 3)."""
+    cyc = CyclicExtensionData.create(S2_S3, 1, [[1, 0], [0, -1]], 2) if below_top else cyclic_sqrt(2)
+    alg = matrix_algebra(cyc.tower, 1)
+    ta = tensor_power_over_K(alg, cyc)
+    return cor_result_doc(fixed_subalgebra(ta, g_action_matrix(ta, cyc)), alg)
+
+
+def _truncate_cor(doc):
+    """A consistent algebra of dimension 15: constants, unit and fixed basis
+    cut to the first 15 basis vectors."""
+    n = 15
+    doc["dim"] = n
+    doc["constants"] = [[row[:n] for row in plane[:n]] for plane in doc["constants"][:n]]
+    doc["unit"] = doc["unit"][:n]
+    doc["fixed_basis"] = doc["fixed_basis"][:n]
+
+
+COR_FORGERIES = {
+    "source-above-k": (
+        True,
+        [_set(("source", "algebra", "constants", 0, 0, 0), element_to_json(S2_S3.gen(2)))],
+        "source algebra entries live above the K level",
+    ),
+    "sigma-at-k": (
+        True,
+        [_set(("source", "cyclic", "sigma", 1, 1), element_to_json(S2_S3.gen(1)))],
+        "sigma has entries outside F",
+    ),
+    # x -> 1 on Q[x]/(x^2 - 1): a root of the minimal polynomial, of no
+    # order below 2, yet sigma^2 sends x to 1
+    "sigma-not-an-involution": (
+        False,
+        [
+            _set(("field",), X2_MINUS_1),
+            _set(("source", "algebra", "field"), X2_MINUS_1),
+            _set(("source", "cyclic", "sigma"), [["1/1", "1/1"], ["0/1", "0/1"]]),
+        ],
+        "sigma^2 is not the identity",
+    ),
+    "fixed-basis-dropped": (
+        False, [_set(("fixed_basis",), lambda fb: fb[:-1])], "fixed basis size 15 != cor dimension 16"
+    ),
+    "truncated-dimension": (False, [_truncate_cor], "cor dimension 15 != (dim_K A)^r = 16"),
+    "fixed-basis-vector-length": (
+        False,
+        [_set(("fixed_basis", 0), lambda v: v[:-1])],
+        "fixed basis vector 0 has wrong length",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COR_FORGERIES))
+def test_cor_forgery_fails(name):
+    below_top, edits, why = COR_FORGERIES[name]
+    doc = copy.deepcopy(_cor_doc(below_top))
+    assert verify.verify_cor(doc)[0]
+    for edit in edits:
+        edit(doc)
+    ok, reason = verify.verify_cor(doc)
+    assert not ok and reason == why, reason
