@@ -153,10 +153,11 @@ def algebra_from_doc(doc: dict) -> StructureConstantAlgebra:
     unit = vector_from_json(tower, doc["unit"])
     if len(unit) != n:
         raise MalformedCertificate("unit length does not match dim")
+    matrix_units = doc.get("matrix_units", False)
+    if not isinstance(matrix_units, bool):
+        raise MalformedCertificate("matrix_units must be true or false")
     level = max(e.level for e in (*unit, *(e for plane in parsed for row in plane for e in row)))
-    return StructureConstantAlgebra.from_dense(
-        tower, level, parsed, unit, bool(doc.get("matrix_units", False))
-    )
+    return StructureConstantAlgebra.from_dense(tower, level, parsed, unit, matrix_units)
 
 
 def cyclic_doc(cyclic: CyclicExtensionData) -> dict:

@@ -101,7 +101,7 @@ class CyclicExtensionData:
 
     @staticmethod
     def create(tower: TowerField, k_level: int, sigma_rows, order: int) -> "CyclicExtensionData":
-        if k_level < 1:
+        if not 1 <= k_level <= tower.height:
             raise PreconditionError("K must be a tower level above its base field")
         f = k_level - 1
         deg = tower.levels[k_level - 1].degree

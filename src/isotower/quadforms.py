@@ -94,7 +94,10 @@ class QuadraticForm:
         if fl == lv:
             gy = [_dot(ctx, lv, [(row[j].data, y) for j, y in nz]) for row in self.gram]
         else:
-            gy = [_dot(ctx, lv, (), [(row[j].data, fl, y) for j, y in nz]) for row in self.gram]
+            gy = [
+                _dot(ctx, lv, [(_embed_up(ctx, fl, row[j].data, lv), y) for j, y in nz])
+                for row in self.gram
+            ]
         return tower, lv, v, gy
 
     def evaluate(self, v) -> TowerElement:
@@ -433,7 +436,9 @@ class LinearFunctionalBasis:
 
     @staticmethod
     def standard(tower: TowerField, f_level: int, k_level: int):
-        """The tower power-product basis; coordinates are read off directly."""
+        """The tower power-product basis.  Coordinates still go through
+        :meth:`from_elements`, which inverts the (identity) coordinate
+        matrix."""
         elems = []
         m = _block_dim(tower, f_level, k_level)
         for idx in range(m):

@@ -192,10 +192,15 @@ def canonical_dumps(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON value")
+
+
 def canonical_loads(text: str):
+    """Parse a JSON document, rejecting NaN, Infinity and -Infinity."""
     try:
-        return json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
+        return json.loads(text, parse_constant=_reject_constant)
+    except ValueError as exc:  # bad JSON, NaN or Infinity, or an integer past the digit limit
         raise MalformedCertificate(f"invalid JSON: {exc}") from exc
 
 

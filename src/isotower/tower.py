@@ -74,6 +74,7 @@ class _LevelCtx:
         "zero",
         "one",
         "own_zero",
+        "pad",
         "minpoly",
         "red_tail",
         "sqrt_const",
@@ -85,6 +86,7 @@ class _LevelCtx:
         self.zero = zero          # the shared zero of the level *below*
         self.one = one            # one of the level below
         self.own_zero = (zero,) * degree  # the shared zero of this level
+        self.pad = (zero,) * (degree - 1)  # the zeros after a value embedded from below
         self.minpoly = minpoly    # raw coeffs over level below, monic, len degree+1
         self.red_tail = red_tail  # nonzero (index, coeff) pairs of minpoly below X^deg
         self.sqrt_const = sqrt_const        # c for minpoly X^2 - c, else None
@@ -243,12 +245,12 @@ def _sqr(ctx, lv, a):
     return _mul(ctx, lv, a, a)
 
 
-def _dot(ctx, lv, pairs, low=()):
-    """Sum of a*b over raw (a, b) pairs at level lv and (a, la, b) triples
-    whose a sits at a level la < lv while b is at lv, reduced once per
-    level: an X^2 - c level multiplies by c once, a generic level folds X^d
-    once.  A triple is never embedded: a*b_j goes straight to the place of
-    b_j, so a rational times a level-k value costs one product per leaf.
+def _dot(ctx, lv, pairs):
+    """Sum of a*b over raw (a, b) pairs, both factors at level lv, reduced
+    once per level: an X^2 - c level multiplies by c once, a generic level
+    folds X^d once.  A caller with a factor below lv embeds it first with
+    _embed_up; its zero upper coefficients are then skipped, so a rational
+    times a level-k value still costs one product per leaf.
     Every level ends in rational sums, and each of those is normalised
     once: the integer products of the numerators accumulate over a running
     common denominator (the lcm of the pair denominators), and one Fraction
@@ -273,10 +275,9 @@ def _dot(ctx, lv, pairs, low=()):
     lc = ctx[lo]
     own, z = lc.own_zero, lc.zero
     if lc.sqrt_const is not None:
-        # full pairs go through Karatsuba; a pair with a zero upper half, or
-        # a triple, contributes a0*b0 and at most one cross term, computed
-        # directly
-        full, direct, cross, low_direct, low_cross = [], [], [], [], []
+        # full pairs go through Karatsuba; a pair with a zero upper half
+        # contributes a0*b0 and at most one cross term, computed directly
+        full, direct, cross = [], [], []
         for a, b in pairs:
             if a is own or b is own:
                 continue
@@ -291,33 +292,18 @@ def _dot(ctx, lv, pairs, low=()):
                 cross.append((a1, b0))
             else:
                 full.append((a, b))
-        for a, la, b in low:
-            if b is own:
-                continue
-            b0, b1 = b
-            b1z = b1 is z or not b1
-            if la == lo:
-                direct.append((a, b0))
-                if not b1z:
-                    cross.append((a, b1))
-            else:
-                low_direct.append((a, la, b0))
-                if not b1z:
-                    low_cross.append((a, la, b1))
-        c0 = _dot(ctx, lo, direct, low_direct) if direct or low_direct else z
+        c0 = _dot(ctx, lo, direct) if direct else z
         if not full:
-            return _canon(lc, (c0, _dot(ctx, lo, cross, low_cross) if cross or low_cross else z))
+            return _canon(lc, (c0, _dot(ctx, lo, cross) if cross else z))
         p00 = _dot(ctx, lo, [(a[0], b[0]) for a, b in full])
         p11 = _dot(ctx, lo, [(a[1], b[1]) for a, b in full])
         cross += [(_add(ctx, lo, a0, a1), _add(ctx, lo, b0, b1)) for (a0, a1), (b0, b1) in full]
-        c1 = _sub(ctx, lo, _dot(ctx, lo, cross, low_cross), _add(ctx, lo, p00, p11))
+        c1 = _sub(ctx, lo, _dot(ctx, lo, cross), _add(ctx, lo, p00, p11))
         hi = _add(ctx, lo, _add(ctx, lo, c0, p00), _times_c(ctx, lo, lc, p11))
         return _canon(lc, (hi, c1))
     # generic level: bucket the coefficient products by degree, then fold
-    # X^d = -tail once; a triple only fills the buckets below X^d
-    d = lc.degree
-    buckets = [[] for _ in range(2 * d - 1)]
-    low_buckets = [[] for _ in range(d)]
+    # X^d = -tail once
+    buckets = [[] for _ in range(2 * lc.degree - 1)]
     for a, b in pairs:
         if a is own or b is own:
             continue
@@ -326,29 +312,17 @@ def _dot(ctx, lv, pairs, low=()):
             if x is not z and x:
                 for j, y in nzb:
                     buckets[i + j].append((x, y))
-    for a, la, b in low:
-        if b is own:
-            continue
-        for j, y in enumerate(b):
-            if y is not z and y:
-                if la == lo:
-                    buckets[j].append((a, y))
-                else:
-                    low_buckets[j].append((a, la, y))
-    prod = [
-        _dot(ctx, lo, bk, lbk) if bk or lbk else z
-        for bk, lbk in zip_longest(buckets, low_buckets, fillvalue=())
-    ]
-    return _fold(ctx, lo, lc, prod)
+    return _fold(ctx, lo, lc, [_dot(ctx, lo, bk) if bk else z for bk in buckets])
 
 
 def _embed_up(ctx, lv_from, a, lv_to):
-    """View a level lv_from value at level lv_to >= lv_from."""
-    if lv_from < lv_to and (not a or a is _raw_zero(ctx, lv_from)):
-        return _raw_zero(ctx, lv_to)
+    """View a level lv_from value at level lv_to >= lv_from: each level
+    appends its shared pad, and a zero becomes the shared zero of lv_to.
+    A level above the tower raises IndexError."""
+    if lv_from < lv_to and (a is ctx[lv_from - 1].own_zero if lv_from else not a):
+        return ctx[lv_to - 1].own_zero
     for lv in range(lv_from, lv_to):
-        pad = _raw_zero(ctx, lv)
-        a = (a,) + (pad,) * (ctx[lv].degree - 1)
+        a = (a,) + ctx[lv].pad
     return a
 
 
@@ -821,11 +795,12 @@ def dot(xs: Sequence[TowerElement], ys: Sequence[TowerElement]) -> TowerElement:
     The towers must be prefixes of one another, as for ``x * y``; the result
     lies in the longest one, at the highest level among the inputs (the
     rational zero when there are no pairs).  Pairs with a zero factor are
-    skipped.  The lower factor of a pair is never embedded: a rational
-    entry times a top-level vector entry costs one Fraction product per
-    leaf.  Only the higher factor is lifted, when it too sits below the top.
-    Each rational sum at the bottom is normalised once.  This is the
-    one-row, one-column case of :func:`dot_matrix`.
+    skipped.  Mixed levels are this function's to embed: a factor below
+    the result's level is lifted with the kernel's ``_embed_up`` before the
+    pairs go to ``_dot``, and its zero upper coefficients are skipped, so a
+    rational entry times a top-level vector entry still costs one Fraction
+    product per leaf.  Each rational sum at the bottom is normalised once.
+    This is the one-row, one-column case of :func:`dot_matrix`.
     """
     return dot_matrix((xs,), (ys,))[0][0]
 
@@ -860,8 +835,10 @@ def dot_matrix(rows, cols) -> tuple:
     Entry (i, j) has the value, level and tower that ``dot(rows[i],
     cols[j])`` gives: the highest level and longest tower in that row and
     that column.  Towers are checked, levels found and zero entries
-    dropped once per row and once per column rather than once per entry,
-    and the pairs of each entry go to one :func:`_dot`.
+    dropped once per row and once per column rather than once per entry.
+    ``_dot`` takes same-level pairs only, so each factor below the entry's
+    level is embedded with ``_embed_up`` first, and the pairs of each entry
+    go to one ``_dot``.
     """
     row_scans = [_scan(r) for r in rows]
     col_scans = [_scan(c) for c in cols]
@@ -872,21 +849,18 @@ def dot_matrix(rows, cols) -> tuple:
             tower = rt if rt is ct else _join(rt, ct)
             lv = rl if rl >= cl else cl
             ctx = tower._ctx
-            pairs, low = [], []
+            pairs = []
             for x, y in zip(rs, cs):
                 if x is None or y is None:
                     continue
                 la, a = x
                 lb, b = y
-                if la > lb:
-                    la, a, lb, b = lb, b, la, a
+                if la < lv:
+                    a = _embed_up(ctx, la, a, lv)
                 if lb < lv:
                     b = _embed_up(ctx, lb, b, lv)
-                if la == lv:
-                    pairs.append((a, b))
-                else:
-                    low.append((a, la, b))
-            data = _dot(ctx, lv, pairs, low) if pairs or low else _raw_zero(ctx, lv)
+                pairs.append((a, b))
+            data = _dot(ctx, lv, pairs) if pairs else _raw_zero(ctx, lv)
             out_row.append(TowerElement(tower, lv, data))
         out.append(tuple(out_row))
     return tuple(out)

@@ -10,12 +10,15 @@ After parsing, the corestriction checks run on the kernel's raw nested
 data, not on ``TowerElement`` wrappers: ``tower._mul`` for one product,
 ``tower._dot`` for each output coordinate as one sum of products (at F = Q
 one integer-accumulated Fraction), ``tower._is_zero`` and
-``tower._raw_one`` for zero tests and units.  Raw data is always reduced and
-zero-padded, so ``==`` on it is value equality.  These primitives are the
-whole ring interface the checks use.  ``_is_zero`` is structural: the
-kernel's shared zero per level only lets ``_mul`` and ``_dot`` skip zeros
-faster, so no check here depends on object identity, and a parsed or
-hand-built zero that is not the shared one is judged the same way.
+``tower._raw_one`` for zero tests and units.  ``_dot`` takes pairs at one
+level, so the checks embed mixed levels themselves: a coefficient over F
+that multiplies a vector over K is lifted with ``tower._embed_up`` first.
+Raw data is always reduced and zero-padded, so ``==`` on it is value
+equality.  These primitives are the whole ring interface the checks use.
+``_is_zero`` is structural: the kernel's shared zero per level only lets
+``_mul`` and ``_dot`` skip zeros faster, so no check here depends on
+object identity, and a parsed or hand-built zero that is not the shared
+one is judged the same way.
 
 Each verifier returns ``(ok, reason)`` where ``reason`` names the first
 failing equation when ok is False.
@@ -39,6 +42,7 @@ from .tower import (
     TowerElement,
     TowerField,
     _dot,
+    _embed_up,
     _is_zero,
     _mul,
     _raw_one,
@@ -436,12 +440,13 @@ def verify_cor(doc: dict) -> tuple[bool, str]:
     def combine(pairs) -> dict:
         """sum of c * (fixed basis vector k) over the pairs (k, c) with c
         over F: one sum of products per position, zero entries dropped."""
-        low: dict[int, list] = {}
+        terms: dict[int, list] = {}
         for kk, c in pairs:
             if not _is_zero(c, f_level):
+                c = _embed_up(ctx, f_level, c, k_level)
                 for pos, val in sparse_fb[kk]:
-                    low.setdefault(pos, []).append((c, f_level, val))
-        out = {pos: _dot(ctx, k_level, (), triples) for pos, triples in low.items()}
+                    terms.setdefault(pos, []).append((c, val))
+        out = {pos: _dot(ctx, k_level, ps) for pos, ps in terms.items()}
         return {pos: v for pos, v in out.items() if not _is_zero(v, k_level)}
 
     # claimed unit coordinates must combine to the tensor unit 1 x ... x 1

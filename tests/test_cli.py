@@ -123,6 +123,28 @@ def test_exit_code_malformed_cor(tmp_path, capsys, command, path, edit):
     assert "malformed input" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ['"yes"', "1", "NaN", "Infinity", "-Infinity"])
+def test_exit_code_matrix_units_not_a_bool(tmp_path, capsys, value):
+    # the quat_sqrt2.json of scripts/make_demo_inputs.py, a division algebra,
+    # with its matrix_units flag written as a JSON value that is not a bool
+    from isotower.certjson import algebra_doc, cyclic_doc
+    from isotower.csa import quaternion_structure_algebra
+    from isotower.presets import cyclic_sqrt
+    from isotower.splitting import standard_quaternion
+
+    cyc = cyclic_sqrt(2)
+    minus_one = cyc.tower.rational(-1, 1)
+    division = quaternion_structure_algebra(standard_quaternion(minus_one, minus_one))
+    text = canonical_dumps({"algebra": algebra_doc(division), "cyclic": cyclic_doc(cyc)})
+    assert text.count('"matrix_units":false') == 1
+    inp = tmp_path / "quat_sqrt2.json"
+    inp.write_text(text.replace('"matrix_units":false', f'"matrix_units":{value}'))
+    out = tmp_path / "cor.json"
+    assert run(["corestrict", "--input", str(inp), "--output", str(out)]) == 2
+    assert "malformed input" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_code_precondition(tmp_path, capsys):
     # r = 2 in 3 variables: DimensionTooSmall is named on stderr
     system = {

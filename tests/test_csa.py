@@ -78,6 +78,12 @@ def test_cyclic_validation_rejects_non_automorphism():
         CyclicExtensionData.create(tower, 1, [[1, 1], [0, -1]], 2)  # does not fix products
 
 
+@pytest.mark.parametrize("k_level", [0, 2, 3])
+def test_cyclic_validation_rejects_k_level_outside_the_tower(k_level):
+    with pytest.raises(PreconditionError, match="K must be a tower level"):
+        CyclicExtensionData.create(field_sqrt(2), k_level, [[1, 0], [0, -1]], 2)
+
+
 @pytest.mark.parametrize(
     "make",
     [lambda: cyclic_sqrt(2), cyclic_cubic, lambda: zeta5_k_times_k()[0]],

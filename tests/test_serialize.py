@@ -110,6 +110,12 @@ def test_loads_rejects_integer_past_digit_limit():
         canonical_loads('{"dim": ' + BIG_TEXT + "}")
 
 
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_loads_rejects_non_json_constants(constant):
+    with pytest.raises(MalformedCertificate, match=constant):
+        canonical_loads('{"x": [1, %s]}' % constant)
+
+
 def test_element_round_trip_byte_identical(stacked):
     x = (1 + stacked.gen()) * stacked.gen(1).in_tower(stacked).embed(2) + Fraction(5, 3)
     node = element_to_json(x)

@@ -9,7 +9,7 @@ from isotower.errors import ReducibilityError, ZeroInverse
 from isotower.serialize import element_to_json, tower_from_json, tower_to_json
 from isotower.serialize import element_from_json
 from isotower.tower import QQ, TowerField, _pdivmod, dot, dot_matrix, tower_extend
-from isotower.tower import _add, _div, _dot, _inv, _is_zero, _mul, _neg, _raw_one, _scale, _sqr, _sub
+from isotower.tower import _add, _div, _dot, _embed_up, _inv, _is_zero, _mul, _neg, _raw_one, _scale, _sqr, _sub
 
 
 @pytest.fixture
@@ -291,6 +291,38 @@ def test_negative_power_matches_inverse(case):
 
 
 @pytest.mark.parametrize("case", sorted(_dot_towers()))
+def test_embed_up_pads_with_the_shared_zeros(case):
+    import random
+
+    rng = random.Random(case + "-embed")
+    for tower in _dot_towers()[case]:
+        ctx, h = tower._ctx, tower.height
+        for lv_from in range(h + 1):
+            x = _random_element(rng, tower, lv_from)
+            while x.is_zero():
+                x = _random_element(rng, tower, lv_from)
+            for lv_to in range(lv_from + 1, h + 1):
+                got = _embed_up(ctx, lv_from, x.data, lv_to)
+                want = x.data
+                for lv in range(lv_from + 1, lv_to + 1):
+                    pad = _fresh(tower.zero(lv - 1).data, lv - 1)
+                    want = (want,) + (pad,) * (tower.degree_of_level(lv) - 1)
+                assert got == want
+                inner = got
+                for lv in range(lv_to, lv_from, -1):
+                    assert all(p is tower.zero(lv - 1).data for p in inner[1:])
+                    inner = inner[0]
+                assert inner is x.data
+                assert _embed_up(ctx, lv_from, tower.zero(lv_from).data, lv_to) is tower.zero(lv_to).data
+            # a target level above the tower raises, for zero and nonzero values
+            for data in (x.data, tower.zero(lv_from).data):
+                with pytest.raises(IndexError):
+                    _embed_up(ctx, lv_from, data, h + 1)
+        with pytest.raises(IndexError):
+            tower.rational(3, h + 1)
+
+
+@pytest.mark.parametrize("case", sorted(_dot_towers()))
 def test_division_matches_inverse_product(case):
     import random
 
@@ -529,7 +561,7 @@ def test_kernel_agrees_on_shared_and_fresh_zeros(case, data):
         "scale": lambda a, b, c, d, e: _scale(ctx, lv, a, q),
         "mul": lambda a, b, c, d, e: _mul(ctx, lv, a, b),
         "sqr": lambda a, b, c, d, e: _sqr(ctx, lv, a),
-        "dot": lambda a, b, c, d, e: _dot(ctx, lv, [(a, b), (c, d)], [(e, la, b)]),
+        "dot": lambda a, b, c, d, e: _dot(ctx, lv, [(a, b), (c, d), (_embed_up(ctx, la, e, lv), b)]),
         "dot-cancel": lambda a, b, c, d, e: _dot(ctx, lv, [(a, b), (_neg(ctx, lv, a), b)]),
     }
     for name, op in ops.items():
