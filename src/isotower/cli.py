@@ -172,6 +172,7 @@ def _cmd_verify(args) -> int:
     if not lines:
         raise MalformedCertificate("empty input")
     failures = preconditions = malformed = 0
+    report = []
     for idx, line in enumerate(lines):
         tag = f"[{idx}] " if len(lines) > 1 else ""
         try:
@@ -180,15 +181,16 @@ def _cmd_verify(args) -> int:
             if not tag:
                 raise  # a single document: main names the error and picks the exit code
             if isinstance(exc, PreconditionError):
-                print(f"{tag}PRECONDITION [{type(exc).__name__}]: {exc}")
+                report.append(f"{tag}PRECONDITION [{type(exc).__name__}]: {exc}\n")
                 preconditions += 1
             else:
-                print(f"{tag}MALFORMED: {exc}")
+                report.append(f"{tag}MALFORMED: {exc}\n")
                 malformed += 1
             continue
-        print(f"{tag}{'PASS' if ok else 'FAIL'} ({kind}): {reason}")
+        report.append(f"{tag}{'PASS' if ok else 'FAIL'} ({kind}): {reason}\n")
         if not ok:
             failures += 1
+    _write_text(args.output, "".join(report))
     return 1 if failures else 3 if preconditions else 2 if malformed else 0
 
 

@@ -24,7 +24,8 @@ length) and that the rest of the orbit holds its conjugates.
 The center test inserts the sparse rows of the stacked commutator maps
 x -> e_i x - x e_i one at a time into an echelon form and stops once the
 rank reaches dim - 1 (the scalars are always central); the trace test
-inserts the trace form's rows the same way and stops at a dependent one.
+inserts the trace form's rows the same way and stops at a dependent one,
+and ``fixed_basis_spans`` ranks the fixed basis in the same echelon.
 
 Products, the coordinate read-off and the center test compute on the
 kernel's raw nested data at one level, and wrap results as ``TowerElement``
@@ -73,13 +74,6 @@ from .tower import (
 _TENSOR_DIM_GUARD = 4096
 
 
-def _raw_at(tower: TowerField, level: int, x):
-    """Raw data of x, a TowerElement or a rational, at ``level`` of ``tower``."""
-    if isinstance(x, TowerElement):
-        return x.in_tower(tower).embed(level).data
-    return tower.rational(x, level).data
-
-
 # ---------------------------------------------------------------------------
 # cyclic extension data
 # ---------------------------------------------------------------------------
@@ -107,13 +101,7 @@ class CyclicExtensionData:
         deg = tower.levels[k_level - 1].degree
         if order != deg:
             raise PreconditionError("order must equal [K:F]")
-        rows = tuple(
-            tuple(
-                x.in_tower(tower).embed(f) if isinstance(x, TowerElement) else tower.rational(x, f)
-                for x in row
-            )
-            for row in sigma_rows
-        )
+        rows = tuple(tuple(tower.coerce(x, f) for x in row) for row in sigma_rows)
         if len(rows) != deg or any(len(r) != deg for r in rows):
             raise PreconditionError("sigma matrix must be [K:F] x [K:F]")
         data = CyclicExtensionData(tower, k_level, rows, order)
@@ -233,13 +221,13 @@ class StructureConstantAlgebra:
         rows = tuple(
             tuple(
                 (k, c)
-                for k, c in enumerate(_raw_at(tower, level, x) for x in constants[i][j])
+                for k, c in enumerate(tower.coerce(x, level).data for x in constants[i][j])
                 if not _is_zero(c, level)
             )
             for i in range(n)
             for j in range(n)
         )
-        u = tuple(TowerElement(tower, level, _raw_at(tower, level, x)) for x in unit)
+        u = tuple(tower.coerce(x, level) for x in unit)
         return StructureConstantAlgebra(tower, level, n, rows, u, matrix_units)
 
     def row(self, i: int, j: int) -> tuple[tuple[int, TowerElement], ...]:
@@ -249,11 +237,11 @@ class StructureConstantAlgebra:
 
     @cached_property
     def _raw_unit(self) -> dict:
-        raw = (_raw_at(self.tower, self.level, c) for c in self.unit)
+        raw = (self.tower.coerce(c, self.level).data for c in self.unit)
         return {k: c for k, c in enumerate(raw) if not _is_zero(c, self.level)}
 
     def _raw_vector(self, x: dict) -> dict:
-        return {i: _raw_at(self.tower, self.level, c) for i, c in x.items()}
+        return {i: self.tower.coerce(c, self.level).data for i, c in x.items()}
 
     def mul_sparse(self, x: dict, y: dict) -> dict:
         """Product of sparse coordinate vectors ({basis index: coefficient});
@@ -516,7 +504,7 @@ class CorResult:
         its conjugate sigma^j(x)."""
         cyclic = self.cyclic
         tower, ctx, k, f = cyclic.tower, cyclic.tower._ctx, cyclic.k_level, cyclic.f_level
-        raw = {pos: _raw_at(tower, k, x) for pos, x in z.items()}
+        raw = {pos: tower.coerce(x, k).data for pos, x in z.items()}
         coords = _read_off(self._orbit_data, raw, _raw_zero(ctx, f))
         for positions, _free, _conj in self._orbit_data:
             val = raw.pop(positions[0], None)
@@ -622,7 +610,7 @@ def fixed_subalgebra(ta: TensorPowerAlgebra, action: GAction) -> CorResult:
     # orbit length, as products[ell, t, ell', t'][j][j']
     conj = {len(positions): c for positions, _free, c in orbit_data}
     raw_conj = {
-        ell: [[_raw_at(tower, k_level, x) for x in xs] for xs in c] for ell, c in conj.items()
+        ell: [[tower.coerce(x, k_level).data for x in xs] for xs in c] for ell, c in conj.items()
     }
     products = {
         (la, t, lb, tb): [[_mul(ctx, k_level, x, y) for y in ys] for x in xs]
@@ -782,38 +770,15 @@ def split_idempotent_witness(cor: CorResult):
 
 def fixed_basis_spans(cor: CorResult) -> bool:
     """Galois-descent sanity: the K-span of the fixed F-basis is the whole
-    tensor power (rank over K equals dim_K).
-
-    The rows fall into blocks, the connected components of their supports:
-    rows that share a nonzero column are in one block.  Blocks share no
-    column, so the rank is the sum of the block ranks, each taken on the
-    block's own columns, and equal blocks are ranked once.  The library's
-    fixed basis has one block per orbit."""
-    rows = cor.fixed_basis
-    supports = [[q for q, x in enumerate(row) if x] for row in rows]
-    root: dict[int, int] = {}  # column -> a column of its block; unlisted: itself
-
-    def find(q):
-        while root.get(q, q) != q:
-            q = root[q]
-        return q
-
-    for support in supports:
-        for q in support[1:]:
-            root[find(q)] = find(support[0])
-    blocks: dict[int, list] = {}
-    for i, support in enumerate(supports):
-        if support:
-            blocks.setdefault(find(support[0]), []).append(i)
-    ranks: dict[tuple, int] = {}
-    total = 0
-    for members in blocks.values():
-        cols = sorted({q for i in members for q in supports[i]})
-        block = tuple(tuple(rows[i][q] for q in cols) for i in members)
-        if block not in ranks:
-            ranks[block] = linalg.rank(block)
-        total += ranks[block]
-    return total == cor.tensor.dim
+    tensor power (rank over K equals dim_K).  Each row enters, as raw data
+    at the tensor power's level, the one sparse echelon that
+    :func:`central_simple_check` also uses, and the rank is its length."""
+    tower, lv = cor.tensor.tower, cor.tensor.level
+    echelon: list = []
+    for row in cor.fixed_basis:
+        sparse = {q: tower.coerce(x, lv).data for q, x in enumerate(row) if x}
+        _echelon_insert(tower._ctx, lv, echelon, sparse)
+    return len(echelon) == cor.tensor.dim
 
 
 # ---------------------------------------------------------------------------
@@ -837,7 +802,7 @@ def base_change_embedding_check(
         raise PreconditionError("base change check needs K directly over the rationals")
     from .tower import QQ
 
-    l_coeffs = [QQ.rational(c) if not isinstance(c, TowerElement) else c for c in l_minpoly]
+    l_coeffs = [QQ.coerce(c, 0) for c in l_minpoly]
     if len(l_coeffs) - 1 < 1:
         raise PreconditionError("L needs a monic minimal polynomial of degree >= 1")
     if len(l_coeffs) == 2:
@@ -849,21 +814,15 @@ def base_change_embedding_check(
     try:
         t_l = tower_extend(QQ, l_coeffs, label="L")
         if t_l.levels[0].kind == KIND_SQRT:
-            c_val = -l_coeffs[0]
-            probe = k_tower.rational(c_val.rational_value(), k_level_old)
+            probe = k_tower.coerce(-l_coeffs[0], k_level_old)
             if sqrt_or_nonsquare(probe) is not None:
                 return False  # L embeds into K: not linearly disjoint
-        kl_coeffs = [t_l.rational(c, 1) for c in k_minpoly]
-        t2 = tower_extend(t_l, kl_coeffs, label="KL")
-        sigma2 = tuple(
-            tuple(x.rational_value() for x in row) for row in cyclic.sigma
-        )
-        cyclic2 = CyclicExtensionData.create(t2, 2, sigma2, cyclic.order)
+        t2 = tower_extend(t_l, k_minpoly, label="KL")
+        cyclic2 = CyclicExtensionData.create(t2, 2, cyclic.sigma, cyclic.order)
 
         # A over K -> A over KL (constant data reinterpreted over L)
         def embed_elem(x: TowerElement) -> TowerElement:
-            coeffs = [t2.rational(c, 1) for c in (cv.rational_value() for cv in x.coeffs())]
-            return t2.from_coeffs(2, coeffs)
+            return t2.from_coeffs(2, x.coeffs())
 
         rows2 = tuple(
             tuple((k, embed_elem(c).data) for k, c in a.row(i, j))
@@ -896,7 +855,7 @@ def base_change_embedding_check(
             """phi of the cor(A) element with sparse coordinates (k, c)."""
             out: dict[int, TowerElement] = {}
             for k, c in sparse:
-                scalar = t2.rational(c.rational_value(), 1)
+                scalar = t2.coerce(c, 1)
                 for q, x in phi[k].items():
                     t = scalar * x
                     out[q] = out[q] + t if q in out else t

@@ -31,12 +31,6 @@ from .tower import TowerElement, TowerField, _dot, _embed_up, _is_zero, _join, _
 from .tower import _neg, _raw_zero
 
 
-def _as_elem(tower: TowerField, level: int, x) -> TowerElement:
-    if isinstance(x, TowerElement):
-        return x.in_tower(tower).embed(level)
-    return tower.rational(x, level)
-
-
 @dataclass(frozen=True)
 class QuadraticForm:
     """A quadratic form via its symmetric Gram matrix: phi(x) = x^T G x.
@@ -53,7 +47,7 @@ class QuadraticForm:
 
     @staticmethod
     def from_gram(tower: TowerField, level: int, rows) -> "QuadraticForm":
-        gram = tuple(tuple(_as_elem(tower, level, x) for x in row) for row in rows)
+        gram = tuple(tuple(tower.coerce(x, level) for x in row) for row in rows)
         n = len(gram)
         if any(len(row) != n for row in gram):
             raise ValueError("gram matrix must be square")
@@ -65,7 +59,7 @@ class QuadraticForm:
 
     @staticmethod
     def diagonal(tower: TowerField, level: int, entries) -> "QuadraticForm":
-        entries = [_as_elem(tower, level, e) for e in entries]
+        entries = [tower.coerce(e, level) for e in entries]
         zero = tower.zero(level)
         n = len(entries)
         rows = tuple(
@@ -83,13 +77,13 @@ class QuadraticForm:
         G v is one sum of products."""
         if len(v) != self.dim:
             raise ValueError(f"vector length {len(v)} != form dimension {self.dim}")
-        v = [x if isinstance(x, TowerElement) else self.tower.rational(x, self.level) for x in v]
         tower, lv = self.tower, self.level
         for x in v:
-            tower = tower if x.tower is tower else _join(tower, x.tower)
-            lv = max(lv, x.level)
+            if isinstance(x, TowerElement):
+                tower = tower if x.tower is tower else _join(tower, x.tower)
+                lv = max(lv, x.level)
         ctx, fl = tower._ctx, self.level
-        v = [_embed_up(ctx, x.level, x.data, lv) for x in v]
+        v = [tower.coerce(x, lv).data for x in v]
         nz = [(j, y) for j, y in enumerate(v) if not _is_zero(y, lv)]
         if fl == lv:
             gy = [_dot(ctx, lv, [(row[j].data, y) for j, y in nz]) for row in self.gram]

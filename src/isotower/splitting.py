@@ -35,6 +35,7 @@ from .tower import (
     _div,
     _embed_up,
     _neg,
+    dot,
     tower_extend,
 )
 
@@ -406,13 +407,9 @@ def _split_small(nf: QuadraticForm, pair: _Pair, t: int, k_height: int, r: int):
 
 
 def _lifted_sum(pair: _Pair, coords, basis) -> TowerElement:
-    """sum_j lift(coords[j]) * basis[j] at the compositum top: F-side
-    coordinates in a K0-basis of K, read as one compositum element."""
-    acc = pair.c_tower.zero(pair.c_tower.height)
-    for w, b in zip(coords, basis):
-        if w:
-            acc = acc + pair.lift(w) * b
-    return acc
+    """sum_j lift(coords[j]) * basis[j] at the compositum top, one ``dot``:
+    F-side coordinates in a K0-basis of K, read as one compositum element."""
+    return dot([pair.lift(w) for w in coords], basis)
 
 
 def _split_large(nf: QuadraticForm, pair: _Pair, t: int, k_height: int, r: int):

@@ -566,21 +566,37 @@ class TowerField:
 
     # -- element constructors -------------------------------------------------
 
+    def _level(self, level: int | None) -> int:
+        """``level``, or the top for None; a level outside the tower raises
+        ValueError, as :meth:`TowerElement.embed` does."""
+        if level is None:
+            return self.height
+        if not 0 <= level <= self.height:
+            raise ValueError(f"level {level} is outside the tower's levels 0..{self.height}")
+        return level
+
     def zero(self, level: int | None = None) -> "TowerElement":
-        lv = self.height if level is None else level
+        lv = self._level(level)
         return TowerElement(self, lv, _raw_zero(self._ctx, lv))
 
     def one(self, level: int | None = None) -> "TowerElement":
-        lv = self.height if level is None else level
+        lv = self._level(level)
         return TowerElement(self, lv, _raw_one(self._ctx, lv))
 
     def rational(self, q: RationalLike, level: int | None = None) -> "TowerElement":
-        lv = self.height if level is None else level
+        lv = self._level(level)
         return TowerElement(self, lv, _embed_up(self._ctx, 0, Fraction(q), lv))
+
+    def coerce(self, x, level: int) -> "TowerElement":
+        """``x`` at ``level``: an element of a tower agreeing with this one up
+        to its level is retagged and embedded, anything else is a rational."""
+        if isinstance(x, TowerElement):
+            return x.in_tower(self).embed(self._level(level))
+        return self.rational(x, level)
 
     def gen(self, level: int | None = None) -> "TowerElement":
         """The generator (root of the minimal polynomial) of a level."""
-        lv = self.height if level is None else level
+        lv = self._level(level)
         if lv < 1:
             raise ValueError("the rational base has no generator")
         lc = self._ctx[lv - 1]
@@ -590,25 +606,22 @@ class TowerField:
 
     def element(self, level: int, data) -> "TowerElement":
         """Wrap raw nested data (validated for shape) as an element."""
-        _check_shape(self._ctx, level, data)
-        return TowerElement(self, level, data)
+        lv = self._level(level)
+        _check_shape(self._ctx, lv, data)
+        return TowerElement(self, lv, data)
 
-    def from_coeffs(self, level: int, coeffs: Sequence["TowerElement"]) -> "TowerElement":
-        """Element of ``level`` from coefficients over the level below."""
-        if level < 1:
+    def from_coeffs(self, level: int, coeffs: Sequence) -> "TowerElement":
+        """Element of ``level`` from coefficients over the level below,
+        each coerced as by :meth:`coerce`."""
+        lv = self._level(level)
+        if lv < 1:
             raise ValueError("from_coeffs needs level >= 1")
-        d = self.degree_of_level(level)
+        d = self.degree_of_level(lv)
         if len(coeffs) > d:
             raise ValueError("too many coefficients")
-        pad = _raw_zero(self._ctx, level - 1)
-        data = []
-        for c in coeffs:
-            if isinstance(c, TowerElement):
-                data.append(c.embed(level - 1).data)
-            else:
-                data.append(_embed_up(self._ctx, 0, Fraction(c), level - 1))
-        data += [pad] * (d - len(data))
-        return TowerElement(self, level, _canon(self._ctx[level - 1], tuple(data)))
+        data = [self.coerce(c, lv - 1).data for c in coeffs]
+        data += [_raw_zero(self._ctx, lv - 1)] * (d - len(data))
+        return TowerElement(self, lv, _canon(self._ctx[lv - 1], tuple(data)))
 
 
 def _check_shape(ctx, lv, data):
@@ -759,14 +772,12 @@ class TowerElement:
     # -- comparisons ----------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.tower.rational(other, self.level)
-        if not isinstance(other, TowerElement):
-            return NotImplemented
         try:
             a, b = self._coerce(other)
         except ValueError:
             return False
+        if b is NotImplemented:
+            return NotImplemented
         return a.level == b.level and a.data == b.data
 
     def __hash__(self):
@@ -934,10 +945,7 @@ def tower_extend(
     some inversion.
     """
     top = tower.height
-    coeffs = [
-        c.in_tower(tower).embed(top) if isinstance(c, TowerElement) else tower.rational(c, top)
-        for c in minpoly
-    ]
+    coeffs = [tower.coerce(c, top) for c in minpoly]
     while coeffs and coeffs[-1].is_zero():
         coeffs.pop()
     deg = len(coeffs) - 1

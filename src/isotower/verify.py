@@ -394,15 +394,12 @@ def verify_cor(doc: dict) -> tuple[bool, str]:
         conj_rows.append(
             [tuple((k, sigma_raw(c, order - t)) for k, c in row) for row in a_rows]
         )
-    one_k = _raw_one(ctx, k_level)
 
-    def tensor_row(i: int, j: int):
-        idig = _digits(i, d, order)
-        jdig = _digits(j, d, order)
-        legs = [conj_rows[t][idig[t] * d + jdig[t]] for t in range(order)]
-        if any(not leg for leg in legs):
-            return ()
-        stack = [(0, one_k)]
+    def kron(legs):
+        """Sparse Kronecker product over K of the legs' (index < d, raw value)
+        pairs, the first leg most significant: the nonzero (flat index,
+        product) pairs, each flat index once."""
+        stack = [(0, _raw_one(ctx, k_level))]
         for leg in legs:
             stack = [
                 (flat * d + k_t, _mul(ctx, k_level, coeff, c_t))
@@ -410,6 +407,11 @@ def verify_cor(doc: dict) -> tuple[bool, str]:
                 for k_t, c_t in leg
             ]
         return tuple((flat, coeff) for flat, coeff in stack if not _is_zero(coeff, k_level))
+
+    def tensor_row(i: int, j: int):
+        idig = _digits(i, d, order)
+        jdig = _digits(j, d, order)
+        return kron([conj_rows[t][idig[t] * d + jdig[t]] for t in range(order)])
 
     perm = []
     for q in range(n):
@@ -451,15 +453,9 @@ def verify_cor(doc: dict) -> tuple[bool, str]:
 
     # claimed unit coordinates must combine to the tensor unit 1 x ... x 1
     unit_sparse = [(idx, c.embed(k_level).data) for idx, c in enumerate(a_unit) if c]
-    stack = [(0, one_k)]
-    for t in range(order):
-        stack = [
-            (flat * d + idx, _mul(ctx, k_level, coeff, sigma_raw(c, order - t if t else 0)))
-            for flat, coeff in stack
-            for idx, c in unit_sparse
-        ]
-    # each flat index names one choice of leg indices, so it occurs once
-    unit_target = {flat: coeff for flat, coeff in stack if not _is_zero(coeff, k_level)}
+    unit_target = dict(
+        kron([[(idx, sigma_raw(c, order - t)) for idx, c in unit_sparse] for t in range(order)])
+    )
     cor_unit = [c.embed(f_level).data for c in cor_unit]
     if combine(enumerate(cor_unit)) != unit_target:
         return False, "claimed unit does not combine to the tensor identity"

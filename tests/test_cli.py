@@ -432,6 +432,19 @@ def test_demo_artifact_output(tmp_path):
     assert doc["claimed_bound"] == 4
 
 
+def test_verify_output_writes_the_report(tmp_path, capsys):
+    cert, report = tmp_path / "demo.json", tmp_path / "report.txt"
+    assert run(["demo", "thm21-r2", "--output", str(cert)]) == 0
+    capsys.readouterr()
+    assert run(["verify", "--input", str(cert)]) == 0
+    printed = capsys.readouterr().out
+    assert printed.startswith("PASS (isotropy): ")
+    # the same lines go to the file, and nothing to stdout
+    assert run(["verify", "--input", str(cert), "--output", str(report)]) == 0
+    assert capsys.readouterr().out == ""
+    assert report.read_text() == printed
+
+
 def test_verifier_module_boundary():
     # the verifier re-checks certificates with kernel code only: no imports
     # from any constructor module, so no code path can be shared

@@ -318,8 +318,38 @@ def test_embed_up_pads_with_the_shared_zeros(case):
             for data in (x.data, tower.zero(lv_from).data):
                 with pytest.raises(IndexError):
                     _embed_up(ctx, lv_from, data, h + 1)
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError):
             tower.rational(3, h + 1)
+
+
+@pytest.mark.parametrize("case", sorted(_dot_towers()))
+def test_constructors_reject_levels_outside_the_tower(case):
+    for tower in _dot_towers()[case]:
+        h = tower.height
+        for lv in (-1, h + 1):
+            for make in (
+                tower.zero,
+                tower.one,
+                lambda lv: tower.rational(3, lv),
+                lambda lv: tower.coerce(3, lv),
+                tower.gen,
+                lambda lv: tower.from_coeffs(lv, [1]),
+                lambda lv: tower.element(lv, tower.one().data),
+            ):
+                with pytest.raises(ValueError, match="outside the tower"):
+                    make(lv)
+
+
+def test_coerce_embeds_elements_and_reads_the_rest_as_rationals(q_i, cubic):
+    top = tower_extend(q_i, [-2, 0, 1], label="s2")
+    assert top.coerce(Fraction(3, 4), 1) == top.rational(Fraction(3, 4), 1)
+    assert top.coerce(3, 1).level == 1
+    # an element of the prefix tower Q(i), retagged and lifted to the top
+    x = q_i.gen() + 2
+    got = top.coerce(x, 2)
+    assert got.tower is top and got.level == 2 and got == top.gen(1) + 2
+    with pytest.raises(ValueError, match="towers disagree"):
+        top.coerce(cubic.gen(), 2)
 
 
 @pytest.mark.parametrize("case", sorted(_dot_towers()))

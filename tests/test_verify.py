@@ -21,9 +21,14 @@ from isotower.csa import (
     tensor_power_over_K,
 )
 from isotower.presets import cyclic_sqrt, demo_thm21_r2, field_cubic
-from isotower.quadforms import QFSystem, QuadraticForm, isotropy_2ext
+from isotower.quadforms import IsotropyCertificate, QFSystem, QuadraticForm, isotropy_2ext
 from isotower.serialize import element_to_json, tower_to_json
-from isotower.splitting import bracket_quaternion, split_over_2ext, standard_quaternion
+from isotower.splitting import (
+    SplitCertificate,
+    bracket_quaternion,
+    split_over_2ext,
+    standard_quaternion,
+)
 from isotower.tower import QQ, tower_extend
 from isotower import verify
 
@@ -184,6 +189,41 @@ def test_isotropy_renested_gram_forgery_fails():
     doc["forms"] = [[[renest(e) for e in row] for row in gram] for gram in doc["forms"]]
     doc["actual_degree"] = 1
     assert not verify.verify_isotropy(doc)[0]
+
+
+# K = Q[x]/(x^2 - 1) is Q x Q, not a field: each forgery below holds on the
+# x = 1 factor only, where the idempotent (1 + x)/2 lives
+SPLIT_K = tower_extend(QQ, [-1, 0, 1], label="x")
+SPLIT_X = SPLIT_K.gen()
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 18")
+def test_split_over_a_product_of_fields_forgery_fails():
+    # (1 + 3x, -1) is (4, -1), split, at x = 1 and (-2, -1)_Q, ramified at
+    # infinity, at x = -1; the witness vanishes on the first factor only
+    one = SPLIT_K.one()
+    w = (one + SPLIT_X, (one + SPLIT_X) / 2, SPLIT_K.zero(), SPLIT_K.zero())
+    cert = SplitCertificate(standard_quaternion(1 + 3 * SPLIT_X, -one), SPLIT_K, QQ, w, 1, 4)
+    assert not verify.verify_split(split_certificate_doc(cert))[0]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 18")
+def test_isotropy_over_a_product_of_fields_forgery_fails():
+    # <1, -(3 + 5x)/2> is <1, 1>, anisotropic over Q, at x = -1
+    form = QuadraticForm.diagonal(SPLIT_K, 1, [1, -(3 + 5 * SPLIT_X) / 2])
+    w = (1 + SPLIT_X, (1 + SPLIT_X) / 2)
+    cert = IsotropyCertificate(SPLIT_K, w, claimed_bound=2, actual_degree=1, base_levels=1)
+    assert not verify.verify_isotropy(isotropy_certificate_doc(QFSystem((form,)), cert))[0]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 18")
+def test_cor_along_a_product_of_fields_forgery_fails():
+    # the document that test_cli's precondition test starts from
+    cyc = CyclicExtensionData.create(SPLIT_K, 1, [[1, 0], [0, -1]], 2)
+    alg = matrix_algebra(SPLIT_K, 1)
+    ta = tensor_power_over_K(alg, cyc)
+    doc = cor_result_doc(fixed_subalgebra(ta, g_action_matrix(ta, cyc)), alg)
+    assert not verify.verify_cor(doc)[0]
 
 
 ISOTROPY_FORGERIES = {
