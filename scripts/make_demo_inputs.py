@@ -11,7 +11,7 @@ import sys
 from isotower.certjson import algebra_doc, cyclic_doc, quaternion_doc, system_doc
 from isotower.csa import CyclicExtensionData, matrix_algebra, quaternion_structure_algebra
 from isotower.generate import random_quaternion
-from isotower.presets import cyclic_sqrt, field_cubic
+from isotower.presets import cyclic_cubic, cyclic_sqrt, field_cubic
 from isotower.quadforms import QFSystem, QuadraticForm
 from isotower.serialize import canonical_dumps
 from isotower.splitting import standard_quaternion
@@ -79,6 +79,11 @@ def main():
     }
     (outdir / "m2_sqrt2_sqrt3.json").write_text(canonical_dumps(cor_input))
 
+    # M2 along the cyclic cubic: sigma of order 3, so its square is applied too
+    cyc3 = cyclic_cubic()
+    cor_input = {"algebra": algebra_doc(matrix_algebra(cyc3.tower, 1)), "cyclic": cyclic_doc(cyc3)}
+    (outdir / "m2_cubic.json").write_text(canonical_dumps(cor_input))
+
     print(f"wrote {outdir}/system_r2.json   (isotropy --input)")
     print(f"wrote {outdir}/system_sqrt2.json  (isotropy --input, forms over Q(sqrt2))")
     print(f"wrote {outdir}/cubic_quat.json  (split-quaternion --input)")
@@ -87,6 +92,7 @@ def main():
     print(f"wrote {outdir}/m2_sqrt2.json    (corestrict --input)")
     print(f"wrote {outdir}/quat_sqrt2.json  (corestrict --input, a division algebra)")
     print(f"wrote {outdir}/m2_sqrt2_sqrt3.json  (corestrict --input, K/F = Q(sqrt2, sqrt3)/Q(sqrt2))")
+    print(f"wrote {outdir}/m2_cubic.json    (corestrict --input, sigma of order 3)")
 
 
 if __name__ == "__main__":

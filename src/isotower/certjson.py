@@ -140,6 +140,8 @@ def algebra_doc(a: StructureConstantAlgebra) -> dict:
 
 
 def algebra_from_doc(doc: dict) -> StructureConstantAlgebra:
+    if not isinstance(doc, dict):
+        raise MalformedCertificate("an algebra document must be a JSON object")
     for key in ("dim", "constants", "unit", "field"):
         if key not in doc:
             raise MalformedCertificate(f"algebra document missing {key!r}")
@@ -169,6 +171,8 @@ def cyclic_doc(cyclic: CyclicExtensionData) -> dict:
 
 
 def cyclic_from_doc(tower: TowerField, doc: dict) -> CyclicExtensionData:
+    if not isinstance(doc, dict):
+        raise MalformedCertificate("a cyclic document must be a JSON object")
     for key in ("k_level", "order", "sigma"):
         if key not in doc:
             raise MalformedCertificate(f"cyclic document missing {key!r}")

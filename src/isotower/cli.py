@@ -150,8 +150,8 @@ def _cmd_corestrict(args) -> int:
     )
 
     doc = _read_doc(args.input)
-    if "algebra" not in doc or "cyclic" not in doc:
-        raise MalformedCertificate("corestrict input needs 'algebra' and 'cyclic'")
+    if not isinstance(doc, dict) or "algebra" not in doc or "cyclic" not in doc:
+        raise MalformedCertificate("corestrict input needs an object with 'algebra' and 'cyclic'")
     alg = certjson.algebra_from_doc(doc["algebra"])
     cyclic = certjson.cyclic_from_doc(alg.tower, doc["cyclic"])
     ta = tensor_power_over_K(alg, cyclic)

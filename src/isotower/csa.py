@@ -32,12 +32,12 @@ kernel's raw nested data at one level, and wrap results as ``TowerElement``
 only where they leave the module.  A ``StructureConstantAlgebra``'s rows
 are that raw data: every producer writes each nonzero constant at the
 algebra's level, and ``row(i, j)`` wraps one row on demand;
-``CyclicExtensionData`` caches the matrices of sigma^j once.  The tensor
-power's unit and rows are sparse Kronecker products of the legs' raw data.
-It does not build its (dim A)^(2r) product rows: each row is computed on
-first use and memoised, so the dimension guard bounds what the fixed
-subalgebra builds, the n^2 rows of the n-dimensional tensor power that its
-products read.
+``CyclicExtensionData`` keeps sigma's rows once and applies sigma^j as j
+passes.  The tensor power's unit and rows are sparse Kronecker products of
+the legs' raw data.  It does not build its (dim A)^(2r) product rows: each
+row is computed on first use and memoised, so the dimension guard bounds
+what the fixed subalgebra builds, the n^2 rows of the n-dimensional tensor
+power that its products read.
 """
 
 from __future__ import annotations
@@ -109,39 +109,26 @@ class CyclicExtensionData:
         return data
 
     @cached_property
-    def _powers(self):
-        """The matrices of sigma^0, ..., sigma^(order-1) over F."""
-        mats = [linalg.identity(self.tower, self.f_level, self.order)]
-        for _ in range(self.order - 1):
-            mats.append(linalg.matmul(self.sigma, mats[-1]))
-        return tuple(mats)
-
-    @cached_property
-    def _raw_powers(self):
-        """:attr:`_powers` as raw rows of nonzero (column, entry) pairs."""
-        return tuple(
-            tuple(tuple((j, x.data) for j, x in enumerate(row) if x) for row in m)
-            for m in self._powers
-        )
+    def _sigma_raw(self):
+        """The rows of sigma as raw (column, entry) pairs, zeros left out."""
+        return tuple(tuple((j, x.data) for j, x in enumerate(row) if x) for row in self.sigma)
 
     def apply(self, x: TowerElement, power: int = 1) -> TowerElement:
         """sigma^power applied to an element of K."""
-        power %= self.order
         x = x.in_tower(self.tower).embed(self.k_level)
-        if not power:
-            return x
-        return self.tower.from_coeffs(self.k_level, linalg.matvec(self._powers[power], x.coeffs()))
+        for _ in range(power % self.order):
+            x = self.tower.from_coeffs(self.k_level, linalg.matvec(self.sigma, x.coeffs()))
+        return x
 
     def _apply_raw(self, data, power: int):
         """:meth:`apply` on the raw data of an element of K."""
-        power %= self.order
-        if not power:
-            return data
         ctx, f = self.tower._ctx, self.f_level
-        return tuple(
-            _dot(ctx, f, [(m, data[j]) for j, m in row]) if row else _raw_zero(ctx, f)
-            for row in self._raw_powers[power]
-        )
+        for _ in range(power % self.order):
+            data = tuple(
+                _dot(ctx, f, [(m, data[j]) for j, m in row]) if row else _raw_zero(ctx, f)
+                for row in self._sigma_raw
+            )
+        return data
 
     def validate(self) -> None:
         """sigma is an F-algebra automorphism of order exactly [K:F].

@@ -417,7 +417,7 @@ class LinearFunctionalBasis:
     @staticmethod
     def from_elements(tower: TowerField, f_level: int, k_level: int, elements):
         elements = tuple(x.in_tower(tower).embed(k_level) for x in elements)
-        m = _block_dim(tower, f_level, k_level)
+        m = tower.absolute_degree(k_level) // tower.absolute_degree(f_level)
         if len(elements) != m:
             raise ValueError(f"basis needs exactly {m} elements")
         cols = [flatten_between(x, f_level) for x in elements]
@@ -430,14 +430,11 @@ class LinearFunctionalBasis:
 
     @staticmethod
     def standard(tower: TowerField, f_level: int, k_level: int):
-        """The tower power-product basis.  Coordinates still go through
-        :meth:`from_elements`, which inverts the (identity) coordinate
-        matrix."""
-        elems = []
-        m = _block_dim(tower, f_level, k_level)
-        for idx in range(m):
-            elems.append(_basis_element(tower, f_level, k_level, idx))
-        return LinearFunctionalBasis.from_elements(tower, f_level, k_level, elems)
+        """The tower power-product basis: its coordinate matrix is the
+        identity, so the functionals are the coordinates themselves."""
+        m = tower.absolute_degree(k_level) // tower.absolute_degree(f_level)
+        elements = tuple(_basis_element(tower, f_level, k_level, idx) for idx in range(m))
+        return LinearFunctionalBasis(tower, f_level, k_level, elements, linalg.identity(tower, f_level, m))
 
     @property
     def size(self) -> int:
@@ -453,13 +450,6 @@ class LinearFunctionalBasis:
         f, inv = self.f_level, self._inv_raw
         flat = [(j, c) for j, c in enumerate(_flatten_raw(data, self.k_level, f)) if not _is_zero(c, f)]
         return [_dot(self.tower._ctx, f, [(row[j], c) for j, c in flat]) for row in inv]
-
-
-def _block_dim(tower: TowerField, f_level: int, k_level: int) -> int:
-    d = 1
-    for i in range(f_level, k_level):
-        d *= tower.levels[i].degree
-    return d
 
 
 def _flatten_raw(data, lv: int, f_level: int) -> list:
@@ -478,12 +468,8 @@ def _basis_element(tower: TowerField, f_level: int, k_level: int, idx: int) -> T
     """idx-th power-product basis element, matching flatten_between's order
     (the exponent of the top generator is the most significant digit)."""
     acc = tower.one(k_level)
-    rem = idx
-    block = _block_dim(tower, f_level, k_level)
     for lv in range(k_level, f_level, -1):
-        d = tower.levels[lv - 1].degree
-        block //= d
-        e, rem = divmod(rem, block)
+        e, idx = divmod(idx, tower.absolute_degree(lv - 1) // tower.absolute_degree(f_level))
         if e:
             acc = acc * tower.gen(lv).embed(k_level) ** e
     return acc

@@ -106,10 +106,10 @@ def _data_from_json(node, lv, tower, zeros):
         return _raw_zero(tower._ctx, lv)
     if not isinstance(node, list):
         raise MalformedCertificate("element nesting shallower than its level")
-    if len(node) != tower.degree_of_level(lv):
+    d = tower._ctx[lv - 1].degree
+    if len(node) != d:
         raise MalformedCertificate(
-            f"level-{lv} coefficient list has length {len(node)}, "
-            f"expected {tower.degree_of_level(lv)}"
+            f"level-{lv} coefficient list has length {len(node)}, expected {d}"
         )
     return tuple([_data_from_json(c, lv - 1, tower, zeros) for c in node])
 

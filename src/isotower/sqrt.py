@@ -34,7 +34,7 @@ scanned in increasing order, so every answer is deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, prod
+from math import gcd, isqrt
 
 from .tower import (
     KIND_SQRT,
@@ -350,7 +350,7 @@ def _sqrt_tier3(tower: TowerField, lv: int, data):
     """Recovery: completely split prime, lift, reconstruct, verify."""
     ctx = tower._ctx
     levels, zeros = _subtower_levels(tower, lv)
-    dim = prod(deg for _mp, deg in levels)
+    dim = tower.absolute_degree(lv)
     if dim > _MAX_PATTERN_DIM:
         return None
     split_found = 0

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd
+from math import gcd, prod
 from typing import Sequence, Union
 
 from .errors import ReducibilityError, ReducibilityWitness, ZeroInverse
@@ -526,8 +526,9 @@ class TowerField:
         return TowerField._from_ctx(self.levels + (level,), ctx)
 
     def prefix(self, height: int) -> "TowerField":
-        """The tower of the first ``height`` levels, sharing their contexts."""
-        return TowerField._from_ctx(self.levels[:height], self._ctx[:height])
+        """The tower of the first ``height`` (0..height) levels, sharing their contexts."""
+        h = self._level(height)
+        return TowerField._from_ctx(self.levels[:h], self._ctx[:h])
 
     # -- structure ----------------------------------------------------------
 
@@ -536,16 +537,15 @@ class TowerField:
         return len(self.levels)
 
     def degree_of_level(self, lv: int) -> int:
+        """The degree of level ``lv`` (1..height) over the level below."""
+        if not 1 <= lv <= self.height:
+            raise ValueError(f"level {lv} is outside the tower's levels 1..{self.height}")
         return self.levels[lv - 1].degree
 
     def absolute_degree(self, level: int | None = None) -> int:
-        """Product of level degrees up to ``level`` (default: whole tower)."""
-        if level is None:
-            level = len(self.levels)
-        d = 1
-        for lev in self.levels[:level]:
-            d *= lev.degree
-        return d
+        """[level : Q] for ``level`` in 0..height (default: the top), the one
+        product of level degrees."""
+        return prod(lev.degree for lev in self.levels[: self._level(level)])
 
     def is_prefix_of(self, other: "TowerField") -> bool:
         return self.levels == other.levels[: len(self.levels)]

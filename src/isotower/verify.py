@@ -83,6 +83,8 @@ def verify_isotropy(doc: dict) -> tuple[bool, str]:
         actual = int_from_json(doc["actual_degree"])
     except (KeyError, TypeError) as exc:
         raise MalformedCertificate(f"isotropy certificate missing field: {exc}") from exc
+    for idx, gram in enumerate(grams):
+        _check_symmetric(gram, idx)
     if not grams or not witness:
         return False, "certificate has no forms or empty witness"
     if not any(witness):
@@ -93,7 +95,7 @@ def verify_isotropy(doc: dict) -> tuple[bool, str]:
     if dim < r * (r + 1) // 2 + 1:
         return False, f"dim {dim} < r(r+1)/2 + 1 = {r * (r + 1) // 2 + 1} for {r} forms"
     for idx, gram in enumerate(grams):
-        if len(gram) != len(witness) or any(len(r) != len(witness) for r in gram):
+        if len(gram) != len(witness):
             return False, f"form {idx + 1} dimension does not match the witness"
         gw = [e for (e,) in dot_matrix(gram, (witness,))]
         val = dot(witness, gw)  # w^T G w
@@ -108,6 +110,20 @@ def verify_isotropy(doc: dict) -> tuple[bool, str]:
     if actual > claimed:
         return False, f"actual_degree {actual} > claimed_bound {claimed}"
     return True, f"degree {actual} <= {claimed}, all {len(grams)} forms vanish exactly"
+
+
+def _check_symmetric(gram, idx: int) -> None:
+    """A Gram matrix that is not square and symmetric is malformed, as
+    ``isotower isotropy --input`` reads it.  Entries are compared as raw
+    (level, data) first and as values only when those differ."""
+    n = len(gram)
+    if any(len(row) != n for row in gram):
+        raise MalformedCertificate(f"form {idx + 1}: gram matrix must be square")
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = gram[i][j], gram[j][i]
+            if (a.level, a.data) != (b.level, b.data) and a != b:
+                raise MalformedCertificate(f"form {idx + 1}: gram matrix must be symmetric")
 
 
 def _two_tower_degree(two_tower: TowerField):
@@ -548,6 +564,8 @@ def _digits(q: int, d: int, r: int):
 
 
 def classify_document(doc: dict) -> str:
+    if not isinstance(doc, dict):
+        raise MalformedCertificate("a certificate must be a JSON object")
     if "quaternion" in doc:
         return "split"
     if "fixed_basis" in doc:

@@ -334,6 +334,58 @@ def test_verify_reports_malformed_line_and_goes_on(tmp_path, capsys):
     assert run(["verify", "--input", str(mixed)]) == 1
 
 
+@pytest.mark.parametrize("value", ["5", "null", "true"])
+def test_verify_non_object_document_is_malformed(tmp_path, capsys, value):
+    bad = tmp_path / "bad.json"
+    bad.write_text(value + "\n")
+    assert run(["verify", "--input", str(bad)]) == 2
+    assert "malformed input" in capsys.readouterr().err
+
+
+def test_verify_reports_non_object_line_and_goes_on(tmp_path, capsys):
+    certs = tmp_path / "certs.jsonl"
+    assert run(["isotropy", "--seed", "2", "--count", "1", "--preset", "r1",
+                "--output", str(certs)]) == 0
+    mixed = tmp_path / "mixed.jsonl"
+    mixed.write_text("5\n" + certs.read_text())
+    capsys.readouterr()
+    assert run(["verify", "--input", str(mixed)]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("[0] MALFORMED: ")
+    assert out[1].startswith("[1] PASS (isotropy)")
+    assert len(out) == 2
+
+
+@pytest.mark.parametrize("place", ["document", "algebra", "cyclic"])
+def test_corestrict_non_object_is_malformed(tmp_path, capsys, place):
+    doc = m2_sqrt2_input()
+    if place == "document":
+        doc = 5
+    else:
+        doc[place] = 5
+    bad = tmp_path / "bad.json"
+    bad.write_text(canonical_dumps(doc))
+    assert run(["corestrict", "--input", str(bad), "--output", str(tmp_path / "out.json")]) == 2
+    assert "malformed input" in capsys.readouterr().err
+
+
+def test_verify_rejects_non_symmetric_gram_as_isotropy_does(tmp_path, capsys):
+    # form 1 of the thm21-r2 certificate with G[0][1] = 1 and G[1][0] = -1:
+    # the same value x^T G x everywhere, so only the shape check can see it
+    cert = tmp_path / "r2.json"
+    assert run(["demo", "thm21-r2", "--output", str(cert)]) == 0
+    doc = canonical_loads(cert.read_text())
+    doc["forms"][0][0][1], doc["forms"][0][1][0] = "1/1", "-1/1"
+    cert.write_text(canonical_dumps(doc))
+    system = tmp_path / "system.json"
+    system.write_text(canonical_dumps({"forms": doc["forms"], "tower": []}))
+    capsys.readouterr()
+    assert run(["isotropy", "--input", str(system)]) == 2
+    assert "gram matrix must be symmetric" in capsys.readouterr().err
+    assert run(["verify", "--input", str(cert)]) == 2
+    assert "gram matrix must be symmetric" in capsys.readouterr().err
+
+
 def test_verify_reports_precondition_line_and_goes_on(tmp_path, capsys):
     # M2 corestricted along Q[x]/(x^2 - 1), sigma: x -> -x, passes; a fixed
     # basis vector with 1 + x and 1 - x at the swapped positions 1 and 4 is

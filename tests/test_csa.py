@@ -116,8 +116,8 @@ def test_sigma_preserves_minpoly():
 
 @pytest.mark.parametrize("make", [lambda: cyclic_sqrt(2), cyclic_cubic], ids=["sqrt2", "cubic"])
 def test_apply_power_is_repeated_application(make):
-    # sigma^p through the cached matrix of sigma^(p mod r) agrees with p
-    # single applications, and the raw form with the wrapped one
+    # sigma^p, p mod r passes of sigma, agrees with p single applications
+    # for every p, negative ones included, and the raw form with the wrapped one
     cyc = make()
     x = cyc.tower.from_coeffs(cyc.k_level, [Fraction(3), Fraction(-1, 2), Fraction(5)][: cyc.order])
     for p in range(-cyc.order, 2 * cyc.order):

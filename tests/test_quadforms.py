@@ -27,7 +27,7 @@ from isotower.quadforms import (
     orthogonal_intersection,
     transfer_system,
 )
-from isotower.presets import field_cubic
+from isotower.presets import field_cubic, field_quintic
 from isotower.tower import QQ, dot, tower_extend
 from isotower import verify
 from test_serialize import fresh, fresh_element
@@ -480,6 +480,21 @@ def test_transfer_cubic_coordinate_oracle():
         coords = value.data  # nested coords over Q in the power basis
         got = [f.evaluate(vec(*x)) for f in system.forms]
         assert [g.rational_value() for g in got] == list(coords)
+
+
+@pytest.mark.parametrize("make, f_level, k_level", [
+    (field_cubic, 0, 1),
+    (field_quintic, 0, 1),
+    (lambda: tower_extend(field_cubic(), [-2, 0, 1], label="s"), 0, 2),
+], ids=["cubic", "quintic", "cubic-sqrt2"])
+def test_standard_functionals_are_from_elements_inverse(make, f_level, k_level):
+    # the power-product basis's coordinate matrix is the identity, so
+    # standard takes the identity as its functionals without inverting it
+    tower = make()
+    basis = LinearFunctionalBasis.standard(tower, f_level, k_level)
+    general = LinearFunctionalBasis.from_elements(tower, f_level, k_level, basis.elements)
+    assert basis.elements == general.elements
+    assert basis.inv_matrix == general.inv_matrix
 
 
 def test_transfer_rejects_dependent_basis():

@@ -15,6 +15,7 @@ from isotower.presets import field_cubic, field_quintic, field_septic
 from isotower.quadforms import (
     LinearFunctionalBasis,
     QuadraticForm,
+    diagonalize,
     flatten_between,
     transfer_system,
 )
@@ -57,6 +58,24 @@ def test_norm_form_standard():
 def test_norm_form_bracket_conversion():
     nf = norm_form(bracket_quaternion(QQ.rational(0), QQ.rational(5)))
     assert [str(nf.gram[i][i]) for i in range(4)] == ["1", "-1", "-5", "5"]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: q_rat(2, 3),
+    lambda: bracket_quaternion(QQ.rational(0), QQ.rational(5)),
+    lambda: random_quaternion(random.Random(3), field_cubic()),
+    lambda: bracket_quaternion(field_cubic().gen(), field_cubic().rational(-2)),
+    lambda: random_quaternion(random.Random(1000003), field_septic()),
+], ids=["standard-Q", "bracket-Q", "cubic", "bracket-cubic", "septic"])
+def test_norm_form_diagonalizes_to_itself(make):
+    # the large split branch returns its witness in the norm form's own basis:
+    # <1, -u, -v, uv> is diagonal with nonzero entries, so P = I
+    q = make()
+    nf = norm_form(q)
+    u, v = q.standard_pair()
+    diag, p = diagonalize(nf)
+    assert diag == (1, -u, -v, u * v)
+    assert p == tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
 
 
 def test_presentation_invariants():

@@ -46,6 +46,22 @@ def test_extend_degrees(q_i, q_sqrt2):
     assert c.absolute_degree() == 3
 
 
+def test_level_queries_reject_levels_outside_the_tower(q_sqrt2):
+    # Q(s2)(a) with a^3 + a^2 - 2a - 1: levels 1..2, prefixes 0..2
+    top = tower_extend(q_sqrt2, [-1, -2, 1, 1], label="a")
+    assert [top.degree_of_level(lv) for lv in (1, 2)] == [2, 3]
+    assert [top.absolute_degree(lv) for lv in (0, 1, 2, None)] == [1, 2, 6, 6]
+    assert [top.prefix(h).height for h in (0, 1, 2)] == [0, 1, 2]
+    for lv in (-1, 0, 3):
+        with pytest.raises(ValueError):
+            top.degree_of_level(lv)
+    for lv in (-1, 3, 7):
+        with pytest.raises(ValueError):
+            top.absolute_degree(lv)
+        with pytest.raises(ValueError):
+            top.prefix(lv)
+
+
 def test_extend_and_prefix_reuse_level_contexts(cubic):
     # a level's context depends only on the levels below it: extending a
     # tower, cutting a prefix and parsing one reuse the contexts built
