@@ -58,6 +58,12 @@ def main():
     quat = random_quaternion(random.Random(0), octic)
     (outdir / "octic_quat.json").write_text(canonical_dumps(quaternion_doc(quat)))
 
+    # a random quaternion over Q(sqrt2)(3^(1/3)) with its 2-part Q(sqrt2)
+    # declared: the transfer runs over F = Q(sqrt2), a level above Q
+    sextic = tower_extend(tower_extend(QQ, [-2, 0, 1], label="s2"), [-3, 0, 0, 1], label="c3")
+    quat = random_quaternion(random.Random(0), sextic)
+    (outdir / "sextic_quat.json").write_text(canonical_dumps(quaternion_doc(quat)))
+
     cyc = cyclic_sqrt(2)
     cor_input = {
         "algebra": algebra_doc(matrix_algebra(cyc.tower, 1)),
@@ -89,6 +95,7 @@ def main():
     print(f"wrote {outdir}/cubic_quat.json  (split-quaternion --input)")
     print(f"wrote {outdir}/quartic_quat.json  (split-quaternion --input --two-part 0)")
     print(f"wrote {outdir}/octic_quat.json  (split-quaternion --input --two-part 0)")
+    print(f"wrote {outdir}/sextic_quat.json  (split-quaternion --input --two-part 1)")
     print(f"wrote {outdir}/m2_sqrt2.json    (corestrict --input)")
     print(f"wrote {outdir}/quat_sqrt2.json  (corestrict --input, a division algebra)")
     print(f"wrote {outdir}/m2_sqrt2_sqrt3.json  (corestrict --input, K/F = Q(sqrt2, sqrt3)/Q(sqrt2))")

@@ -414,6 +414,10 @@ class LinearFunctionalBasis:
     elements: tuple[TowerElement, ...]
     inv_matrix: tuple[tuple[TowerElement, ...], ...]
 
+    def __post_init__(self):
+        if self.f_level > self.k_level:
+            raise ValueError(f"f_level {self.f_level} is above k_level {self.k_level}")
+
     @staticmethod
     def from_elements(tower: TowerField, f_level: int, k_level: int, elements):
         elements = tuple(x.in_tower(tower).embed(k_level) for x in elements)
@@ -444,10 +448,11 @@ class LinearFunctionalBasis:
     def _inv_raw(self):
         return [[x.data for x in row] for row in self.inv_matrix]
 
-    def _raw_coordinates(self, data):
+    def _raw_coordinates(self, data, rows=None):
         """Coordinates of raw level-k_level data, raw at f_level: one sum of
-        products each, over the nonzero flattened coefficients."""
-        f, inv = self.f_level, self._inv_raw
+        products per raw row of ``rows`` (the inverse coordinate matrix by
+        default), over the nonzero flattened coefficients."""
+        f, inv = self.f_level, rows or self._inv_raw
         flat = [(j, c) for j, c in enumerate(_flatten_raw(data, self.k_level, f)) if not _is_zero(c, f)]
         return [_dot(self.tower._ctx, f, [(row[j], c) for j, c in flat]) for row in inv]
 
@@ -461,6 +466,8 @@ def _flatten_raw(data, lv: int, f_level: int) -> list:
 
 def flatten_between(x: TowerElement, f_level: int) -> tuple[TowerElement, ...]:
     """Coordinates of x over f_level in the tower power-product basis."""
+    if not 0 <= f_level <= x.level:
+        raise ValueError(f"f_level {f_level} is outside the element's levels 0..{x.level}")
     return tuple(TowerElement(x.tower, f_level, c) for c in _flatten_raw(x.data, x.level, f_level))
 
 
@@ -487,9 +494,13 @@ def transfer_system(form: QuadraticForm, basis: LinearFunctionalBasis) -> QFSyst
     if form.level != k_level or form.tower != tower:
         raise ValueError("form must live at the basis's K level")
     m, big = basis.size, form.dim * basis.size
-    # the upper-triangle gram entries of all transferred forms at once:
-    # s_t(B_j * B_l * G_ip) for each t, on raw level data
+    # the upper-triangle gram entries of all transferred forms at once, on raw
+    # data: s_t(g B_j B_l), g = G_ip, is the F-linear row (s_t(g e_c))_c over
+    # the power-product monomials e_c times the coordinates of B_j B_l
     ctx, elems = tower._ctx, [x.data for x in basis.elements]
+    monos = [_basis_element(tower, f_level, k_level, c).data for c in range(m)]
+    rows = {(i, p): list(zip(*(basis._raw_coordinates(_mul(ctx, k_level, g.data, e)) for e in monos)))
+            for i, row in enumerate(form.gram) for p, g in enumerate(row) if p >= i and g}
     prods = {(j, l): _mul(ctx, k_level, elems[j], elems[l]) for j in range(m) for l in range(j, m)}
     zeros = [_raw_zero(ctx, f_level)] * m
     coords = {}
@@ -497,10 +508,8 @@ def transfer_system(form: QuadraticForm, basis: LinearFunctionalBasis) -> QFSyst
         i, j = divmod(a, m)
         for b in range(a, big):
             p, l = divmod(b, m)
-            g = form.gram[i][p]
-            if g:
-                gbb = _mul(ctx, k_level, g.data, prods[min(j, l), max(j, l)])
-                coords[a, b] = basis._raw_coordinates(gbb)
+            if (i, p) in rows:
+                coords[a, b] = basis._raw_coordinates(prods[min(j, l), max(j, l)], rows[i, p])
     f_tower = tower.prefix(f_level)
     return QFSystem(tuple(
         _symmetric(f_tower, f_level, big, lambda a, b, k=k: coords.get((a, b), zeros)[k])

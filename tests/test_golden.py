@@ -40,11 +40,18 @@ def _isotropy(r, field=None):
     return docs
 
 
-def _split(field):
+def _split(field, two_part_levels=None):
     # the quaternion stream of acceptance criterion 3
     rng = random.Random(SEED + field.absolute_degree())
-    return [split_certificate_doc(split_over_2ext(random_quaternion(rng, field)))
+    return [split_certificate_doc(split_over_2ext(random_quaternion(rng, field), two_part_levels))
             for _ in range(2)]
+
+
+def _split_sextic_two_part():
+    # Q(sqrt2)(3^(1/3)) with its 2-part Q(sqrt2) declared: r = 3, and the
+    # transfer runs over F = Q(sqrt2), level 1, not over Q
+    field = tower_extend(tower_extend(QQ, [-2, 0, 1], label="s2"), [-3, 0, 0, 1], label="c3")
+    return _split(field, 1)
 
 
 def _split_octic():
@@ -83,6 +90,7 @@ CASES = {
     "split-quintic": lambda: _split(field_quintic()),
     "split-septic": lambda: _split(field_septic()),
     "split-octic": _split_octic,
+    "split-sextic-two-part": _split_sextic_two_part,
     "cor-sqrt2-quaternion": _cor_quaternion_sqrt2,
     "cor-m2-cubic": _cor_m2_cubic,
     # K x K over Q(zeta_5): orbits of lengths 1, 2 and 4 under an order-4 sigma
@@ -109,6 +117,9 @@ GOLDEN = {
     # pinned before the quadratic forms moved to raw level data: forms over
     # a base-root level, which the cases above only reach as a split's field
     "isotropy-r3-cubic": "b04580f38896754fe4c74ae696f376b7c6877061f43e33363ad1d96e4fae4850",
+    # pinned before the transfer read Gram entries through one F-linear row
+    # per functional: the one case whose transfer runs over F above Q
+    "split-sextic-two-part": "a1ec3d21823d1e19e4a79c85ee46945b2fcdfee7f45cd63b58c37f7109e4d6a9",
 }
 
 

@@ -21,13 +21,14 @@ from isotower.quadforms import (
     QuadraticForm,
     clear_denominators,
     diagonalize,
+    flatten_between,
     isotropy_2ext,
     mix_forms,
     _restrict,
     orthogonal_intersection,
     transfer_system,
 )
-from isotower.presets import field_cubic, field_quintic
+from isotower.presets import field_cubic, field_quintic, field_septic
 from isotower.tower import QQ, dot, tower_extend
 from isotower import verify
 from test_serialize import fresh, fresh_element
@@ -482,6 +483,57 @@ def test_transfer_cubic_coordinate_oracle():
         assert [g.rational_value() for g in got] == list(coords)
 
 
+def _septic_split_basis():
+    # _split_large's shape: 1, alpha, alpha^2, then power-product monomials
+    # that complete them to a basis over Q
+    septic = field_septic()
+    a = septic.gen()
+    alpha = 1 + a + 3 * a**3
+    pows = [septic.one(), alpha, alpha * alpha]
+    rest = [a**c for c in (3, 4, 5, 6)]
+    basis = LinearFunctionalBasis.from_elements(septic, 0, 1, pows + rest)
+    return QuadraticForm.diagonal(septic, 1, [2 - a**2, 5 * a + a**6]), basis
+
+
+def _cubic_nondiagonal():
+    # zero and off-diagonal Gram entries, through a basis that is not the
+    # power-product one
+    cubic = field_cubic()
+    a = cubic.gen()
+    rows = [[1 + a, 0, a * a], [0, 0, 3 - a], [a * a, 3 - a, 2]]
+    form = QuadraticForm.from_gram(cubic, 1, rows)
+    return form, LinearFunctionalBasis.from_elements(cubic, 0, 1, [cubic.one() + a, a, a * a - 2])
+
+
+def _cube_root_over_sqrt2():
+    # K = Q(sqrt2)(3^(1/3)) over F = Q(sqrt2): coordinates at level 1
+    s2 = tower_extend(QQ, [-2, 0, 1], label="s2")
+    k = tower_extend(s2, [-3, 0, 0, 1], label="c3")
+    s, c = s2.gen().in_tower(k).embed(2), k.gen()
+    rows = [[s + c, 1 - s * c * c], [1 - s * c * c, 0]]
+    form = QuadraticForm.from_gram(k, 2, rows)
+    return form, LinearFunctionalBasis.from_elements(k, 1, 2, [k.one(), s + c, c * c - s * c])
+
+
+@pytest.mark.parametrize("make", [_septic_split_basis, _cubic_nondiagonal, _cube_root_over_sqrt2],
+                         ids=["septic-split-basis", "cubic-nondiagonal", "cubic-over-sqrt2"])
+def test_transfer_matches_definition(make):
+    # Scharlau's transfer s_*(<g>)(x, y) = s(g x y): Gram entry (j, l) of the
+    # block (i, p) of form t is s_t(G_ip B_j B_l), the t-th row of the
+    # inverse coordinate matrix times the coordinates of G_ip B_j B_l
+    form, basis = make()
+    m, f = basis.size, basis.f_level
+    system = transfer_system(form, basis)
+    assert system.r == m and system.dim == form.dim * m and system.level == f
+    for a in range(system.dim):
+        i, j = divmod(a, m)
+        for b in range(system.dim):
+            p, l = divmod(b, m)
+            coords = flatten_between(form.gram[i][p] * basis.elements[j] * basis.elements[l], f)
+            for t, row in enumerate(basis.inv_matrix):
+                assert system.forms[t].gram[a][b] == dot(row, coords)
+
+
 @pytest.mark.parametrize("make, f_level, k_level", [
     (field_cubic, 0, 1),
     (field_quintic, 0, 1),
@@ -502,6 +554,23 @@ def test_transfer_rejects_dependent_basis():
     a = cubic.gen()
     with pytest.raises(PreconditionError):
         LinearFunctionalBasis.from_elements(cubic, 0, 1, [cubic.one(), a, 2 * a])
+
+
+def test_basis_rejects_f_level_above_k_level():
+    # [K:F] would floor to 0: an empty basis, whose transfer would fail
+    # only later, at the system's "needs at least one form"
+    cubic = field_cubic()
+    with pytest.raises(ValueError, match="above k_level"):
+        LinearFunctionalBasis.standard(cubic, 1, 0)
+    with pytest.raises(ValueError, match="above k_level"):
+        LinearFunctionalBasis.from_elements(cubic, 1, 0, [])
+
+
+@pytest.mark.parametrize("f_level", [-1, 2])
+def test_flatten_between_rejects_level_outside_element(f_level):
+    a = field_cubic().gen()
+    with pytest.raises(ValueError, match="outside"):
+        flatten_between(a, f_level)
 
 
 def test_basis_over_reducible_level_names_reducibility():
