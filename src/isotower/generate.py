@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .quadforms import QFSystem, QuadraticForm
 from .splitting import QuaternionAlgebra, standard_quaternion
@@ -17,10 +16,10 @@ def random_qfsystem(
     n = dim if dim is not None else r * (r + 1) // 2 + 1
     forms = []
     for _ in range(r):
-        rows = [[Fraction(0)] * n for _ in range(n)]
+        rows = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                c = Fraction(rng.randint(lo, hi))
+                c = rng.randint(lo, hi)
                 rows[i][j] = c
                 rows[j][i] = c
         forms.append(QuadraticForm.from_gram(QQ, 0, rows))
@@ -33,7 +32,7 @@ def random_element(rng: random.Random, tower: TowerField) -> TowerElement:
 
     def build(lv: int):
         if lv == 0:
-            return Fraction(rng.randint(-9, 9))
+            return rng.randint(-9, 9)
         d = tower.levels[lv - 1].degree
         return tuple(build(lv - 1) for _ in range(d))
 

@@ -18,19 +18,22 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import MalformedCertificate
-from .tower import F0, Level, TowerElement, TowerField, _decimal, _from_decimal, _level_kind, _raw_zero
+from .tower import Level, RationalLike, TowerElement, TowerField, _decimal, _from_decimal, _level_kind, _raw_zero
 
 
-def fraction_to_json(q: Fraction) -> str:
+def fraction_to_json(q: RationalLike) -> str:
+    """``"num/den"`` of an int or a Fraction; an int n is ``"n/1"``."""
     try:
         return f"{q.numerator}/{q.denominator}"
     except ValueError:  # past the interpreter's int -> str digit limit
         return f"{_decimal(q.numerator)}/{_decimal(q.denominator)}"
 
 
-def fraction_from_json(node) -> Fraction:
+def fraction_from_json(node) -> RationalLike:
+    """The kernel leaf of a ``"num/den"`` string: an int for ``"n/1"``,
+    else a Fraction."""
     if node == "0/1":  # most leaves: canonical, so skip the parse
-        return F0
+        return 0
     if not isinstance(node, str):
         raise MalformedCertificate(f"expected 'num/den' string, got {node!r}")
     num, sep, den = node.partition("/")
@@ -42,7 +45,7 @@ def fraction_from_json(node) -> Fraction:
         raise MalformedCertificate(f"bad rational {node!r}") from exc
     if d == 0:
         raise MalformedCertificate(f"zero denominator in {node!r}")
-    q = Fraction(n, d)
+    q = n if d == 1 else Fraction(n, d)
     # one spelling per rational (lowest terms, positive denominator, plain
     # digits), so parse -> serialize reproduces the input bytes
     if node != fraction_to_json(q):

@@ -38,6 +38,7 @@ from math import gcd, isqrt
 
 from .tower import (
     KIND_SQRT,
+    RationalLike,
     TowerElement,
     TowerField,
     _div,
@@ -70,8 +71,9 @@ def _small_primes() -> list[int]:
     return _SMALL_PRIMES
 
 
-def rational_sqrt(q: Fraction) -> Fraction | None:
-    """Exact square root of a rational, or None."""
+def rational_sqrt(q: RationalLike) -> RationalLike | None:
+    """Exact square root of a rational, or None; a kernel leaf, so an int
+    when the root is integral."""
     if q < 0:
         return None
     rn = isqrt(q.numerator)
@@ -80,7 +82,7 @@ def rational_sqrt(q: Fraction) -> Fraction | None:
     rd = isqrt(q.denominator)
     if rd * rd != q.denominator:
         return None
-    return Fraction(rn, rd)
+    return rn if rd == 1 else Fraction(rn, rd)
 
 
 def _trial_factor(n: int) -> tuple[dict[int, int], int]:
@@ -248,7 +250,9 @@ def _sqrt_roots_mod(c: int, p: int) -> list[int]:
     return sorted({t, -t % p})
 
 
-def _rat_reconstruct(a: int, m: int) -> Fraction | None:
+def _rat_reconstruct(a: int, m: int) -> RationalLike | None:
+    """The rational congruent to a mod m whose numerator and denominator
+    are at most sqrt(m/2) in size, as a kernel leaf, or None."""
     a %= m
     bound = isqrt(m // 2)
     r0, r1 = m, a
@@ -262,7 +266,7 @@ def _rat_reconstruct(a: int, m: int) -> Fraction | None:
     num, den = r1, t1
     if den < 0:
         num, den = -num, -den
-    return Fraction(num, den)
+    return num if den == 1 else Fraction(num, den)
 
 
 # -- Legendre witnesses ---------------------------------------------------------

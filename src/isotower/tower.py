@@ -2,9 +2,15 @@
 
 A tower is a chain Q = L_0 < L_1 < ... < L_k where each L_i is the quotient
 of L_{i-1}[X] by a monic polynomial of degree >= 2.  Elements are nested
-dense coefficient tuples bottoming out at ``fractions.Fraction``, always
-reduced modulo every level's minimal polynomial and zero-padded to the full
-level degree, so equality is plain structural comparison.
+dense coefficient tuples bottoming out at rational leaves, always reduced
+modulo every level's minimal polynomial and zero-padded to the full level
+degree, so equality is plain structural comparison.  A leaf is an ``int``
+when it is integral and a ``fractions.Fraction`` with denominator > 1
+otherwise, never a float, a bool or a Fraction with denominator 1.  Most
+leaves are integers, and ``int`` arithmetic on them skips the gcd and the
+object that every Fraction operation builds.  An ``int`` and a Fraction of
+equal value compare and hash alike, so a leaf built outside the kernel in
+either spelling is still an ordinary value.
 
 Each level has one shared zero object, and every kernel result at level
 >= 1 that is zero is that object, so the arithmetic skips zero operands
@@ -38,9 +44,6 @@ from typing import Sequence, Union
 
 from .errors import ReducibilityError, ReducibilityWitness, ZeroInverse
 
-F0 = Fraction(0)
-F1 = Fraction(1)
-
 KIND_SQRT = "quadratic-sqrt"
 KIND_BASE = "base-root"
 
@@ -49,18 +52,22 @@ RationalLike = Union[int, Fraction]
 # ---------------------------------------------------------------------------
 # raw nested-data arithmetic
 #
-# A raw value at level 0 is a Fraction; at level k >= 1 it is a tuple of
-# exactly deg_k raw values at level k-1.  The per-level context carries the
-# zero/one constants and the reduction data for the level's minimal
-# polynomial, precomputed once per tower.
+# A raw value at level 0 is a rational leaf: an int when it is integral,
+# else a Fraction with denominator > 1 (``_leaf`` makes one from any int or
+# Fraction).  Every kernel result at level 0 is a leaf, so ``int / int``,
+# which gives a float, never runs: level-0 quotients build a Fraction.  At
+# level k >= 1 a raw value is a tuple of exactly deg_k raw values at level
+# k-1.  The per-level context carries the zero/one constants and the
+# reduction data for the level's minimal polynomial, precomputed once per
+# tower.
 #
 # Shared zeros.  Each level k >= 1 of a tower has one zero object,
 # ``ctx[k-1].own_zero``, built from the shared zero below it; a level-0 zero
-# is any Fraction equal to 0.  Every kernel result at level >= 1 that is
-# zero is that object, and the pads of ``_embed_up``, ``_raw_zero`` and
+# is any leaf equal to 0.  Every kernel result at level >= 1 that is zero is
+# that object, and the pads of ``_embed_up``, ``_raw_zero`` and
 # ``TowerField.zero`` are too.  The kernel therefore tests a coefficient at
-# level lo with ``x is zero or not x``: ``not x`` is the Fraction test, and
-# is never true of a tuple.  Identity is only a fast path.  A zero built
+# level lo with ``x is zero or not x``: ``not x`` is the leaf test, and is
+# never true of a tuple.  Identity is only a fast path.  A zero built
 # outside the kernel (a parsed, pickled or hand-built tuple, or one from a
 # separately built tower) is an ordinary value to these tests: it costs time,
 # never correctness.  ``_is_zero`` stays the structural test wherever a zero
@@ -90,16 +97,22 @@ class _LevelCtx:
         self.minpoly = minpoly    # raw coeffs over level below, monic, len degree+1
         self.red_tail = red_tail  # nonzero (index, coeff) pairs of minpoly below X^deg
         self.sqrt_const = sqrt_const        # c for minpoly X^2 - c, else None
-        self.sqrt_const_rat = sqrt_const_rat  # Fraction if c is rational-valued
+        self.sqrt_const_rat = sqrt_const_rat  # the leaf c if c is rational-valued
+
+
+def _leaf(q):
+    """The level-0 raw value of a rational q, an int or a Fraction: an int
+    when q is integral, else q."""
+    return q.numerator if q.denominator == 1 else q
 
 
 def _raw_zero(ctx, lv):
-    return ctx[lv - 1].own_zero if lv else F0
+    return ctx[lv - 1].own_zero if lv else 0
 
 
 def _raw_one(ctx, lv):
     if lv == 0:
-        return F1
+        return 1
     lc = ctx[lv - 1]
     return (_raw_one(ctx, lv - 1),) + (lc.zero,) * (lc.degree - 1)
 
@@ -126,7 +139,7 @@ def _canon(lc, out):
 
 def _add(ctx, lv, a, b):
     if lv == 0:
-        return a + b if a and b else a or b
+        return _leaf(a + b) if a and b else a or b
     lc = ctx[lv - 1]
     if a is lc.own_zero:
         return b
@@ -140,7 +153,7 @@ def _sub(ctx, lv, a, b):
     if lv == 0:
         if not b:
             return a
-        return a - b if a else -b
+        return _leaf(a - b) if a else -b
     lc = ctx[lv - 1]
     if b is lc.own_zero:
         return a
@@ -160,9 +173,9 @@ def _neg(ctx, lv, a):
 
 
 def _scale(ctx, lv, a, q):
-    """Multiply by a plain Fraction, cheaply."""
+    """Multiply by a leaf q, cheaply."""
     if lv == 0:
-        return a * q if a else a
+        return _leaf(a * q) if a else a
     z = ctx[lv - 1].own_zero
     if a is z or not q:
         return z
@@ -172,7 +185,7 @@ def _scale(ctx, lv, a, q):
 
 def _mul(ctx, lv, a, b):
     if lv == 0:
-        return a * b
+        return _leaf(a * b)
     lc = ctx[lv - 1]
     if a is lc.own_zero or b is lc.own_zero:
         return lc.own_zero
@@ -229,6 +242,7 @@ def _fold(ctx, lo, lc, prod):
 
 def _sqr(ctx, lv, a):
     if lv == 0:
+        # already a leaf: p/q in lowest terms with q > 1 squares to p^2/q^2
         return a * a
     lc = ctx[lv - 1]
     if a is lc.own_zero:
@@ -253,8 +267,10 @@ def _dot(ctx, lv, pairs):
     times a level-k value still costs one product per leaf.
     Every level ends in rational sums, and each of those is normalised
     once: the integer products of the numerators accumulate over a running
-    common denominator (the lcm of the pair denominators), and one Fraction
-    is built at the end, the canonical 0/1 when the sum cancels.
+    common denominator (the lcm of the pair denominators), and the sum is
+    that integer when the denominator stays 1, as it does when every leaf
+    is an int; otherwise one Fraction is built at the end, and made a leaf
+    (the int 0 when the sum cancels).
     Pairs and coefficients that are the shared zero are skipped by
     identity, and a zero result above level 0 is the shared zero.
     _mul stays the one-pair product; routed through here it pays more in
@@ -270,7 +286,7 @@ def _dot(ctx, lv, pairs):
                 g = gcd(den, d)
                 num = num * (d // g) + n * (den // g)
                 den = den // g * d
-        return Fraction(num, den) if num else F0
+        return num if den == 1 else _leaf(Fraction(num, den))
     lo = lv - 1
     lc = ctx[lo]
     own, z = lc.own_zero, lc.zero
@@ -398,7 +414,8 @@ def _div(ctx, lv, xs, a):
     if lv == 0:
         if not a:
             raise ZeroInverse("division by zero")
-        return [x / a for x in xs]
+        # Fraction(x, a), not x / a: int / int is a float
+        return [_leaf(Fraction(x, a)) for x in xs]
     lo = lv - 1
     lc = ctx[lo]
     if all(_is_zero(y, lo) for y in a[1:]):
@@ -554,7 +571,7 @@ class TowerField:
         return isinstance(other, TowerField) and self.levels == other.levels
 
     def __hash__(self):
-        # hashing hashes every minpoly's Fractions: done on first use only
+        # hashing hashes every minpoly's leaves: done on first use only
         h = self._hash
         if h is None:
             h = self._hash = hash(self.levels)
@@ -584,12 +601,17 @@ class TowerField:
         return TowerElement(self, lv, _raw_one(self._ctx, lv))
 
     def rational(self, q: RationalLike, level: int | None = None) -> "TowerElement":
+        """The rational ``q`` at ``level``; ``q`` is an int or a Fraction, and
+        anything else (a bool, a float, a string) raises TypeError."""
         lv = self._level(level)
-        return TowerElement(self, lv, _embed_up(self._ctx, 0, Fraction(q), lv))
+        if not _is_rational(q):
+            raise TypeError(f"a rational must be an int or a Fraction, not {type(q).__name__}")
+        return TowerElement(self, lv, _embed_up(self._ctx, 0, _leaf(q), lv))
 
     def coerce(self, x, level: int) -> "TowerElement":
         """``x`` at ``level``: an element of a tower agreeing with this one up
-        to its level is retagged and embedded, anything else is a rational."""
+        to its level is retagged and embedded, anything else is a rational
+        as for :meth:`rational`."""
         if isinstance(x, TowerElement):
             return x.in_tower(self).embed(self._level(level))
         return self.rational(x, level)
@@ -605,10 +627,11 @@ class TowerField:
         return TowerElement(self, lv, data)
 
     def element(self, level: int, data) -> "TowerElement":
-        """Wrap raw nested data (validated for shape) as an element."""
+        """Raw nested data, validated for shape, as an element; its leaves
+        are ints or Fractions, and an integral Fraction is stored as an
+        int."""
         lv = self._level(level)
-        _check_shape(self._ctx, lv, data)
-        return TowerElement(self, lv, data)
+        return TowerElement(self, lv, _check_shape(self._ctx, lv, data))
 
     def from_coeffs(self, level: int, coeffs: Sequence) -> "TowerElement":
         """Element of ``level`` from coefficients over the level below,
@@ -624,19 +647,26 @@ class TowerField:
         return TowerElement(self, lv, _canon(self._ctx[lv - 1], tuple(data)))
 
 
+def _is_rational(q) -> bool:
+    """Whether q is an int or a Fraction; a bool is neither."""
+    return isinstance(q, Fraction) or (isinstance(q, int) and not isinstance(q, bool))
+
+
 def _check_shape(ctx, lv, data):
+    """A copy of ``data`` with every leaf made a leaf by ``_leaf``;
+    TypeError on a bad shape."""
     if lv == 0:
-        if not isinstance(data, Fraction):
-            raise TypeError("level-0 data must be a Fraction")
-        return
+        if not _is_rational(data):
+            raise TypeError("level-0 data must be an int or a Fraction")
+        return _leaf(data)
     if not isinstance(data, tuple) or len(data) != ctx[lv - 1].degree:
         raise TypeError(f"level-{lv} data must be a tuple of length {ctx[lv - 1].degree}")
-    for x in data:
-        _check_shape(ctx, lv - 1, x)
+    return tuple([_check_shape(ctx, lv - 1, x) for x in data])
 
 
 def _rational_value_raw(data, lv):
-    """The Fraction a raw value equals, or None if it is not constant."""
+    """The leaf (an int or a Fraction) a raw value equals, or None if it is
+    not constant."""
     if lv == 0:
         return data
     head = _rational_value_raw(data[0], lv - 1)
@@ -669,8 +699,9 @@ class TowerElement:
     def __bool__(self) -> bool:
         return not self.is_zero()
 
-    def rational_value(self) -> Fraction | None:
-        """The Fraction this element equals, or None if non-constant."""
+    def rational_value(self) -> RationalLike | None:
+        """The rational this element equals, or None if non-constant: an
+        int when it is integral, else a Fraction."""
         return _rational_value_raw(self.data, self.level)
 
     def embed(self, level: int) -> "TowerElement":
@@ -709,7 +740,7 @@ class TowerElement:
                 a, b = a.in_tower(tower), b.in_tower(tower)
             lv = max(a.level, b.level)
             return a.embed(lv), b.embed(lv)
-        if isinstance(other, (int, Fraction)):
+        if _is_rational(other):
             return self, self.tower.rational(other, self.level)
         return self, NotImplemented
 
@@ -737,9 +768,9 @@ class TowerElement:
         return TowerElement(self.tower, self.level, _neg(self.tower._ctx, self.level, self.data))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if _is_rational(other):
             return TowerElement(
-                self.tower, self.level, _scale(self.tower._ctx, self.level, self.data, Fraction(other))
+                self.tower, self.level, _scale(self.tower._ctx, self.level, self.data, _leaf(other))
             )
         a, b = self._coerce(other)
         if b is NotImplemented:
@@ -783,7 +814,7 @@ class TowerElement:
     def __hash__(self):
         # equal values embedded at different levels must hash alike: hash at
         # the lowest level that holds the value, so a rational hashes as its
-        # Fraction
+        # leaf
         lv, data = self.level, self.data
         while lv:
             lo = lv - 1
@@ -809,7 +840,7 @@ def dot(xs: Sequence[TowerElement], ys: Sequence[TowerElement]) -> TowerElement:
     skipped.  Mixed levels are this function's to embed: a factor below
     the result's level is lifted with the kernel's ``_embed_up`` before the
     pairs go to ``_dot``, and its zero upper coefficients are skipped, so a
-    rational entry times a top-level vector entry still costs one Fraction
+    rational entry times a top-level vector entry still costs one leaf
     product per leaf.  Each rational sum at the bottom is normalised once.
     This is the one-row, one-column case of :func:`dot_matrix`.
     """
@@ -968,8 +999,6 @@ def tower_extend(
 QQ = TowerField(())
 
 __all__ = [
-    "F0",
-    "F1",
     "KIND_SQRT",
     "KIND_BASE",
     "Level",

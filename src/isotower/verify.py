@@ -9,7 +9,7 @@ on parsed data.
 After parsing, the corestriction checks run on the kernel's raw nested
 data, not on ``TowerElement`` wrappers: ``tower._mul`` for one product,
 ``tower._dot`` for each output coordinate as one sum of products (at F = Q
-one integer-accumulated Fraction), ``tower._is_zero`` and
+one integer sum, an ``int`` when every leaf is one), ``tower._is_zero`` and
 ``tower._raw_one`` for zero tests and units.  ``_dot`` takes pairs at one
 level, so the checks embed mixed levels themselves: a coefficient over F
 that multiplies a vector over K is lifted with ``tower._embed_up`` first.

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from isotower.errors import ReducibilityError, ZeroInverse
 from isotower.serialize import element_to_json, tower_from_json, tower_to_json
-from isotower.serialize import element_from_json
-from isotower.tower import QQ, TowerField, _pdivmod, dot, dot_matrix, tower_extend
+from isotower.serialize import element_from_json, fraction_from_json, fraction_to_json
+from isotower.tower import QQ, TowerElement, TowerField, _pdivmod, dot, dot_matrix, tower_extend
 from isotower.tower import _add, _div, _dot, _embed_up, _inv, _is_zero, _mul, _neg, _raw_one, _scale, _sqr, _sub
 
 
@@ -173,19 +173,25 @@ def test_str_past_digit_limit(q_sqrt2):
     assert repr(x) == f"TowerElement(level=1, {x})"
 
 
+def _assert_leaves(data, lv):
+    """Every leaf of raw level-lv data is an int, or a Fraction with
+    denominator > 1: never a float, a bool or an integral Fraction."""
+    if lv == 0:
+        assert type(data) is int or (type(data) is Fraction and data.denominator > 1), repr(data)
+        return
+    assert isinstance(data, tuple)
+    for c in data:
+        _assert_leaves(c, lv - 1)
+
+
 def test_values_are_immutable_structures(q_i):
-    # nested tuples of Fractions all the way down: safe to share across threads
+    # nested tuples of leaves all the way down: safe to share across threads
     x = q_i.gen() + 1
-
-    def walk(node, lv):
-        if lv == 0:
-            assert isinstance(node, Fraction)
-            return
-        assert isinstance(node, tuple)
-        for c in node:
-            walk(c, lv - 1)
-
-    walk(x.data, x.level)
+    _assert_leaves(x.data, x.level)
+    assert x.data == (1, 1)
+    y = x / 2
+    _assert_leaves(y.data, y.level)
+    assert y.data == (Fraction(1, 2), Fraction(1, 2))
     assert isinstance(q_i.levels, tuple)
 
 
@@ -368,6 +374,39 @@ def test_coerce_embeds_elements_and_reads_the_rest_as_rationals(q_i, cubic):
         top.coerce(cubic.gen(), 2)
 
 
+def test_rational_accepts_only_ints_and_fractions(q_sqrt2):
+    for bad in (0.1, 0.5, True, False, "1/3", None, 1j):
+        with pytest.raises(TypeError):
+            q_sqrt2.rational(bad, 1)
+        with pytest.raises(TypeError):
+            q_sqrt2.coerce(bad, 0)
+        with pytest.raises(TypeError):
+            q_sqrt2.from_coeffs(1, [1, bad])
+        with pytest.raises(TypeError):
+            q_sqrt2.gen() * bad
+        with pytest.raises(TypeError):
+            q_sqrt2.gen() + bad
+    # an integral Fraction is stored, and read back, as an int
+    x = q_sqrt2.rational(Fraction(6, 3), 1)
+    assert type(x.data[0]) is int and type(x.rational_value()) is int
+    assert x == 2 and hash(x) == hash(2) == hash(Fraction(2))
+    third = QQ.rational(Fraction(1, 3))
+    assert type(third.data) is Fraction and third.rational_value() == Fraction(1, 3)
+    assert type((q_sqrt2.gen() * Fraction(4, 2)).data[1]) is int
+
+
+def test_element_accepts_only_int_and_fraction_leaves(q_i):
+    for bad in (True, 0.5):
+        with pytest.raises(TypeError):
+            QQ.element(0, bad)
+        with pytest.raises(TypeError):
+            q_i.element(1, (1, bad))
+    # integral Fractions become ints
+    x = q_i.element(1, (Fraction(4, 2), Fraction(1, 2)))
+    assert x.data == (2, Fraction(1, 2)) and type(x.data[0]) is int
+    assert type(QQ.element(0, Fraction(7)).data) is int
+
+
 @pytest.mark.parametrize("case", sorted(_dot_towers()))
 def test_division_matches_inverse_product(case):
     import random
@@ -537,8 +576,7 @@ def test_dot_cancelling_to_zero_is_canonical():
     xs = [QQ.rational(Fraction(1, 2)), QQ.rational(Fraction(1, 5))]
     ys = [QQ.rational(Fraction(1, 3)), QQ.rational(Fraction(-5, 6))]
     z = dot(xs, ys)
-    assert type(z.data) is Fraction
-    assert z.data == Fraction(0) and z.data.denominator == 1
+    assert type(z.data) is int and z.data == 0
     assert element_to_json(z) == "0/1"
     assert hash(z) == hash(QQ.rational(0))
     # a cancelling rational leaf inside a level-1 sum: sqrt2 * sqrt2 - 2
@@ -619,6 +657,49 @@ def test_kernel_agrees_on_shared_and_fresh_zeros(case, data):
         inv = _inv(ctx, lv, a)
         assert _inv(ctx, lv, fa) == inv
         assert _mul(ctx, lv, a, inv) == _raw_one(ctx, lv)
+
+
+@pytest.mark.parametrize("case", sorted(_dot_towers()))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_kernel_results_hold_only_leaves(case, data):
+    # int / int is a float, and a Fraction with denominator 1 is a second
+    # spelling of an int: no kernel result and no parsed leaf holds either
+    tower = _chains()[case][-1]
+    ctx = tower._ctx
+    lv = data.draw(st.integers(0, tower.height), label="level")
+    a, b, c = (data.draw(_elements(tower, lv)).data for _ in range(3))
+    n, d = data.draw(st.integers(-9, 9)), data.draw(st.integers(1, 4))
+    q = tower.rational(Fraction(n, d), 0).data
+    results = [
+        _add(ctx, lv, a, b),
+        _add(ctx, lv, a, _neg(ctx, lv, a)),
+        _sub(ctx, lv, a, b),
+        _sub(ctx, lv, a, a),
+        _mul(ctx, lv, a, b),
+        _sqr(ctx, lv, a),
+        _scale(ctx, lv, a, q),
+        _dot(ctx, lv, [(a, b), (c, b)]),
+        _dot(ctx, lv, [(a, b), (_neg(ctx, lv, a), b)]),
+    ]
+    if not _is_zero(b, lv):
+        results += _div(ctx, lv, [a, c, _raw_one(ctx, lv)], b)
+    for r in results:
+        _assert_leaves(r, lv)
+        parsed = element_from_json(tower, element_to_json(TowerElement(tower, lv, r)))
+        assert parsed.data == r
+        _assert_leaves(parsed.data, lv)
+    leaf = fraction_from_json(fraction_to_json(Fraction(n, d)))
+    assert leaf == Fraction(n, d)
+    _assert_leaves(leaf, 0)
+
+
+def test_rational_quotients_are_leaves():
+    ctx = QQ._ctx
+    assert _div(ctx, 0, [3, 4, 0, Fraction(1, 2)], 2) == [Fraction(3, 2), 2, 0, Fraction(1, 4)]
+    for got in _div(ctx, 0, [3, 4, 0, Fraction(1, 2)], 2) + _div(ctx, 0, [Fraction(3, 2)], Fraction(3, 4)):
+        _assert_leaves(got, 0)
+    assert type(fraction_from_json("-12/1")) is int
 
 
 @pytest.mark.parametrize("case", sorted(_dot_towers()))
