@@ -44,12 +44,12 @@ from .tower import (
     _div,
     _embed_up,
     _is_zero,
-    _mul,
     _neg,
     _scale,
     _sqr,
     _sub,
     _add,
+    _times_c,
     tower_extend,
 )
 
@@ -433,19 +433,20 @@ _HALF = Fraction(1, 2)
 def _sqrt_tier2(tower: TowerField, lv: int, data):
     ctx = tower._ctx
     lo = lv - 1
-    d = ctx[lv - 1].sqrt_const
+    lc = ctx[lo]
+    d = lc.sqrt_const
     a, b = data
     if _is_zero(b, lo):
         # a has no root below (see _sqrt_raw); try y sqrt(d), y = sqrt(a d) / d
-        ad = _mul(ctx, lo, a, d)
+        ad = _times_c(ctx, lo, lc, a)
         r2 = _sqrt_raw(tower, lo, ad)
         if r2 is not None:
             y = _div(ctx, lo, [r2], d)[0]
-            cand = (ctx[lv - 1].zero, y)
+            cand = (lc.zero, y)
             if _sqr(ctx, lv, cand) == data:
                 return cand
         return None
-    n = _sub(ctx, lo, _sqr(ctx, lo, a), _mul(ctx, lo, _sqr(ctx, lo, b), d))
+    n = _sub(ctx, lo, _sqr(ctx, lo, a), _times_c(ctx, lo, lc, _sqr(ctx, lo, b)))
     s = _sqrt_raw(tower, lo, n)
     if s is None:
         return None

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from isotower.serialize import element_to_json, tower_from_json, tower_to_json
 from isotower.serialize import element_from_json, fraction_from_json, fraction_to_json
 from isotower.tower import QQ, TowerElement, TowerField, _pdivmod, dot, dot_matrix, tower_extend
 from isotower.tower import _add, _div, _dot, _embed_up, _inv, _is_zero, _mul, _neg, _raw_one, _scale, _sqr, _sub
+from isotower.tower import _raw_zero, _times_c
 
 
 @pytest.fixture
@@ -227,6 +229,12 @@ def _dot_towers():
     s3 = tower_extend(s2, [-3, 0, 1], label="s3")
     t = tower_extend(s3, [-(1 + s3.gen(1)), 0, 1], label="t")   # X^2 - (1 + s2)
     u = tower_extend(t, [-(t.gen(3) + s3.gen(2)), 0, 1], label="u")
+    # constants whose leaves have distinct denominators, so _times_c takes
+    # its integral route: X^2 - (1/3 + s2/5), whose norm 7/225 is not a
+    # square, and above it X^2 - (1/5 + s3/3 + v/2), whose norm to Q is not
+    # a square either
+    v = tower_extend(s3, [-(Fraction(1, 3) + s3.gen(1) / 5), 0, 1], label="v")
+    w = tower_extend(v, [-(Fraction(1, 5) + v.gen(2) / 3 + v.gen(3) / 2), 0, 1], label="w")
     cubic = tower_extend(QQ, [-1, -2, 1, 1], label="a")
     over_cubic = tower_extend(cubic, [-(cubic.gen(1) + 1), 0, 1], label="b")
     septic = tower_extend(QQ, [-2, 0, 0, 0, 0, 0, 0, 1], label="r")
@@ -236,6 +244,7 @@ def _dot_towers():
     return {
         "sqrt-chain-rational": [s2, s3],
         "sqrt-chain": [s2, s3, t, u],
+        "sqrt-chain-fractional": [s2, s3, v, w],
         "cubic": [cubic],
         "septic": [septic],
         "sqrt-over-cubic": [cubic, over_cubic],
@@ -609,9 +618,11 @@ def _elements(draw, tower, level):
 
 
 def _fresh(a, lv):
-    """A copy of raw data that shares no object with it, zeros included."""
+    """A copy of raw data that shares no tuple with it, zeros included.  Its
+    leaves are spelled as the kernel's are: an int for an integral leaf (the
+    kernel reads no int's identity) and a new Fraction otherwise."""
     if lv == 0:
-        return Fraction(a.numerator, a.denominator)
+        return a.numerator if a.denominator == 1 else Fraction(a.numerator, a.denominator)
     return tuple([_fresh(x, lv - 1) for x in a])
 
 
@@ -692,6 +703,77 @@ def test_kernel_results_hold_only_leaves(case, data):
     leaf = fraction_from_json(fraction_to_json(Fraction(n, d)))
     assert leaf == Fraction(n, d)
     _assert_leaves(leaf, 0)
+
+
+def _leaves(data, lv):
+    """The leaves of raw level-lv data, in order."""
+    if lv == 0:
+        return [data]
+    return [leaf for x in data for leaf in _leaves(x, lv - 1)]
+
+
+def _dense_element(rng, tower, level):
+    """An element with every leaf nonzero, most of them not integers."""
+    if level == 0:
+        return tower.rational(Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4)), 0)
+    coeffs = [_dense_element(rng, tower, level - 1) for _ in range(tower.degree_of_level(level))]
+    return tower.from_coeffs(level, coeffs)
+
+
+def _monomial(rng, tower, level):
+    """An element with one nonzero leaf: a rational times one power of the
+    generator of each level up to ``level``."""
+    x = tower.rational(Fraction(rng.randint(1, 9), rng.randint(1, 6)), level)
+    for lv in range(1, level + 1):
+        x = x * tower.gen(lv) ** rng.randrange(tower.degree_of_level(lv))
+    return x
+
+
+@pytest.mark.parametrize("case", sorted(_dot_towers()))
+def test_times_c_matches_the_product_by_c(case):
+    # _times_c is the one product by an X^2 - c level constant; a c with
+    # denominators goes through D*c with integer leaves on values with two
+    # or more nonzero leaves, and through c itself on the rest
+    import random
+
+    rng = random.Random(case + "-times-c")
+    tower = _chains()[case][-1]
+    ctx = tower._ctx
+    for lv in range(1, tower.height + 1):
+        lc = ctx[lv - 1]
+        if lc.sqrt_const is None:
+            continue
+        lo = lv - 1
+        zero = _raw_zero(ctx, lo)
+        got = _times_c(ctx, lo, lc, zero)
+        assert got is zero if lo else got == 0
+        for make in (_dense_element, _monomial) * 3:
+            x = make(rng, tower, lo).data
+            got = _times_c(ctx, lo, lc, x)
+            assert got == _mul(ctx, lo, x, lc.sqrt_const)
+            _assert_leaves(got, lo)
+            _assert_canonical(tower, lo, got)
+        if lc.sqrt_const_rat is not None:
+            continue
+        # the cleared constant D*c has integer leaves over the least D
+        d = lcm(*[q.denominator for q in _leaves(lc.sqrt_const, lo)])
+        big_c, inv_d = lc.sqrt_const_int
+        if d == 1:
+            assert (big_c, inv_d) == (lc.sqrt_const, None)
+            continue
+        assert inv_d == Fraction(1, d)
+        assert big_c == _scale(ctx, lo, lc.sqrt_const, d)
+        assert all(type(q) is int for q in _leaves(big_c, lo))
+
+
+def test_a_chain_clears_distinct_denominators():
+    # the fractional chain's constants are neither rational nor integral,
+    # so the integral route of _times_c runs on every kernel test above
+    tower = _chains()["sqrt-chain-fractional"][-1]
+    for lo in (2, 3):
+        lc = tower._ctx[lo]
+        assert lc.sqrt_const_rat is None
+        assert len({q.denominator for q in _leaves(lc.sqrt_const, lo)} - {1}) >= 2
 
 
 def test_rational_quotients_are_leaves():
