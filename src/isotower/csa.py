@@ -440,29 +440,17 @@ class GAction:
     of the tensor legs composed with the field automorphism on coordinates.
 
     T(x)[q] = sigma^(-1)(x[perm[q]]), where perm rotates the leg exponents of
-    q left by one; T has order exactly r."""
+    q left by one: with leg 0's place value top = d^(r-1), perm[q] is
+    (q mod top) d + q div top.  T has order exactly r."""
 
     cyclic: CyclicExtensionData
     perm: tuple[int, ...]
 
 
 def g_action_matrix(ta: TensorPowerAlgebra, cyclic: CyclicExtensionData) -> GAction:
-    d, r = ta.base_dim, ta.r
-    n = d**r
-    perm = []
-    for q in range(n):
-        digits = []
-        rem = q
-        for _ in range(r):
-            rem, dig = divmod(rem, d)
-            digits.append(dig)
-        digits.reverse()  # digits[t] = leg-t exponent, leg 0 most significant
-        rot = digits[1:] + digits[:1]
-        flat = 0
-        for dig in rot:
-            flat = flat * d + dig
-        perm.append(flat)
-    return GAction(cyclic=cyclic, perm=tuple(perm))
+    d, top = ta.base_dim, ta.base_dim ** (ta.r - 1)
+    perm = tuple(q % top * d + q // top for q in range(top * d))
+    return GAction(cyclic=cyclic, perm=perm)
 
 
 @dataclass(frozen=True)

@@ -103,7 +103,10 @@ def rank(rows) -> int:
 
 
 def nullspace(rows, tower: TowerField, level: int, ncols: int):
-    """Basis of {x : rows . x = 0}, one vector per free column."""
+    """Basis of {x : rows . x = 0}, one vector per free column, in reduced
+    form: the vector of free column f is 1 at f, which is its last nonzero
+    entry, and 0 at every other free column.  So x in the kernel is the sum
+    of x[f] times f's vector, read off without solving."""
     red, pivots = rref(rows)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]

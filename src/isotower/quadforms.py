@@ -28,7 +28,7 @@ from . import linalg
 from .errors import AllVanish, DimensionTooSmall, PreconditionError, SingularMatrix
 from .sqrt import adjoin_sqrt
 from .tower import TowerElement, TowerField, _dot, _embed_up, _is_zero, _join, _mul, dot
-from .tower import _neg, _raw_zero
+from .tower import _denominator, _neg, _raw_zero
 
 
 @dataclass(frozen=True)
@@ -270,6 +270,8 @@ def orthogonal_intersection(system: QFSystem, v: Sequence[TowerElement]):
     is checked on the same G_i v that gives the row x . (G_i v) = b_i(x,v)/2.
     """
     tower, level, n = system.tower, system.level, system.dim
+    if not any(v):
+        raise PreconditionError("orthogonal_intersection requires v != 0")
     rows = []
     for f in system.forms[:-1]:
         t, lv, vr, gv = f._gy(v)
@@ -280,10 +282,12 @@ def orthogonal_intersection(system: QFSystem, v: Sequence[TowerElement]):
         w_basis = list(linalg.nullspace(tuple(rows), tower, level, n))
     else:
         w_basis = list(linalg.identity(tower, level, n))
-    # extend v != 0 to a basis of W: the pivot columns of [v | w_1 | ...]
-    # past the first are the candidates that raise the rank, in order
-    _, pivots = linalg.rref(tuple(zip(v, *w_basis)))
-    complement = [w_basis[c - 1] for c in pivots[1:]]
+    # w_i is 1 at its free column f_i, its last nonzero entry, and 0 at the
+    # other free columns, so v = sum v[f_i] w_i: every w_i but the last with
+    # v[f_i] != 0 raises the rank of [v | w_1 | ...], and they complete v
+    free = [max(k for k, x in enumerate(w) if x) for w in w_basis]
+    drop = max(i for i, f in enumerate(free) if v[f])
+    complement = w_basis[:drop] + w_basis[drop + 1 :]
     return tuple([tuple(v)] + complement), tuple(complement)
 
 
@@ -346,19 +350,9 @@ def _solve_system(system: QFSystem):
     return t3, linalg.matvec(tuple(zip(*w_basis)), (x,) + w_small)
 
 
-def _denominators(ctx, data, lv: int) -> list:
-    """Denominators of the nonzero rational leaves of raw level-lv data; a
-    subtree that is its level's shared zero is skipped unread."""
-    if lv == 0:
-        return [data.denominator] if data else []
-    z = ctx[lv - 1].zero
-    return [d for c in data if c is not z for d in _denominators(ctx, c, lv - 1)]
-
-
 def clear_denominators(witness):
     """Scale a witness to integral nested coordinates (forms are homogeneous)."""
-    dens = [d for x in witness for d in _denominators(x.tower._ctx, x.data, x.level)]
-    m = lcm(*dens) if dens else 1
+    m = lcm(*[_denominator(x.tower._ctx, x.data, x.level) for x in witness])
     if m == 1:
         return tuple(witness)
     return tuple(x * m for x in witness)

@@ -427,15 +427,18 @@ def _split_large(nf: QuadraticForm, pair: _Pair, t: int, k_height: int, r: int):
     coord_rows = [flatten_between(x, t) for x in pows]
     # the pivot columns of [1 | alpha | alpha^2 | e_0 | ... | e_{m-1}] say
     # whether the powers are independent and which standard vectors, taken
-    # in order, complete them to a K0-basis
+    # in order, complete them to a K0-basis B.  The rref is E [P | I] and
+    # its pivot columns are I, so E B = I: the right block E is B's inverse,
+    # the coordinate functionals of the chosen basis
     m = len(coord_rows[0])
     unit = linalg.identity(k_tower, t, m)
-    _, pivots = linalg.rref(tuple(col + row for col, row in zip(zip(*coord_rows), unit)))
+    red, pivots = linalg.rref(tuple(col + row for col, row in zip(zip(*coord_rows), unit)))
     if pivots[:3] != (0, 1, 2):
         pair, w_diag = _dependent_alpha_witness(pair, t, alpha, coord_rows)
     else:
         chosen = pows + [_basis_element(k_tower, t, k_height, c - 3) for c in pivots[3:]]
-        basis = LinearFunctionalBasis.from_elements(k_tower, t, k_height, chosen)
+        inv = tuple(row[3:] for row in red)
+        basis = LinearFunctionalBasis(k_tower, t, k_height, tuple(chosen), inv)
         rest = QuadraticForm.diagonal(k_tower, k_height, [d3, d4])
         forms = transfer_system(rest, basis).forms
         cert = isotropy_2ext(QFSystem(forms[3:]))

@@ -249,7 +249,7 @@ def _times_c(ctx, lo, lc, x):
     if _nonzero_leaves(ctx, lo, x, 2) < 2:
         return _mul(ctx, lo, x, lc.sqrt_const)
     if lc.sqrt_const_int is None:
-        c, d = lc.sqrt_const, _denominator(lc.sqrt_const, lo)
+        c, d = lc.sqrt_const, _denominator(ctx, lc.sqrt_const, lo)
         lc.sqrt_const_int = (c, None) if d == 1 else (_scale(ctx, lo, c, d), Fraction(1, d))
     big_c, inv_d = lc.sqrt_const_int
     if inv_d is None:
@@ -257,11 +257,13 @@ def _times_c(ctx, lo, lc, x):
     return _scale(ctx, lo, _mul(ctx, lo, x, big_c), inv_d)
 
 
-def _denominator(a, lv):
-    """The lcm of the denominators of the leaves of raw level-lv data."""
+def _denominator(ctx, a, lv):
+    """The lcm of the denominators of the leaves of raw level-lv data;
+    shared zeros are skipped by identity."""
     if lv == 0:
         return a.denominator
-    return lcm(*[_denominator(x, lv - 1) for x in a])
+    z = ctx[lv - 1].zero
+    return lcm(*[_denominator(ctx, x, lv - 1) for x in a if x is not z])
 
 
 def _nonzero_leaves(ctx, lv, a, cap):

@@ -429,14 +429,8 @@ def verify_cor(doc: dict) -> tuple[bool, str]:
         jdig = _digits(j, d, order)
         return kron([conj_rows[t][idig[t] * d + jdig[t]] for t in range(order)])
 
-    perm = []
-    for q in range(n):
-        dig = _digits(q, d, order)
-        rot = dig[1:] + dig[:1]
-        flat = 0
-        for dd in rot:
-            flat = flat * d + dd
-        perm.append(flat)
+    top = d ** (order - 1)  # leg 0's place value; perm rotates the legs left by one
+    perm = [q % top * d + q // top for q in range(n)]
 
     sparse_fb = []
     for bi, vec in enumerate(fixed_basis):

@@ -403,6 +403,28 @@ def test_action_swaps_pure_tensor():
     assert out[2 * 4 + 1] == one and sum(1 for x in out if x) == 1
 
 
+def test_action_perm_rotates_the_leg_digits():
+    # perm[q] is q with its base-d digits, leg 0 most significant, rotated
+    # left by one; the action reads it as one place-value shift
+    from isotower.csa import TensorPowerAlgebra
+
+    for d, r in product((2, 4, 9), (2, 3, 4)):
+        if d**r > 4096:
+            continue
+        want = []
+        for q in range(d**r):
+            digits, rem = [], q
+            for _ in range(r):
+                rem, dig = divmod(rem, d)
+                digits.append(dig)
+            digits.reverse()
+            flat = 0
+            for dig in digits[1:] + digits[:1]:
+                flat = flat * d + dig
+            want.append(flat)
+        assert g_action_matrix(TensorPowerAlgebra(None, base_dim=d, r=r), None).perm == tuple(want)
+
+
 def test_action_semilinear():
     cyc = cyclic_sqrt(2)
     s = cyc.tower.gen()

@@ -89,6 +89,15 @@ def test_nullspace_is_the_kernel(field):
         rows.append(tuple(x + c * y for x, y in zip(rows[0], rows[1])))
         rows = tuple(rows)
         basis = linalg.nullspace(rows, tower, top, ncols)
+        # the reduced form: v_i is 1 at its free column f_i, f_i is its last
+        # nonzero entry, and v_i is 0 at every other f_j
+        _, pivots = linalg.rref(rows)
+        free = [c for c in range(ncols) if c not in pivots]
+        assert len(free) == len(basis)
+        for i, v in enumerate(basis):
+            assert v[free[i]] == 1
+            assert not any(v[free[i] + 1 :])
+            assert all(v[f].is_zero() for j, f in enumerate(free) if j != i)
         for v in basis:
             assert any(v)
             assert all(e.is_zero() for e in linalg.matvec(rows, v))
@@ -110,6 +119,20 @@ def test_solve_and_invert_round_trip(field):
         eye = linalg.identity(tower, top, n)
         assert linalg.matmul(a, inv) == eye
         assert linalg.matmul(inv, a) == eye
+        # rref([A | I]) = [I | A^-1]: its right block is the inverse
+        red, _ = linalg.rref(tuple(row + e for row, e in zip(a, eye)))
+        assert tuple(row[n:] for row in red) == inv
+    # [P | I] with P of rank 3, 7 x 10: the rref is E [P | I], its pivot
+    # columns B are a basis, and the right block E is B's inverse
+    while True:
+        p = _matrix(rng, tower, 7, 3)
+        if linalg.rank(tuple(zip(*p))) == 3:
+            break
+    aug = tuple(row + e for row, e in zip(p, linalg.identity(tower, top, 7)))
+    red, pivots = linalg.rref(aug)
+    assert pivots[:3] == (0, 1, 2) and len(pivots) == 7
+    b = tuple(tuple(row[c] for c in pivots) for row in aug)
+    assert linalg.matmul(tuple(row[3:] for row in red), b) == linalg.identity(tower, top, 7)
     # an inconsistent system: two equal rows with different right sides
     row = _matrix(rng, tower, 1, 3)[0]
     one = tower.one(top)

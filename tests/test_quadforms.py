@@ -281,6 +281,57 @@ def test_orthogonal_intersection_precondition():
     system = QFSystem((diag(1, 1), diag(1, -1)))
     with pytest.raises(PreconditionError):
         orthogonal_intersection(system, vec(1, 0))
+    # phi_1(0) = 0, but v = 0 spans no line for W's basis to start with
+    system = QFSystem((diag(1, -1, 0, 2), diag(1, 1, 1, 1)))
+    with pytest.raises(PreconditionError, match="v != 0"):
+        orthogonal_intersection(system, vec(0, 0, 0, 0))
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("over", ["rational", "sqrt2"])
+def test_orthogonal_intersection_complement_raises_the_rank(over, r):
+    # the complement is the w's that raise the rank of [v | w_1 | ...], in
+    # order, for v with two or more nonzero free coordinates
+    tower = QQ if over == "rational" else tower_extend(QQ, [-2, 0, 1], label="s2")
+    lv, n = tower.height, r * (r + 1) // 2 + 1
+    rng = random.Random(f"complement-{over}-{r}")
+
+    def entry(zero_share):
+        if rng.random() < zero_share:
+            return tower.zero(lv)
+        x = tower.rational(rng.randint(-4, 4), lv)
+        return x + rng.randint(-3, 3) * tower.gen() if lv else x
+
+    checked = not_last = 0
+    while checked < 12:
+        v = tuple(entry(0.3) for _ in range(n))
+        k = next((i for i, x in enumerate(v) if x), None)
+        if k is None:
+            continue
+        forms = []
+        for i in range(r):
+            rows = [[None] * n for _ in range(n)]
+            for p in range(n):
+                for q in range(p, n):
+                    rows[p][q] = rows[q][p] = entry(0.2)
+            if i < r - 1:
+                # phi_i(v) = 0: shift the k-th diagonal entry
+                rows[k][k] -= QuadraticForm.from_gram(tower, lv, rows).evaluate(v) / (v[k] * v[k])
+            forms.append(QuadraticForm.from_gram(tower, lv, rows))
+        gv = tuple(linalg.matvec(f.gram, v) for f in forms[:-1])
+        _, pivots = linalg.rref(gv)
+        free = [c for c in range(n) if c not in pivots]
+        if sum(1 for c in free if v[c]) < 2:
+            continue
+        ws = linalg.nullspace(gv, tower, lv, n)
+        _, pivots = linalg.rref(tuple(zip(v, *ws)))
+        want = tuple(ws[c - 1] for c in pivots[1:])
+        basis, complement = orthogonal_intersection(QFSystem(tuple(forms)), v)
+        assert complement == want and basis == (v,) + want
+        checked += 1
+        not_last += want != ws[:-1]
+    # some draws drop a w before the last one
+    assert not_last
 
 
 # -- the isotropy construction ---------------------------------------------------------
