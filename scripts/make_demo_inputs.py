@@ -11,7 +11,7 @@ import sys
 from isotower.certjson import algebra_doc, cyclic_doc, quaternion_doc, system_doc
 from isotower.csa import CyclicExtensionData, matrix_algebra, quaternion_structure_algebra
 from isotower.generate import random_quaternion
-from isotower.presets import cyclic_cubic, cyclic_sqrt, field_cubic
+from isotower.presets import cyclic_cubic, cyclic_sqrt, field_cubic, field_septic
 from isotower.quadforms import QFSystem, QuadraticForm
 from isotower.serialize import canonical_dumps
 from isotower.splitting import standard_quaternion
@@ -50,6 +50,12 @@ def main():
     quartic = tower_extend(QQ, [-1, -1, 0, 0, 1], label="b")
     quat = standard_quaternion(quartic.gen(), quartic.rational(-3))
     (outdir / "quartic_quat.json").write_text(canonical_dumps(quaternion_doc(quat)))
+
+    # (3, x + 1) over Q(2^(1/7)): u is rational, so in the large split branch
+    # (1, alpha, alpha^2) is dependent and alpha lies in Q
+    septic = field_septic()
+    quat = standard_quaternion(septic.rational(3), septic.gen() + 1)
+    (outdir / "septic_rational_u.json").write_text(canonical_dumps(quaternion_doc(quat)))
 
     # a random quaternion over Q[x]/(x^8 - 2) with its 2-part declared empty:
     # r = 8 takes the large split branch, and the certificate's integers
@@ -94,6 +100,7 @@ def main():
     print(f"wrote {outdir}/system_sqrt2.json  (isotropy --input, forms over Q(sqrt2))")
     print(f"wrote {outdir}/cubic_quat.json  (split-quaternion --input)")
     print(f"wrote {outdir}/quartic_quat.json  (split-quaternion --input --two-part 0)")
+    print(f"wrote {outdir}/septic_rational_u.json  (split-quaternion --input, alpha in Q)")
     print(f"wrote {outdir}/octic_quat.json  (split-quaternion --input --two-part 0)")
     print(f"wrote {outdir}/sextic_quat.json  (split-quaternion --input --two-part 1)")
     print(f"wrote {outdir}/m2_sqrt2.json    (corestrict --input)")

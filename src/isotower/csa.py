@@ -35,9 +35,9 @@ algebra's level, and ``row(i, j)`` wraps one row on demand;
 ``CyclicExtensionData`` keeps sigma's rows once and applies sigma^j as j
 passes.  The tensor power's unit and rows are sparse Kronecker products of
 the legs' raw data.  It does not build its (dim A)^(2r) product rows: each
-row is computed on first use and memoised, so the dimension guard bounds
-what the fixed subalgebra builds, the n^2 rows of the n-dimensional tensor
-power that its products read.
+row is computed when it is read and not kept, since the fixed subalgebra
+reads each of the n^2 rows of the n-dimensional tensor power once (the
+orbits partition the positions); the dimension guard bounds that n.
 """
 
 from __future__ import annotations
@@ -366,27 +366,20 @@ class TensorPowerAlgebra:
 
 class _TensorRows(Sequence):
     """The product rows of a tensor power, each computed from the legs' rows
-    on first use and memoised: entry i*n + j lists (k, c) with
+    when it is read, and not kept: entry i*n + j lists (k, c) with
     e_i e_j = sum c e_k, c raw at the tensor power's level."""
 
     def __init__(self, tower: TowerField, level: int, legs, d: int):
         self._tower, self._level, self._d = tower, level, d
         self._n = d ** len(legs)
         self._legs = [leg.rows for leg in legs]
-        self._memo: dict[int, tuple] = {}
 
     def __len__(self) -> int:
         return self._n * self._n
 
     def __getitem__(self, idx: int) -> tuple:
-        row = self._memo.get(idx)
-        if row is None:
-            if not 0 <= idx < len(self):
-                raise IndexError("tensor row index out of range")
-            row = self._memo[idx] = self._build(idx)
-        return row
-
-    def _build(self, idx: int) -> tuple:
+        if not 0 <= idx < len(self):
+            raise IndexError("tensor row index out of range")
         d = self._d
         i, j = divmod(idx, self._n)
         leg_rows = []
@@ -413,8 +406,8 @@ def _kron(ctx, lv, d, factors) -> tuple:
 def tensor_power_over_K(
     a: StructureConstantAlgebra, cyclic: CyclicExtensionData
 ) -> TensorPowerAlgebra:
-    """A (x) sigma(A) (x) ... over K at K's level, its product rows computed
-    on demand; raises MemoryGuardExceeded past the dimension guard."""
+    """A (x) sigma(A) (x) ... over K at K's level, each product row computed
+    when it is read; raises MemoryGuardExceeded past the dimension guard."""
     r = cyclic.order
     n = a.dim**r
     if n > _TENSOR_DIM_GUARD:
@@ -496,8 +489,8 @@ class CorResult:
 
 
 def _orbits(perm):
-    """The cycles of perm, each from its least position on: (p, perm[p],
-    perm^2[p], ...)."""
+    """The cycles of perm by ascending least position p, each from p on:
+    (p, perm[p], perm^2[p], ...)."""
     seen = [False] * len(perm)
     orbits = []
     for p in range(len(perm)):
@@ -528,7 +521,7 @@ def _fixed_basis_sparse(action: GAction):
     out = []
     orbit_data = []
     sub_bases = {}
-    for orbit in sorted(_orbits(action.perm)):
+    for orbit in _orbits(action.perm):
         ell = len(orbit)
         if ell not in sub_bases:
             sub_basis = cyclic.fixed_subfield_basis(ell)

@@ -434,7 +434,7 @@ def _split_large(nf: QuadraticForm, pair: _Pair, t: int, k_height: int, r: int):
     unit = linalg.identity(k_tower, t, m)
     red, pivots = linalg.rref(tuple(col + row for col, row in zip(zip(*coord_rows), unit)))
     if pivots[:3] != (0, 1, 2):
-        pair, w_diag = _dependent_alpha_witness(pair, t, alpha, coord_rows)
+        pair, w_diag = _dependent_alpha_witness(pair, alpha, red, pivots)
     else:
         chosen = pows + [_basis_element(k_tower, t, k_height, c - 3) for c in pivots[3:]]
         inv = tuple(row[3:] for row in red)
@@ -464,23 +464,26 @@ def _split_large(nf: QuadraticForm, pair: _Pair, t: int, k_height: int, r: int):
     return pair, tuple(w.in_tower(pair.c_tower).embed(top) for w in w_diag)
 
 
-def _dependent_alpha_witness(pair: _Pair, t: int, alpha: TowerElement, coord_rows):
+def _dependent_alpha_witness(pair: _Pair, alpha: TowerElement, red, pivots):
     """(1, alpha, alpha^2) K0-linearly dependent: alpha has degree <= 2 over
-    K0, and <1, alpha> is killed by adjoining sqrt(-alpha)."""
-    if linalg.rank(coord_rows[:2]) == 1:
+    K0, and <1, alpha> is killed by adjoining sqrt(-alpha).
+
+    ``red`` and ``pivots`` are the rref of the completion [1 | alpha |
+    alpha^2 | I] over K0: it writes each non-pivot column as a combination
+    of the pivot columns before it, and column 0 (the 1) is a pivot.  So
+    alpha = red[0][1] if column 1 is not a pivot, and otherwise column 2 is
+    not and alpha^2 = red[0][2] + red[1][2] alpha."""
+    if pivots[1] != 1:
         # alpha lies in K0
-        alpha0 = coord_rows[1][0].in_tower(pair.f_tower)
+        alpha0 = red[0][1].in_tower(pair.f_tower)
         pair, s = pair.adjoin_sqrt(-alpha0)
         top = pair.c_tower.height
         w = (pair.lift(s), pair.c_tower.one(top), pair.c_tower.zero(top), pair.c_tower.zero(top))
         return pair, w
-    # degree exactly 2: alpha^2 = e1 alpha + e0 over K0, a consistent system
-    # since 1 and alpha are independent and (1, alpha, alpha^2) is not; the
-    # F-side gets the quartic minpoly of sqrt(-alpha).  If the declared
-    # 2-part was not maximal after all, the quartic is reducible and a later
-    # inversion raises the ReducibilityError precondition
-    sol = linalg.solve(tuple(zip(*coord_rows[:2])), coord_rows[2], pair.c_tower, t)
-    e0, e1 = sol[0].in_tower(pair.f_tower), sol[1].in_tower(pair.f_tower)
+    # degree exactly 2: the F-side gets the quartic minpoly of sqrt(-alpha).
+    # If the declared 2-part was not maximal after all, the quartic is
+    # reducible and a later inversion raises the ReducibilityError precondition
+    e0, e1 = red[0][2].in_tower(pair.f_tower), red[1][2].in_tower(pair.f_tower)
     f_top = pair.f_tower.height
     quartic = [
         -e0.embed(f_top),

@@ -34,6 +34,7 @@ scanned in increasing order, so every answer is deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, isqrt
 
 from .tower import (
@@ -55,20 +56,15 @@ from .tower import (
 
 # -- tier 1: rationals -------------------------------------------------------
 
-_SMALL_PRIMES: list[int] = []
-
-
+@cache
 def _small_primes() -> list[int]:
-    global _SMALL_PRIMES
-    if not _SMALL_PRIMES:
-        limit = 10000
-        sieve = bytearray([1]) * (limit + 1)
-        sieve[0:2] = b"\x00\x00"
-        for i in range(2, isqrt(limit) + 1):
-            if sieve[i]:
-                sieve[i * i :: i] = b"\x00" * len(sieve[i * i :: i])
-        _SMALL_PRIMES = [i for i in range(limit + 1) if sieve[i]]
-    return _SMALL_PRIMES
+    limit = 10000
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[0:2] = b"\x00\x00"
+    for i in range(2, isqrt(limit) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = b"\x00" * len(sieve[i * i :: i])
+    return [i for i in range(limit + 1) if sieve[i]]
 
 
 def rational_sqrt(q: RationalLike) -> RationalLike | None:

@@ -121,10 +121,7 @@ def _raw_zero(ctx, lv):
 
 
 def _raw_one(ctx, lv):
-    if lv == 0:
-        return 1
-    lc = ctx[lv - 1]
-    return (_raw_one(ctx, lv - 1),) + (lc.zero,) * (lc.degree - 1)
+    return (ctx[lv - 1].one,) + ctx[lv - 1].pad if lv else 1
 
 
 def _is_zero(a, lv):
@@ -718,18 +715,22 @@ def _check_shape(ctx, lv, data):
     return tuple([_check_shape(ctx, lv - 1, x) for x in data])
 
 
+def _lowest(data, lv):
+    """(level, data) of a raw value at the lowest level that holds it."""
+    while lv:
+        lo = lv - 1
+        for x in data[1:]:
+            if not _is_zero(x, lo):
+                return lv, data
+        lv, data = lo, data[0]
+    return 0, data
+
+
 def _rational_value_raw(data, lv):
     """The leaf (an int or a Fraction) a raw value equals, or None if it is
     not constant."""
-    if lv == 0:
-        return data
-    head = _rational_value_raw(data[0], lv - 1)
-    if head is None:
-        return None
-    for x in data[1:]:
-        if not _is_zero(x, lv - 1):
-            return None
-    return head
+    lv, data = _lowest(data, lv)
+    return None if lv else data
 
 
 class TowerElement:
@@ -869,14 +870,8 @@ class TowerElement:
         # equal values embedded at different levels must hash alike: hash at
         # the lowest level that holds the value, so a rational hashes as its
         # leaf
-        lv, data = self.level, self.data
-        while lv:
-            lo = lv - 1
-            for x in data[1:]:
-                if not _is_zero(x, lo):
-                    return hash((lv, data))
-            lv, data = lo, data[0]
-        return hash(data)
+        lv, data = _lowest(self.data, self.level)
+        return hash((lv, data)) if lv else hash(data)
 
     def __repr__(self):
         return f"TowerElement(level={self.level}, {self})"

@@ -425,9 +425,12 @@ def verify_cor(doc: dict) -> tuple[bool, str]:
         return tuple((flat, coeff) for flat, coeff in stack if not _is_zero(coeff, k_level))
 
     def tensor_row(i: int, j: int):
-        idig = _digits(i, d, order)
-        jdig = _digits(j, d, order)
-        return kron([conj_rows[t][idig[t] * d + jdig[t]] for t in range(order)])
+        legs = []
+        for rows in reversed(conj_rows):  # the last leg is least significant
+            i, a = divmod(i, d)
+            j, b = divmod(j, d)
+            legs.append(rows[a * d + b])
+        return kron(legs[::-1])
 
     top = d ** (order - 1)  # leg 0's place value; perm rotates the legs left by one
     perm = [q % top * d + q // top for q in range(n)]
@@ -458,8 +461,7 @@ def verify_cor(doc: dict) -> tuple[bool, str]:
                 c = _embed_up(ctx, f_level, c, k_level)
                 for pos, val in sparse_fb[kk]:
                     terms.setdefault(pos, []).append((c, val))
-        out = {pos: _dot(ctx, k_level, ps) for pos, ps in terms.items()}
-        return {pos: v for pos, v in out.items() if not _is_zero(v, k_level)}
+        return _sums(ctx, k_level, terms)
 
     # claimed unit coordinates must combine to the tensor unit 1 x ... x 1
     unit_sparse = [(idx, c.embed(k_level).data) for idx, c in enumerate(a_unit) if c]
@@ -546,15 +548,6 @@ def verify_cor(doc: dict) -> tuple[bool, str]:
         f"cor dimension {cor_dim} = (dim_K A)^r, sigma of order [K:F], "
         f"basis fixed and independent, products exact on {len(gens)} generators"
     )
-
-
-def _digits(q: int, d: int, r: int):
-    out = []
-    for _ in range(r):
-        q, dig = divmod(q, d)
-        out.append(dig)
-    out.reverse()
-    return out
 
 
 def classify_document(doc: dict) -> str:

@@ -5,6 +5,7 @@ import pytest
 
 import isotower
 from isotower.cli import main
+from isotower.presets import DEMOS
 from isotower.serialize import canonical_dumps, canonical_loads
 
 
@@ -84,6 +85,7 @@ def test_exit_code_malformed(tmp_path, capsys):
         {"forms": [[["1/1", "2/1"], ["0/1", "1/1"]]], "tower": []},  # not symmetric
         {"forms": [], "tower": []},
         {"forms": 5, "tower": []},
+        {"forms": [[["1/1"]]]},  # no tower
     ],
 )
 def test_exit_code_malformed_system(tmp_path, capsys, system):
@@ -104,6 +106,8 @@ def test_exit_code_malformed_system(tmp_path, capsys, system):
         ("verify", ("constants", 1, 2), lambda row: row[:3]),
         ("verify", ("source", "cyclic", "k_level"), lambda _: 3),
         ("verify", ("source", "cyclic", "sigma"), lambda _: [["1/1"]]),
+        ("corestrict", ("algebra",), lambda alg: {k: v for k, v in alg.items() if k != "unit"}),
+        ("corestrict", ("cyclic",), lambda cyc: {k: v for k, v in cyc.items() if k != "sigma"}),
     ],
 )
 def test_exit_code_malformed_cor(tmp_path, capsys, command, path, edit):
@@ -121,6 +125,26 @@ def test_exit_code_malformed_cor(tmp_path, capsys, command, path, edit):
     bad.write_text(canonical_dumps(doc))
     assert run([command, "--input", str(bad), "--output", str(tmp_path / "out.json")]) == 2
     assert "malformed input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit, reason",
+    [
+        (lambda q: q.pop("field"), "needs 'presentation' and 'field'"),
+        (lambda q: q.update(presentation="hamilton"), "unknown presentation 'hamilton'"),
+        (lambda q: q.pop("v"), "missing quaternion entry 'v'"),
+        (lambda q: q.update(u="0/1"), "requires u, v != 0"),
+    ],
+    ids=["no-field", "unknown-presentation", "no-v", "zero-u"],
+)
+def test_exit_code_malformed_quaternion(tmp_path, capsys, edit, reason):
+    quat = {"presentation": "standard", "field": [], "u": "2/1", "v": "3/1"}
+    edit(quat)
+    inp = tmp_path / "quat.json"
+    inp.write_text(canonical_dumps(quat))
+    assert run(["split-quaternion", "--input", str(inp), "--output", str(tmp_path / "out.json")]) == 2
+    err = capsys.readouterr().err
+    assert "malformed input" in err and reason in err
 
 
 @pytest.mark.parametrize("value", ['"yes"', "1", "NaN", "Infinity", "-Infinity"])
@@ -475,6 +499,12 @@ def test_demo_runs(capsys):
     assert "degree over the base: 2" in out  # <1,1> over Q certifies at degree 2
     assert run(["demo", "--preset", "thm32-r1"]) == 0
     assert run(["demo", "no-such-demo"]) == 2
+
+
+@pytest.mark.parametrize("name", sorted(DEMOS))
+def test_every_demo_passes(name):
+    lines, _doc, ok = DEMOS[name]()
+    assert ok, lines
 
 
 def test_demo_artifact_output(tmp_path):

@@ -30,7 +30,7 @@ from isotower.splitting import (
 )
 from isotower.serialize import tower_to_json
 from isotower.tower import QQ, TowerField, tower_extend
-from isotower import verify
+from isotower import linalg, verify
 
 
 def q_rat(u, v):
@@ -349,14 +349,54 @@ def _after_collapse_pair():
     return pair
 
 
+def _completion(k, alpha):
+    """The coordinate rows over Q of 1, alpha, alpha^2 and the rref of the
+    completion [1 | alpha | alpha^2 | I], as _split_large builds it."""
+    rows = [flatten_between(x, 0) for x in (k.one(k.height), alpha, alpha * alpha)]
+    unit = linalg.identity(k, 0, len(rows[0]))
+    red, pivots = linalg.rref(tuple(col + row for col, row in zip(zip(*rows), unit)))
+    return rows, red, pivots
+
+
+def test_dependent_alpha_in_K0_is_read_off_the_rref():
+    # test_split_septic_dependent_alpha's quaternion: u = 3 makes alpha = -3
+    # rational, and the witness starts with sqrt(-alpha)
+    k = field_septic()
+    q = standard_quaternion(k.rational(3), k.gen() + 1)
+    alpha = diagonalize(norm_form(q))[0][1]
+    rows, red, pivots = _completion(k, alpha)
+    assert linalg.rank(rows[:2]) == 1
+    assert pivots[1] != 1 and red[0][1] == rows[1][0] == -3
+    pair = _Pair(k.prefix(0), k, shared=0, comp_base=k.height, images=(), guaranteed=True)
+    pair, w = _dependent_alpha_witness(pair, alpha, red, pivots)
+    assert w[0] * w[0] == -rows[1][0] and list(w[1:]) == [1, 0, 0]
+
+
+@pytest.mark.parametrize("shift, e", [(0, (3, 0)), (1, (2, 2))])
+def test_dependent_alpha_of_degree_two_is_read_off_the_rref(shift, e):
+    # alpha = x^4 + shift in Q[x]/(x^8 - 3): alpha^2 = e0 + e1 alpha over Q,
+    # and the F-side gets X^4 + e1 X^2 - e0, the minpoly of sqrt(-alpha)
+    k = tower_extend(QQ, [-3] + [0] * 7 + [1], label="e8")
+    alpha = k.gen() ** 4 + shift
+    rows, red, pivots = _completion(k, alpha)
+    assert linalg.rank(rows[:2]) == 2 and linalg.rank(rows) == 2
+    e0, e1 = linalg.solve(tuple(zip(*rows[:2])), rows[2], k, 0)
+    assert pivots[:2] == (0, 1) and pivots[2] != 2
+    assert (red[0][2], red[1][2]) == (e0, e1) == e
+    pair = _Pair(k.prefix(0), k, shared=0, comp_base=1, images=(), guaranteed=False)
+    pair, w = _dependent_alpha_witness(pair, alpha, red, pivots)
+    assert pair.f_tower.levels[-1].minpoly == (-e0.data, 0, e1.data, 0, 1)
+    assert w[0] * w[0] == -alpha and list(w[1:]) == [1, 0, 0]
+
+
 def _dependent_alpha_pair():
     # the quartic F-side level of test_split_quartic_alpha_branch, mirrored
     # to a quadratic compositum level, then one sqrt level above it
     t = tower_extend(QQ, [-3] + [0] * 7 + [1], label="e8")
     alpha = t.gen() ** 4
     pair = _Pair(t.prefix(0), t, shared=0, comp_base=1, images=(), guaranteed=False)
-    rows = [flatten_between(x, 0) for x in (t.one(), alpha, alpha * alpha)]
-    pair, _ = _dependent_alpha_witness(pair, 0, alpha, rows)
+    _rows, red, pivots = _completion(t, alpha)
+    pair, _ = _dependent_alpha_witness(pair, alpha, red, pivots)
     assert pair.f_tower.levels[-1].degree == 4
     pair, _ = pair.adjoin_sqrt(pair.f_tower.rational(5))
     return pair

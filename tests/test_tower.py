@@ -354,6 +354,21 @@ def test_embed_up_pads_with_the_shared_zeros(case):
 
 
 @pytest.mark.parametrize("case", sorted(_dot_towers()))
+def test_raw_one_is_the_flat_unit(case):
+    import random
+
+    rng = random.Random(case + "-one")
+    for tower in _dot_towers()[case]:
+        ctx = tower._ctx
+        for lv in range(tower.height + 1):
+            one = _raw_one(ctx, lv)
+            assert _leaves(one, lv) == [1] + [0] * (tower.absolute_degree(lv) - 1)
+            for _ in range(4):
+                a = _random_element(rng, tower, lv).data
+                assert _mul(ctx, lv, a, one) == a
+
+
+@pytest.mark.parametrize("case", sorted(_dot_towers()))
 def test_constructors_reject_levels_outside_the_tower(case):
     for tower in _dot_towers()[case]:
         h = tower.height
