@@ -164,7 +164,10 @@ def tower_from_json(node) -> TowerField:
         raw = tuple(_data_from_json(c, i, partial, zeros) for c in coeffs)
         if raw[-1] != partial.one(i).data:
             raise MalformedCertificate("minpoly must be monic")
-        partial = partial._extended(Level(str(entry["label"]), raw, _level_kind(raw, i)))
+        label = entry["label"]
+        if not isinstance(label, str) or any(level.label == label for level in partial.levels):
+            raise MalformedCertificate(f"tower labels must be distinct strings, got {label!r}")
+        partial = partial._extended(Level(label, raw, _level_kind(raw, i)))
     return partial
 
 

@@ -191,6 +191,10 @@ def _scale(ctx, lv, a, q):
 
 
 def _mul(ctx, lv, a, b):
+    """a*b.  An X^2 - c level multiplies schoolbook, a0 b0 + c a1 b1 +
+    (a0 b1 + a1 b0) X: Karatsuba's half-sums densify sparse halves and were
+    measured slower.  A zero upper half skips its products (without that,
+    corestriction construction ran 6% slower).  Generic levels fold X^d."""
     if lv == 0:
         return _leaf(a * b)
     lc = ctx[lv - 1]
@@ -199,7 +203,6 @@ def _mul(ctx, lv, a, b):
     lo = lv - 1
     z = lc.zero
     if lc.sqrt_const is not None:
-        # level X^2 - c: Karatsuba with one extra scale by c
         a0, a1 = a
         b0, b1 = b
         a1z = a1 is z or not a1
@@ -210,11 +213,9 @@ def _mul(ctx, lv, a, b):
             return _canon(lc, (_mul(ctx, lo, a0, b0), _mul(ctx, lo, a0, b1)))
         if b1z:
             return _canon(lc, (_mul(ctx, lo, a0, b0), _mul(ctx, lo, a1, b0)))
-        p00 = _mul(ctx, lo, a0, b0)
-        p11 = _mul(ctx, lo, a1, b1)
-        p_sum = _mul(ctx, lo, _add(ctx, lo, a0, a1), _add(ctx, lo, b0, b1))
-        cross = _sub(ctx, lo, p_sum, _add(ctx, lo, p00, p11))
-        return _canon(lc, (_add(ctx, lo, p00, _times_c(ctx, lo, lc, p11)), cross))
+        hi = _add(ctx, lo, _mul(ctx, lo, a0, b0), _times_c(ctx, lo, lc, _mul(ctx, lo, a1, b1)))
+        cross = _add(ctx, lo, _mul(ctx, lo, a0, b1), _mul(ctx, lo, a1, b0))
+        return _canon(lc, (hi, cross))
     # generic level: schoolbook product then fold X^d = -tail
     d = lc.degree
     prod = [z] * (2 * d - 1)
@@ -292,6 +293,8 @@ def _fold(ctx, lo, lc, prod):
 
 
 def _sqr(ctx, lv, a):
+    """a*a; an X^2 - c level takes three products where _mul takes four
+    (squaring through _mul ran split-septic verification 1% slower)."""
     if lv == 0:
         # already a leaf: p/q in lowest terms with q > 1 squares to p^2/q^2
         return a * a
@@ -312,10 +315,12 @@ def _sqr(ctx, lv, a):
 
 def _dot(ctx, lv, pairs):
     """Sum of a*b over raw (a, b) pairs, both factors at level lv, reduced
-    once per level: an X^2 - c level multiplies by c once, a generic level
-    folds X^d once.  A caller with a factor below lv embeds it first with
-    _embed_up; its zero upper coefficients are then skipped, so a rational
-    times a level-k value still costs one product per leaf.
+    once per level.  An X^2 - c level sums a0 b0, a1 b1 and a0 b1 + a1 b0
+    over the pairs, leaving out zero upper halves, and multiplies by c once
+    (through the generic path it ran isotropy-r4 verification 67% slower);
+    a generic level folds X^d once.  A caller with a factor below lv embeds
+    it first with _embed_up; its zero upper coefficients are then skipped,
+    so a rational times a level-k value still costs one product per leaf.
     Every level ends in rational sums, and each of those is normalised
     once: the integer products of the numerators accumulate over a running
     common denominator (the lcm of the pair denominators), and the sum is
@@ -342,32 +347,22 @@ def _dot(ctx, lv, pairs):
     lc = ctx[lo]
     own, z = lc.own_zero, lc.zero
     if lc.sqrt_const is not None:
-        # full pairs go through Karatsuba; a pair with a zero upper half
-        # contributes a0*b0 and at most one cross term, computed directly
-        full, direct, cross = [], [], []
+        p00, p11, cross = [], [], []
         for a, b in pairs:
             if a is own or b is own:
                 continue
-            a0, a1 = a
-            b0, b1 = b
-            if a1 is z or not a1:
-                direct.append((a0, b0))
-                if b1 is not z and b1:
-                    cross.append((a0, b1))
-            elif b1 is z or not b1:
-                direct.append((a0, b0))
+            (a0, a1), (b0, b1) = a, b
+            p00.append((a0, b0))
+            if b1 is not z and b1:
+                cross.append((a0, b1))
+                if a1 is not z and a1:
+                    p11.append((a1, b1))
+            if a1 is not z and a1:
                 cross.append((a1, b0))
-            else:
-                full.append((a, b))
-        c0 = _dot(ctx, lo, direct) if direct else z
-        if not full:
-            return _canon(lc, (c0, _dot(ctx, lo, cross) if cross else z))
-        p00 = _dot(ctx, lo, [(a[0], b[0]) for a, b in full])
-        p11 = _dot(ctx, lo, [(a[1], b[1]) for a, b in full])
-        cross += [(_add(ctx, lo, a0, a1), _add(ctx, lo, b0, b1)) for (a0, a1), (b0, b1) in full]
-        c1 = _sub(ctx, lo, _dot(ctx, lo, cross), _add(ctx, lo, p00, p11))
-        hi = _add(ctx, lo, _add(ctx, lo, c0, p00), _times_c(ctx, lo, lc, p11))
-        return _canon(lc, (hi, c1))
+        hi = _dot(ctx, lo, p00) if p00 else z
+        if p11:
+            hi = _add(ctx, lo, hi, _times_c(ctx, lo, lc, _dot(ctx, lo, p11)))
+        return _canon(lc, (hi, _dot(ctx, lo, cross) if cross else z))
     # generic level: bucket the coefficient products by degree, then fold
     # X^d = -tail once
     buckets = [[] for _ in range(2 * lc.degree - 1)]
@@ -1039,8 +1034,8 @@ def tower_extend(
         while f"g{n}" in taken:
             n += 1
         label = f"g{n}"
-    if label in taken:
-        raise ValueError(f"duplicate level label {label!r}")
+    if not isinstance(label, str) or label in taken:
+        raise ValueError(f"level label {label!r} is not a string distinct from those below")
     raw = tuple(c.data for c in coeffs)
     return tower._extended(Level(label, raw, _level_kind(raw, top)))
 

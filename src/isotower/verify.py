@@ -82,7 +82,7 @@ def verify_isotropy(doc: dict) -> tuple[bool, str]:
         claimed = int_from_json(doc["claimed_bound"])
         actual = int_from_json(doc["actual_degree"])
     except (KeyError, TypeError) as exc:
-        raise MalformedCertificate(f"isotropy certificate missing field: {exc}") from exc
+        raise MalformedCertificate(f"isotropy certificate missing or mistyped field: {exc}") from exc
     for idx, gram in enumerate(grams):
         _check_symmetric(gram, idx)
     if not grams or not witness:
@@ -179,7 +179,7 @@ def verify_split(doc: dict) -> tuple[bool, str]:
         else:
             return False, f"unknown presentation {pres!r}"
     except (KeyError, TypeError) as exc:
-        raise MalformedCertificate(f"split certificate missing field: {exc}") from exc
+        raise MalformedCertificate(f"split certificate missing or mistyped field: {exc}") from exc
     if u.is_zero() or v.is_zero():
         return False, "degenerate quaternion entries"
     if len(witness) != 4:
@@ -342,7 +342,7 @@ def verify_cor(doc: dict) -> tuple[bool, str]:
         k_level = int_from_json(cdoc["k_level"])
         sigma = [[element_from_json(k_tower, x) for x in row] for row in cdoc["sigma"]]
     except (KeyError, TypeError) as exc:
-        raise MalformedCertificate(f"cor result missing field: {exc}") from exc
+        raise MalformedCertificate(f"cor result missing or mistyped field: {exc}") from exc
     if not 1 <= k_level <= k_tower.height:
         raise MalformedCertificate(f"k_level {k_level} is not a level above the base field")
     if len(sigma) != order or any(len(row) != order for row in sigma):

@@ -158,6 +158,24 @@ def test_tower_rejects_garbage():
         tower_from_json([{"label": "x", "minpoly": ["1/1", "0/1", "2/1"]}])  # not monic
 
 
+@pytest.mark.parametrize("labels", [[[1], "t"], [2, "t"], ["s", None], ["s", "s"]])
+def test_tower_rejects_labels_that_are_not_distinct_strings(labels):
+    # a label read through str() would not round-trip; tower_extend refuses
+    # the same labels, except None, with which it picks a fresh one
+    node = [
+        {"label": "s", "minpoly": ["-2/1", "0/1", "1/1"]},
+        {"label": "t", "minpoly": [["-3/1", "0/1"], ["0/1", "0/1"], ["1/1", "0/1"]]},
+    ]
+    assert tower_from_json(node) == tower_extend(tower_extend(QQ, [-2, 0, 1], label="s"), [-3, 0, 1], label="t")
+    for entry, label in zip(node, labels):
+        entry["label"] = label
+    with pytest.raises(MalformedCertificate, match="tower labels must be distinct strings"):
+        tower_from_json(node)
+    if labels[1] is not None:
+        with pytest.raises(ValueError, match="is not a string distinct from those below"):
+            tower_extend(tower_extend(QQ, [-2, 0, 1], label=labels[0]), [-3, 0, 1], label=labels[1])
+
+
 def test_element_shape_validation(stacked):
     with pytest.raises(MalformedCertificate):
         element_from_json(stacked, [["1/1"], ["0/1"]])  # wrong inner length

@@ -280,6 +280,71 @@ def test_dot_matches_sum_of_products(case):
     assert dot(zeros, [_random_element(rng, chain[-1], 1)] * 3).is_zero()
 
 
+def _ref_value(data, lv):
+    """Raw kernel data as nested lists of Fractions, for the reference."""
+    return Fraction(data) if lv == 0 else [_ref_value(c, lv - 1) for c in data]
+
+
+def _ref_add(a, b, sign=1):
+    if isinstance(a, Fraction):
+        return a + sign * b
+    return [_ref_add(x, y, sign) for x, y in zip(a, b)]
+
+
+def _ref_zero(minpolys, lv):
+    return Fraction(0) if lv == 0 else [_ref_zero(minpolys, lv - 1)] * (len(minpolys[lv - 1]) - 1)
+
+
+def _ref_mul(minpolys, lv, a, b):
+    """a*b by the schoolbook polynomial product, then reduction of each
+    power X^i, i >= d, by the level's monic minimal polynomial m of degree
+    d, on plain Fractions: it shares no code with the kernel."""
+    if lv == 0:
+        return a * b
+    lo, m = lv - 1, minpolys[lv - 1]
+    d = len(m) - 1
+    prod = [_ref_zero(minpolys, lo)] * (2 * d - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] = _ref_add(prod[i + j], _ref_mul(minpolys, lo, x, y))
+    for i in range(2 * d - 2, d - 1, -1):
+        for j in range(d):
+            prod[i - d + j] = _ref_add(prod[i - d + j], _ref_mul(minpolys, lo, prod[i], m[j]), -1)
+    return prod[:d]
+
+
+@pytest.mark.parametrize("case", sorted(_dot_towers()))
+def test_products_match_a_schoolbook_reference(case):
+    # the ring-law and dot = sum-of-products checks are consistency checks:
+    # a kernel that multiplied consistently by a wrong c would pass them all
+    import random
+
+    rng = random.Random(case + "-ref")
+    for tower in _dot_towers()[case]:
+        ctx = tower._ctx
+        minpolys = [[_ref_value(c, i) for c in level.minpoly] for i, level in enumerate(tower.levels)]
+        for lv in range(1, tower.height + 1):
+            for _ in range(6):
+                # random values have zero coefficients at every level; some
+                # have a zero upper half, the value of the level below
+                pairs = []
+                for _ in range(rng.randint(1, 4)):
+                    x, y = (_random_element(rng, tower, lv) for _ in range(2))
+                    if rng.random() < 0.3:
+                        x = tower.from_coeffs(lv, [x.coeffs()[0]])
+                    if rng.random() < 0.3:
+                        y = tower.from_coeffs(lv, [y.coeffs()[0]])
+                    pairs.append((x.data, y.data))
+                refs = [[_ref_value(x, lv), _ref_value(y, lv)] for x, y in pairs]
+                (a, b), (ra, rb) = pairs[0], refs[0]
+                assert _ref_value(_mul(ctx, lv, a, b), lv) == _ref_mul(minpolys, lv, ra, rb)
+                assert _ref_value(_sqr(ctx, lv, a), lv) == _ref_mul(minpolys, lv, ra, ra)
+                want = _ref_zero(minpolys, lv)
+                for rx, ry in refs:
+                    want = _ref_add(want, _ref_mul(minpolys, lv, rx, ry))
+                assert _ref_value(_dot(ctx, lv, pairs), lv) == want
+
+
 @pytest.mark.parametrize("case", sorted(_dot_towers()))
 def test_inverse_matches_product(case):
     import random

@@ -4,7 +4,9 @@ Each case edits an honest certificate on a small rational or cubic input,
 or an honest corestriction of M2 along a quadratic field, so that exactly
 one check of ``verify_split``, ``verify_isotropy`` or ``verify_cor`` fails,
 and asserts the reason that check names.  Two PASS cases reach the bracket
-presentation and the two-tower check's general-quadratic branch.
+presentation and the two-tower check's general-quadratic branch.  The
+malformed cases edit an honest certificate into one the parser or a shape
+check refuses, and assert the MalformedCertificate reason.
 """
 
 import copy
@@ -20,6 +22,7 @@ from isotower.csa import (
     matrix_algebra,
     tensor_power_over_K,
 )
+from isotower.errors import MalformedCertificate
 from isotower.presets import cyclic_sqrt, demo_thm21_r2, field_cubic
 from isotower.quadforms import IsotropyCertificate, QFSystem, QuadraticForm, isotropy_2ext
 from isotower.serialize import element_to_json, tower_to_json
@@ -333,3 +336,58 @@ def test_cor_forgery_fails(name):
         edit(doc)
     ok, reason = verify.verify_cor(doc)
     assert not ok and reason == why, reason
+
+
+def _drop(*path):
+    def edit(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+
+    return edit
+
+
+# each document is malformed input rather than a false claim: the verifier
+# raises MalformedCertificate (CLI exit 2) with the reason, and returns no
+# verdict
+MALFORMED = {
+    "isotropy-no-tower": (
+        "isotropy", [_drop("tower")], "isotropy certificate missing or mistyped field: 'tower'"
+    ),
+    "isotropy-forms-not-a-list": (
+        "isotropy",
+        [_set(("forms",), 5)],
+        "isotropy certificate missing or mistyped field: 'int' object is not iterable",
+    ),
+    "split-no-u": ("split", [_drop("quaternion", "u")], "split certificate missing or mistyped field: 'u'"),
+    "cor-no-source": ("cor", [_drop("source")], "cor result missing or mistyped field: 'source'"),
+    "gram-not-square": (
+        "isotropy", [_set(("forms", 0, 0), lambda row: row[:1])], "form 1: gram matrix must be square"
+    ),
+    "cor-unit-short": ("cor", [_set(("unit",), lambda u: u[:-1])], "unit length does not match dim"),
+    "leaf-not-a-string": ("isotropy", [_set(("witness", 0), 5)], "expected 'num/den' string, got 5"),
+    "leaf-zero-denominator": ("isotropy", [_set(("witness", 0), "1/0")], "zero denominator in '1/0'"),
+    "empty-coefficient": ("split", [_set(("witness", 0), [])], "empty coefficient list"),
+    # the first coefficient sets the depth 2; the second is a leaf, not a list
+    "coefficient-shallower-than-level": (
+        "isotropy",
+        [_set(("tower",), SQRT2_SQRT3), _set(("witness", 0), [["1/1", "0/1"], "0/1"])],
+        "element nesting shallower than its level",
+    ),
+    "tower-not-a-list": ("isotropy", [_set(("tower",), {})], "tower must be a list of levels"),
+    "witness-not-a-list": ("isotropy", [_set(("witness",), {})], "vector must be a list"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_certificate_raises(name):
+    kind, edits, why = MALFORMED[name]
+    honest = {"isotropy": _isotropy_doc, "split": lambda: _split_doc(-1, -1), "cor": lambda: _cor_doc(False)}
+    doc = copy.deepcopy(honest[kind]())
+    for edit in edits:
+        edit(doc)
+    check = {"isotropy": verify.verify_isotropy, "split": verify.verify_split, "cor": verify.verify_cor}[kind]
+    with pytest.raises(MalformedCertificate) as info:
+        check(doc)
+    assert str(info.value) == why
