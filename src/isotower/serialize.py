@@ -39,16 +39,17 @@ def fraction_from_json(node) -> RationalLike:
     num, sep, den = node.partition("/")
     if not sep:
         raise MalformedCertificate(f"expected 'num/den' string, got {node!r}")
-    try:
-        n, d = _from_decimal(num), _from_decimal(den)
-    except ValueError as exc:
-        raise MalformedCertificate(f"bad rational {node!r}") from exc
+    digits = num[1:] if num[:1] == "-" else num
+    if not (digits.isascii() and digits.isdigit() and den.isascii() and den.isdigit()):
+        raise MalformedCertificate(f"bad rational {node!r}")
+    n, d = _from_decimal(num), _from_decimal(den)
     if d == 0:
         raise MalformedCertificate(f"zero denominator in {node!r}")
     q = n if d == 1 else Fraction(n, d)
-    # one spelling per rational (lowest terms, positive denominator, plain
-    # digits), so parse -> serialize reproduces the input bytes
-    if node != fraction_to_json(q):
+    # one spelling per rational (plain digits without a leading zero, lowest
+    # terms, positive denominator), so parse -> serialize reproduces the
+    # input bytes; checked on the strings, as int -> str is quadratic
+    if digits[0] == "0" or den[0] == "0" or q.numerator != n or q.denominator != d:
         raise MalformedCertificate(f"rational {node!r} is not in canonical form")
     return q
 

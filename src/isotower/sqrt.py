@@ -10,9 +10,12 @@ minimal polynomials, and a nonzero value of c there that is a quadratic
 nonresidue mod p.  Such a point is an unramified degree-1 prime, so a
 witness proves c a nonsquare and no square ever has one.  A point's
 coordinate on an X^2 - c level comes from Euler's criterion and Tonelli;
-on any other level every residue mod p is tried.  Without a witness, a root
-of a constant from the level below embeds upward; otherwise the level's
-tier decides:
+on any other level every residue mod p is tried.  Each level keeps its
+points mod each prime, with their monomial rows, in one table that every
+tower sharing the level's context reads (:func:`_points_mod`), so a search
+reduces only c's leaves, once per prime, and takes c at a point as a dot
+product with the point's row.  Without a witness, a root of a constant
+from the level below embeds upward; otherwise the level's tier decides:
 
 2. quadratic-sqrt levels K0(sqrt(d)): the complete denesting recursion,
    so the test is a decision procedure on chains of sqrt adjunctions;
@@ -35,7 +38,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
+from operator import mul
 
 from .tower import (
     KIND_SQRT,
@@ -138,77 +142,126 @@ def _roots_mod_p(coeffs: list[int], p: int) -> list[int]:
     return [r for r in range(p) if not _horner_mod(coeffs, r, p)]
 
 
-# -- reduction of tower data mod p^k ------------------------------------------
+# -- tower points mod p ---------------------------------------------------------
 
 
-class _BadPrime(Exception):
-    pass
+def _flatten(ctx, lv, data):
+    """(positions, leaves) of the nonzero leaves of raw level-lv data, a
+    position being that of the leaf's monomial in a monomial row (the order
+    of _unflatten and _times_powers); a coefficient that is its level's
+    shared zero is skipped unread (any other zero is read)."""
+    positions, leaves = [], []
 
-
-def _eval_mod(data, lv, point, m, zeros):
-    """Evaluate raw tower data at a modular point; _BadPrime on a denominator
-    not prime to m.  ``zeros[k]`` is the tower's shared zero of level k: a
-    coefficient that is that object adds 0 unread (any other zero is read)."""
-    if lv == 0:
-        num, den = data.numerator, data.denominator
-        if not num:
-            return 0
-        if den % m == 0 or gcd(den, m) != 1:
-            raise _BadPrime
-        return num % m * pow(den, -1, m) % m
-    acc, lo = 0, lv - 1
-    r, z = point[lo], zeros[lo]
-    for c in reversed(data):
-        acc = (acc * r + (0 if c is z else _eval_mod(c, lo, point, m, zeros))) % m
-    return acc
-
-
-def _minpoly_mod(minpoly, lv_below, point, m, zeros):
-    return [_eval_mod(c, lv_below, point, m, zeros) for c in minpoly]
-
-
-def _points(levels, p, zeros):
-    """Points of the tower over F_p whose coordinates are simple roots of the
-    reduced minpolys, depth first in increasing root order.
-
-    ``levels`` is a list of (minpoly raw data, degree) and ``zeros`` the
-    tower's shared zero of each of those levels, lowest first (see
-    :func:`_eval_mod` and :func:`_subtower_levels`).  A minpoly that is not
-    p-integral raises _BadPrime before the first point is yielded, since
-    every point passes through every level.
-    """
-
-    def rec(depth: int, point: tuple[int, ...]):
-        if depth == len(levels):
-            yield point
+    def walk(x, lv, base, size):
+        if lv == 0:
+            if x:
+                positions.append(base)
+                leaves.append(x)
             return
-        minpoly, deg = levels[depth]
-        f = _minpoly_mod(minpoly, depth, point, p, zeros)
-        if deg == 2 and f[1] == 0:
+        lo = lv - 1
+        z, block = ctx[lo].zero, size // ctx[lo].degree
+        for i, c in enumerate(x):
+            if c is not z:
+                walk(c, lo, base + i * block, block)
+
+    walk(data, lv, 0, prod(lc.degree for lc in ctx[:lv]))
+    return positions, leaves
+
+
+def _reduce(leaves, m):
+    """The leaves mod m, or None when m is a prime dividing a denominator
+    (a prime power m must be prime to every denominator)."""
+    out = []
+    for q in leaves:
+        d = q.denominator
+        if d == 1:
+            out.append(q.numerator % m)
+            continue
+        d %= m
+        if not d:
+            return None
+        out.append(q.numerator % m * pow(d, -1, m) % m)
+    return out
+
+
+def _at(positions, residues, row, m):
+    """The value mod m of flattened data, its leaves mod m ``residues``, at
+    the point whose monomial row mod m is ``row``."""
+    return sum(map(mul, residues, map(row.__getitem__, positions))) % m
+
+
+def _times_powers(row, r, deg, m):
+    """The monomial row of a point extended by the coordinate r on a level
+    of degree deg: the row times 1, r, ..., r^(deg-1) in turn, mod m."""
+    powers = [1] * deg
+    for i in range(1, deg):
+        powers[i] = powers[i - 1] * r % m
+    return [pw * v % m for pw in powers for v in row]
+
+
+_ORIGIN = (((), (1,)),)  # the one point of Q, with its monomial row
+
+
+def _points_mod(ctx, lv, p):
+    """The points mod p of the tower up to level lv, each as (coordinates,
+    monomial row mod p), or None when a reached minpoly is not p-integral.
+
+    A coordinate is a simple root of its level's minpoly reduced at the
+    point below, found depth first in increasing root order: on an X^2 - c
+    level by Euler's criterion and Tonelli, on any other level by trying
+    every residue.  A level keeps its entries in its context's
+    ``points_mod`` slot, each built from the level below's entry with the
+    minpoly's leaves reduced once per prime, so every tower sharing the
+    context (a prefix, an extension) reads them instead of searching again.
+    """
+    if lv == 0:
+        return _ORIGIN
+    lc = ctx[lv - 1]
+    table = lc.points_mod
+    if table is None:
+        table = lc.points_mod = ([_flatten(ctx, lv - 1, c) for c in lc.minpoly], {})
+    coeffs, entries = table
+    if p in entries:
+        return entries[p]
+    below = _points_mod(ctx, lv - 1, p)
+    residues = [_reduce(leaves, p) for _pos, leaves in coeffs] if below else []
+    if below is None or None in residues:
+        entries[p] = None
+        return None
+    points = []
+    for point, row in below:
+        f = [_at(pos, res, row, p) for (pos, _leaves), res in zip(coeffs, residues)]
+        if len(f) == 3 and not f[1]:
             roots = _sqrt_roots_mod(-f[0], p)  # X^2 - c: Euler and Tonelli
         else:
             roots = _roots_mod_p(f, p)
         fprime = [c * i % p for i, c in enumerate(f)][1:]
         for r in roots:
             if _horner_mod(fprime, r, p):
-                yield from rec(depth + 1, point + (r,))
+                points.append((point + (r,), _times_powers(row, r, lc.degree, p)))
+    entries[p] = points
+    return points
 
-    return rec(0, ())
 
-
-def _lift_point(levels, zeros, point, p, modulus):
-    """Hensel-lift a mod-p point to mod ``modulus``, a power of p
-    (coordinates stay simple roots)."""
+def _lift_points(ctx, points, p, modulus):
+    """Hensel-lift the points of a _points_mod entry to mod ``modulus``, a
+    power of p, as (coordinates, monomial row mod modulus); coordinates
+    stay simple roots."""
+    lifted = [list(point) for point, _row in points]
+    rows = [row for _point, row in points]
     m = p
-    cur = list(point)
     while m < modulus:
         m = min(m * m, modulus)
-        for depth, (minpoly, _deg) in enumerate(levels):
-            f = _minpoly_mod(minpoly, depth, tuple(cur), m, zeros)
-            r = cur[depth]
-            fp = [c * i % m for i, c in enumerate(f)][1:]
-            cur[depth] = (r - _horner_mod(f, r, m) * pow(_horner_mod(fp, r, m), -1, m)) % m
-    return tuple(cur)
+        rows = [(1,)] * len(lifted)
+        for depth, lc in enumerate(ctx[: len(lifted[0])]):
+            coeffs = [(pos, _reduce(leaves, m)) for pos, leaves in lc.points_mod[0]]
+            for i, cur in enumerate(lifted):
+                f = [_at(pos, res, rows[i], m) for pos, res in coeffs]
+                fp = [c * k % m for k, c in enumerate(f)][1:]
+                r = cur[depth]
+                r = cur[depth] = (r - _horner_mod(f, r, m) * pow(_horner_mod(fp, r, m), -1, m)) % m
+                rows[i] = _times_powers(rows[i], r, lc.degree, m)
+    return [(tuple(cur), row) for cur, row in zip(lifted, rows)]
 
 
 def _tonelli(a: int, p: int) -> int | None:
@@ -281,18 +334,23 @@ def _nonsquare_witness(tower: TowerField, lv: int, data):
     tower into the p-adic integers (an unramified prime of degree 1), which
     maps data to a unit with nonresidue reduction; so data has no square
     root, and a square never gets a witness.  The odd primes are scanned in
-    increasing order, _WITNESS_PRIMES of them, each through all its points;
-    None means none was found, not that data is a square.
+    increasing order, _WITNESS_PRIMES of them, each through all its points
+    (read from the levels' tables, see :func:`_points_mod`); data's leaves
+    are reduced once per prime that has points.  None means none was found,
+    not that data is a square.
     """
-    levels, zeros = _subtower_levels(tower, lv)
+    ctx = tower._ctx
+    positions, leaves = _flatten(ctx, lv, data)
     for p in _small_primes()[1 : _WITNESS_PRIMES + 1]:
-        try:
-            for point in _points(levels, p, zeros):
-                residue = _eval_mod(data, lv, point, p, zeros)
-                if residue and pow(residue, (p - 1) // 2, p) == p - 1:
-                    return p, point, residue
-        except _BadPrime:
+        points = _points_mod(ctx, lv, p)
+        residues = _reduce(leaves, p) if points else None
+        if residues is None:
             continue
+        half = (p - 1) // 2
+        for point, row in points:
+            residue = _at(positions, residues, row, p)
+            if residue and pow(residue, half, p) == p - 1:
+                return p, point, residue
     return None
 
 
@@ -302,30 +360,12 @@ _MAX_PATTERN_DIM = 13
 _PRECISION_BITS = (80, 320)  # reconstruct mod p^k >= 2^80, then >= 2^320
 
 
-def _subtower_levels(tower: TowerField, lv: int):
-    """(minpoly, degree) of the levels below ``lv`` and their shared zeros."""
-    levels = [(tower.levels[i].minpoly, tower.levels[i].degree) for i in range(lv)]
-    return levels, tuple(lc.zero for lc in tower._ctx[:lv])
-
-
 def _unflatten(ctx, coords, lv):
     if lv == 0:
         return coords[0]
     d = ctx[lv - 1].degree
     block = len(coords) // d
     return tuple(_unflatten(ctx, coords[i * block : (i + 1) * block], lv - 1) for i in range(d))
-
-
-def _monomial_row(levels, point, m):
-    """Values of all basis monomials at a point, ordered to match _unflatten."""
-    row = [1]
-    for depth, (_mp, deg) in enumerate(levels):
-        r = point[depth]
-        powers = [1] * deg
-        for i in range(1, deg):
-            powers[i] = powers[i - 1] * r % m
-        row = [pw * v % m for pw in powers for v in row]
-    return row
 
 
 def _mat_inv_mod(rows, p, m):
@@ -349,19 +389,17 @@ def _mat_inv_mod(rows, p, m):
 def _sqrt_tier3(tower: TowerField, lv: int, data):
     """Recovery: completely split prime, lift, reconstruct, verify."""
     ctx = tower._ctx
-    levels, zeros = _subtower_levels(tower, lv)
     dim = tower.absolute_degree(lv)
     if dim > _MAX_PATTERN_DIM:
         return None
+    positions, leaves = _flatten(ctx, lv, data)
     split_found = 0
     for p in _small_primes()[1:]:
-        try:
-            points = list(_points(levels, p, zeros))
-            if len(points) != dim:
-                continue
-            vals_p = [_eval_mod(data, lv, pt, p, zeros) for pt in points]
-        except _BadPrime:
+        points = _points_mod(ctx, lv, p)
+        residues = _reduce(leaves, p) if points and len(points) == dim else None
+        if residues is None:
             continue
+        vals_p = [_at(positions, residues, row, p) for _point, row in points]
         if not all(vals_p):
             continue
         if any(pow(v, (p - 1) // 2, p) == p - 1 for v in vals_p):
@@ -371,8 +409,9 @@ def _sqrt_tier3(tower: TowerField, lv: int, data):
             m = p
             while m.bit_length() <= bits:
                 m *= p
-            lifted = [_lift_point(levels, zeros, pt, p, m) for pt in points]
-            vals = [_eval_mod(data, lv, pt, m, zeros) for pt in lifted]
+            lifted = _lift_points(ctx, points, p, m)
+            residues_m = _reduce(leaves, m)
+            vals = [_at(positions, residues_m, row, m) for _point, row in lifted]
             sqrts = []
             for t0, v in zip(roots_p, vals):
                 t = t0
@@ -381,8 +420,7 @@ def _sqrt_tier3(tower: TowerField, lv: int, data):
                     mm = min(mm * mm, m)
                     t = (t + v * pow(t, -1, mm)) * pow(2, -1, mm) % mm
                 sqrts.append(t)
-            vmat = [_monomial_row(levels, pt, m) for pt in lifted]
-            vinv = _mat_inv_mod(vmat, p, m)
+            vinv = _mat_inv_mod([row for _point, row in lifted], p, m)
             if vinv is None:
                 break
             found = _pattern_search(ctx, lv, data, sqrts, vinv, m, dim)

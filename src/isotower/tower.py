@@ -35,8 +35,9 @@ tower by the factor and retries.
 
 All values are immutable after construction and all operations are pure, so
 towers and elements can be shared freely across threads and processes.  The
-one slot filled after construction, a level's D·c, is written with the same
-value by whichever thread computes it first.
+two slots filled after construction, a level's D·c and its table of points
+mod small primes, are written with the same value by whichever thread
+computes them first.
 """
 
 from __future__ import annotations
@@ -92,6 +93,7 @@ class _LevelCtx:
         "sqrt_const",
         "sqrt_const_rat",
         "sqrt_const_int",
+        "points_mod",
     )
 
     def __init__(self, degree, zero, one, minpoly, red_tail, sqrt_const, sqrt_const_rat):
@@ -108,6 +110,11 @@ class _LevelCtx:
         # D = 1; None until _times_c needs it.  Any thread filling it writes
         # an equal value, so towers stay safe to share across threads.
         self.sqrt_const_int = None
+        # sqrt._points_mod's table: (the minpoly's flattened leaves, {odd
+        # prime p: None if a reached minpoly is not p-integral, else the
+        # points mod p up to this level with their monomial rows}).  Filled
+        # lazily; any thread writes an equal value, as for sqrt_const_int.
+        self.points_mod = None
 
 
 def _leaf(q):
@@ -966,17 +973,15 @@ def _decimal(n: int) -> str:
 
 
 def _from_decimal(s: str) -> int:
-    """int(s), also past the interpreter's str -> int digit limit for ASCII
-    digits after an optional "-": their halves are converted the same way."""
+    """int(s) of ASCII digits after an optional "-", also past the
+    interpreter's str -> int digit limit: halves are converted the same way."""
     try:
         return int(s)
     except ValueError:
-        digits = s[1:] if s[:1] == "-" else s
-        if not (digits.isascii() and digits.isdigit()):
-            raise
-        k = len(digits) // 2
-        n = _from_decimal(digits[:-k]) * 10**k + _from_decimal(digits[-k:])
-        return -n if s[0] == "-" else n
+        if s[0] == "-":
+            return -_from_decimal(s[1:])
+        k = len(s) // 2
+        return _from_decimal(s[:-k]) * 10**k + _from_decimal(s[-k:])
 
 
 def _render(tower, lv, data):

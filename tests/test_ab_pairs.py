@@ -2,6 +2,7 @@
 runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -46,3 +47,45 @@ def test_flags_name_differing_digests_and_incorrect_runs():
     assert ab_pairs.flags(parent, change) == ["DIGESTS DIFFER"]
     parent[0] = _run(1, 1, correct=False)
     assert ab_pairs.flags(parent, change) == ["DIGESTS DIFFER", "A RUN WAS NOT CORRECT"]
+
+
+def _bench_run(verify_ms, certs, attempted, digest="d"):
+    run = _run(verify_ms, certs, digest=digest)
+    run["result"] = {"attempted": attempted, "failed": 0, "correct": True}
+    run["detail"] = {"digest": digest, "mutation_rejected": True}
+    return run
+
+
+def test_json_summary_and_document_on_synthetic_runs(tmp_path):
+    parent = [_bench_run(v, 40, n) for v, n in [(10, 30), (12, 31), (14, 29)]]
+    change = [_bench_run(v, 44, n) for v, n in [(9, 33), (13, 32), (11, 34)]]
+    summary = ab_pairs.json_summary(parent, change, END_TO_END)
+    assert summary["verify_ms_p50"] == {
+        "parent_median": 12,
+        "parent_iqr": 2,
+        "parent_range": [10, 14],
+        "change_median": 11,
+        "change_range": [9, 13],
+        "relative_change": pytest.approx(-1 / 12),
+        "wins": 2,
+        "ties": 0,
+    }
+    assert summary["verify_ms_p50_pairs_parent_change"] == [[10, 9], [12, 13], [14, 11]]
+    assert summary["certs_per_s_pairs_parent_change"] == [[40, 44]] * 3
+    assert summary["attempted"] == {"parent": [30, 31, 29], "change": [33, 32, 34]}
+    assert summary["failed"] == {"parent": [0, 0, 0], "change": [0, 0, 0]}
+    assert (summary["pairs"], summary["digest"]) == (3, "d")
+    assert summary["all_correct"] and summary["digests_equal"] and summary["mutation_rejected_all"]
+    change[2] = _bench_run(11, 44, 34, digest="e")
+    assert not ab_pairs.json_summary(parent, change, END_TO_END)["digests_equal"]
+
+    runs = [{"workload": "w", "seed": 1, "pair": 0, "side": "parent", "order": "first",
+             "result": parent[0]["result"], "detail": parent[0]["detail"]}]
+    doc = ab_pairs.json_document(Path("a"), Path("b"), 8, runs, {"w seed 1": summary})
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps(doc))
+    back = json.loads(path.read_text())
+    assert set(back) == {"about", "parent", "change", "machine", "runs", "summary"}
+    assert (back["parent"], back["change"], back["runs"]) == ("a", "b", runs)
+    assert back["summary"]["w seed 1"]["verify_ms_p50"]["parent_range"] == [10, 14]
+    assert "--seconds 8 " in back["about"]

@@ -50,6 +50,11 @@ def test_fraction_rejects_noncanonical():
     for node in ("1_0/1", " 3/1", "+3/1", "-0/1", "3/ 1"):
         with pytest.raises(MalformedCertificate):
             fraction_from_json(node)
+    # leading zeros, a zero that is not "0/1", non-ASCII digits and a
+    # trailing newline, checked on the strings
+    for node in ("03/1", "3/01", "0/5", "\uff13/1", "\u00b2/1", "3/1\n"):
+        with pytest.raises(MalformedCertificate):
+            fraction_from_json(node)
 
 
 # integers past CPython's default 4300-digit limit on int <-> str, with their

@@ -1,6 +1,8 @@
 import random
+import sys
+import threading
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
@@ -8,12 +10,15 @@ from isotower.certjson import split_certificate_doc
 from isotower.generate import random_quaternion
 from isotower.presets import field_septic
 from isotower.splitting import split_over_2ext
+from isotower import sqrt as sqrt_module
 from isotower.sqrt import (
+    _WITNESS_PRIMES,
+    _horner_mod,
     _nonsquare_witness,
-    _points,
+    _points_mod,
     _roots_mod_p,
+    _small_primes,
     _sqrt_roots_mod,
-    _subtower_levels,
     adjoin_sqrt,
     rational_sqrt,
     sqrt_or_nonsquare,
@@ -293,6 +298,25 @@ def _simple_points(tower, p):
     return points
 
 
+def _table_points(tower, lv, p):
+    """The coordinates of the points mod p that the level-lv table holds, each
+    checked against its monomial row; a prime at which a minpoly is not
+    p-integral has none."""
+    entry = _points_mod(tower._ctx, lv, p) or []
+    for point, row in entry:
+        assert list(row) == _reference_row(tower, point, p)
+    return [point for point, _row in entry]
+
+
+def _reference_row(tower, point, p):
+    """The values mod p of the basis monomials at a point, the top level's
+    exponent most significant."""
+    row = [1]
+    for i, r in enumerate(point):
+        row = [pow(r, k, p) * v % p for k in range(tower.levels[i].degree) for v in row]
+    return row
+
+
 def test_points_are_the_simple_points():
     s2 = tower_extend(QQ, [-2, 0, 1], label="s2")
     towers = [
@@ -302,11 +326,10 @@ def test_points_are_the_simple_points():
         tower_extend(QQ, [-3, 0, 0, 0, 1], label="t"),
     ]
     for tower in towers:
-        levels, zeros = _subtower_levels(tower, tower.height)
         dim = tower.absolute_degree()
         split = 0
         for p in (3, 5, 7, 11, 13, 17, 23, 29, 41, 43, 47, 71, 73, 97, 113):
-            points = list(_points(levels, p, zeros))
+            points = _table_points(tower, tower.height, p)
             assert points == _simple_points(tower, p)
             # the complete split set: every level has all its roots, all simple
             split += len(points) == dim
@@ -323,8 +346,7 @@ def test_points_on_cubic_levels_follow_splitting_laws():
     pure = tower_extend(QQ, [-2, 0, 0, 1], label="c")
 
     def count(tower, p):
-        levels, zeros = _subtower_levels(tower, 1)
-        return len(list(_points(levels, p, zeros)))
+        return len(_table_points(tower, 1, p))
 
     for p in range(3, 314, 2):
         if any(p % q == 0 for q in range(3, isqrt(p) + 1, 2)):
@@ -398,3 +420,119 @@ def test_witness_search_ignores_zero_identity():
         found += w is not None
         squares += w is None
     assert found and squares
+
+
+# -- the witness search before the point tables, kept as a reference ---------
+
+
+class _BadPrime(Exception):
+    pass
+
+
+def _eval_mod(data, lv, point, m, zeros):
+    if lv == 0:
+        num, den = data.numerator, data.denominator
+        if not num:
+            return 0
+        if den % m == 0 or gcd(den, m) != 1:
+            raise _BadPrime
+        return num % m * pow(den, -1, m) % m
+    acc, lo = 0, lv - 1
+    r, z = point[lo], zeros[lo]
+    for c in reversed(data):
+        acc = (acc * r + (0 if c is z else _eval_mod(c, lo, point, m, zeros))) % m
+    return acc
+
+
+def _points(levels, p, zeros):
+    def rec(depth, point):
+        if depth == len(levels):
+            yield point
+            return
+        minpoly, deg = levels[depth]
+        f = [_eval_mod(c, depth, point, p, zeros) for c in minpoly]
+        if deg == 2 and f[1] == 0:
+            roots = _sqrt_roots_mod(-f[0], p)
+        else:
+            roots = _roots_mod_p(f, p)
+        fprime = [c * i % p for i, c in enumerate(f)][1:]
+        for r in roots:
+            if _horner_mod(fprime, r, p):
+                yield from rec(depth + 1, point + (r,))
+
+    return rec(0, ())
+
+
+def _reference_witness(tower, lv, data):
+    """The witness search that walked every point of every prime afresh,
+    evaluating the minpolys and data leaf by leaf at each point."""
+    levels = [(tower.levels[i].minpoly, tower.levels[i].degree) for i in range(lv)]
+    zeros = tuple(lc.zero for lc in tower._ctx[:lv])
+    for p in _small_primes()[1 : _WITNESS_PRIMES + 1]:
+        try:
+            for point in _points(levels, p, zeros):
+                residue = _eval_mod(data, lv, point, p, zeros)
+                if residue and pow(residue, (p - 1) // 2, p) == p - 1:
+                    return p, point, residue
+        except _BadPrime:
+            continue
+    return None
+
+
+def test_witness_search_matches_the_reference():
+    for tower, lv, data in _witness_search_cases():
+        want = _reference_witness(tower, lv, data)
+        cold = fresh_tower(tower)
+        assert _nonsquare_witness(cold, lv, data) == want  # tables filled here
+        assert _nonsquare_witness(cold, lv, data) == want  # and read here
+        assert _nonsquare_witness(cold.prefix(lv), lv, data) == want  # shared contexts
+        shared = fresh_tower(tower)
+        assert _nonsquare_witness(shared.prefix(lv), lv, data) == want
+        assert _nonsquare_witness(shared, lv, data) == want
+
+
+def test_second_search_reduces_no_minpoly_leaf(monkeypatch):
+    tower, lv, data = _witness_search_cases()[-1]
+    tower = fresh_tower(tower)
+    reduced = []
+    real = sqrt_module._reduce
+
+    def recording(leaves, m):
+        reduced.append(leaves)
+        return real(leaves, m)
+
+    monkeypatch.setattr(sqrt_module, "_reduce", recording)
+    first = _nonsquare_witness(tower, lv, data)
+    minpoly_leaves = {
+        id(leaves) for lc in tower._ctx[:lv] for _pos, leaves in lc.points_mod[0]
+    }
+    assert any(id(leaves) in minpoly_leaves for leaves in reduced)
+    reduced.clear()
+    assert _nonsquare_witness(tower, lv, data) == first
+    assert reduced and not any(id(leaves) in minpoly_leaves for leaves in reduced)
+
+
+def test_threads_sharing_a_tower_find_the_reference_witnesses():
+    # every thread fills the shared tables; a lost or torn entry would show
+    # as a witness that differs from the single-threaded reference
+    chain = fresh_tower(_witness_towers()[0])
+    rng = random.Random(7)
+    cases = [(chain, x.data) for x in (_random_element(rng, chain) for _ in range(6))]
+    want = [_reference_witness(tower, tower.height, data) for tower, data in cases]
+    got = [[] for _ in range(4)]
+
+    def search(out):
+        out += [_nonsquare_witness(tower, tower.height, data) for tower, data in cases]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=search, args=(out,)) for out in got]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want] * 4
