@@ -32,12 +32,14 @@ from .tower import TowerField
 # -- quadratic form systems ----------------------------------------------------
 
 
-def system_doc(system: QFSystem) -> dict:
+def system_doc(system: QFSystem, tower: TowerField | None = None) -> dict:
+    """The system's forms and a tower: its own unless ``tower`` is given,
+    as a certificate gives the tower that extends it."""
     if system.level != system.tower.height:
         raise ValueError("serialize systems at the top level of their tower")
     return {
         "forms": [gram_to_json(f.gram) for f in system.forms],
-        "tower": tower_to_json(system.tower),
+        "tower": tower_to_json(system.tower if tower is None else tower),
     }
 
 
@@ -55,8 +57,7 @@ def system_from_doc(doc: dict) -> QFSystem:
 
 
 def isotropy_certificate_doc(system: QFSystem, cert: IsotropyCertificate) -> dict:
-    doc = system_doc(system)
-    doc["tower"] = tower_to_json(cert.tower)
+    doc = system_doc(system, cert.tower)
     doc["witness"] = vector_to_json(cert.witness)
     doc["claimed_bound"] = cert.claimed_bound
     doc["actual_degree"] = cert.actual_degree

@@ -14,12 +14,15 @@ form lies at ``form.level`` in ``form.tower``, so its ``.data`` is raw data
 at that one level.  A symmetric Gram matrix is built on its upper triangle:
 entry (p, q), p <= q, is one sum of products (:func:`~isotower.tower._dot`),
 wrapped once, and that same object is mirrored to (q, p).  ``gram`` stays
-the public, wrapped, symmetric matrix.
+the public, wrapped, symmetric matrix.  Restriction to a subspace, B^T G B,
+sums over the nonzero coordinates of B only, and over Q it sums integers
+and builds one Fraction per restricted entry, not a wrapped G B.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from typing import Sequence
@@ -28,7 +31,7 @@ from . import linalg
 from .errors import AllVanish, DimensionTooSmall, PreconditionError, SingularMatrix
 from .sqrt import adjoin_sqrt
 from .tower import TowerElement, TowerField, _dot, _embed_up, _is_zero, _join, _mul, dot
-from .tower import _denominator, _neg, _raw_zero
+from .tower import _denominator, _leaf, _neg, _raw_zero
 
 
 @dataclass(frozen=True)
@@ -291,16 +294,55 @@ def orthogonal_intersection(system: QFSystem, v: Sequence[TowerElement]):
     return tuple([tuple(v)] + complement), tuple(complement)
 
 
+def _support(form: QuadraticForm, b) -> list:
+    """The nonzero (index, raw data) pairs of a basis vector, whose entries
+    must all lie at the form's level in a tower that agrees with the form's
+    up to it."""
+    tower, lv = form.tower, form.level
+    if len(b) != form.dim:
+        raise ValueError(f"basis vector length {len(b)} != form dimension {form.dim}")
+    out = []
+    for p, x in enumerate(b):
+        if x.level != lv or (x.tower is not tower and x.tower.levels[:lv] != tower.levels[:lv]):
+            raise ValueError(f"basis entries must lie at the form's level {lv}")
+        if not _is_zero(x.data, lv):
+            out.append((p, x.data))
+    return out
+
+
 def _restrict(form: QuadraticForm, basis) -> QuadraticForm:
     """B^T G B, the form on the span of ``basis`` (vectors at the form's
-    level): G B is one matmul, each entry of B^T (G B) one sum of products."""
-    tower, lv = form.tower, form.level
-    ctx = tower._ctx
-    gb_cols = [[x.data for x in col] for col in zip(*linalg.matmul(form.gram, tuple(zip(*basis))))]
-    b_rows = [[(p, x.data) for p, x in enumerate(b) if x] for b in basis]
-    return _symmetric(
-        tower, lv, len(basis), lambda i, j: _dot(ctx, lv, [(x, gb_cols[j][p]) for p, x in b_rows[i]])
-    )
+    level), over the nonzero coordinates of B only: (G b_j)[p] is one sum
+    over supp(b_j), needed only at the p in some supp(b_i), and entry (i, j)
+    one sum over supp(b_i) against it.
+
+    Over Q the sums are of integers: G scaled by the lcm D of the
+    denominators it is read at, each b_i by the lcm d_i of its own, so entry
+    (i, j) is b'_i^T G' b'_j / (D d_i d_j), one Fraction normalised once.
+    Above Q each sum is one kernel ``_dot``."""
+    tower, lv, gram = form.tower, form.level, form.gram
+    supports = [_support(form, b) for b in basis]
+    rows = {p for s in supports for p, _ in s}
+    if lv:
+        ctx = tower._ctx
+        gb = [{p: _dot(ctx, lv, [(gram[p][q].data, y) for q, y in s]) for p in rows} for s in supports]
+        return _symmetric(
+            tower, lv, len(basis), lambda i, j: _dot(ctx, lv, [(x, gb[j][p]) for p, x in supports[i]])
+        )
+    den = lcm(*[gram[p][q].data.denominator for p in rows for q in rows if q >= p])
+    g = {p: {q: (x := gram[p][q].data).numerator * (den // x.denominator) for q in rows} for p in rows}
+    scaled, dens = [], []
+    for s in supports:
+        d = lcm(*[x.denominator for _, x in s])
+        scaled.append([(p, x.numerator * (d // x.denominator)) for p, x in s])
+        dens.append(d)
+    gb = [{p: sum([gp[q] * y for q, y in s]) for p, gp in g.items()} for s in scaled]
+
+    def entry(i, j):
+        num, d = sum([x * gb[j][p] for p, x in scaled[i]]), den * dens[i] * dens[j]
+        return num if d == 1 else _leaf(Fraction(num, d))
+
+    return _symmetric(tower, lv, len(basis), entry)
 
 
 def _binary_root(tower: TowerField, a, b, c):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isotower.errors import ReducibilityError
+from isotower.quadforms import QuadraticForm, _restrict
 from isotower.serialize import canonical_dumps, element_from_json, element_to_json
 from isotower.sqrt import sqrt_or_nonsquare
 from isotower.tower import QQ, dot, tower_extend
@@ -212,3 +213,42 @@ def test_rational_dot_is_the_exact_sum(pairs):
     # an integral sum is the int leaf
     assert type(got.data) is (int if want.denominator == 1 else Fraction)
     assert got.data == want
+
+
+@st.composite
+def restrict_cases(draw):
+    """A symmetric rational Gram matrix and basis vectors over Q, with the
+    denominator classes of ``rational_pairs`` and frequent zero entries; the
+    basis holds a zero vector and a unit vector among random ones."""
+    dens = draw(st.sampled_from([(1,), (4, 6, 12, 18), (1, 7, 11, 13, 10**20 + 39)]))
+    n = draw(st.integers(1, 5))
+
+    def leaf():
+        num = draw(st.one_of(st.just(0), st.integers(-(10**40), 10**40)))
+        return Fraction(num, draw(st.sampled_from(dens)))
+
+    gram = [[None] * n for _ in range(n)]
+    for p in range(n):
+        for q in range(p, n):
+            gram[p][q] = gram[q][p] = leaf()
+    unit = draw(st.integers(0, n - 1))
+    basis = [[leaf() for _ in range(n)] for _ in range(draw(st.integers(0, 3)))]
+    basis += [[Fraction(0)] * n, [Fraction(int(p == unit)) for p in range(n)]]
+    return gram, draw(st.permutations(basis))
+
+
+@settings(max_examples=200, deadline=None)
+@given(restrict_cases())
+def test_rational_restrict_is_the_exact_sum(case):
+    gram, basis = case
+    n = len(gram)
+    form = QuadraticForm.from_gram(QQ, 0, gram)
+    got = _restrict(form, [tuple(QQ.rational(x) for x in b) for b in basis])
+    assert got.level == 0 and got.dim == len(basis)
+    for i, bi in enumerate(basis):
+        for j, bj in enumerate(basis):
+            want = sum((bi[p] * gram[p][q] * bj[q] for p in range(n) for q in range(n)), Fraction(0))
+            entry = got.gram[i][j]
+            assert entry.level == 0 and entry.data == want
+            # an integral entry is the int leaf, any other a Fraction over > 1
+            assert type(entry.data) is (int if want.denominator == 1 else Fraction)

@@ -197,9 +197,9 @@ def test_mix_value_identity_random():
 
 @pytest.mark.parametrize("case", sorted(_dot_towers()))
 def test_raw_forms_match_wrapped_arithmetic(case):
-    # forms at every level of the chain's longest tower, a third of their
-    # entries zero: evaluate, mix_forms and _restrict against TowerElement
-    # operators and two matmuls, in value and in level
+    # forms at every level of the chain's longest tower, Q included, a third
+    # of their entries zero: evaluate, mix_forms and _restrict against
+    # TowerElement operators and two matmuls, in value and in level
     tower = _dot_towers()[case][-1]
     rng = random.Random(case)
 
@@ -207,7 +207,7 @@ def test_raw_forms_match_wrapped_arithmetic(case):
         return tower.zero(level) if rng.random() < 0.3 else _random_element(rng, tower, level)
 
     mixed_count = 0
-    for level in [lv for lv in range(1, tower.height + 1) for _ in range(3)]:
+    for level in [lv for lv in range(tower.height + 1) for _ in range(3)]:
         n, r = 3, rng.randint(2, 3)
         forms = []
         for _ in range(r):
@@ -243,6 +243,21 @@ def test_raw_forms_match_wrapped_arithmetic(case):
                     assert got == vals[-1] * forms[i].gram[p][q] - vals[i] * forms[-1].gram[p][q]
                     assert got.level == level
     assert mixed_count
+
+
+def test_restrict_rejects_basis_entries_off_the_form_level():
+    # the raw path never reads an entry at another level as level-lv data
+    s2 = tower_extend(QQ, [-2, 0, 1], label="s2")
+    over_q = QuadraticForm.diagonal(s2, 0, [1, 2])
+    over_s2 = QuadraticForm.diagonal(s2, 1, [1, s2.gen()])
+    with pytest.raises(ValueError):
+        _restrict(over_q, [(s2.one(0), s2.gen())])
+    with pytest.raises(ValueError):
+        _restrict(over_s2, [(s2.one(1), s2.zero(0))])
+    with pytest.raises(ValueError):
+        _restrict(over_s2, [(s2.one(1),)])
+    got = _restrict(over_s2, [(s2.one(1), s2.gen())])
+    assert got.gram == ((1 + 2 * s2.gen(),),) and got.level == 1
 
 
 # -- orthogonal intersection ---------------------------------------------------------
