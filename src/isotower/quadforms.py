@@ -15,8 +15,17 @@ at that one level.  A symmetric Gram matrix is built on its upper triangle:
 entry (p, q), p <= q, is one sum of products (:func:`~isotower.tower._dot`),
 wrapped once, and that same object is mirrored to (q, p).  ``gram`` stays
 the public, wrapped, symmetric matrix.  Restriction to a subspace, B^T G B,
-sums over the nonzero coordinates of B only, and over Q it sums integers
-and builds one Fraction per restricted entry, not a wrapped G B.
+sums over the nonzero coordinates of B only.
+
+Over Q a form is also integer rows M over one positive denominator D,
+G = M / D, and the recursion's rational rounds run on that pair: mixing
+gives m_r M_i - m_i M_r over D_i D_r (m = v^T M v for an integral v), the
+orthogonality rows are the M_i v, positive multiples of the G_i v with the
+same null space, and restriction gives B'^T M B' over D L^2 for the basis
+scaled by the lcm L of its denominators.  No Fraction is built per entry:
+the wrapped ``gram`` of such a form is built from (M, D) only when
+something reads it, and the binary quadratic that closes each level reads
+its coefficients off one M z.  Forms above Q keep the raw-data path.
 """
 
 from __future__ import annotations
@@ -25,13 +34,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import mul
 from typing import Sequence
 
 from . import linalg
 from .errors import AllVanish, DimensionTooSmall, PreconditionError, SingularMatrix
 from .sqrt import adjoin_sqrt
-from .tower import TowerElement, TowerField, _dot, _embed_up, _is_zero, _join, _mul, dot
-from .tower import _denominator, _leaf, _neg, _raw_zero
+from .tower import TowerElement, TowerField, _dot, _embed_up, _is_zero, _join, _mul
+from .tower import _denominator, _neg, _raw_zero, _scale
 
 
 @dataclass(frozen=True)
@@ -41,7 +51,10 @@ class QuadraticForm:
     Off-diagonal entries are half the polar form, so
     phi(x+y) - phi(x) - phi(y) = 2 x^T G y exactly (characteristic 0).
     Every Gram entry lies at ``level`` in ``tower``; the raw code reads an
-    entry's ``.data`` as level-``level`` data.
+    entry's ``.data`` as level-``level`` data.  At level 0 the form also
+    reads G as integer rows M over one positive denominator D, G = M / D
+    (``_ints``); a form that :func:`_from_ints` builds holds only that pair,
+    and its wrapped ``gram`` is built on first read.
     """
 
     tower: TowerField
@@ -70,14 +83,34 @@ class QuadraticForm:
         )
         return QuadraticForm(tower, level, rows)
 
+    @cached_property
+    def _ints(self):
+        """(M, D) with G = M / D for a level-0 form: integer rows over the
+        lcm D of the entries' denominators."""
+        den = lcm(*[x.data.denominator for row in self.gram for x in row])
+        return tuple(tuple(x.data.numerator * (den // x.data.denominator) for x in row) for row in self.gram), den
+
+    def __getattr__(self, name):
+        # only a form built by _from_ints reaches here for its gram
+        if name != "gram" or "_ints" not in self.__dict__:
+            raise AttributeError(name)
+        tower, (rows, den) = self.tower, self._ints
+        gram = _mirrored(len(rows), lambda p, q: TowerElement(tower, 0, _over(tower._ctx, 0, rows[p][q], den)))
+        object.__setattr__(self, "gram", gram)
+        return gram
+
     @property
     def dim(self) -> int:
-        return len(self.gram)
+        gram = self.__dict__.get("gram")
+        return len(self._ints[0] if gram is None else gram)
 
     def _gy(self, v):
-        """(tower, level, raw v, raw G v) in the longer tower and at the higher
-        level of v and the form; plain numbers are rationals.  Each row of
-        G v is one sum of products."""
+        """(tower, level, raw v', raw y, D, d) in the longer tower and at the
+        higher level of v and the form, with v' = d v, G v = y / (D d) and so
+        phi(v) = v'^T y / (D d^2); plain numbers are rationals.  Each row of
+        y is one sum of products.  Over Q, v' is integral for the lcm d of
+        v's denominators and y = M v'; a form over Q read above Q has y = M v
+        and d = 1; a form above Q has y = G v and D = d = 1."""
         if len(v) != self.dim:
             raise ValueError(f"vector length {len(v)} != form dimension {self.dim}")
         tower, lv = self.tower, self.level
@@ -87,29 +120,67 @@ class QuadraticForm:
                 lv = max(lv, x.level)
         ctx, fl = tower._ctx, self.level
         v = [tower.coerce(x, lv).data for x in v]
+        if not lv:
+            v, d = _integral(v)
+            rows, den = self._ints
+            return tower, 0, v, _times(rows, v), den, d
         nz = [(j, y) for j, y in enumerate(v) if not _is_zero(y, lv)]
         if fl == lv:
             gy = [_dot(ctx, lv, [(row[j].data, y) for j, y in nz]) for row in self.gram]
-        else:
-            gy = [
-                _dot(ctx, lv, [(_embed_up(ctx, fl, row[j].data, lv), y) for j, y in nz])
-                for row in self.gram
-            ]
-        return tower, lv, v, gy
+            return tower, lv, v, gy, 1, 1
+        rows, den = ([[x.data for x in row] for row in self.gram], 1) if fl else self._ints
+        gy = [_dot(ctx, lv, [(_embed_up(ctx, fl, row[j], lv), y) for j, y in nz]) for row in rows]
+        return tower, lv, v, gy, den, 1
 
     def evaluate(self, v) -> TowerElement:
-        tower, lv, v, gv = self._gy(v)
-        return TowerElement(tower, lv, _dot(tower._ctx, lv, list(zip(v, gv))))
+        tower, lv, v, gv, den, d = self._gy(v)
+        ctx = tower._ctx
+        return TowerElement(tower, lv, _over(ctx, lv, _dot(ctx, lv, list(zip(v, gv))), den * d * d))
+
+
+def _over(ctx, lv: int, x, den: int):
+    """Raw level-lv data x divided by a positive integer den."""
+    return x if den == 1 else _scale(ctx, lv, x, Fraction(1, den))
+
+
+def _from_ints(tower: TowerField, rows, den: int) -> QuadraticForm:
+    """The level-0 form G = rows / den, for symmetric integer rows and a
+    positive integer den, without its wrapped gram."""
+    form = object.__new__(QuadraticForm)
+    object.__setattr__(form, "tower", tower)
+    object.__setattr__(form, "level", 0)
+    form.__dict__["_ints"] = (rows, den)
+    return form
+
+
+def _integral(v) -> tuple[list[int], int]:
+    """Rational raw values as (d v, d), integers over the lcm d of their
+    denominators."""
+    d = lcm(*[x.denominator for x in v])
+    return [x.numerator * (d // x.denominator) for x in v], d
+
+
+def _times(rows, v) -> list[int]:
+    """The integer matrix ``rows`` times the integer vector v, over v's
+    nonzero entries."""
+    nz = [(j, y) for j, y in enumerate(v) if y]
+    return [sum([row[j] * y for j, y in nz]) for row in rows]
+
+
+def _mirrored(n: int, entry) -> tuple[tuple, ...]:
+    """The symmetric rows whose entry (p, q), p <= q, is ``entry(p, q)``,
+    and that same object at (q, p)."""
+    rows = [[None] * n for _ in range(n)]
+    for p in range(n):
+        for q in range(p, n):
+            rows[p][q] = rows[q][p] = entry(p, q)
+    return tuple(map(tuple, rows))
 
 
 def _symmetric(tower: TowerField, level: int, n: int, entry) -> QuadraticForm:
     """The form whose Gram entry (p, q), p <= q, is the raw ``entry(p, q)``,
     wrapped once and mirrored to (q, p)."""
-    rows = [[None] * n for _ in range(n)]
-    for p in range(n):
-        for q in range(p, n):
-            rows[p][q] = rows[q][p] = TowerElement(tower, level, entry(p, q))
-    return QuadraticForm(tower, level, tuple(map(tuple, rows)))
+    return QuadraticForm(tower, level, _mirrored(n, lambda p, q: TowerElement(tower, level, entry(p, q))))
 
 
 @dataclass(frozen=True)
@@ -229,12 +300,13 @@ def _scan_vector(system: QFSystem):
     """
     tower, level, n = system.tower, system.level, system.dim
     one, zero = tower.one(level), tower.zero(level)
+    grams = [f.gram if level else f._ints[0] for f in system.forms]
     for i in range(n):
-        if any(f.gram[i][i] for f in system.forms):
+        if any(g[i][i] for g in grams):
             return tuple(one if k == i else zero for k in range(n))
     for i in range(n):
         for j in range(i + 1, n):
-            if any(f.gram[i][j] for f in system.forms):
+            if any(g[i][j] for g in grams):
                 return tuple(one if k in (i, j) else zero for k in range(n))
     return None
 
@@ -246,22 +318,31 @@ def mix_forms(system: QFSystem, v: Sequence[TowerElement]) -> QFSystem:
     The mixed system has exactly the same isotropic vectors as the original
     over every extension, and the first r-1 mixed forms vanish at v, which
     lies at the system's level.  Each upper-triangle entry of a mixed form
-    is one sum of two products, a_r g - a_i h.
+    is one sum of two products, a_r g - a_i h.  Over Q it is an integer:
+    with v' = d v integral and m = v'^T M v', a = m / (D d^2), so the mixed
+    form is (m_r M_i - m_i M_r) / (D_i D_r d^2).
     """
-    vals = [f.evaluate(v) for f in system.forms]
-    nz = [i for i, a in enumerate(vals) if a]
+    tower, lv, n = system.tower, system.level, system.dim
+    ctx, forms = tower._ctx, list(system.forms)
+    if lv:
+        vals = [f.evaluate(v).data for f in forms]
+    else:
+        vi, d = _integral([tower.coerce(x, 0).data for x in v])
+        vals = [sum(map(mul, vi, _times(f._ints[0], vi))) for f in forms]
+    nz = [i for i, a in enumerate(vals) if not _is_zero(a, lv)]
     if not nz:
         raise AllVanish("every form vanishes at v; v is already a witness")
     pick = max(nz)
-    forms = list(system.forms)
     forms[pick], forms[-1] = forms[-1], forms[pick]
     vals[pick], vals[-1] = vals[-1], vals[pick]
-    tower, lv, n = system.tower, system.level, system.dim
-    ctx, last = tower._ctx, forms[-1]
+    last, a_r = forms[-1], vals[-1]
 
     def mixed(form, a_i):
+        if not lv:
+            (g, den), (h, den_r) = form._ints, last._ints
+            return _from_ints(tower, _mirrored(n, lambda p, q: a_r * g[p][q] - a_i * h[p][q]), den * den_r * d * d)
         # a zero a_i stays the shared zero under _neg, and _dot skips it
-        terms = ((vals[-1].data, form.gram), (_neg(ctx, lv, a_i.data), last.gram))
+        terms = ((a_r, form.gram), (_neg(ctx, lv, a_i), last.gram))
         return _symmetric(tower, lv, n, lambda p, q: _dot(ctx, lv, [(a, g[p][q].data) for a, g in terms]))
 
     return QFSystem(tuple(mixed(f, a) for f, a in zip(forms, vals[:-1])) + (last,))
@@ -277,7 +358,9 @@ def orthogonal_intersection(system: QFSystem, v: Sequence[TowerElement]):
         raise PreconditionError("orthogonal_intersection requires v != 0")
     rows = []
     for f in system.forms[:-1]:
-        t, lv, vr, gv = f._gy(v)
+        # over Q, gv = M v' is G v times D d > 0: the same null space and
+        # the same reduced basis
+        t, lv, vr, gv, _, _ = f._gy(v)
         if not _is_zero(_dot(t._ctx, lv, list(zip(vr, gv))), lv):
             raise PreconditionError("orthogonal_intersection requires phi_i(v) = 0 for i < r")
         rows.append(tuple(TowerElement(t, lv, x) for x in gv))
@@ -316,33 +399,23 @@ def _restrict(form: QuadraticForm, basis) -> QuadraticForm:
     over supp(b_j), needed only at the p in some supp(b_i), and entry (i, j)
     one sum over supp(b_i) against it.
 
-    Over Q the sums are of integers: G scaled by the lcm D of the
-    denominators it is read at, each b_i by the lcm d_i of its own, so entry
-    (i, j) is b'_i^T G' b'_j / (D d_i d_j), one Fraction normalised once.
-    Above Q each sum is one kernel ``_dot``."""
-    tower, lv, gram = form.tower, form.level, form.gram
+    Over Q the sums are of integers: with G = M / D and every b_i scaled
+    by the lcm L of all the basis denominators, B^T G B = B'^T M B' / (D L^2),
+    returned as that pair and no Fraction.  Above Q each sum is one kernel
+    ``_dot``."""
+    tower, lv = form.tower, form.level
     supports = [_support(form, b) for b in basis]
     rows = {p for s in supports for p, _ in s}
+    k = len(basis)
     if lv:
-        ctx = tower._ctx
+        ctx, gram = tower._ctx, form.gram
         gb = [{p: _dot(ctx, lv, [(gram[p][q].data, y) for q, y in s]) for p in rows} for s in supports]
-        return _symmetric(
-            tower, lv, len(basis), lambda i, j: _dot(ctx, lv, [(x, gb[j][p]) for p, x in supports[i]])
-        )
-    den = lcm(*[gram[p][q].data.denominator for p in rows for q in rows if q >= p])
-    g = {p: {q: (x := gram[p][q].data).numerator * (den // x.denominator) for q in rows} for p in rows}
-    scaled, dens = [], []
-    for s in supports:
-        d = lcm(*[x.denominator for _, x in s])
-        scaled.append([(p, x.numerator * (d // x.denominator)) for p, x in s])
-        dens.append(d)
-    gb = [{p: sum([gp[q] * y for q, y in s]) for p, gp in g.items()} for s in scaled]
-
-    def entry(i, j):
-        num, d = sum([x * gb[j][p] for p, x in scaled[i]]), den * dens[i] * dens[j]
-        return num if d == 1 else _leaf(Fraction(num, d))
-
-    return _symmetric(tower, lv, len(basis), entry)
+        return _symmetric(tower, lv, k, lambda i, j: _dot(ctx, lv, [(x, gb[j][p]) for p, x in supports[i]]))
+    m, den = form._ints
+    ell = lcm(*[x.denominator for s in supports for _, x in s])
+    scaled = [[(p, x.numerator * (ell // x.denominator)) for p, x in s] for s in supports]
+    gb = [{p: sum([m[p][q] * y for q, y in s]) for p in rows} for s in scaled]
+    return _from_ints(tower, _mirrored(k, lambda i, j: sum([x * gb[j][p] for p, x in scaled[i]])), den * ell * ell)
 
 
 def _binary_root(tower: TowerField, a, b, c):
@@ -359,6 +432,18 @@ def _binary_root(tower: TowerField, a, b, c):
     return t2, x
 
 
+def _line(form: QuadraticForm, z):
+    """(a, b, c) with phi(x e_1 + z) = a x^2 + b x + c, for z with z_1 = 0:
+    a = phi(e_1), and one G z gives b = 2 (G z)_1 = b(e_1, z) and
+    c = z^T G z."""
+    tower, level = form.tower, form.level
+    a = form.evaluate(tuple(tower.one(level) if k == 0 else tower.zero(level) for k in range(form.dim)))
+    t, lv, z, gz, den, d = form._gy(z)
+    ctx = t._ctx
+    b = _scale(ctx, lv, gz[0], Fraction(2, den * d))
+    return a, TowerElement(t, lv, b), TowerElement(t, lv, _over(ctx, lv, _dot(ctx, lv, list(zip(z, gz))), den * d * d))
+
+
 def _solve_system(system: QFSystem):
     """(tower', witness) for the inductive construction; vectors stay exact."""
     tower, level, n = system.tower, system.level, system.dim
@@ -367,11 +452,12 @@ def _solve_system(system: QFSystem):
 
     if r == 1:
         form = system.forms[0]
+        g = form.gram if level else form._ints[0]
         for i in range(n):
-            if not form.gram[i][i]:
+            if not g[i][i]:
                 return tower, tuple(one if k == i else zero for k in range(n))
         # phi(x e_1 + e_2) = g_11 x^2 + b(e_1, e_2) x + g_22, b(e_1, e_2) = 2 g_12
-        t2, x = _binary_root(tower, form.gram[0][0], 2 * form.gram[0][1], form.gram[1][1])
+        t2, x = _binary_root(tower, *_line(form, tuple(one if k == 1 else zero for k in range(n))))
         top = t2.height
         return t2, (x, t2.one(top)) + (t2.zero(top),) * (n - 2)
 
@@ -387,8 +473,7 @@ def _solve_system(system: QFSystem):
     # on W's basis (v, C), phi_r(x v + C w) = a x^2 + b x + c with a = phi_r(v),
     # nonzero by the choice of v
     last = _restrict(mixed.forms[-1], w_basis)
-    z = (t2.zero(t2.height),) + w_small
-    t3, x = _binary_root(t2, last.gram[0][0], 2 * dot(last.gram[0], z), last.evaluate(z))
+    t3, x = _binary_root(t2, *_line(last, (t2.zero(t2.height),) + w_small))
     return t3, linalg.matvec(tuple(zip(*w_basis)), (x,) + w_small)
 
 

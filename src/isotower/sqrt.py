@@ -71,6 +71,9 @@ def _small_primes() -> list[int]:
     return [i for i in range(limit + 1) if sieve[i]]
 
 
+_small_prime_product = cache(lambda: prod(_small_primes()))
+
+
 def rational_sqrt(q: RationalLike) -> RationalLike | None:
     """Exact square root of a rational, or None; a kernel leaf, so an int
     when the root is integral."""
@@ -86,30 +89,27 @@ def rational_sqrt(q: RationalLike) -> RationalLike | None:
 
 
 def _trial_factor(n: int) -> tuple[dict[int, int], int]:
-    """Split n >= 1 into the exponents of its primes below 10^4 and the
-    cofactor left over.  Division stops once p^2 exceeds what is left, so a
-    cofactor below 10^8 is 1 or a prime."""
+    """Split n >= 1 into the exponents of its primes below 10^4, which one
+    gcd with their product picks out, and the cofactor, which has none of
+    them: a cofactor below 10^8 is 1 or a prime."""
     exps: dict[int, int] = {}
+    g = gcd(n, _small_prime_product())
     for p in _small_primes():
-        if p * p > n:
+        if g == 1:
             break
-        if n % p:
-            continue
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        exps[p] = e
+        if g % p == 0:
+            g, exps[p] = g // p, 0
+            while n % p == 0:
+                n, exps[p] = n // p, exps[p] + 1
     return exps, n
 
 
 def squarefree_reduce(n: int) -> tuple[int, int]:
-    """Write n = d * m^2 with the square part found by small-prime division.
+    """Write n = d * m^2, m the square part over the primes below 10^4
+    (:func:`_trial_factor`) times the root of a square cofactor.
 
-    d keeps the sign of n.  Large square factors hiding behind primes above
-    the trial bound stay inside d; that only costs minpoly minimality, never
-    correctness.
-    """
+    d keeps the sign of n.  Other square factors above the trial bound stay
+    inside d; that only costs minpoly minimality, never correctness."""
     if n == 0:
         raise ValueError("zero has no squarefree decomposition")
     exps, rest = _trial_factor(abs(n))

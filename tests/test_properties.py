@@ -3,11 +3,13 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isotower.errors import ReducibilityError
-from isotower.quadforms import QuadraticForm, _restrict
+from isotower import linalg
+from isotower.errors import AllVanish, ReducibilityError
+from isotower.quadforms import QFSystem, QuadraticForm, _from_ints, _line, _restrict, mix_forms, orthogonal_intersection
 from isotower.serialize import canonical_dumps, element_from_json, element_to_json
 from isotower.sqrt import sqrt_or_nonsquare
 from isotower.tower import QQ, dot, tower_extend
@@ -252,3 +254,104 @@ def test_rational_restrict_is_the_exact_sum(case):
             assert entry.level == 0 and entry.data == want
             # an integral entry is the int leaf, any other a Fraction over > 1
             assert type(entry.data) is (int if want.denominator == 1 else Fraction)
+
+
+# -- the rational rounds on integer rows against the Fraction reference --------
+
+
+def _ref_value(g, v):
+    n = len(g)
+    return sum((v[p] * g[p][q] * v[q] for p in range(n) for q in range(n)), Fraction(0))
+
+
+def _ref_mix(grams, v):
+    """mix_forms on Fraction matrices, as the wrapped arithmetic did it:
+    (mixed matrices, the index moved to the last slot)."""
+    vals = [_ref_value(g, v) for g in grams]
+    pick = max(i for i, a in enumerate(vals) if a)
+    grams, vals = list(grams), list(vals)
+    grams[pick], grams[-1] = grams[-1], grams[pick]
+    vals[pick], vals[-1] = vals[-1], vals[pick]
+    last, a_r = grams[-1], vals[-1]
+    mixed = [[[a_r * x - a_i * y for x, y in zip(gr, hr)] for gr, hr in zip(g, last)] for g, a_i in zip(grams, vals)]
+    return mixed[:-1] + [last], pick
+
+
+def _ref_orthogonal(grams, v):
+    """orthogonal_intersection's basis on the wrapped rows G_i v."""
+    n = len(v)
+    rows = tuple(tuple(QQ.rational(sum(g[p][q] * v[q] for q in range(n))) for p in range(n)) for g in grams[:-1])
+    w = list(linalg.nullspace(rows, QQ, 0, n)) if rows else list(linalg.identity(QQ, 0, n))
+    free = [max(k for k, x in enumerate(b) if x) for b in w]
+    drop = max(i for i, f in enumerate(free) if v[f])
+    return tuple([tuple(QQ.rational(x) for x in v)] + w[:drop] + w[drop + 1:])
+
+
+def _assert_form_is(form, want):
+    """form's materialised gram is the Fraction matrix want, leaf by leaf,
+    each leaf canonical: an int when integral, else a Fraction over > 1."""
+    assert form.level == 0 and form.dim == len(want)
+    for row, want_row in zip(form.gram, want):
+        for x, y in zip(row, want_row):
+            assert x.level == 0 and x.data == y
+            assert type(x.data) is (int if y.denominator == 1 else Fraction)
+
+
+@st.composite
+def integer_systems(draw):
+    """r forms over Q held as integer rows over their own denominator D
+    (1, shared factors, or coprime up to 10^20 + 39), some built from a
+    wrapped gram and some only as (M, D), with frequent zero and negative
+    entries, and a rational vector v with zeros."""
+    r, n = draw(st.integers(2, 3)), draw(st.integers(2, 5))
+    entry = st.one_of(st.just(0), st.integers(-(10**30), 10**30), st.integers(-3, 3))
+    forms = []
+    for _ in range(r):
+        den = draw(st.sampled_from([1, 4, 6, 12, 18, 7, 11, 13, 10**20 + 39]))
+        rows = [[0] * n for _ in range(n)]
+        for p in range(n):
+            for q in range(p, n):
+                rows[p][q] = rows[q][p] = draw(entry)
+        forms.append((tuple(map(tuple, rows)), den, draw(st.booleans())))
+    dens = draw(st.sampled_from([(1,), (4, 6, 12), (1, 7, 10**20 + 39)]))
+    v = [Fraction(draw(st.one_of(st.just(0), st.integers(-9, 9))), draw(st.sampled_from(dens))) for _ in range(n)]
+    return forms, v
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_systems())
+def test_integer_rounds_match_the_fraction_reference(case):
+    specs, v = case
+    grams = [[[Fraction(x, den) for x in row] for row in rows] for rows, den, _ in specs]
+    forms = tuple(
+        QuadraticForm.from_gram(QQ, 0, g) if wrapped else _from_ints(QQ, rows, den)
+        for g, (rows, den, wrapped) in zip(grams, specs)
+    )
+    vec = tuple(QQ.rational(x) for x in v)
+    for f, g in zip(forms, grams):
+        value = f.evaluate(vec)
+        assert value.data == _ref_value(g, v)
+        assert type(value.data) is (int if value.data.denominator == 1 else Fraction)
+    if not any(_ref_value(g, v) for g in grams):
+        with pytest.raises(AllVanish):
+            mix_forms(QFSystem(forms), vec)
+        return
+    mixed = mix_forms(QFSystem(forms), vec)
+    want, pick = _ref_mix(grams, v)
+    assert mixed.forms[-1] is forms[pick]
+    z = [Fraction(0)] + v[1:]
+    for f, g in zip(mixed.forms, want):
+        _assert_form_is(f, g)
+        # the binary quadratic phi(x e_1 + z) that closes a level
+        a, b, c = _line(f, tuple(QQ.rational(x) for x in z))
+        assert [a.data, b.data, c.data] == [g[0][0], 2 * sum(x * y for x, y in zip(g[0], z)), _ref_value(g, z)]
+    basis = orthogonal_intersection(mixed, vec)[0]
+    assert basis == _ref_orthogonal(want, v)
+    complement = basis[1:]
+    n = len(v)
+    for f, g in zip(mixed.forms, want):
+        sub = _restrict(f, complement)
+        b = [[x.data for x in c] for c in complement]
+        _assert_form_is(sub, [[sum((bi[p] * g[p][q] * bj[q] for p in range(n) for q in range(n)), Fraction(0))
+                               for bj in b] for bi in b])
+

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import product
@@ -24,11 +25,15 @@ from isotower.quadforms import (
     flatten_between,
     isotropy_2ext,
     mix_forms,
+    _from_ints,
     _restrict,
+    _scan_vector,
+    _solve_system,
     orthogonal_intersection,
     transfer_system,
 )
 from isotower.presets import field_cubic, field_quintic, field_septic
+from isotower.serialize import canonical_dumps
 from isotower.tower import QQ, dot, tower_extend
 from isotower import verify
 from test_serialize import fresh, fresh_element
@@ -410,6 +415,120 @@ def test_isotropy_hyperbolic_zero_diagonal_verifies():
     assert cert.actual_degree == 1
     ok, reason = verify.verify_isotropy(isotropy_certificate_doc(system, cert))
     assert ok, reason
+
+
+# -- forms over Q as integer rows over one denominator ---------------------------------
+
+
+def _sparse_form(n, entries):
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for (p, q), x in entries.items():
+        rows[p][q] = rows[q][p] = Fraction(x)
+    return QuadraticForm.from_gram(QQ, 0, rows)
+
+
+def _certificate_sha(system):
+    doc = isotropy_certificate_doc(system, isotropy_2ext(system))
+    ok, reason = verify.verify_isotropy(doc)
+    assert ok, reason
+    return hashlib.sha256(canonical_dumps(doc).encode()).hexdigest()
+
+
+# certificates pinned before the rational rounds moved to integer rows
+EDGE_PINS = {
+    "zero-diagonals": "94cd8e2bf74167f5b011f5fa20fc6a105c52c321623bcbd0c8c29d9d69460d8e",
+    "zero-form": "af0f2458854d7f5338fda92323512d52ff0b8b3938c27681111a57666d70e2e9",
+    "cubic-level-1": "7538f58bea5e348ad0678018f44a8157086f0a8a1ed54b402863f423a3353d43",
+    "rational-base-root": "6cf8106f4375f63b0ba326625217ee7db842b2d32ee44f1ec4ca049b4b05e707",
+}
+
+
+def test_zero_diagonals_scan_falls_back_to_a_pair():
+    # no diagonal entry anywhere: the scan reads M's off-diagonal entries
+    # and takes e_1 + e_5, the first pair that is nonzero in some form
+    system = QFSystem((
+        _sparse_form(5, {(1, 3): Fraction(3, 2), (2, 4): Fraction(-2, 3), (1, 2): 5}),
+        _sparse_form(5, {(2, 3): Fraction(5, 7), (1, 3): Fraction(1, 4), (0, 4): -1}),
+    ))
+    assert _scan_vector(system) == vec(1, 0, 0, 0, 1)
+    assert _certificate_sha(system) == EDGE_PINS["zero-diagonals"]
+
+
+def test_identically_zero_form_in_the_system():
+    rng = random.Random("zero-form")
+    forms = []
+    for k in range(3):
+        rows = [[0] * 7 for _ in range(7)]
+        for p in range(7):
+            for q in range(p, 7):
+                if k != 1:
+                    rows[p][q] = rows[q][p] = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 10**20 + 39)))
+        forms.append(QuadraticForm.from_gram(QQ, 0, rows))
+    assert forms[1]._ints == (((0,) * 7,) * 7, 1)
+    assert _certificate_sha(QFSystem(tuple(forms))) == EDGE_PINS["zero-form"]
+
+
+def test_rational_base_root_closes_the_level_over_q():
+    # the r = 1 base has a rational root, so the last level's binary
+    # quadratic is read at z over Q with denominators: b = 2 (G z)_1 is
+    # M z' / (D d) and c = z^T G z is z'^T M z' / (D d^2)
+    grams = [
+        [[-4, 0, -3, -5], [0, 3, -2, 9], [-3, -2, 2, -6], [-5, 9, -6, 2]],
+        [[1, -6, -4, -2], [-6, 2, 8, -8], [-4, 8, 2, 4], [-2, -8, 4, -8]],
+    ]
+    system = QFSystem(tuple(QuadraticForm.from_gram(QQ, 0, g) for g in grams))
+    assert _certificate_sha(system) == EDGE_PINS["rational-base-root"]
+
+
+def test_r1_zero_diagonal_entry_is_the_witness():
+    cert = isotropy_2ext(QFSystem((_sparse_form(3, {(0, 0): 2, (0, 2): Fraction(1, 3), (2, 2): -1}),)))
+    assert cert.actual_degree == 1 and cert.witness == vec(0, 1, 0)
+    # a form held only as (M, D): the zero test reads M, and no gram is built
+    form = _from_ints(QQ, ((4, 1, 0), (1, 0, 5), (0, 5, 7)), 6)
+    tower, witness = _solve_system(QFSystem((form,)))
+    assert tower is QQ and witness == vec(0, 1, 0)
+    assert "gram" not in form.__dict__
+
+
+def test_integer_forms_raise_as_wrapped_forms_do():
+    # every form vanishes at e_1
+    vanish = QFSystem((_from_ints(QQ, ((0, 1), (1, 0)), 3), _from_ints(QQ, ((0, 2), (2, 5)), 7)))
+    with pytest.raises(AllVanish):
+        mix_forms(vanish, vec(1, 0))
+    # phi_1(e_1) = 1/2 != 0
+    system = QFSystem((_from_ints(QQ, ((1, 0), (0, 1)), 2), _from_ints(QQ, ((1, 0), (0, -1)), 5)))
+    with pytest.raises(PreconditionError, match="phi_i"):
+        orthogonal_intersection(system, vec(1, 0))
+    with pytest.raises(PreconditionError, match="v != 0"):
+        orthogonal_intersection(system, vec(0, 0))
+
+
+def test_integer_form_gram_is_built_on_first_read():
+    form = _from_ints(QQ, ((4, -6), (-6, 0)), 4)
+    assert form.dim == 2 and "gram" not in form.__dict__
+    assert form.evaluate(vec(1, Fraction(1, 3))) == QQ.rational(0)
+    assert "gram" not in form.__dict__
+    assert form.gram == _sparse_form(2, {(0, 0): 1, (0, 1): Fraction(-3, 2)}).gram
+    assert [[type(x.data) for x in row] for row in form.gram] == [[int, Fraction], [Fraction, int]]
+    assert form == _sparse_form(2, {(0, 0): 1, (0, 1): Fraction(-3, 2)})
+    assert form._ints == (((4, -6), (-6, 0)), 4)
+
+
+def test_isotropy_above_q_keeps_the_raw_path():
+    # forms at level 1 over a base-root level: no integer view is formed,
+    # and the certificate is the one pinned before the change
+    tower = field_cubic()
+    rng = random.Random("level-1")
+    g, forms = tower.gen(), []
+    for _ in range(2):
+        rows = [[None] * 4 for _ in range(4)]
+        for p in range(4):
+            for q in range(p, 4):
+                rows[p][q] = rows[q][p] = Fraction(rng.randint(-3, 3), rng.randint(1, 4)) + rng.randint(-3, 3) * g
+        forms.append(QuadraticForm.from_gram(tower, 1, rows))
+    system = QFSystem(tuple(forms))
+    assert _certificate_sha(system) == EDGE_PINS["cubic-level-1"]
+    assert not any("_ints" in f.__dict__ for f in forms)
 
 
 def test_isotropy_over_extension_field():

@@ -2,7 +2,7 @@ import random
 import sys
 import threading
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import pytest
 
@@ -19,6 +19,7 @@ from isotower.sqrt import (
     _roots_mod_p,
     _small_primes,
     _sqrt_roots_mod,
+    _trial_factor,
     adjoin_sqrt,
     rational_sqrt,
     sqrt_or_nonsquare,
@@ -26,6 +27,7 @@ from isotower.sqrt import (
 )
 from isotower.tower import KIND_SQRT, QQ, TowerField, tower_extend
 from isotower.verify import verify_split
+from norm_oracle import _factor, _is_prime
 from test_serialize import fresh, fresh_tower
 from test_tower import _dot_towers, _random_element as _sparse_element
 
@@ -47,6 +49,58 @@ def test_squarefree_reduce():
     assert d == 2 and m == 10007
     with pytest.raises(ValueError):
         squarefree_reduce(0)
+
+
+def _trial_factor_loop(n):
+    """The trial division _trial_factor replaced: every prime below 10^4 in
+    turn, until p^2 exceeds what is left."""
+    exps = {}
+    for p in _small_primes():
+        if p * p > n:
+            break
+        if n % p:
+            continue
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        exps[p] = e
+    return exps, n
+
+
+def _squarefree_from(exps, rest):
+    d, m = 1, 1
+    for p, e in exps.items():
+        m *= p ** (e // 2)
+        d *= p ** (e % 2)
+    r = isqrt(rest)
+    return (d, m * r) if r * r == rest else (d * rest, m)
+
+
+def test_trial_factor_matches_the_division_loop():
+    rng = random.Random(37)
+    primes = _small_primes()
+    cases = [2 * 9973, 9973**2 * 5, 2 * 10007**2, 1, 2**64, 3**40, 9973**5, 10007**3, 9973, 10007 * 10009]
+    for _ in range(40):
+        n = rng.getrandbits(1600) | 1
+        for _ in range(rng.randint(0, 8)):
+            n *= rng.choice(primes) ** rng.randint(1, 4)
+        cases.append(n)
+    for n in cases:
+        exps, rest = _trial_factor(n)
+        old_exps, old_rest = _trial_factor_loop(n)
+        # the loop could stop with one prime below 10^4 left as the cofactor
+        if old_rest < 10**4 and old_rest > 1:
+            old_exps, old_rest = {**old_exps, old_rest: 1}, 1
+        assert (exps, rest) == (old_exps, old_rest)
+        assert prod(p**e for p, e in exps.items()) * rest == n
+        assert gcd(rest, prod(primes)) == 1
+        assert squarefree_reduce(n) == _squarefree_from(*_trial_factor_loop(n))
+        assert squarefree_reduce(-n) == (-squarefree_reduce(n)[0], squarefree_reduce(n)[1])
+    # the test oracle's factorisation still completes from the split
+    for n in cases[:10] + [rng.getrandbits(48) * rng.choice(primes) ** 3 for _ in range(20)]:
+        factors = _factor(n)
+        assert prod(p**e for p, e in factors.items()) == n and all(_is_prime(p) for p in factors)
 
 
 def test_tier1_through_elements():
