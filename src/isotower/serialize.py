@@ -133,14 +133,17 @@ def element_to_json(x: TowerElement):
 
 
 def element_from_json(tower: TowerField, node) -> TowerElement:
-    return _element_from_json(tower, node, _zeros_of(tower))
+    return TowerElement(tower, *_raw_from_json(tower, node, _zeros_of(tower)))
 
 
-def _element_from_json(tower, node, zeros) -> TowerElement:
+def _raw_from_json(tower, node, zeros):
+    """(level, raw data) of an element node, its level its nesting depth."""
+    if not isinstance(node, list):
+        return 0, fraction_from_json(node)
     lv = _json_depth(node)
     if lv > tower.height:
         raise MalformedCertificate("element deeper than the tower")
-    return TowerElement(tower, lv, _data_from_json(node, lv, tower, zeros))
+    return lv, _data_from_json(node, lv, tower, zeros)
 
 
 def tower_to_json(tower: TowerField):
@@ -168,7 +171,7 @@ def tower_from_json(node) -> TowerField:
         label = entry["label"]
         if not isinstance(label, str) or any(level.label == label for level in partial.levels):
             raise MalformedCertificate(f"tower labels must be distinct strings, got {label!r}")
-        partial = partial._extended(Level(label, raw, _level_kind(raw, i)))
+        partial = partial._extended(Level(label, raw, _level_kind(partial._ctx, raw)))
     return partial
 
 
@@ -177,10 +180,15 @@ def vector_to_json(v) -> list:
 
 
 def vector_from_json(tower: TowerField, node) -> tuple[TowerElement, ...]:
+    return tuple(TowerElement(tower, lv, x) for lv, x in _raw_vector_from_json(tower, node))
+
+
+def _raw_vector_from_json(tower, node) -> list:
+    """The (level, raw data) pair of each element of a vector node."""
     if not isinstance(node, list):
         raise MalformedCertificate("vector must be a list")
     zeros = _zeros_of(tower)
-    return tuple(_element_from_json(tower, x, zeros) for x in node)
+    return [_raw_from_json(tower, x, zeros) for x in node]
 
 
 def gram_to_json(gram) -> list:
@@ -191,7 +199,7 @@ def gram_from_json(tower: TowerField, node):
     if not isinstance(node, list) or any(not isinstance(r, list) for r in node):
         raise MalformedCertificate("gram matrix must be a list of rows")
     zeros = _zeros_of(tower)
-    return tuple(tuple(_element_from_json(tower, x, zeros) for x in row) for row in node)
+    return tuple(tuple(TowerElement(tower, *_raw_from_json(tower, x, zeros)) for x in row) for row in node)
 
 
 def canonical_dumps(doc) -> str:

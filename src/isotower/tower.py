@@ -520,18 +520,18 @@ def _pow(ctx, lv, a, n):
 
 def _level_ctx(ctx, level) -> _LevelCtx:
     """The context of ``level`` on top of levels whose contexts are ``ctx``."""
-    lv_below = len(ctx)  # element level of the coefficients
-    d = level.degree
-    red = tuple((j, c) for j, c in enumerate(level.minpoly[:d]) if not _is_zero(c, lv_below))
+    lo = len(ctx)  # element level of the coefficients
+    d, zero = level.degree, _raw_zero(ctx, lo)
+    red = tuple((j, c) for j, c in enumerate(level.minpoly[:d]) if not (c is zero or _is_zero(c, lo)))
     sqrt_const = None
     sqrt_rat = None
     if level.kind == KIND_SQRT:
-        sqrt_const = _neg(ctx, lv_below, level.minpoly[0])
-        sqrt_rat = _rational_value_raw(sqrt_const, lv_below)
+        sqrt_const = _neg(ctx, lo, level.minpoly[0])
+        sqrt_rat = _rational_value_raw(sqrt_const, lo)
     return _LevelCtx(
         d,
-        _raw_zero(ctx, lv_below),
-        _raw_one(ctx, lv_below),
+        zero,
+        _raw_one(ctx, lo),
         level.minpoly,
         red,
         sqrt_const,
@@ -1007,9 +1007,10 @@ def _render(tower, lv, data):
 # ---------------------------------------------------------------------------
 
 
-def _level_kind(minpoly, lv: int) -> str:
-    """KIND_SQRT for a raw minpoly X^2 - c over level lv, else KIND_BASE."""
-    return KIND_SQRT if len(minpoly) == 3 and _is_zero(minpoly[1], lv) else KIND_BASE
+def _level_kind(ctx, minpoly) -> str:
+    """KIND_SQRT for a raw minpoly X^2 - c over a top with contexts ctx, else KIND_BASE."""
+    b, lv = minpoly[1], len(ctx)
+    return KIND_SQRT if len(minpoly) == 3 and (b is _raw_zero(ctx, lv) or _is_zero(b, lv)) else KIND_BASE
 
 
 def tower_extend(
@@ -1042,7 +1043,7 @@ def tower_extend(
     if not isinstance(label, str) or label in taken:
         raise ValueError(f"level label {label!r} is not a string distinct from those below")
     raw = tuple(c.data for c in coeffs)
-    return tower._extended(Level(label, raw, _level_kind(raw, top)))
+    return tower._extended(Level(label, raw, _level_kind(tower._ctx, raw)))
 
 
 QQ = TowerField(())

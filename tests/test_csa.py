@@ -711,7 +711,10 @@ def test_cor_dimension_shadow_tensor_product():
         # T(x)[q] = sigma^(-1)(x[perm[q]]), read at the support of x and of T(x)
         image = {q: cyc.apply(vec[p], -1) for q, p in enumerate(act.perm) if p in vec}
         assert image == vec
-    assert verify._independent(vec.items() for vec in vectors)
+    lv = cyc.k_level
+    assert verify._independent(
+        cyc.tower, lv, ({q: x.embed(lv).data for q, x in vec.items()} for vec in vectors)
+    )
 
 
 def test_cor_result_verifies():

@@ -11,21 +11,29 @@ check refuses, and assert the MalformedCertificate reason.
 
 import copy
 import functools
+import json
+from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from isotower import linalg
 from isotower.certjson import cor_result_doc, isotropy_certificate_doc, split_certificate_doc
 from isotower.csa import (
     CyclicExtensionData,
+    TensorPowerAlgebra,
+    _orbits,
     fixed_subalgebra,
     g_action_matrix,
     matrix_algebra,
     tensor_power_over_K,
 )
 from isotower.errors import MalformedCertificate
-from isotower.presets import cyclic_sqrt, demo_thm21_r2, field_cubic
+from isotower.presets import cyclic_cubic, cyclic_sqrt, demo_thm21_r2, field_cubic
 from isotower.quadforms import IsotropyCertificate, QFSystem, QuadraticForm, isotropy_2ext
-from isotower.serialize import element_to_json, tower_to_json
+from isotower.serialize import canonical_dumps, element_to_json, tower_to_json
 from isotower.splitting import (
     SplitCertificate,
     bracket_quaternion,
@@ -391,3 +399,111 @@ def test_malformed_certificate_raises(name):
     with pytest.raises(MalformedCertificate) as info:
         check(doc)
     assert str(info.value) == why
+
+
+# -- the corestriction verifier's raw echelon and representatives ------------------------
+
+
+def _field_basis(name):
+    """(tower, level, an F-basis of the level over Q) for Q, Q(sqrt2) and
+    level 2 of Q(sqrt2)(sqrt3)."""
+    if name == "Q":
+        return QQ, 0, [QQ.one(0)]
+    sqrt2 = tower_extend(QQ, [-2, 0, 1], label="s2")
+    if name == "Q(sqrt2)":
+        return sqrt2, 1, [sqrt2.one(1), sqrt2.gen(1)]
+    tower = tower_extend(sqrt2, [-3, 0, 1], label="s3")
+    s2, s3 = tower.gen(1).embed(2), tower.gen(2)
+    return tower, 2, [tower.one(2), s2, s3, s2 * s3]
+
+
+LEAVES = [0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 5)]
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(data=st.data(), field=st.sampled_from(["Q", "Q(sqrt2)", "Q(sqrt2)(sqrt3)"]))
+def test_raw_independence_matches_rank(data, field):
+    # verify._independent on sparse raw rows against linalg.rank on the
+    # dense wrapped rows: zero vectors, duplicates, and combinations of
+    # several earlier vectors, which cancel only after several pivots
+    tower, lv, basis = _field_basis(field)
+    zero = tower.zero(lv)
+
+    def element(nonzero=False):
+        coeffs = data.draw(st.lists(st.sampled_from(LEAVES), min_size=len(basis), max_size=len(basis)))
+        x = sum((c * b for c, b in zip(coeffs, basis)), zero)
+        return x if x or not nonzero else basis[0]
+
+    ncols = data.draw(st.integers(1, 5))
+    vectors = []
+    for _ in range(data.draw(st.integers(0, 5))):
+        kind = data.draw(st.sampled_from(["sparse", "zero", "duplicate", "combination"]))
+        if kind == "zero":
+            vec = [zero] * ncols
+        elif kind == "duplicate" and vectors:
+            vec = list(data.draw(st.sampled_from(vectors)))
+        elif kind == "combination" and len(vectors) >= 2:
+            picked = data.draw(st.lists(st.sampled_from(vectors), min_size=2, max_size=len(vectors)))
+            vec = [zero] * ncols
+            for other in picked:
+                c = element(nonzero=True)
+                vec = [x + c * y for x, y in zip(vec, other)]
+        else:
+            vec = [element() if data.draw(st.booleans()) else zero for _ in range(ncols)]
+        vectors.append(vec)
+    sparse = [{q: x.data for q, x in enumerate(vec) if x} for vec in vectors]
+    expected = linalg.rank(vectors) == len(vectors)
+    assert verify._independent(tower, lv, sparse) is expected
+
+
+@pytest.mark.parametrize("d, r", [(2, 2), (4, 2), (2, 3), (4, 3), (9, 2)])
+def test_representatives_are_one_per_cycle(d, r):
+    perm, reps = verify._rotation(d, r)
+    assert tuple(perm) == g_action_matrix(TensorPowerAlgebra(None, base_dim=d, r=r), None).perm
+    orbits = _orbits(perm)
+    assert reps == {orbit[0] for orbit in orbits}
+    assert all(len(reps.intersection(orbit)) == 1 for orbit in orbits)
+
+
+@functools.cache
+def _demo_cor_text(name):
+    """The corestriction of the make_demo_inputs.py input of that name."""
+    if name == "m2_cubic":
+        cyc = cyclic_cubic()
+    else:
+        cyc = cyclic_sqrt(2)
+    if name == "m2_sqrt2_sqrt3":
+        tower = tower_extend(cyc.tower, [-3, 0, 1], label="sqrt3")
+        cyc = CyclicExtensionData.create(tower, 2, [[1, 0], [0, -1]], 2)
+    alg = matrix_algebra(cyc.tower, cyc.k_level)
+    ta = tensor_power_over_K(alg, cyc)
+    return canonical_dumps(cor_result_doc(fixed_subalgebra(ta, g_action_matrix(ta, cyc)), alg))
+
+
+def _bump(node):
+    """node with its first rational leaf raised by 1."""
+    if isinstance(node, list):
+        return [_bump(node[0])] + node[1:]
+    q = Fraction(node) + 1
+    return f"{q.numerator}/{q.denominator}"
+
+
+@pytest.mark.parametrize("name", ["m2_sqrt2", "m2_sqrt2_sqrt3", "m2_cubic"])
+def test_cor_constant_sweep_fails_with_representatives(name):
+    # 40 constants at a fixed stride, zeros among them, each raised by 1:
+    # step (d) compares at the representatives only, and every mutant still
+    # FAILs (r = 2 over Q, F above Q, and r = 3)
+    doc = json.loads(_demo_cor_text(name))
+    assert verify.verify_cor(doc)[0]
+    planes, n = doc["constants"], doc["dim"]
+    cells = list(product(range(n), repeat=3))
+    stride = len(cells) // 40
+    picked = cells[stride // 2 :: stride][:40]
+    zero = planes[0][0][1]
+    assert len(picked) == 40 and any(planes[i][j][k] == zero for i, j, k in picked)
+    for i, j, k in picked:
+        old = planes[i][j][k]
+        planes[i][j][k] = _bump(old)
+        ok, reason = verify.verify_cor(doc)
+        planes[i][j][k] = old
+        assert not ok, (i, j, k, reason)
