@@ -22,7 +22,8 @@ from .tower import (
     TowerField,
     tower_extend,
 )
-from .sqrt import adjoin_sqrt, rational_sqrt, sqrt_or_nonsquare, squarefree_reduce
+from .sqrt import adjoin_sqrt, sqrt_or_nonsquare, squarefree_reduce
+from .witness import rational_sqrt
 from .quadforms import (
     IsotropyCertificate,
     LinearFunctionalBasis,

@@ -4,18 +4,10 @@
 On the rationals (tier 1) it detects integer squares in numerator and
 denominator.  Above them, every level the test reaches, including each
 level the tier-2 descent recurses into, first looks for a Legendre witness
-(:func:`_nonsquare_witness`): one of the first _WITNESS_PRIMES odd primes
-p, a tower point mod p whose coordinates are simple roots of the reduced
-minimal polynomials, and a nonzero value of c there that is a quadratic
-nonresidue mod p.  Such a point is an unramified degree-1 prime, so a
-witness proves c a nonsquare and no square ever has one.  A point's
-coordinate on an X^2 - c level comes from Euler's criterion and Tonelli;
-on any other level every residue mod p is tried.  Each level keeps its
-points mod each prime, with their monomial rows, in one table that every
-tower sharing the level's context reads (:func:`_points_mod`), so a search
-reduces only c's leaves, once per prime, and takes c at a point as a dot
-product with the point's row.  Without a witness, a root of a constant
-from the level below embeds upward; otherwise the level's tier decides:
+among the first _WITNESS_PRIMES odd primes (see :mod:`isotower.witness`,
+which also holds the points mod p that tier 3 lifts).  Without a witness,
+a root of a constant from the level below embeds upward; otherwise the
+level's tier decides:
 
 2. quadratic-sqrt levels K0(sqrt(d)): the complete denesting recursion,
    so the test is a decision procedure on chains of sqrt adjunctions;
@@ -39,7 +31,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt, prod
-from operator import mul
 
 from .tower import (
     KIND_SQRT,
@@ -57,35 +48,17 @@ from .tower import (
     _times_c,
     tower_extend,
 )
+from .witness import (
+    _at, _flatten, _horner_mod, _nonsquare_witness, _points_mod, _reduce, _small_primes,
+    _times_powers, _tonelli, rational_sqrt,
+)
+
+# odd primes scanned for a witness before the exact tiers: 3..311
+_WITNESS_PRIMES = 64
 
 # -- tier 1: rationals -------------------------------------------------------
 
-@cache
-def _small_primes() -> list[int]:
-    limit = 10000
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, isqrt(limit) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = b"\x00" * len(sieve[i * i :: i])
-    return [i for i in range(limit + 1) if sieve[i]]
-
-
 _small_prime_product = cache(lambda: prod(_small_primes()))
-
-
-def rational_sqrt(q: RationalLike) -> RationalLike | None:
-    """Exact square root of a rational, or None; a kernel leaf, so an int
-    when the root is integral."""
-    if q < 0:
-        return None
-    rn = isqrt(q.numerator)
-    if rn * rn != q.numerator:
-        return None
-    rd = isqrt(q.denominator)
-    if rd * rd != q.denominator:
-        return None
-    return rn if rd == 1 else Fraction(rn, rd)
 
 
 def _trial_factor(n: int) -> tuple[dict[int, int], int]:
@@ -126,121 +99,7 @@ def squarefree_reduce(n: int) -> tuple[int, int]:
     return (-d if n < 0 else d), m
 
 
-# -- polynomial roots mod p ---------------------------------------------------
-
-
-def _horner_mod(coeffs, x, m):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % m
-    return acc
-
-
-def _roots_mod_p(coeffs: list[int], p: int) -> list[int]:
-    """Distinct roots mod p of a monic integer polynomial, sorted: every
-    residue is tried."""
-    return [r for r in range(p) if not _horner_mod(coeffs, r, p)]
-
-
-# -- tower points mod p ---------------------------------------------------------
-
-
-def _flatten(ctx, lv, data):
-    """(positions, leaves) of the nonzero leaves of raw level-lv data, a
-    position being that of the leaf's monomial in a monomial row (the order
-    of _unflatten and _times_powers); a coefficient that is its level's
-    shared zero is skipped unread (any other zero is read)."""
-    positions, leaves = [], []
-
-    def walk(x, lv, base, size):
-        if lv == 0:
-            if x:
-                positions.append(base)
-                leaves.append(x)
-            return
-        lo = lv - 1
-        z, block = ctx[lo].zero, size // ctx[lo].degree
-        for i, c in enumerate(x):
-            if c is not z:
-                walk(c, lo, base + i * block, block)
-
-    walk(data, lv, 0, prod(lc.degree for lc in ctx[:lv]))
-    return positions, leaves
-
-
-def _reduce(leaves, m):
-    """The leaves mod m, or None when m is a prime dividing a denominator
-    (a prime power m must be prime to every denominator)."""
-    out = []
-    for q in leaves:
-        d = q.denominator
-        if d == 1:
-            out.append(q.numerator % m)
-            continue
-        d %= m
-        if not d:
-            return None
-        out.append(q.numerator % m * pow(d, -1, m) % m)
-    return out
-
-
-def _at(positions, residues, row, m):
-    """The value mod m of flattened data, its leaves mod m ``residues``, at
-    the point whose monomial row mod m is ``row``."""
-    return sum(map(mul, residues, map(row.__getitem__, positions))) % m
-
-
-def _times_powers(row, r, deg, m):
-    """The monomial row of a point extended by the coordinate r on a level
-    of degree deg: the row times 1, r, ..., r^(deg-1) in turn, mod m."""
-    powers = [1] * deg
-    for i in range(1, deg):
-        powers[i] = powers[i - 1] * r % m
-    return [pw * v % m for pw in powers for v in row]
-
-
-_ORIGIN = (((), (1,)),)  # the one point of Q, with its monomial row
-
-
-def _points_mod(ctx, lv, p):
-    """The points mod p of the tower up to level lv, each as (coordinates,
-    monomial row mod p), or None when a reached minpoly is not p-integral.
-
-    A coordinate is a simple root of its level's minpoly reduced at the
-    point below, found depth first in increasing root order: on an X^2 - c
-    level by Euler's criterion and Tonelli, on any other level by trying
-    every residue.  A level keeps its entries in its context's
-    ``points_mod`` slot, each built from the level below's entry with the
-    minpoly's leaves reduced once per prime, so every tower sharing the
-    context (a prefix, an extension) reads them instead of searching again.
-    """
-    if lv == 0:
-        return _ORIGIN
-    lc = ctx[lv - 1]
-    table = lc.points_mod
-    if table is None:
-        table = lc.points_mod = ([_flatten(ctx, lv - 1, c) for c in lc.minpoly], {})
-    coeffs, entries = table
-    if p in entries:
-        return entries[p]
-    below = _points_mod(ctx, lv - 1, p)
-    residues = [_reduce(leaves, p) for _pos, leaves in coeffs] if below else []
-    if below is None or None in residues:
-        entries[p] = None
-        return None
-    points = []
-    for point, row in below:
-        f = [_at(pos, res, row, p) for (pos, _leaves), res in zip(coeffs, residues)]
-        if len(f) == 3 and not f[1]:
-            roots = _sqrt_roots_mod(-f[0], p)  # X^2 - c: Euler and Tonelli
-        else:
-            roots = _roots_mod_p(f, p)
-        fprime = [c * i % p for i, c in enumerate(f)][1:]
-        for r in roots:
-            if _horner_mod(fprime, r, p):
-                points.append((point + (r,), _times_powers(row, r, lc.degree, p)))
-    entries[p] = points
-    return points
+# -- tier 3 --------------------------------------------------------------------
 
 
 def _lift_points(ctx, points, p, modulus):
@@ -264,41 +123,6 @@ def _lift_points(ctx, points, p, modulus):
     return [(tuple(cur), row) for cur, row in zip(lifted, rows)]
 
 
-def _tonelli(a: int, p: int) -> int | None:
-    a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m_, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        t2, i = t, 0
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m_ - i - 1), p)
-        m_, c, t, r = i, b * b % p, t * b * b % p, r * b % p
-    return r
-
-
-def _sqrt_roots_mod(c: int, p: int) -> list[int]:
-    """Distinct roots of X^2 - c mod an odd prime p, sorted as
-    _roots_mod_p sorts them."""
-    t = _tonelli(c, p)
-    if t is None:
-        return []
-    return sorted({t, -t % p})
-
-
 def _rat_reconstruct(a: int, m: int) -> RationalLike | None:
     """The rational congruent to a mod m whose numerator and denominator
     are at most sqrt(m/2) in size, as a kernel leaf, or None."""
@@ -317,44 +141,6 @@ def _rat_reconstruct(a: int, m: int) -> RationalLike | None:
         num, den = -num, -den
     return num if den == 1 else Fraction(num, den)
 
-
-# -- Legendre witnesses ---------------------------------------------------------
-
-# odd primes scanned for a witness: 3..311
-_WITNESS_PRIMES = 64
-
-
-def _nonsquare_witness(tower: TowerField, lv: int, data):
-    """A proof that data (raw, at level lv >= 1) is not a square, or None.
-
-    The proof is (p, point, residue): p an odd prime at which the minpolys
-    and data are p-integral, point a tower point mod p whose coordinates are
-    simple roots of the reduced minpolys, and residue = data(point), a
-    quadratic nonresidue mod p.  The point lifts to an embedding of the
-    tower into the p-adic integers (an unramified prime of degree 1), which
-    maps data to a unit with nonresidue reduction; so data has no square
-    root, and a square never gets a witness.  The odd primes are scanned in
-    increasing order, _WITNESS_PRIMES of them, each through all its points
-    (read from the levels' tables, see :func:`_points_mod`); data's leaves
-    are reduced once per prime that has points.  None means none was found,
-    not that data is a square.
-    """
-    ctx = tower._ctx
-    positions, leaves = _flatten(ctx, lv, data)
-    for p in _small_primes()[1 : _WITNESS_PRIMES + 1]:
-        points = _points_mod(ctx, lv, p)
-        residues = _reduce(leaves, p) if points else None
-        if residues is None:
-            continue
-        half = (p - 1) // 2
-        for point, row in points:
-            residue = _at(positions, residues, row, p)
-            if residue and pow(residue, half, p) == p - 1:
-                return p, point, residue
-    return None
-
-
-# -- tier 3 --------------------------------------------------------------------
 
 _MAX_PATTERN_DIM = 13
 _PRECISION_BITS = (80, 320)  # reconstruct mod p^k >= 2^80, then >= 2^320
@@ -503,7 +289,7 @@ def _sqrt_raw(tower: TowerField, lv: int, data):
     if lv == 0:
         return rational_sqrt(data)
     # a Legendre witness settles nonsquares before any exact descent
-    if _nonsquare_witness(tower, lv, data) is not None:
+    if _nonsquare_witness(tower, lv, data, _WITNESS_PRIMES) is not None:
         return None
     # a root of a constant below embeds upward (the converse fails, e.g. at
     # even-degree base-root levels, so no early NonSquare here)
@@ -566,7 +352,6 @@ def adjoin_sqrt(tower: TowerField, c: TowerElement) -> tuple[TowerField, TowerEl
 
 
 __all__ = [
-    "rational_sqrt",
     "squarefree_reduce",
     "sqrt_or_nonsquare",
     "adjoin_sqrt",

@@ -110,7 +110,7 @@ class _LevelCtx:
         # D = 1; None until _times_c needs it.  Any thread filling it writes
         # an equal value, so towers stay safe to share across threads.
         self.sqrt_const_int = None
-        # sqrt._points_mod's table: (the minpoly's flattened leaves, {odd
+        # witness._points_mod's table: (the minpoly's flattened leaves, {odd
         # prime p: None if a reached minpoly is not p-integral, else the
         # points mod p up to this level with their monomial rows}).  Filled
         # lazily; any thread writes an equal value, as for sqrt_const_int.

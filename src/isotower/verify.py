@@ -1,10 +1,10 @@
 """Independent certificate verification.
 
 Everything here re-checks claims from the raw document form by exact
-arithmetic, importing only the kernel (towers, square testing,
-serialization).  No constructor code path is shared: form evaluation, norm
-evaluation, tensor reconstruction, and degree accounting are reimplemented
-on parsed data.
+arithmetic, importing only the kernel (towers, serialization) and the
+Legendre-witness search (``witness``).  No other code path is shared with
+the constructors: form evaluation, norm evaluation, tensor reconstruction,
+and degree accounting are reimplemented on parsed data.
 
 From the JSON on, the corestriction checks run on the kernel's raw nested
 data, not on ``TowerElement`` wrappers: the constants and the fixed basis
@@ -37,7 +37,6 @@ from .serialize import (
     tower_from_json,
     vector_from_json,
 )
-from .sqrt import sqrt_or_nonsquare
 from .tower import (
     KIND_SQRT,
     TowerElement,
@@ -52,11 +51,26 @@ from .tower import (
     dot,
     dot_matrix,
 )
+from .witness import _nonsquare_witness, rational_sqrt
+
+_WITNESS_PRIMES = 563  # the odd primes below 2^12
+
+
+def sqrt_or_nonsquare(c: TowerElement, square: str) -> str | None:
+    """None when c is proved a nonsquare at its own level, else why not:
+    ``square`` for zero or a rational square; above level 0, where even a
+    rational needs one (8 = (2 sqrt 2)^2), no witness below 2^12.  It keeps
+    the constructors' name because perfbench's tracer patches that."""
+    if c.is_zero() or (c.level == 0 and rational_sqrt(c.data) is not None):
+        return square
+    if c.level and _nonsquare_witness(c.tower, c.level, c.data, _WITNESS_PRIMES) is None:
+        return "has no nonsquare witness below 2^12"
+    return None
 
 
 def _recheck_added_levels(tower: TowerField, base_levels: int):
     """Exact degree of the chain above ``base_levels``: every added level
-    must be a quadratic X^2 - c with c a genuine nonsquare below.
+    must be a quadratic X^2 - c with c proved a nonsquare below.
 
     Returns (degree, reason_or_None)."""
     degree = 1
@@ -67,8 +81,9 @@ def _recheck_added_levels(tower: TowerField, base_levels: int):
         c = -TowerElement(tower, idx, level.minpoly[0])
         if c.is_zero():
             return degree, f"added level {idx + 1} adjoins sqrt(0)"
-        if sqrt_or_nonsquare(c) is not None:
-            return degree, f"added level {idx + 1} adjoins a root that already exists"
+        reason = sqrt_or_nonsquare(c, "adjoins a root that already exists")
+        if reason is not None:
+            return degree, f"added level {idx + 1} {reason}"
         degree *= 2
     return degree, None
 
@@ -132,11 +147,11 @@ def _check_symmetric(gram, idx: int) -> None:
 def _two_tower_degree(two_tower: TowerField):
     """Exact degree of an F-side recipe over the rationals.
 
-    Quadratic levels are re-tested for irreducibility (X^2 - c via the square
-    tiers, general quadratics via their discriminant).  A 2-extension has no
-    level of odd degree > 1, so a level whose degree is not a power of 2
-    fails; the others count nominally, their collapse being detectable only
-    dynamically."""
+    Quadratic levels are re-tested for irreducibility by
+    :func:`sqrt_or_nonsquare` (X^2 - c on c, others on the discriminant).
+    A 2-extension has no level of odd degree > 1, so a level whose degree is
+    not a power of 2 fails; the others count nominally, their collapse being
+    detectable only dynamically."""
     degree = 1
     for idx, level in enumerate(two_tower.levels):
         if level.degree & (level.degree - 1):
@@ -147,14 +162,13 @@ def _two_tower_degree(two_tower: TowerField):
                 c = -TowerElement(below, idx, level.minpoly[0])
                 if c.is_zero():
                     return None, f"two-tower level {idx + 1} adjoins sqrt(0)"
-                if sqrt_or_nonsquare(c) is not None:
-                    return None, f"two-tower level {idx + 1} is reducible (square constant)"
+                reason = sqrt_or_nonsquare(c, "is reducible (square constant)")
             else:
                 b = TowerElement(below, idx, level.minpoly[1])
                 c = TowerElement(below, idx, level.minpoly[0])
-                disc = b * b - 4 * c
-                if disc.is_zero() or sqrt_or_nonsquare(disc) is not None:
-                    return None, f"two-tower level {idx + 1} is reducible (square discriminant)"
+                reason = sqrt_or_nonsquare(b * b - 4 * c, "is reducible (square discriminant)")
+            if reason is not None:
+                return None, f"two-tower level {idx + 1} {reason}"
         degree *= level.degree
     return degree, None
 

@@ -10,20 +10,22 @@ from isotower.certjson import split_certificate_doc
 from isotower.generate import random_quaternion
 from isotower.presets import field_septic
 from isotower.splitting import split_over_2ext
-from isotower import sqrt as sqrt_module
+from isotower import witness as witness_module
 from isotower.sqrt import (
     _WITNESS_PRIMES,
+    _trial_factor,
+    adjoin_sqrt,
+    sqrt_or_nonsquare,
+    squarefree_reduce,
+)
+from isotower.witness import (
     _horner_mod,
     _nonsquare_witness,
     _points_mod,
     _roots_mod_p,
     _small_primes,
     _sqrt_roots_mod,
-    _trial_factor,
-    adjoin_sqrt,
     rational_sqrt,
-    sqrt_or_nonsquare,
-    squarefree_reduce,
 )
 from isotower.tower import KIND_SQRT, QQ, TowerField, tower_extend
 from isotower.verify import verify_split
@@ -285,7 +287,7 @@ def test_witness_never_for_squares():
             x = _random_element(rng, tower)
             if x.is_zero():
                 continue
-            assert _nonsquare_witness(tower, tower.height, (x * x).data) is None
+            assert _nonsquare_witness(tower, tower.height, (x * x).data, _WITNESS_PRIMES) is None
 
 
 def test_witnesses_pass_independent_recheck():
@@ -296,7 +298,7 @@ def test_witnesses_pass_independent_recheck():
             x = _random_element(rng, tower)
             if x.is_zero():
                 continue
-            w = _nonsquare_witness(tower, tower.height, x.data)
+            w = _nonsquare_witness(tower, tower.height, x.data, _WITNESS_PRIMES)
             if w is not None:
                 _recheck_witness(tower, tower.height, x.data, w)
                 assert sqrt_or_nonsquare(x) is None
@@ -308,13 +310,13 @@ def test_witness_skips_primes_dividing_denominators():
     # mod 3, X^2 - 7 has the simple roots 1, 2 and 2 is a nonresidue there
     s7 = tower_extend(QQ, [-7, 0, 1], label="s7")
     two = s7.rational(2).data
-    assert _nonsquare_witness(s7, 1, two)[0] == 3
+    assert _nonsquare_witness(s7, 1, two, _WITNESS_PRIMES)[0] == 3
     # the same square class with a 3 in a denominator: of the data, then of a minpoly
     for tower, data in (
         (s7, s7.rational(Fraction(2, 9)).data),
         (tower_extend(QQ, [Fraction(-7, 9), 0, 1]), two),
     ):
-        w = _nonsquare_witness(tower, 1, data)
+        w = _nonsquare_witness(tower, 1, data, _WITNESS_PRIMES)
         assert w is not None and w[0] != 3
         _recheck_witness(tower, 1, data, w)
 
@@ -426,7 +428,7 @@ def test_witness_found_on_former_misses():
         two_tower = cert.two_tower
         below = TowerField(two_tower.levels[:6])
         c = (-below.element(6, two_tower.levels[6].minpoly[0])).data
-        w = _nonsquare_witness(below, 6, c)
+        w = _nonsquare_witness(below, 6, c, _WITNESS_PRIMES)
         assert w is not None
         _recheck_witness(below, 6, c, w)
 
@@ -468,9 +470,9 @@ def _witness_search_cases():
 def test_witness_search_ignores_zero_identity():
     found = squares = 0
     for tower, lv, data in _witness_search_cases():
-        w = _nonsquare_witness(tower, lv, data)
-        assert _nonsquare_witness(tower, lv, fresh(data, lv)) == w
-        assert _nonsquare_witness(fresh_tower(tower), lv, fresh(data, lv)) == w
+        w = _nonsquare_witness(tower, lv, data, _WITNESS_PRIMES)
+        assert _nonsquare_witness(tower, lv, fresh(data, lv), _WITNESS_PRIMES) == w
+        assert _nonsquare_witness(fresh_tower(tower), lv, fresh(data, lv), _WITNESS_PRIMES) == w
         found += w is not None
         squares += w is None
     assert found and squares
@@ -537,32 +539,32 @@ def test_witness_search_matches_the_reference():
     for tower, lv, data in _witness_search_cases():
         want = _reference_witness(tower, lv, data)
         cold = fresh_tower(tower)
-        assert _nonsquare_witness(cold, lv, data) == want  # tables filled here
-        assert _nonsquare_witness(cold, lv, data) == want  # and read here
-        assert _nonsquare_witness(cold.prefix(lv), lv, data) == want  # shared contexts
+        assert _nonsquare_witness(cold, lv, data, _WITNESS_PRIMES) == want  # tables filled here
+        assert _nonsquare_witness(cold, lv, data, _WITNESS_PRIMES) == want  # and read here
+        assert _nonsquare_witness(cold.prefix(lv), lv, data, _WITNESS_PRIMES) == want  # shared contexts
         shared = fresh_tower(tower)
-        assert _nonsquare_witness(shared.prefix(lv), lv, data) == want
-        assert _nonsquare_witness(shared, lv, data) == want
+        assert _nonsquare_witness(shared.prefix(lv), lv, data, _WITNESS_PRIMES) == want
+        assert _nonsquare_witness(shared, lv, data, _WITNESS_PRIMES) == want
 
 
 def test_second_search_reduces_no_minpoly_leaf(monkeypatch):
     tower, lv, data = _witness_search_cases()[-1]
     tower = fresh_tower(tower)
     reduced = []
-    real = sqrt_module._reduce
+    real = witness_module._reduce
 
     def recording(leaves, m):
         reduced.append(leaves)
         return real(leaves, m)
 
-    monkeypatch.setattr(sqrt_module, "_reduce", recording)
-    first = _nonsquare_witness(tower, lv, data)
+    monkeypatch.setattr(witness_module, "_reduce", recording)
+    first = _nonsquare_witness(tower, lv, data, _WITNESS_PRIMES)
     minpoly_leaves = {
         id(leaves) for lc in tower._ctx[:lv] for _pos, leaves in lc.points_mod[0]
     }
     assert any(id(leaves) in minpoly_leaves for leaves in reduced)
     reduced.clear()
-    assert _nonsquare_witness(tower, lv, data) == first
+    assert _nonsquare_witness(tower, lv, data, _WITNESS_PRIMES) == first
     assert reduced and not any(id(leaves) in minpoly_leaves for leaves in reduced)
 
 
@@ -576,7 +578,7 @@ def test_threads_sharing_a_tower_find_the_reference_witnesses():
     got = [[] for _ in range(4)]
 
     def search(out):
-        out += [_nonsquare_witness(tower, tower.height, data) for tower, data in cases]
+        out += [_nonsquare_witness(tower, tower.height, data, _WITNESS_PRIMES) for tower, data in cases]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

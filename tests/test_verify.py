@@ -12,6 +12,7 @@ check refuses, and assert the MalformedCertificate reason.
 import copy
 import functools
 import json
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isotower import linalg
+from isotower import linalg, sqrt
 from isotower.certjson import cor_result_doc, isotropy_certificate_doc, split_certificate_doc
 from isotower.csa import (
     CyclicExtensionData,
@@ -31,7 +32,8 @@ from isotower.csa import (
     tensor_power_over_K,
 )
 from isotower.errors import MalformedCertificate
-from isotower.presets import cyclic_cubic, cyclic_sqrt, demo_thm21_r2, field_cubic
+from isotower.generate import random_quaternion
+from isotower.presets import cyclic_cubic, cyclic_sqrt, demo_thm21_r2, field_cubic, field_septic
 from isotower.quadforms import IsotropyCertificate, QFSystem, QuadraticForm, isotropy_2ext
 from isotower.serialize import canonical_dumps, element_to_json, tower_to_json
 from isotower.splitting import (
@@ -42,6 +44,7 @@ from isotower.splitting import (
 )
 from isotower.tower import QQ, tower_extend
 from isotower import verify
+from isotower.witness import _nonsquare_witness, _small_primes
 
 
 def _level(label, *minpoly):
@@ -50,6 +53,8 @@ def _level(label, *minpoly):
 
 
 SQRT2_SQRT3 = tower_to_json(tower_extend(tower_extend(QQ, [-2, 0, 1], label="s2"), [-3, 0, 1], label="s3"))
+# 8 = (2 sqrt 2)^2: a rational nonsquare that is a square at level 1
+SQRT2_SQRT8 = tower_to_json(tower_extend(tower_extend(QQ, [-2, 0, 1], label="s2"), [-8, 0, 1], label="s8"))
 
 
 @functools.cache
@@ -129,6 +134,11 @@ SPLIT_FORGERIES = {
         [_set(("two_tower",), [_level("t", -4, 0, 1)])],
         "two-tower level 1 is reducible (square constant)",
     ),
+    "two-tower-square-above-q": (
+        (-1, -1),
+        [_set(("two_tower",), SQRT2_SQRT8)],
+        "two-tower level 2 has no nonsquare witness below 2^12",
+    ),
     # X^2 + 3X + 2 = (X + 1)(X + 2): discriminant 1
     "two-tower-square-discriminant": (
         (-1, -1),
@@ -146,6 +156,27 @@ def test_split_forgery_fails(name):
         edit(doc)
     ok, reason = verify.verify_split(doc)
     assert not ok and reason.startswith(why), reason
+
+
+def test_split_late_witness_passes_without_the_exact_tiers(monkeypatch):
+    # seed-1 split-septic item 25: the constant of two-tower level 6 has its
+    # first Legendre witness at p = 367, past the constructor's 64 odd primes
+    # (up to 311) but below the verifier's bound, 2^12
+    cert = split_over_2ext(random_quaternion(random.Random(1000003 + 25), field_septic()))
+    below = cert.two_tower.prefix(5)
+    c = (-below.element(5, cert.two_tower.levels[5].minpoly[0])).data
+    assert _nonsquare_witness(below, 5, c, sqrt._WITNESS_PRIMES) is None
+    assert _nonsquare_witness(below, 5, c, verify._WITNESS_PRIMES)[0] == 367
+    assert verify._WITNESS_PRIMES == sum(1 for p in _small_primes() if 2 < p < 2**12)
+    doc = split_certificate_doc(cert)
+
+    def exact_tier(*_args):
+        raise AssertionError("the verifier ran an exact square tier")
+
+    monkeypatch.setattr(sqrt, "_sqrt_tier2", exact_tier)
+    monkeypatch.setattr(sqrt, "_sqrt_tier3", exact_tier)
+    ok, reason = verify.verify_split(doc)
+    assert ok, reason
 
 
 def test_split_bracket_over_cubic_passes():
@@ -250,6 +281,10 @@ ISOTROPY_FORGERIES = {
     "added-level-square": (
         [_set(("tower",), [_level("t", -4, 0, 1)]), _set(("actual_degree",), 2)],
         "added level 1 adjoins a root that already exists",
+    ),
+    "added-level-square-above-q": (
+        [_set(("tower",), SQRT2_SQRT8), _set(("actual_degree",), 4)],
+        "added level 2 has no nonsquare witness below 2^12",
     ),
     "form-dimension": (
         [_set(("witness",), lambda w: w + ["0/1"])], "form 1 dimension does not match the witness"
