@@ -4,19 +4,17 @@ Matrices are tuples of row tuples of TowerElement, all at one level.
 ``matvec`` and ``matmul`` are one call to the kernel's
 :func:`~isotower.tower.dot_matrix`, which scans each row and each column
 once and reduces each entry's sum of products once per level.  ``rref``,
-and through it ``rank``, ``nullspace``, ``solve`` and ``invert``, lifts its
-rows once to their highest level and longest tower, eliminates on the
-kernel's raw data at that one level (:func:`_rref_raw`), and wraps the
-result once.  Pivoting
-is always the first nonzero entry, so eliminations are deterministic and
-certificates are reproducible.  Pivot inversions go through the kernel, so
+and through it ``rank``, ``nullspace`` and ``solve``, lifts its rows once
+to their highest level and longest tower, eliminates on the kernel's raw
+data at that one level (:func:`_rref_raw`), and wraps the result once.
+Pivoting is always the first nonzero entry, so eliminations are
+deterministic and certificates are reproducible.  Pivot inversions go through the kernel, so
 a reducible tower level surfaces here as the ReducibilityError
 precondition.
 """
 
 from __future__ import annotations
 
-from .errors import SingularMatrix
 from .tower import (
     QQ,
     TowerElement,
@@ -137,15 +135,6 @@ def solve(a_rows, b, tower: TowerField, level: int):
     return tuple(x)
 
 
-def invert(rows, tower: TowerField, level: int):
-    n = len(rows)
-    aug = [list(r) + list(idr) for r, idr in zip(rows, identity(tower, level, n))]
-    red, pivots = rref(aug)
-    if list(pivots) != list(range(n)):
-        raise SingularMatrix("matrix is not invertible")
-    return tuple(tuple(row[n:]) for row in red)
-
-
 __all__ = [
     "matvec",
     "matmul",
@@ -154,5 +143,4 @@ __all__ = [
     "rank",
     "nullspace",
     "solve",
-    "invert",
 ]

@@ -9,23 +9,22 @@ vanish at a chosen vector, intersects orthogonal complements, solves the
 smaller system, and finishes with one binary quadratic per recursion level,
 so the constructed extension degree is at most 2^r.
 
-The forms compute on the kernel's raw level data.  Every Gram entry of a
-form lies at ``form.level`` in ``form.tower``, so its ``.data`` is raw data
-at that one level.  A symmetric Gram matrix is built on its upper triangle:
-entry (p, q), p <= q, is one sum of products (:func:`~isotower.tower._dot`),
-wrapped once, and that same object is mirrored to (q, p).  ``gram`` stays
-the public, wrapped, symmetric matrix.  Restriction to a subspace, B^T G B,
-sums over the nonzero coordinates of B only.
-
-Over Q a form is also integer rows M over one positive denominator D,
-G = M / D, and the recursion's rational rounds run on that pair: mixing
-gives m_r M_i - m_i M_r over D_i D_r (m = v^T M v for an integral v), the
-orthogonality rows are the M_i v, positive multiples of the G_i v with the
-same null space, and restriction gives B'^T M B' over D L^2 for the basis
-scaled by the lcm L of its denominators.  No Fraction is built per entry:
-the wrapped ``gram`` of such a form is built from (M, D) only when
-something reads it, and the binary quadratic that closes each level reads
-its coefficients off one M z.  Forms above Q keep the raw-data path.
+At every level a form is symmetric rows M of the kernel's raw data at
+``form.level`` in ``form.tower`` over one positive integer D, G = M / D.
+Where a form is first built (:meth:`QuadraticForm.from_gram`,
+:meth:`QuadraticForm.diagonal`, :func:`transfer_system`) M is made
+integral over the lcm of its leaves' denominators, and the recursion runs
+on the pair: with v' = d v integral, G v = M v' / (D d) and
+phi(v) = v'^T M v' / (D d^2); mixing gives m_r M_i - m_i M_r over
+D_i D_r d^2 (m = v'^T M v'); the orthogonality rows are the M_i v',
+positive multiples of the G_i v with the same null space; and restriction
+gives B'^T M B' over D L^2 for the basis scaled by the lcm L of its
+denominators.  Every sum of products is one :func:`_sum`, a plain ``int``
+sum over Q and one kernel :func:`~isotower.tower._dot` above it, and every
+scaling to integral leaves one :func:`_integral`; these two helpers are
+the only code that tells Q from the levels above it.  A symmetric matrix
+is built on its upper triangle, and each entry is mirrored to (q, p).
+``gram``, the wrapped G, is built when something reads it.
 """
 
 from __future__ import annotations
@@ -38,28 +37,27 @@ from operator import mul
 from typing import Sequence
 
 from . import linalg
-from .errors import AllVanish, DimensionTooSmall, PreconditionError, SingularMatrix
+from .errors import AllVanish, DimensionTooSmall, PreconditionError
 from .sqrt import adjoin_sqrt
 from .tower import TowerElement, TowerField, _dot, _embed_up, _is_zero, _join, _mul
 from .tower import _denominator, _neg, _raw_zero, _scale
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraticForm:
     """A quadratic form via its symmetric Gram matrix: phi(x) = x^T G x.
 
     Off-diagonal entries are half the polar form, so
     phi(x+y) - phi(x) - phi(y) = 2 x^T G y exactly (characteristic 0).
-    Every Gram entry lies at ``level`` in ``tower``; the raw code reads an
-    entry's ``.data`` as level-``level`` data.  At level 0 the form also
-    reads G as integer rows M over one positive denominator D, G = M / D
-    (``_ints``); a form that :func:`_from_ints` builds holds only that pair,
-    and its wrapped ``gram`` is built on first read.
+    G = ``rows`` / ``den``: ``rows`` are symmetric raw level-``level``
+    data in ``tower`` and ``den`` is a positive integer.  Over Q the rows
+    are integers.  Forms are equal, and hash alike, when their G are.
     """
 
     tower: TowerField
     level: int
-    gram: tuple[tuple[TowerElement, ...], ...]
+    rows: tuple[tuple, ...]
+    den: int = 1
 
     @staticmethod
     def from_gram(tower: TowerField, level: int, rows) -> "QuadraticForm":
@@ -71,71 +69,47 @@ class QuadraticForm:
             for j in range(i + 1, n):
                 if gram[i][j] != gram[j][i]:
                     raise ValueError("gram matrix must be symmetric")
-        return QuadraticForm(tower, level, gram)
+        return _form(tower, level, n, lambda p, q: gram[p][q].data)
 
     @staticmethod
     def diagonal(tower: TowerField, level: int, entries) -> "QuadraticForm":
-        entries = [tower.coerce(e, level) for e in entries]
-        zero = tower.zero(level)
-        n = len(entries)
-        rows = tuple(
-            tuple(entries[i] if i == j else zero for j in range(n)) for i in range(n)
-        )
-        return QuadraticForm(tower, level, rows)
+        entries = [tower.coerce(e, level).data for e in entries]
+        zero = _raw_zero(tower._ctx, level)
+        return _form(tower, level, len(entries), lambda p, q: entries[p] if p == q else zero)
 
     @cached_property
-    def _ints(self):
-        """(M, D) with G = M / D for a level-0 form: integer rows over the
-        lcm D of the entries' denominators."""
-        den = lcm(*[x.data.denominator for row in self.gram for x in row])
-        return tuple(tuple(x.data.numerator * (den // x.data.denominator) for x in row) for row in self.gram), den
+    def gram(self) -> tuple[tuple[TowerElement, ...], ...]:
+        """G as wrapped elements: entry (p, q), p <= q, is wrapped once and
+        that same object is mirrored to (q, p)."""
+        tower, lv, m, den = self.tower, self.level, self.rows, self.den
+        ctx = tower._ctx
+        return _mirrored(len(m), lambda p, q: TowerElement(tower, lv, _over(ctx, lv, m[p][q], den)))
 
-    def __getattr__(self, name):
-        # only a form built by _from_ints reaches here for its gram
-        if name != "gram" or "_ints" not in self.__dict__:
-            raise AttributeError(name)
-        tower, (rows, den) = self.tower, self._ints
-        gram = _mirrored(len(rows), lambda p, q: TowerElement(tower, 0, _over(tower._ctx, 0, rows[p][q], den)))
-        object.__setattr__(self, "gram", gram)
-        return gram
+    def __eq__(self, other):
+        if not isinstance(other, QuadraticForm):
+            return NotImplemented
+        return (self.tower, self.level, self.gram) == (other.tower, other.level, other.gram)
+
+    def __hash__(self):
+        return hash((self.tower, self.level, self.gram))
 
     @property
     def dim(self) -> int:
-        gram = self.__dict__.get("gram")
-        return len(self._ints[0] if gram is None else gram)
+        return len(self.rows)
 
     def _gy(self, v):
         """(tower, level, raw v', raw y, D, d) in the longer tower and at the
-        higher level of v and the form, with v' = d v, G v = y / (D d) and so
-        phi(v) = v'^T y / (D d^2); plain numbers are rationals.  Each row of
-        y is one sum of products.  Over Q, v' is integral for the lcm d of
-        v's denominators and y = M v'; a form over Q read above Q has y = M v
-        and d = 1; a form above Q has y = G v and D = d = 1."""
-        if len(v) != self.dim:
-            raise ValueError(f"vector length {len(v)} != form dimension {self.dim}")
-        tower, lv = self.tower, self.level
-        for x in v:
-            if isinstance(x, TowerElement):
-                tower = tower if x.tower is tower else _join(tower, x.tower)
-                lv = max(lv, x.level)
+        higher level of v and the form: v' = d v as for :func:`_lifted` and
+        y = M v', so G v = y / (D d) and phi(v) = v'^T y / (D d^2).  Each
+        entry of y is one :func:`_sum`."""
+        tower, lv, v, d = _lifted(self, v)
         ctx, fl = tower._ctx, self.level
-        v = [tower.coerce(x, lv).data for x in v]
-        if not lv:
-            v, d = _integral(v)
-            rows, den = self._ints
-            return tower, 0, v, _times(rows, v), den, d
-        nz = [(j, y) for j, y in enumerate(v) if not _is_zero(y, lv)]
-        if fl == lv:
-            gy = [_dot(ctx, lv, [(row[j].data, y) for j, y in nz]) for row in self.gram]
-            return tower, lv, v, gy, 1, 1
-        rows, den = ([[x.data for x in row] for row in self.gram], 1) if fl else self._ints
-        gy = [_dot(ctx, lv, [(_embed_up(ctx, fl, row[j], lv), y) for j, y in nz]) for row in rows]
-        return tower, lv, v, gy, den, 1
+        return tower, lv, v, [_sum(ctx, lv, row, v, fl) for row in self.rows], self.den, d
 
     def evaluate(self, v) -> TowerElement:
-        tower, lv, v, gv, den, d = self._gy(v)
+        tower, lv, v, y, den, d = self._gy(v)
         ctx = tower._ctx
-        return TowerElement(tower, lv, _over(ctx, lv, _dot(ctx, lv, list(zip(v, gv))), den * d * d))
+        return TowerElement(tower, lv, _over(ctx, lv, _sum(ctx, lv, v, y), den * d * d))
 
 
 def _over(ctx, lv: int, x, den: int):
@@ -143,33 +117,46 @@ def _over(ctx, lv: int, x, den: int):
     return x if den == 1 else _scale(ctx, lv, x, Fraction(1, den))
 
 
-def _from_ints(tower: TowerField, rows, den: int) -> QuadraticForm:
-    """The level-0 form G = rows / den, for symmetric integer rows and a
-    positive integer den, without its wrapped gram."""
-    form = object.__new__(QuadraticForm)
-    object.__setattr__(form, "tower", tower)
-    object.__setattr__(form, "level", 0)
-    form.__dict__["_ints"] = (rows, den)
-    return form
+def _sum(ctx, lv: int, xs, ys, xl: int | None = None):
+    """The sum of x * y over raw level-lv xs and ys, as raw level-lv data;
+    xs at a level xl below lv are embedded up to it first.  Over Q, where
+    the forms' values are integers, it is a plain ``int`` sum; above Q it
+    is one kernel ``_dot``, which skips the shared zeros."""
+    if not lv:
+        return sum(map(mul, xs, ys))
+    if xl is not None and xl < lv:
+        xs = [_embed_up(ctx, xl, x, lv) for x in xs]
+    return _dot(ctx, lv, list(zip(xs, ys)))
 
 
-def _integral(v) -> tuple[list[int], int]:
-    """Rational raw values as (d v, d), integers over the lcm d of their
-    denominators."""
-    d = lcm(*[x.denominator for x in v])
-    return [x.numerator * (d // x.denominator) for x in v], d
+def _integral(ctx, lv: int, xs: list) -> tuple[list, int]:
+    """(d xs, d) for raw level-lv values xs and the lcm d of their leaves'
+    denominators: every leaf of d xs is an integer."""
+    if lv:
+        d = lcm(*[_denominator(ctx, x, lv) for x in xs])
+        return (xs, 1) if d == 1 else ([_scale(ctx, lv, x, d) for x in xs], d)
+    d = lcm(*[x.denominator for x in xs])
+    return (xs, 1) if d == 1 else ([x.numerator * (d // x.denominator) for x in xs], d)
 
 
-def _times(rows, v) -> list[int]:
-    """The integer matrix ``rows`` times the integer vector v, over v's
-    nonzero entries."""
-    nz = [(j, y) for j, y in enumerate(v) if y]
-    return [sum([row[j] * y for j, y in nz]) for row in rows]
+def _lifted(form: QuadraticForm, v) -> tuple:
+    """(tower, level, raw v', d) for a vector v of the form's dimension, in
+    the longer tower and at the higher level of v and the form, with
+    v' = d v integral as by :func:`_integral`; plain numbers are
+    rationals."""
+    if len(v) != form.dim:
+        raise ValueError(f"vector length {len(v)} != form dimension {form.dim}")
+    tower, lv = form.tower, form.level
+    for x in v:
+        if isinstance(x, TowerElement):
+            tower = tower if x.tower is tower else _join(tower, x.tower)
+            lv = max(lv, x.level)
+    return (tower, lv) + _integral(tower._ctx, lv, [tower.coerce(x, lv).data for x in v])
 
 
 def _mirrored(n: int, entry) -> tuple[tuple, ...]:
     """The symmetric rows whose entry (p, q), p <= q, is ``entry(p, q)``,
-    and that same object at (q, p)."""
+    and that same object at (q, p); entries are made row by row."""
     rows = [[None] * n for _ in range(n)]
     for p in range(n):
         for q in range(p, n):
@@ -177,10 +164,13 @@ def _mirrored(n: int, entry) -> tuple[tuple, ...]:
     return tuple(map(tuple, rows))
 
 
-def _symmetric(tower: TowerField, level: int, n: int, entry) -> QuadraticForm:
-    """The form whose Gram entry (p, q), p <= q, is the raw ``entry(p, q)``,
-    wrapped once and mirrored to (q, p)."""
-    return QuadraticForm(tower, level, _mirrored(n, lambda p, q: TowerElement(tower, level, entry(p, q))))
+def _form(tower: TowerField, level: int, n: int, entry, den: int = 1) -> QuadraticForm:
+    """The form G = E / den for the raw symmetric E with upper-triangle entry
+    (p, q) = ``entry(p, q)``, stored over den times the lcm of E's leaves'
+    denominators so that its rows are integral."""
+    upper, d = _integral(tower._ctx, level, [entry(p, q) for p in range(n) for q in range(p, n)])
+    it = iter(upper)
+    return QuadraticForm(tower, level, _mirrored(n, lambda p, q: next(it)), den * d)
 
 
 @dataclass(frozen=True)
@@ -297,16 +287,17 @@ def _scan_vector(system: QFSystem):
     Gram entry of every form is zero (then e_1 is already a common zero).
     phi_i(e_i) = g_ii, and once every diagonal entry is zero
     phi_i(e_i + e_j) = 2 g_ij, so the returned v is never a common zero.
+    M has the zero pattern of G, so the scan reads M.
     """
     tower, level, n = system.tower, system.level, system.dim
     one, zero = tower.one(level), tower.zero(level)
-    grams = [f.gram if level else f._ints[0] for f in system.forms]
+    rows = [f.rows for f in system.forms]
     for i in range(n):
-        if any(g[i][i] for g in grams):
+        if any(not _is_zero(m[i][i], level) for m in rows):
             return tuple(one if k == i else zero for k in range(n))
     for i in range(n):
         for j in range(i + 1, n):
-            if any(g[i][j] for g in grams):
+            if any(not _is_zero(m[i][j], level) for m in rows):
                 return tuple(one if k in (i, j) else zero for k in range(n))
     return None
 
@@ -317,33 +308,32 @@ def mix_forms(system: QFSystem, v: Sequence[TowerElement]) -> QFSystem:
 
     The mixed system has exactly the same isotropic vectors as the original
     over every extension, and the first r-1 mixed forms vanish at v, which
-    lies at the system's level.  Each upper-triangle entry of a mixed form
-    is one sum of two products, a_r g - a_i h.  Over Q it is an integer:
-    with v' = d v integral and m = v'^T M v', a = m / (D d^2), so the mixed
-    form is (m_r M_i - m_i M_r) / (D_i D_r d^2).
+    lies at the system's level.  v' = d v is made integral once, and
+    m = v'^T M v' per form, so a = m / (D d^2) and the mixed form is
+    (m_r M_i - m_i M_r) / (D_i D_r d^2): each upper-triangle entry is one
+    sum of two products.
     """
-    tower, lv, n = system.tower, system.level, system.dim
-    ctx, forms = tower._ctx, list(system.forms)
-    if lv:
-        vals = [f.evaluate(v).data for f in forms]
-    else:
-        vi, d = _integral([tower.coerce(x, 0).data for x in v])
-        vals = [sum(map(mul, vi, _times(f._ints[0], vi))) for f in forms]
+    tower, level, n = system.tower, system.level, system.dim
+    forms = list(system.forms)
+    t, lv, v, d = _lifted(forms[0], v)
+    if lv != level:
+        raise ValueError(f"v must lie at the system's level {level}")
+    ctx = t._ctx
+    vals = [_sum(ctx, lv, v, [_sum(ctx, lv, row, v) for row in f.rows]) for f in forms]
     nz = [i for i, a in enumerate(vals) if not _is_zero(a, lv)]
     if not nz:
         raise AllVanish("every form vanishes at v; v is already a witness")
     pick = max(nz)
     forms[pick], forms[-1] = forms[-1], forms[pick]
     vals[pick], vals[-1] = vals[-1], vals[pick]
-    last, a_r = forms[-1], vals[-1]
+    last, m_r = forms[-1], vals[-1]
+    h = last.rows
 
-    def mixed(form, a_i):
-        if not lv:
-            (g, den), (h, den_r) = form._ints, last._ints
-            return _from_ints(tower, _mirrored(n, lambda p, q: a_r * g[p][q] - a_i * h[p][q]), den * den_r * d * d)
-        # a zero a_i stays the shared zero under _neg, and _dot skips it
-        terms = ((a_r, form.gram), (_neg(ctx, lv, a_i), last.gram))
-        return _symmetric(tower, lv, n, lambda p, q: _dot(ctx, lv, [(a, g[p][q].data) for a, g in terms]))
+    def mixed(form, m_i):
+        # a zero m_i stays the shared zero under _neg, and _dot skips it
+        g, coeffs = form.rows, (m_r, _neg(ctx, lv, m_i))
+        rows = _mirrored(n, lambda p, q: _sum(ctx, lv, coeffs, (g[p][q], h[p][q])))
+        return QuadraticForm(tower, lv, rows, form.den * last.den * d * d)
 
     return QFSystem(tuple(mixed(f, a) for f, a in zip(forms, vals[:-1])) + (last,))
 
@@ -351,17 +341,18 @@ def mix_forms(system: QFSystem, v: Sequence[TowerElement]) -> QFSystem:
 def orthogonal_intersection(system: QFSystem, v: Sequence[TowerElement]):
     """Basis of W = {x : b_i(x, v) = 0 for i < r} plus a direct complement of
     the line through v inside W.  Requires phi_i(v) = 0 for i < r, which
-    is checked on the same G_i v that gives the row x . (G_i v) = b_i(x,v)/2.
+    is checked on the same row M_i v' = D d G_i v that gives
+    x . (G_i v) = b_i(x,v)/2 up to that positive factor.
     """
     tower, level, n = system.tower, system.level, system.dim
     if not any(v):
         raise PreconditionError("orthogonal_intersection requires v != 0")
     rows = []
     for f in system.forms[:-1]:
-        # over Q, gv = M v' is G v times D d > 0: the same null space and
-        # the same reduced basis
+        # a row scaled by D d > 0 has the same null space and the same
+        # reduced basis
         t, lv, vr, gv, _, _ = f._gy(v)
-        if not _is_zero(_dot(t._ctx, lv, list(zip(vr, gv))), lv):
+        if not _is_zero(_sum(t._ctx, lv, vr, gv), lv):
             raise PreconditionError("orthogonal_intersection requires phi_i(v) = 0 for i < r")
         rows.append(tuple(TowerElement(t, lv, x) for x in gv))
     if rows:
@@ -377,45 +368,30 @@ def orthogonal_intersection(system: QFSystem, v: Sequence[TowerElement]):
     return tuple([tuple(v)] + complement), tuple(complement)
 
 
-def _support(form: QuadraticForm, b) -> list:
-    """The nonzero (index, raw data) pairs of a basis vector, whose entries
-    must all lie at the form's level in a tower that agrees with the form's
-    up to it."""
+def _raw_vector(form: QuadraticForm, b) -> list:
+    """The raw data of a basis vector, whose entries must all lie at the
+    form's level in a tower that agrees with the form's up to it."""
     tower, lv = form.tower, form.level
     if len(b) != form.dim:
         raise ValueError(f"basis vector length {len(b)} != form dimension {form.dim}")
-    out = []
-    for p, x in enumerate(b):
+    for x in b:
         if x.level != lv or (x.tower is not tower and x.tower.levels[:lv] != tower.levels[:lv]):
             raise ValueError(f"basis entries must lie at the form's level {lv}")
-        if not _is_zero(x.data, lv):
-            out.append((p, x.data))
-    return out
+    return [x.data for x in b]
 
 
 def _restrict(form: QuadraticForm, basis) -> QuadraticForm:
     """B^T G B, the form on the span of ``basis`` (vectors at the form's
-    level), over the nonzero coordinates of B only: (G b_j)[p] is one sum
-    over supp(b_j), needed only at the p in some supp(b_i), and entry (i, j)
-    one sum over supp(b_i) against it.
-
-    Over Q the sums are of integers: with G = M / D and every b_i scaled
-    by the lcm L of all the basis denominators, B^T G B = B'^T M B' / (D L^2),
-    returned as that pair and no Fraction.  Above Q each sum is one kernel
-    ``_dot``."""
-    tower, lv = form.tower, form.level
-    supports = [_support(form, b) for b in basis]
-    rows = {p for s in supports for p, _ in s}
-    k = len(basis)
-    if lv:
-        ctx, gram = tower._ctx, form.gram
-        gb = [{p: _dot(ctx, lv, [(gram[p][q].data, y) for q, y in s]) for p in rows} for s in supports]
-        return _symmetric(tower, lv, k, lambda i, j: _dot(ctx, lv, [(x, gb[j][p]) for p, x in supports[i]]))
-    m, den = form._ints
-    ell = lcm(*[x.denominator for s in supports for _, x in s])
-    scaled = [[(p, x.numerator * (ell // x.denominator)) for p, x in s] for s in supports]
-    gb = [{p: sum([m[p][q] * y for q, y in s]) for p in rows} for s in scaled]
-    return _from_ints(tower, _mirrored(k, lambda i, j: sum([x * gb[j][p] for p, x in scaled[i]])), den * ell * ell)
+    level): with every b_i scaled by the lcm L of all the basis
+    denominators, B^T G B = B'^T M B' / (D L^2).  Each entry of M b'_j,
+    and then each entry b'_i . (M b'_j), is one :func:`_sum`."""
+    tower, lv, n = form.tower, form.level, form.dim
+    ctx, k = tower._ctx, len(basis)
+    flat, ell = _integral(ctx, lv, [x for b in basis for x in _raw_vector(form, b)])
+    scaled = [flat[i * n : (i + 1) * n] for i in range(k)]
+    mb = [[_sum(ctx, lv, row, b) for row in form.rows] for b in scaled]
+    rows = _mirrored(k, lambda i, j: _sum(ctx, lv, scaled[i], mb[j]))
+    return QuadraticForm(tower, lv, rows, form.den * ell * ell)
 
 
 def _binary_root(tower: TowerField, a, b, c):
@@ -434,14 +410,13 @@ def _binary_root(tower: TowerField, a, b, c):
 
 def _line(form: QuadraticForm, z):
     """(a, b, c) with phi(x e_1 + z) = a x^2 + b x + c, for z with z_1 = 0:
-    a = phi(e_1), and one G z gives b = 2 (G z)_1 = b(e_1, z) and
+    a = g_11, and one M z' gives b = 2 (G z)_1 = b(e_1, z) and
     c = z^T G z."""
-    tower, level = form.tower, form.level
-    a = form.evaluate(tuple(tower.one(level) if k == 0 else tower.zero(level) for k in range(form.dim)))
-    t, lv, z, gz, den, d = form._gy(z)
+    t, lv, z, mz, den, d = form._gy(z)
     ctx = t._ctx
-    b = _scale(ctx, lv, gz[0], Fraction(2, den * d))
-    return a, TowerElement(t, lv, b), TowerElement(t, lv, _over(ctx, lv, _dot(ctx, lv, list(zip(z, gz))), den * d * d))
+    a = TowerElement(form.tower, form.level, _over(ctx, form.level, form.rows[0][0], den))
+    b = _scale(ctx, lv, mz[0], Fraction(2, den * d))
+    return a, TowerElement(t, lv, b), TowerElement(t, lv, _over(ctx, lv, _sum(ctx, lv, z, mz), den * d * d))
 
 
 def _solve_system(system: QFSystem):
@@ -452,9 +427,8 @@ def _solve_system(system: QFSystem):
 
     if r == 1:
         form = system.forms[0]
-        g = form.gram if level else form._ints[0]
         for i in range(n):
-            if not g[i][i]:
+            if _is_zero(form.rows[i][i], level):
                 return tower, tuple(one if k == i else zero for k in range(n))
         # phi(x e_1 + e_2) = g_11 x^2 + b(e_1, e_2) x + g_22, b(e_1, e_2) = 2 g_12
         t2, x = _binary_root(tower, *_line(form, tuple(one if k == 1 else zero for k in range(n))))
@@ -540,20 +514,6 @@ class LinearFunctionalBasis:
             raise ValueError(f"f_level {self.f_level} is above k_level {self.k_level}")
 
     @staticmethod
-    def from_elements(tower: TowerField, f_level: int, k_level: int, elements):
-        elements = tuple(x.in_tower(tower).embed(k_level) for x in elements)
-        m = tower.absolute_degree(k_level) // tower.absolute_degree(f_level)
-        if len(elements) != m:
-            raise ValueError(f"basis needs exactly {m} elements")
-        cols = [flatten_between(x, f_level) for x in elements]
-        mat = tuple(zip(*cols))
-        try:
-            inv = linalg.invert(mat, tower, f_level)
-        except SingularMatrix as exc:
-            raise PreconditionError(f"basis is not F-linearly independent: {exc}") from exc
-        return LinearFunctionalBasis(tower, f_level, k_level, elements, inv)
-
-    @staticmethod
     def standard(tower: TowerField, f_level: int, k_level: int):
         """The tower power-product basis: its coordinate matrix is the
         identity, so the functionals are the coordinates themselves."""
@@ -616,12 +576,12 @@ def transfer_system(form: QuadraticForm, basis: LinearFunctionalBasis) -> QFSyst
         raise ValueError("form must live at the basis's K level")
     m, big = basis.size, form.dim * basis.size
     # the upper-triangle gram entries of all transferred forms at once, on raw
-    # data: s_t(g B_j B_l), g = G_ip, is the F-linear row (s_t(g e_c))_c over
+    # data: s_t(g B_j B_l), g = M_ip, is the F-linear row (s_t(g e_c))_c over
     # the power-product monomials e_c times the coordinates of B_j B_l
     ctx, elems = tower._ctx, [x.data for x in basis.elements]
     monos = [_basis_element(tower, f_level, k_level, c).data for c in range(m)]
-    rows = {(i, p): list(zip(*(basis._raw_coordinates(_mul(ctx, k_level, g.data, e)) for e in monos)))
-            for i, row in enumerate(form.gram) for p, g in enumerate(row) if p >= i and g}
+    rows = {(i, p): list(zip(*(basis._raw_coordinates(_mul(ctx, k_level, g, e)) for e in monos)))
+            for i, row in enumerate(form.rows) for p, g in enumerate(row) if p >= i and not _is_zero(g, k_level)}
     prods = {(j, l): _mul(ctx, k_level, elems[j], elems[l]) for j in range(m) for l in range(j, m)}
     zeros = [_raw_zero(ctx, f_level)] * m
     coords = {}
@@ -631,9 +591,10 @@ def transfer_system(form: QuadraticForm, basis: LinearFunctionalBasis) -> QFSyst
             p, l = divmod(b, m)
             if (i, p) in rows:
                 coords[a, b] = basis._raw_coordinates(prods[min(j, l), max(j, l)], rows[i, p])
+    # the functionals are F-linear, so they carry M and the form's D along
     f_tower = tower.prefix(f_level)
     return QFSystem(tuple(
-        _symmetric(f_tower, f_level, big, lambda a, b, k=k: coords.get((a, b), zeros)[k])
+        _form(f_tower, f_level, big, lambda a, b, k=k: coords.get((a, b), zeros)[k], form.den)
         for k in range(m)
     ))
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from isotower import linalg
 from isotower.errors import AllVanish, ReducibilityError
-from isotower.quadforms import QFSystem, QuadraticForm, _from_ints, _line, _restrict, mix_forms, orthogonal_intersection
+from isotower.quadforms import QFSystem, QuadraticForm, _line, _restrict, mix_forms, orthogonal_intersection
 from isotower.serialize import canonical_dumps, element_from_json, element_to_json
 from isotower.sqrt import sqrt_or_nonsquare
 from isotower.tower import QQ, dot, tower_extend
@@ -324,7 +324,7 @@ def test_integer_rounds_match_the_fraction_reference(case):
     specs, v = case
     grams = [[[Fraction(x, den) for x in row] for row in rows] for rows, den, _ in specs]
     forms = tuple(
-        QuadraticForm.from_gram(QQ, 0, g) if wrapped else _from_ints(QQ, rows, den)
+        QuadraticForm.from_gram(QQ, 0, g) if wrapped else QuadraticForm(QQ, 0, rows, den)
         for g, (rows, den, wrapped) in zip(grams, specs)
     )
     vec = tuple(QQ.rational(x) for x in v)
@@ -355,3 +355,89 @@ def test_integer_rounds_match_the_fraction_reference(case):
         _assert_form_is(sub, [[sum((bi[p] * g[p][q] * bj[q] for p in range(n) for q in range(n)), Fraction(0))
                                for bj in b] for bi in b])
 
+
+
+# -- the same rounds above Q against wrapped TowerElement arithmetic ----------
+
+
+@st.composite
+def systems_above_q(draw):
+    """r forms at level 1 of Q(sqrt 2) or of the cubic base-root level, some
+    built from a wrapped gram and some directly as (D G, D), with Fraction
+    coefficients (so D > 1), shared-zero entries and zero coefficients; a
+    vector v at level 1 with zero entries."""
+    name = draw(st.sampled_from(["sqrt2", "cubic"]))
+    tower = TOWERS[name]
+    coeff = st.one_of(st.just(0), st.fractions(min_value=-20, max_value=20, max_denominator=6))
+
+    def element():
+        if draw(st.integers(0, 3)) == 0:
+            return tower.zero(1)
+        return tower.from_coeffs(1, [draw(coeff) for _ in range(tower.degree_of_level(1))])
+
+    r, n = draw(st.integers(2, 3)), draw(st.integers(2, 4))
+    specs = []
+    for _ in range(r):
+        gram = [[None] * n for _ in range(n)]
+        for p in range(n):
+            for q in range(p, n):
+                gram[p][q] = gram[q][p] = element()
+        specs.append((gram, draw(st.sampled_from([None, 1, 6, 35]))))
+    return name, specs, tuple(element() for _ in range(n))
+
+
+def _wrapped_bilinear(tower, g, x, y):
+    n = len(g)
+    return sum((x[p] * g[p][q] * y[q] for p in range(n) for q in range(n)), tower.zero(1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems_above_q())
+def test_rounds_above_q_match_the_wrapped_reference(case):
+    name, specs, v = case
+    tower = TOWERS[name]
+    forms = tuple(
+        QuadraticForm.from_gram(tower, 1, g) if den is None
+        else QuadraticForm(tower, 1, tuple(tuple((x * den).data for x in row) for row in g), den)
+        for g, den in specs
+    )
+    grams = [g for g, _ in specs]
+    for f, g in zip(forms, grams):
+        assert f.gram == tuple(map(tuple, g))
+    for f, (_, den) in zip(forms, specs):
+        if den is None:
+            # from_gram stores integral leaves over the lcm of the denominators
+            assert all(type(c) is int for row in f.rows for x in row for c in x)
+    n = len(v)
+    z = (tower.zero(1),) + v[1:]
+    for f, g in zip(forms, grams):
+        assert f.evaluate(v) == _wrapped_bilinear(tower, g, v, v)
+        a, b, c = _line(f, z)
+        assert (a, b, c) == (g[0][0], 2 * sum((g[0][q] * z[q] for q in range(n)), tower.zero(1)),
+                             _wrapped_bilinear(tower, g, z, z))
+        sub = _restrict(f, [v, z])
+        assert sub.gram == tuple(tuple(_wrapped_bilinear(tower, g, x, y) for y in (v, z)) for x in (v, z))
+    if name == "sqrt2":
+        # a vector one level up, in Q(sqrt 2, sqrt 3): the form's rows are
+        # embedded to its level
+        top = TOWERS["biquad"]
+        w = tuple(top.from_coeffs(2, [x, y]) for x, y in zip(v, reversed(v)))
+        wz = (top.zero(2),) + w[1:]
+        for f, g in zip(forms, grams):
+            assert f.evaluate(w) == _wrapped_bilinear(top, g, w, w)
+            a, b, c = _line(f, wz)
+            assert (b, c) == (2 * sum((g[0][q] * wz[q] for q in range(n)), top.zero(2)),
+                              _wrapped_bilinear(top, g, wz, wz))
+            assert b.level == c.level == 2
+    vals = [_wrapped_bilinear(tower, g, v, v) for g in grams]
+    if not any(vals):
+        with pytest.raises(AllVanish):
+            mix_forms(QFSystem(forms), v)
+        return
+    mixed = mix_forms(QFSystem(forms), v)
+    pick = max(i for i, a in enumerate(vals) if a)
+    grams[pick], grams[-1] = grams[-1], grams[pick]
+    vals[pick], vals[-1] = vals[-1], vals[pick]
+    assert mixed.forms[-1] is forms[pick]
+    for f, g, a_i in zip(mixed.forms[:-1], grams, vals):
+        assert f.gram == tuple(tuple(vals[-1] * x - a_i * y for x, y in zip(gr, hr)) for gr, hr in zip(g, grams[-1]))
